@@ -38,7 +38,7 @@ def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict) -> None:
     offset = 0
     names = sorted(params)
     for name in names:
-        arr = np.ascontiguousarray(params[name], dtype=np.float64)
+        arr = np.asarray(params[name], dtype=np.float64, order="C")
         entries[name] = {"shape": list(arr.shape), "offset": offset}
         offset += arr.nbytes
     header = json.dumps({"params": entries, "meta": meta},
@@ -49,7 +49,7 @@ def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict) -> None:
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
         for name in names:
-            arr = np.ascontiguousarray(params[name], dtype=np.float64)
+            arr = np.asarray(params[name], dtype=np.float64, order="C")
             fh.write(arr.astype("<f8", copy=False).tobytes())
 
 
@@ -57,17 +57,26 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     raw = Path(path).read_bytes()
     if raw[:6] != _MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+    if len(raw) < 12:
+        raise CheckpointError(f"{path}: truncated header")
     version = raw[6]
     if version != _VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (header_len,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12:12 + header_len].decode("utf-8"))
+    if len(raw) < 12 + header_len:
+        raise CheckpointError(f"{path}: truncated header")
+    try:
+        header = json.loads(raw[12:12 + header_len].decode("utf-8"))
+    except ValueError as exc:  # also covers UnicodeDecodeError
+        raise CheckpointError(f"{path}: corrupt header: {exc}") from None
     payload = raw[12 + header_len:]
     params = {}
     for name, entry in header["params"].items():
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if start + 8 * count > len(payload):
+            raise CheckpointError(f"{path}: truncated payload at {name!r}")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
         params[name] = arr.astype(np.float64).reshape(shape).copy()
     return params, header["meta"]

@@ -22,8 +22,8 @@ from . import __version__
 from . import data as dio
 from . import probes as probes_mod
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import (ConfigError, RunConfig, SynthFileSpec, file_sha256,
-                     parse_kv_file, write_manifest)
+from .config import (ConfigError, RunConfig, file_sha256, parse_kv_file,
+                     synth_spec_from_dict, write_manifest)
 from .encoder import EncoderConfig
 from .inference import InferConfig
 from .models import Model, ModelConfig
@@ -267,11 +267,10 @@ def cmd_export(args) -> None:
 
 
 def cmd_gen_synth(args) -> None:
-    spec = SynthFileSpec.from_dict(parse_kv_file(args.spec)) if args.spec \
-        else SynthFileSpec()
-    synth = dio.SynthSpec(**vars(spec))
-    corpus = dio.generate_synthetic(synth)
-    held_names = [f"dom{d}" for d in synth.held_out]
+    spec = synth_spec_from_dict(parse_kv_file(args.spec)) if args.spec \
+        else dio.SynthSpec()
+    corpus = dio.generate_synthetic(spec)
+    held_names = [f"dom{d}" for d in spec.held_out]
     train_corpus, heldout_corpus = dio.split_held_out(corpus, held_names)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

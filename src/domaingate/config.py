@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
+from .data import SynthSpec
 from .inference import STRATEGIES
 from .models import MODEL_KINDS
 from .training import LAMBDA_GRID
 
-__all__ = ["ConfigError", "parse_kv_file", "RunConfig", "SynthFileSpec",
+__all__ = ["ConfigError", "parse_kv_file", "RunConfig", "synth_spec_from_dict",
            "write_manifest", "file_sha256"]
 
 REGIMES = ("supervised", "semi-supervised", "unsupervised")
@@ -148,37 +149,22 @@ class RunConfig:
         return out
 
 
-@dataclass
-class SynthFileSpec:
-    """Key=value front-end for the synthetic generator."""
+_SYNTH_KEYS = {f.name for f in fields(SynthSpec)} - {"label_names"}
 
-    n_domains: int = 6
-    held_out: tuple[int, ...] = (4, 5)
-    unique_tokens: int = 30
-    shared_tokens: int = 30
-    overlap: float = 0.5
-    n_cues: int = 8
-    flip_cues: bool = True
-    doc_len: int = 20
-    cues_per_doc: int = 3
-    instances_per_domain: int = 150
-    unlabeled_per_domain: int = 0
-    heldout_per_domain: int = 150
-    noise: float = 0.05
-    seed: int = 0
 
-    @classmethod
-    def from_dict(cls, kv: dict[str, str]) -> "SynthFileSpec":
-        known = {f.name: f for f in fields(cls)}
-        values = {}
-        for key, raw in kv.items():
-            if key not in known:
-                raise ConfigError(key, "unknown key")
-            if key == "held_out":
-                values[key] = tuple(_convert(key, p, int) for p in raw.split(","))
-            else:
-                values[key] = _convert(key, raw, type(getattr(cls(), key)))
-        return cls(**values)
+def synth_spec_from_dict(kv: dict[str, str]) -> SynthSpec:
+    """Key=value front-end for the synthetic generator: any ``SynthSpec``
+    field but the label names, validated by ``SynthSpec`` itself."""
+    defaults = SynthSpec()
+    values = {}
+    for key, raw in kv.items():
+        if key not in _SYNTH_KEYS:
+            raise ConfigError(key, "unknown key")
+        if key == "held_out":
+            values[key] = tuple(_convert(key, p, int) for p in raw.split(","))
+        else:
+            values[key] = _convert(key, raw, type(getattr(defaults, key)))
+    return SynthSpec(**values)
 
 
 def file_sha256(path) -> str:
@@ -187,13 +173,11 @@ def file_sha256(path) -> str:
 
 def write_manifest(path, command: str, config: dict, extra: dict) -> None:
     from . import __version__
-    from .kernels import NUMBA_ENABLED
 
     manifest = {
         "command": command,
         "config": config,
         "version": __version__,
-        "numba": NUMBA_ENABLED,
     }
     manifest.update(extra)
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",

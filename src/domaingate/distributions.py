@@ -1,4 +1,4 @@
-"""Beta, Gamma, and Dirichlet latent-gate distributions.
+"""Beta and Dirichlet latent-gate distributions.
 
 Provides sampling by CDF inversion, log-densities, means, closed-form
 same-family KL divergences (differentiable on the tape through the
@@ -7,8 +7,8 @@ lgamma/digamma primitives), and pathwise gradients through samples.
 Sampling uses the CDF as a standardization map: a sample z with noise
 record u satisfies F(z; theta) = u, so differentiating implicitly in the
 parameters gives dz/dtheta = -(dF/dtheta) / pdf(z). The Dirichlet is
-sampled as normalized Gammas, so its gradients compose the Gamma
-pathwise partials with ordinary tape arithmetic (product and
+sampled as normalized Gammas (rate 1), so its gradients compose the
+Gamma pathwise partials with ordinary tape arithmetic (product and
 normalization nodes), i.e. the multi-variable chain rule is handled by
 backprop itself.
 
@@ -20,7 +20,6 @@ the rest of the system needs.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -40,18 +39,14 @@ from .special import (
 __all__ = [
     "BetaParams",
     "DirichletParams",
-    "GammaParams",
     "GateSample",
     "DegenerateSampleError",
     "sample",
-    "log_pdf",
+    "draw_many",
+    "log_pdf_many",
     "mean",
     "kl_divergence",
-    "implicit_grad",
-    "one_hot",
 ]
-
-log = logging.getLogger(__name__)
 
 _PDF_FLOOR = 1e-300
 _U_LO = 1e-15
@@ -100,31 +95,15 @@ class DirichletParams:
 
 
 @dataclass
-class GammaParams:
-    """Gamma with rate fixed to 1; the Dirichlet sampling primitive."""
-
-    shape: Var  # (k,) or scalar
-
-    @classmethod
-    def of(cls, tape: Tape, shape) -> "GammaParams":
-        return cls(tape.const(np.asarray(shape, dtype=np.float64)))
-
-
-@dataclass
 class GateSample:
     """A realized gate vector plus the noise that produced it."""
 
     z: np.ndarray
-    family: str  # one-hot | box | simplex | positive
+    family: str  # box (Beta) | simplex (Dirichlet)
     eps: Optional[np.ndarray] = None
-    gammas: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.family == "one-hot":
-            ones = np.flatnonzero(self.z == 1.0)
-            if len(ones) != 1 or not np.all((self.z == 0.0) | (self.z == 1.0)):
-                raise ValueError("one-hot gate must have exactly one unit entry")
-        elif self.family == "box":
+        if self.family == "box":
             if np.any(self.z < 0.0) or np.any(self.z > 1.0):
                 raise ValueError("box gate entries must lie in [0, 1]")
         elif self.family == "simplex":
@@ -132,15 +111,9 @@ class GateSample:
                 raise ValueError("simplex gate must be nonnegative and sum to 1")
 
 
-def one_hot(k: int, index: int) -> np.ndarray:
-    z = np.zeros(k)
-    z[index] = 1.0
-    return z
-
-
-def _uniform(rng: np.random.Generator, n: int) -> np.ndarray:
+def _uniform(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
     # Clip away from {0, 1} so quantiles stay finite.
-    return np.clip(rng.random(n), _U_LO, _U_HI)
+    return np.clip(rng.random((m, k)), _U_LO, _U_HI)
 
 
 # -- pathwise partial derivatives ------------------------------------------
@@ -193,11 +166,9 @@ def _beta_partials(alpha: np.ndarray, beta: np.ndarray, z: np.ndarray):
 
 
 def _gamma_partials(shape: np.ndarray, g: np.ndarray) -> np.ndarray:
-    shape = np.atleast_1d(shape)
-    g1 = np.atleast_1d(g)
-    out = np.empty_like(g1)
-    for i in range(g1.shape[0]):
-        a, gi = float(shape[i]), float(g1[i])
+    out = np.empty_like(g)
+    for i in range(g.shape[0]):
+        a, gi = float(shape[i]), float(g[i])
         if gi <= 0.0:
             # quantile underflowed to zero; the CDF is flat in the
             # parameter there, so the pathwise gradient vanishes
@@ -206,7 +177,7 @@ def _gamma_partials(shape: np.ndarray, g: np.ndarray) -> np.ndarray:
         inv_pdf = _inv_pdf(_gamma_log_pdf_scalar(gi, a), f"gamma z={gi}, shape={a}")
         dFda = _cdf_param_fd(lambda x, t: reg_inc_gamma(t, x), gi, a)
         out[i] = -dFda * inv_pdf
-    return out.reshape(np.shape(g))
+    return out
 
 
 @register_backward("beta_sample")
@@ -225,6 +196,21 @@ def _gamma_sample_bwd(node, grad, tape):
 
 # -- sampling ----------------------------------------------------------------
 
+def _quantiles(params, u: np.ndarray, conc: Optional[np.ndarray] = None) -> np.ndarray:
+    """Invert the CDF at each entry of the noise rows u [m, k]: Beta gate
+    values, or, for a Dirichlet with concentration values ``conc``, the
+    Gamma draws whose rows normalize to its gates."""
+    out = np.empty(u.shape)
+    if isinstance(params, BetaParams):
+        a, b = params.alpha.value, params.beta.value
+        for i, j in np.ndindex(u.shape):
+            out[i, j] = inv_reg_inc_beta(u[i, j], a[j], b[j])
+    else:
+        for i, j in np.ndindex(u.shape):
+            out[i, j] = inv_reg_inc_gamma(u[i, j], conc[j])
+    return out
+
+
 def sample(params, rng: Optional[np.random.Generator],
            eps: Optional[np.ndarray] = None) -> tuple[Var, GateSample]:
     """Draw one gate vector; the returned Var carries pathwise gradients
@@ -233,84 +219,35 @@ def sample(params, rng: Optional[np.random.Generator],
     Passing ``eps`` (uniform noise in (0,1)) replays a draw with frozen
     noise, which is what gradient checks against finite differences need.
     """
+    if not isinstance(params, (BetaParams, DirichletParams)):
+        raise TypeError(f"cannot sample from {type(params).__name__}")
+    u = (_uniform(rng, 1, params.k) if eps is None
+         else np.asarray(eps, dtype=np.float64)[None, :])
     if isinstance(params, BetaParams):
-        a, b = params.alpha.value, params.beta.value
-        u = _uniform(rng, params.k) if eps is None else np.asarray(eps, dtype=np.float64)
-        z = np.array([inv_reg_inc_beta(u[i], a[i], b[i]) for i in range(params.k)])
+        z = _quantiles(params, u)[0]
         var = params.alpha._tape.record("beta_sample", z,
-                                        (params.alpha, params.beta), aux=u)
-        return var, GateSample(z, "box", eps=u)
-    if isinstance(params, DirichletParams):
-        conc = params.concentration()
-        c = conc.value
-        u = _uniform(rng, params.k) if eps is None else np.asarray(eps, dtype=np.float64)
-        g = np.array([inv_reg_inc_gamma(u[i], c[i]) for i in range(params.k)])
-        g_var = conc._tape.record("gamma_sample", g, (conc,), aux=u)
-        z_var = ad.div(g_var, ad.reduce_sum(g_var))
-        return z_var, GateSample(z_var.value.copy(), "simplex", eps=u, gammas=g)
-    if isinstance(params, GammaParams):
-        shape = np.atleast_1d(params.shape.value)
-        u = (_uniform(rng, shape.shape[0]) if eps is None
-             else np.asarray(eps, dtype=np.float64))
-        g = np.array([inv_reg_inc_gamma(u[i], shape[i]) for i in range(shape.shape[0])])
-        g = g.reshape(params.shape.value.shape)
-        var = params.shape._tape.record("gamma_sample", g, (params.shape,),
-                                        aux=u.reshape(params.shape.value.shape))
-        return var, GateSample(np.atleast_1d(g.copy()), "positive", eps=u)
-    raise TypeError(f"cannot sample from {type(params).__name__}")
+                                        (params.alpha, params.beta), aux=u[0])
+        return var, GateSample(z, "box", eps=u[0])
+    conc = params.concentration()
+    g = _quantiles(params, u, conc.value)[0]
+    g_var = conc._tape.record("gamma_sample", g, (conc,), aux=u[0])
+    z_var = ad.div(g_var, ad.reduce_sum(g_var))
+    return z_var, GateSample(z_var.value.copy(), "simplex", eps=u[0])
 
 
 def draw_many(params, rng: np.random.Generator, m: int) -> np.ndarray:
     """m independent gate draws as a value-level [m, k] array (no tape
     nodes, no gradients); used by Monte Carlo prediction."""
     if isinstance(params, BetaParams):
-        a, b = params.alpha.value, params.beta.value
-        u = np.clip(rng.random((m, params.k)), _U_LO, _U_HI)
-        out = np.empty((m, params.k))
-        for i in range(m):
-            for j in range(params.k):
-                out[i, j] = inv_reg_inc_beta(u[i, j], a[j], b[j])
-        return out
+        return _quantiles(params, _uniform(rng, m, params.k))
     if isinstance(params, DirichletParams):
         c = params.concentration().value
-        u = np.clip(rng.random((m, params.k)), _U_LO, _U_HI)
-        g = np.empty((m, params.k))
-        for i in range(m):
-            for j in range(params.k):
-                g[i, j] = inv_reg_inc_gamma(u[i, j], c[j])
+        g = _quantiles(params, _uniform(rng, m, params.k), c)
         return g / g.sum(axis=1, keepdims=True)
     raise TypeError(f"draw_many supports Beta/Dirichlet, got {type(params).__name__}")
 
 
 # -- densities, means, divergences -------------------------------------------
-
-def log_pdf(params, z: np.ndarray) -> float:
-    """Log-density at z. Outside the support this returns -inf and logs
-    the event rather than raising."""
-    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    if isinstance(params, BetaParams):
-        a, b = params.alpha.value, params.beta.value
-        if np.any(z <= 0.0) or np.any(z >= 1.0):
-            log.warning("beta log_pdf outside support: z=%s", z)
-            return -math.inf
-        return float(sum(_beta_log_pdf_scalar(z[i], a[i], b[i])
-                         for i in range(len(z))))
-    if isinstance(params, DirichletParams):
-        c = params.concentration().value
-        if np.any(z <= 0.0) or abs(z.sum() - 1.0) > 1e-8:
-            log.warning("dirichlet log_pdf outside simplex: z=%s", z)
-            return -math.inf
-        return float(lgamma(c.sum()) - sum(lgamma(ci) for ci in c)
-                     + np.sum((c - 1.0) * np.log(z)))
-    if isinstance(params, GammaParams):
-        shape = np.atleast_1d(params.shape.value)
-        if np.any(z <= 0.0):
-            log.warning("gamma log_pdf outside support: z=%s", z)
-            return -math.inf
-        return float(sum(_gamma_log_pdf_scalar(z[i], shape[i])
-                         for i in range(len(z))))
-    raise TypeError(f"no log_pdf for {type(params).__name__}")
-
 
 _lgamma_vec = np.vectorize(lgamma, otypes=[np.float64])
 
@@ -337,8 +274,6 @@ def mean(params) -> np.ndarray:
     if isinstance(params, DirichletParams):
         c = params.concentration().value
         return c / c.sum()
-    if isinstance(params, GammaParams):
-        return np.atleast_1d(params.shape.value).copy()
     raise TypeError(f"no mean for {type(params).__name__}")
 
 
@@ -370,45 +305,4 @@ def kl_divergence(q, p) -> Var:
             - ad.lgamma(ad.reduce_sum(c2)) + ad.reduce_sum(ad.lgamma(c2))
         inner = (c1 - c2) * (ad.digamma(c1) - ad.digamma(c1_sum))
         return front + ad.reduce_sum(inner)
-    if isinstance(q, GammaParams):
-        a1, a2 = q.shape, p.shape
-        term = (a1 - a2) * ad.digamma(a1) - ad.lgamma(a1) + ad.lgamma(a2)
-        return ad.reduce_sum(term)
     raise TypeError(f"no KL for {type(q).__name__}")
-
-
-def implicit_grad(params, z: np.ndarray, eps: np.ndarray,
-                  gammas: Optional[np.ndarray] = None) -> dict[str, np.ndarray]:
-    """Pathwise partial derivatives of a sample in its parameters.
-
-    ``z`` and ``eps`` must come from ``sample`` on the same parameters.
-    Returns, per family:
-
-    - Beta:      {'alpha': (k,), 'beta': (k,)} elementwise dz_i/dtheta_i
-    - Gamma:     {'shape': same shape as z}
-    - Dirichlet: {'alpha0': (k,), 'alpha_hat': (k, k)} where
-      ``alpha_hat[j, i]`` is dz_j / d alpha_hat_i
-    """
-    if isinstance(params, BetaParams):
-        dz_da, dz_db = _beta_partials(params.alpha.value, params.beta.value, z)
-        return {"alpha": dz_da, "beta": dz_db}
-    if isinstance(params, GammaParams):
-        return {"shape": _gamma_partials(params.shape.value, np.asarray(z))}
-    if isinstance(params, DirichletParams):
-        a0 = float(params.alpha0.value)
-        a_hat = params.alpha_hat.value
-        c = a0 * a_hat
-        if gammas is None:
-            gammas = np.array([inv_reg_inc_gamma(eps[i], c[i])
-                               for i in range(len(c))])
-        total = gammas.sum()
-        dg_dc = _gamma_partials(c, gammas)
-        # dz_j/dc_i = dg_i/dc_i * (delta_ij * total - g_j) / total^2
-        k = len(c)
-        delta = np.eye(k)
-        dz_dc = dg_dc[None, :] * (delta * total - gammas[:, None]) / (total * total)
-        return {
-            "alpha0": dz_dc @ a_hat,
-            "alpha_hat": dz_dc * a0,
-        }
-    raise TypeError(f"no implicit gradient for {type(params).__name__}")

@@ -101,16 +101,20 @@ def predict(model: Model, ids, cfg: InferConfig,
 
 def _importance_sampling(model, binder, ids, h_mat, prior, cfg, rng):
     mcfg = model.config
-    estimates = np.empty(mcfg.n_labels)
+    # Average the weights per label in log space (log-mean-exp) and
+    # normalize there too: with a peaked prior every exp(log_w) underflows.
+    log_est = np.empty(mcfg.n_labels)
     for y_cand in range(mcfg.n_labels):
         q = model.posterior_gate(binder, ids, y_cand, None)
         z_rows = dist.draw_many(q.params, rng, cfg.m)
         loglik = classify_batch(model.params, mcfg, z_rows @ h_mat)[:, y_cand]
         log_w = dist.log_pdf_many(prior.params, z_rows) + loglik \
             - dist.log_pdf_many(q.params, z_rows)
-        estimates[y_cand] = np.exp(log_w).mean()
-    probs = estimates / estimates.sum()
-    return int(estimates.argmax()), probs
+        top = log_w.max()
+        log_est[y_cand] = top + np.log(np.exp(log_w - top).mean())
+    probs = np.exp(log_est - log_est.max())
+    probs /= probs.sum()
+    return int(probs.argmax()), probs
 
 
 def predict_batch(model: Model, instances: list[Instance],

@@ -1,21 +1,15 @@
 """Hot numeric kernels for the encoder: 1-d convolution over time,
 max-pool over time, and embedding-table scatter.
 
-Each kernel has a pure-numpy implementation (the ``_*_np`` functions)
-and, when numba is importable, an ``@njit``-compiled twin. Set the
-environment variable ``DOMAINGATE_NO_NUMBA=1`` before import to force
-the numpy path; ``benchmarks/bench_kernels.py`` times the two against
-each other. All arrays are C-contiguous float64.
+The kernels are plain numpy; ``perfbench/run.py`` times them per layer
+in its traced run. All arrays are C-contiguous float64.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "NUMBA_ENABLED",
     "conv1d_forward",
     "conv1d_backward",
     "maxpool_forward",
@@ -23,10 +17,11 @@ __all__ = [
     "embedding_backward",
 ]
 
-_disable = os.environ.get("DOMAINGATE_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
+# Read by the benchmark's environment block; there is no compiled backend.
+NUMBA_ENABLED = False
 
 
-def _conv1d_forward_np(x, w, b):
+def conv1d_forward(x, w, b):
     # x: [T, E], w: [win, E, F], b: [F] -> [T - win + 1, F], valid padding.
     win = w.shape[0]
     windows = np.lib.stride_tricks.sliding_window_view(x, win, axis=0)  # [To, E, win]
@@ -35,7 +30,7 @@ def _conv1d_forward_np(x, w, b):
     return out
 
 
-def _conv1d_backward_np(x, w, grad):
+def conv1d_backward(x, w, grad):
     win = w.shape[0]
     t_out = grad.shape[0]
     windows = np.lib.stride_tricks.sliding_window_view(x, win, axis=0)
@@ -47,109 +42,20 @@ def _conv1d_backward_np(x, w, grad):
     return dx, dw, db
 
 
-def _maxpool_forward_np(x):
+def maxpool_forward(x):
     # x: [T, F] -> ([F], argmax [F]); ties resolved to the lowest index.
     idx = np.argmax(x, axis=0)
     return x[idx, np.arange(x.shape[1])], idx
 
 
-def _maxpool_backward_np(grad, idx, t_len):
+def maxpool_backward(grad, idx, t_len):
     dx = np.zeros((t_len, grad.shape[0]))
     dx[idx, np.arange(grad.shape[0])] = grad
     return dx
 
 
-def _embedding_backward_np(grad, ids, rows):
+def embedding_backward(grad, ids, rows):
     # grad: [T, E] for looked-up ids -> dtable [rows, E] scatter-add.
     dtable = np.zeros((rows, grad.shape[1]))
     np.add.at(dtable, ids, grad)
     return dtable
-
-
-NUMBA_ENABLED = False
-if not _disable:
-    try:
-        from numba import njit
-    except ImportError:  # fall back silently; flag is inspectable
-        njit = None
-    if njit is not None:
-        NUMBA_ENABLED = True
-
-        @njit(cache=True)
-        def _conv1d_forward_nb(x, w, b):  # pragma: no cover - jitted
-            win, emb, nf = w.shape
-            t_out = x.shape[0] - win + 1
-            out = np.empty((t_out, nf))
-            for t in range(t_out):
-                for f in range(nf):
-                    acc = b[f]
-                    for i in range(win):
-                        for e in range(emb):
-                            acc += x[t + i, e] * w[i, e, f]
-                    out[t, f] = acc
-            return out
-
-        @njit(cache=True)
-        def _conv1d_backward_nb(x, w, grad):  # pragma: no cover - jitted
-            win, emb, nf = w.shape
-            t_out = grad.shape[0]
-            dx = np.zeros_like(x)
-            dw = np.zeros_like(w)
-            db = np.zeros(nf)
-            for t in range(t_out):
-                for f in range(nf):
-                    g = grad[t, f]
-                    db[f] += g
-                    for i in range(win):
-                        for e in range(emb):
-                            dx[t + i, e] += g * w[i, e, f]
-                            dw[i, e, f] += g * x[t + i, e]
-            return dx, dw, db
-
-        @njit(cache=True)
-        def _maxpool_forward_nb(x):  # pragma: no cover - jitted
-            t_len, nf = x.shape
-            out = np.empty(nf)
-            idx = np.empty(nf, dtype=np.int64)
-            for f in range(nf):
-                best = x[0, f]
-                best_t = 0
-                for t in range(1, t_len):
-                    if x[t, f] > best:
-                        best = x[t, f]
-                        best_t = t
-                out[f] = best
-                idx[f] = best_t
-            return out, idx
-
-        @njit(cache=True)
-        def _maxpool_backward_nb(grad, idx, t_len):  # pragma: no cover - jitted
-            nf = grad.shape[0]
-            dx = np.zeros((t_len, nf))
-            for f in range(nf):
-                dx[idx[f], f] = grad[f]
-            return dx
-
-        @njit(cache=True)
-        def _embedding_backward_nb(grad, ids, rows):  # pragma: no cover - jitted
-            emb = grad.shape[1]
-            dtable = np.zeros((rows, emb))
-            for t in range(ids.shape[0]):
-                row = ids[t]
-                for e in range(emb):
-                    dtable[row, e] += grad[t, e]
-            return dtable
-
-
-if NUMBA_ENABLED:
-    conv1d_forward = _conv1d_forward_nb
-    conv1d_backward = _conv1d_backward_nb
-    maxpool_forward = _maxpool_forward_nb
-    maxpool_backward = _maxpool_backward_nb
-    embedding_backward = _embedding_backward_nb
-else:
-    conv1d_forward = _conv1d_forward_np
-    conv1d_backward = _conv1d_backward_np
-    maxpool_forward = _maxpool_forward_np
-    maxpool_backward = _maxpool_backward_np
-    embedding_backward = _embedding_backward_np

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -77,7 +77,11 @@ def _lambda_at(cfg: TrainConfig, step: int, steps_per_epoch: int) -> float:
 def evaluate(model: Model, instances: list[Instance],
              infer_cfg: InferConfig) -> EvalResult:
     """Micro accuracy over labeled instances, plus a per-domain breakdown
-    keyed by the raw domain string (UNK for domain-unlabeled ones)."""
+    keyed by the raw domain string (UNK for domain-unlabeled ones).
+
+    Raises ``FloatingPointError`` naming the instance when a prediction's
+    label probabilities are not finite, since its argmax would be
+    meaningless."""
     labeled = [inst for inst in instances if inst.y_id is not None]
     if not labeled:
         raise ValueError("evaluation needs at least one labeled instance")
@@ -86,6 +90,9 @@ def evaluate(model: Model, instances: list[Instance],
     totals: dict[str, int] = {}
     hits = 0
     for inst, rec in zip(labeled, records):
+        if not np.all(np.isfinite(rec.probs)):
+            raise FloatingPointError(
+                f"non-finite label probabilities for {rec.doc_id}: {rec.probs}")
         key = inst.domain if inst.domain is not None else "UNK"
         totals[key] = totals.get(key, 0) + 1
         if rec.label_id == inst.y_id:
@@ -122,8 +129,6 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
     steps_per_epoch = max(1, math.ceil(n / cfg.batch_size))
     eval_points = {steps_per_epoch // 2, steps_per_epoch} - {0}
     stop = False
-
-    dev_cfg = replace(cfg.infer, seed=cfg.infer.seed)
 
     for epoch in range(cfg.max_epochs):
         if stop:
@@ -162,10 +167,7 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
                      "kl": kl_sum * scale if kl_seen else None,
                      "lambda": lam_t}
             if b + 1 in eval_points:
-                result = evaluate(model, dev_set, dev_cfg)
-                if math.isnan(result.accuracy):
-                    raise RuntimeError(
-                        f"dev accuracy became NaN at step {step}; aborting")
+                result = evaluate(model, dev_set, cfg.infer)
                 entry["dev_acc"] = result.accuracy
                 if result.accuracy > best_acc:
                     best_acc = result.accuracy
@@ -181,6 +183,6 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
 
     if best_params is None:
         best_params = copy.deepcopy(model.params)
-        best_acc = evaluate(model, dev_set, dev_cfg).accuracy
+        best_acc = evaluate(model, dev_set, cfg.infer).accuracy
     return TrainResult(Model(model.config, best_params), log_records,
                        best_acc, step)

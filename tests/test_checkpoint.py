@@ -1,0 +1,65 @@
+"""Checkpoint container: bitwise round trip and rejection of corrupt or
+truncated files with ``CheckpointError``."""
+
+import struct
+
+import numpy as np
+import pytest
+
+from domaingate.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+
+PARAMS = {"b.vec": np.array([1.5, -0.0, np.pi]),
+          "a.mat": np.random.default_rng(0).normal(size=(3, 4)),
+          "c.scalar": np.array(2.0)}
+META = {"kind": "csda-dirichlet", "k": 4}
+
+
+@pytest.fixture
+def saved(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, PARAMS, META)
+    return path
+
+
+def test_round_trip_is_bitwise(saved, tmp_path):
+    params, meta = load_checkpoint(saved)
+    assert meta == META
+    assert sorted(params) == sorted(PARAMS)
+    for name, arr in PARAMS.items():
+        assert params[name].shape == arr.shape
+        assert params[name].tobytes() == arr.tobytes()
+    again = tmp_path / "again.bin"
+    save_checkpoint(again, params, meta)
+    assert again.read_bytes() == saved.read_bytes()
+
+
+def _rewrite(path, raw):
+    path.write_bytes(raw)
+    return path
+
+
+def test_bad_magic_rejected(saved):
+    raw = saved.read_bytes()
+    with pytest.raises(CheckpointError, match="bad magic"):
+        load_checkpoint(_rewrite(saved, b"XXCKPT" + raw[6:]))
+
+
+def test_bad_version_rejected(saved):
+    raw = saved.read_bytes()
+    with pytest.raises(CheckpointError, match="version 9"):
+        load_checkpoint(_rewrite(saved, raw[:6] + bytes([9]) + raw[7:]))
+
+
+@pytest.mark.parametrize("keep", [6, 10, 40])
+def test_truncated_header_rejected(saved, keep):
+    raw = saved.read_bytes()
+    with pytest.raises(CheckpointError, match="truncated header"):
+        load_checkpoint(_rewrite(saved, raw[:keep]))
+
+
+def test_truncated_payload_rejected(saved):
+    raw = saved.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[8:12])
+    assert len(raw) > 12 + header_len + 8
+    with pytest.raises(CheckpointError, match="truncated payload"):
+        load_checkpoint(_rewrite(saved, raw[:-8]))

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from domaingate import autodiff as ad
 from domaingate import distributions as dist
@@ -70,34 +70,34 @@ class TestSampling:
 class TestLogPdf:
     def test_uniform_beta_is_zero(self):
         p = beta_params([1.0, 1.0], [1.0, 1.0])
-        assert dist.log_pdf(p, np.array([0.3, 0.9])) == pytest.approx(0.0, abs=1e-12)
+        got = dist.log_pdf_many(p, np.array([[0.3, 0.9], [0.5, 0.1]]))
+        np.testing.assert_allclose(got, 0.0, atol=1e-12)
 
     def test_symmetric_dirichlet_k3(self):
         p = dirichlet_params(3.0, [1.0 / 3] * 3)  # concentration (1,1,1)
-        z = np.array([0.2, 0.3, 0.5])
-        assert dist.log_pdf(p, z) == pytest.approx(math.log(2.0), abs=1e-12)
+        z = np.array([[0.2, 0.3, 0.5]])
+        assert dist.log_pdf_many(p, z)[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_beta_matches_quadrature_normalized_density(self):
         a, b, z = 2.0, 5.0, 0.3
         p = beta_params([a], [b])
         dens = lambda t: t ** (a - 1) * (1 - t) ** (b - 1)
         norm, _ = integrate.quad(dens, 0, 1, epsabs=1e-13)
-        assert dist.log_pdf(p, np.array([z])) == pytest.approx(
+        assert dist.log_pdf_many(p, np.array([[z]]))[0] == pytest.approx(
             math.log(dens(z) / norm), abs=1e-10)
 
-    def test_outside_support_is_neg_inf(self):
-        p = beta_params([2.0], [2.0])
-        assert dist.log_pdf(p, np.array([1.5])) == -math.inf
-        d = dirichlet_params(2.0, [0.5, 0.5])
-        assert dist.log_pdf(d, np.array([0.9, 0.3])) == -math.inf
-
-    def test_log_pdf_many_matches_scalar(self):
+    def test_log_pdf_many_matches_scipy(self):
         rng = np.random.default_rng(3)
-        p = beta_params([2.0, 0.8], [1.5, 3.0])
+        a, b = np.array([2.0, 0.8]), np.array([1.5, 3.0])
+        p = beta_params(a, b)
         zs = dist.draw_many(p, rng, 10)
-        many = dist.log_pdf_many(p, zs)
-        for i in range(10):
-            assert many[i] == pytest.approx(dist.log_pdf(p, zs[i]), rel=1e-12)
+        np.testing.assert_allclose(dist.log_pdf_many(p, zs),
+                                   stats.beta.logpdf(zs, a, b).sum(axis=1),
+                                   rtol=1e-12)
+        d = dirichlet_params(2.5, [0.4, 0.8, 0.9])
+        zs = dist.draw_many(d, rng, 10)
+        want = [stats.dirichlet.logpdf(z, d.concentration().value) for z in zs]
+        np.testing.assert_allclose(dist.log_pdf_many(d, zs), want, rtol=1e-12)
 
 
 class TestMean:
@@ -134,7 +134,7 @@ class TestKL:
         assert dist.kl_divergence(q, p).item() == pytest.approx(
             0.20824053077194499919, abs=1e-12)
 
-    @pytest.mark.parametrize("family", ["beta", "dirichlet", "gamma"])
+    @pytest.mark.parametrize("family", ["beta", "dirichlet"])
     def test_kl_matches_monte_carlo(self, family):
         rng = np.random.default_rng(5)
         n = 100_000
@@ -150,7 +150,7 @@ class TestKL:
                     for i in range(2)])
                 diffs = dist.log_pdf_many(q, np.clip(zs, 1e-12, 1 - 1e-12)) \
                     - dist.log_pdf_many(p, np.clip(zs, 1e-12, 1 - 1e-12))
-            elif family == "dirichlet":
+            else:
                 q = dirichlet_params(rng.uniform(1.0, 4.0), rng.uniform(0.3, 0.9, 3),
                                      tape)
                 p = dirichlet_params(rng.uniform(1.0, 4.0), rng.uniform(0.3, 0.9, 3),
@@ -159,16 +159,6 @@ class TestKL:
                 zs = np.clip(zs, 1e-12, None)
                 zs /= zs.sum(axis=1, keepdims=True)
                 diffs = dist.log_pdf_many(q, zs) - dist.log_pdf_many(p, zs)
-            else:
-                tape = Tape()
-                q = dist.GammaParams.of(tape, rng.uniform(0.5, 5.0, 1))
-                p = dist.GammaParams.of(tape, rng.uniform(0.5, 5.0, 1))
-                zs = rng.gamma(q.shape.value[0], size=n)
-                diffs = np.array([
-                    (q.shape.value[0] - 1) * np.log(zs) - zs
-                    - sp.lgamma(q.shape.value[0])
-                    - ((p.shape.value[0] - 1) * np.log(zs) - zs
-                       - sp.lgamma(p.shape.value[0]))]).ravel()
             closed = dist.kl_divergence(q, p).item()
             mc = diffs.mean()
             se = diffs.std(ddof=1) / math.sqrt(n)
@@ -214,27 +204,33 @@ def _fd_beta_quantile(u, a, b, h=1e-5):
     return da, db
 
 
+def _beta_sample_grads(a, b, u):
+    """(dz/da, dz/db) of a frozen-noise Beta draw, by backprop."""
+    t = Tape()
+    av = t.param(np.array([a]), "a")
+    bv = t.param(np.array([b]), "b")
+    z_var, _ = dist.sample(dist.BetaParams(av, bv), None, eps=np.array([u]))
+    grads = backprop(ad.reduce_sum(z_var))
+    return grads["a"][0], grads["b"][0]
+
+
 class TestImplicitGradients:
     def test_beta_grid_matches_fd(self):
         worst = 0.0
         for a in GRID:
             for b in GRID:
                 for u in EPS_GRID:
-                    p = beta_params([a], [b])
-                    z = np.array([sp.inv_reg_inc_beta(u, a, b)])
-                    g = dist.implicit_grad(p, z, np.array([u]))
+                    ga, gb = _beta_sample_grads(a, b, u)
                     da, db = _fd_beta_quantile(u, a, b)
                     worst = max(worst,
-                                abs(g["alpha"][0] - da) / max(1e-8, abs(da)),
-                                abs(g["beta"][0] - db) / max(1e-8, abs(db)))
+                                abs(ga - da) / max(1e-8, abs(da)),
+                                abs(gb - db) / max(1e-8, abs(db)))
         assert worst < 1e-3
 
     def test_gamma_shape_gradient_at_two(self):
         u, a = 0.5, 2.0
-        t = Tape()
-        p = dist.GammaParams.of(t, [a])
         g = np.array([sp.inv_reg_inc_gamma(u, a)])
-        got = dist.implicit_grad(p, g, np.array([u]))["shape"][0]
+        got = dist._gamma_partials(np.array([a]), g)[0]
         h = 1e-5
         fd = (sp.inv_reg_inc_gamma(u, a + h) - sp.inv_reg_inc_gamma(u, a - h)) / (2 * h)
         assert got == pytest.approx(fd, rel=1e-4)
@@ -244,13 +240,14 @@ class TestImplicitGradients:
         for a in (1.0, 2.0):
             for b in (1.0, 3.0):
                 for u in EPS_GRID:
-                    p = beta_params([a], [b])
-                    z = np.array([sp.inv_reg_inc_beta(u, a, b)])
-                    g = dist.implicit_grad(p, z, np.array([u]))
-                    assert g["alpha"][0] > 0.0
-                    assert g["beta"][0] < 0.0
+                    ga, gb = _beta_sample_grads(a, b, u)
+                    assert ga > 0.0
+                    assert gb < 0.0
 
     def test_dirichlet_chain_rule_composition(self):
+        # backprop composes the Gamma partials with the product and
+        # normalization nodes; compare every dz_j against differences of
+        # the frozen-noise sampling map
         def z_of(a0, ahat, u):
             c = a0 * np.asarray(ahat)
             g = np.array([sp.inv_reg_inc_gamma(u[i], c[i]) for i in range(len(c))])
@@ -261,18 +258,23 @@ class TestImplicitGradients:
             a0 = rng.uniform(0.8, 5.0)
             ahat = rng.uniform(0.2, 0.9, 3)
             u = rng.uniform(0.1, 0.9, 3)
-            p = dirichlet_params(a0, ahat)
-            got = dist.implicit_grad(p, z_of(a0, ahat, u), u)
             h = 1e-5 * max(1.0, a0)
             fd0 = (z_of(a0 + h, ahat, u) - z_of(a0 - h, ahat, u)) / (2 * h)
-            np.testing.assert_allclose(got["alpha0"], fd0, rtol=1e-3, atol=1e-8)
+            fd_hat = np.empty((3, 3))
             for i in range(3):
                 hh = 1e-6
                 up, dn = ahat.copy(), ahat.copy()
                 up[i] += hh
                 dn[i] -= hh
-                fdi = (z_of(a0, up, u) - z_of(a0, dn, u)) / (2 * hh)
-                np.testing.assert_allclose(got["alpha_hat"][:, i], fdi,
+                fd_hat[:, i] = (z_of(a0, up, u) - z_of(a0, dn, u)) / (2 * hh)
+            for j in range(3):
+                t = Tape()
+                params = dist.DirichletParams(t.param(np.asarray(a0), "a0"),
+                                              t.param(ahat, "ahat"))
+                z_var, _ = dist.sample(params, None, eps=u)
+                grads = backprop(ad.gather(z_var, j))
+                assert grads["a0"] == pytest.approx(fd0[j], rel=1e-3, abs=1e-8)
+                np.testing.assert_allclose(grads["ahat"], fd_hat[j],
                                            rtol=1e-3, atol=1e-8)
 
     def test_cdf_param_derivative_two_ways(self):

@@ -1,8 +1,6 @@
-"""The numba-compiled kernels must agree with their pure-numpy twins;
-the numpy twins are always importable regardless of the backend flag."""
+"""The encoder kernels against direct loops and hand-worked cases."""
 
 import numpy as np
-import pytest
 
 from domaingate import kernels
 
@@ -11,50 +9,8 @@ rng = np.random.default_rng(0)
 
 
 def test_backend_flag_is_exposed():
-    assert isinstance(kernels.NUMBA_ENABLED, bool)
-
-
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba backend disabled")
-class TestNumbaMatchesNumpy:
-    def test_conv1d_forward(self):
-        x = rng.normal(size=(17, 6))
-        w = rng.normal(size=(4, 6, 5))
-        b = rng.normal(size=5)
-        np.testing.assert_allclose(
-            kernels.conv1d_forward(x, w, b),
-            kernels._conv1d_forward_np(x, w, b), rtol=1e-12, atol=1e-12)
-
-    def test_conv1d_backward(self):
-        x = rng.normal(size=(17, 6))
-        w = rng.normal(size=(4, 6, 5))
-        g = rng.normal(size=(14, 5))
-        got = kernels.conv1d_backward(x, w, g)
-        want = kernels._conv1d_backward_np(x, w, g)
-        for a, b_ in zip(got, want):
-            np.testing.assert_allclose(a, b_, rtol=1e-12, atol=1e-12)
-
-    def test_maxpool(self):
-        x = rng.normal(size=(9, 7))
-        out_nb, idx_nb = kernels.maxpool_forward(x)
-        out_np, idx_np = kernels._maxpool_forward_np(x)
-        np.testing.assert_array_equal(out_nb, out_np)
-        np.testing.assert_array_equal(idx_nb, idx_np)
-        g = rng.normal(size=7)
-        np.testing.assert_array_equal(
-            kernels.maxpool_backward(g, idx_nb, 9),
-            kernels._maxpool_backward_np(g, idx_np, 9))
-
-    def test_maxpool_tie_lowest_index(self):
-        x = np.array([[1.0, 5.0], [1.0, 5.0], [0.0, 5.0]])
-        _, idx = kernels.maxpool_forward(x)
-        np.testing.assert_array_equal(idx, [0, 0])
-
-    def test_embedding_backward(self):
-        grad = rng.normal(size=(11, 4))
-        ids = rng.integers(0, 6, size=11)
-        np.testing.assert_allclose(
-            kernels.embedding_backward(grad, ids, 6),
-            kernels._embedding_backward_np(grad, ids, 6), rtol=1e-12)
+    # the benchmark's environment block reads this flag
+    assert kernels.NUMBA_ENABLED is False
 
 
 class TestNumpyReference:
@@ -67,11 +23,16 @@ class TestNumpyReference:
             for f in range(2):
                 want[t, f] = b[f] + sum(
                     x[t + i, e] * w[i, e, f] for i in range(3) for e in range(3))
-        np.testing.assert_allclose(kernels._conv1d_forward_np(x, w, b), want,
+        np.testing.assert_allclose(kernels.conv1d_forward(x, w, b), want,
                                    rtol=1e-12)
+
+    def test_maxpool_tie_lowest_index(self):
+        x = np.array([[1.0, 5.0], [1.0, 5.0], [0.0, 5.0]])
+        _, idx = kernels.maxpool_forward(x)
+        np.testing.assert_array_equal(idx, [0, 0])
 
     def test_embedding_backward_accumulates_repeats(self):
         grad = np.ones((3, 2))
         ids = np.array([1, 1, 0])
-        out = kernels._embedding_backward_np(grad, ids, 3)
+        out = kernels.embedding_backward(grad, ids, 3)
         np.testing.assert_array_equal(out, [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])

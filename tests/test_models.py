@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from domaingate import autodiff as ad
-from domaingate import distributions as dist
 from domaingate.autodiff import Tape, backprop
 from domaingate.encoder import EncoderConfig
 from domaingate.models import (Model, ModelConfig, classify, classify_batch,
@@ -28,11 +27,11 @@ IDS = (3, 7, 1, 12, 5, 9)
 
 
 class TestGating:
-    def test_one_hot_selects_channel_bitwise(self):
+    def test_indicator_gate_selects_channel_bitwise(self):
         t = Tape()
         rng = np.random.default_rng(0)
         hs = [t.const(rng.normal(size=5)) for _ in range(4)]
-        z = t.const(dist.one_hot(4, 2))
+        z = t.const(np.eye(4)[2])
         out = gate_channels(hs, z)
         np.testing.assert_array_equal(out.value, hs[2].value)
 
