@@ -152,15 +152,20 @@ def register_backward(kind: str):
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Only scalar <-> tensor broadcasting is permitted by the binary ops.
-    if shape == () and grad.shape != ():
+    # The binary ops broadcast a scalar, or a vector along the other
+    # operand's last axis (a bias added to rows).
+    if grad.shape == shape:
+        return grad
+    if shape == ():
         return np.asarray(grad.sum())
-    return grad
+    return grad.sum(axis=tuple(range(grad.ndim - 1)))
 
 
 def _check_binary(kind: str, a: Var, b: Var):
-    if a.shape != b.shape and a.shape != () and b.shape != ():
-        raise ShapeError(f"{kind}: incompatible shapes {a.shape} and {b.shape}")
+    sa, sb = a.shape, b.shape
+    # Equal shapes, a scalar, or a vector matching the other's last axis.
+    if not (sa == sb or () in (sa, sb) or sa[-1:] == sb or sb[-1:] == sa):
+        raise ShapeError(f"{kind}: incompatible shapes {sa} and {sb}")
 
 
 # -- elementwise binary ----------------------------------------------------
@@ -261,23 +266,15 @@ def _sigmoid_bwd(node, grad, tape):
 
 
 def exp(a: Var) -> Var:
-    return a._tape.record("exp", np.exp(a.value), (a,))
+    # An overflow becomes inf, which ``Tape.record`` rejects by name.
+    with np.errstate(over="ignore"):
+        out = np.exp(a.value)
+    return a._tape.record("exp", out, (a,))
 
 
 @register_backward("exp")
 def _exp_bwd(node, grad, tape):
     return (grad * node.value,)
-
-
-def log(a: Var) -> Var:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.value)
-    return a._tape.record("log", out, (a,))
-
-
-@register_backward("log")
-def _log_bwd(node, grad, tape):
-    return (grad / tape.nodes[node.inputs[0]].value,)
 
 
 _lgamma_vec = np.vectorize(special.lgamma, otypes=[np.float64])
@@ -322,30 +319,19 @@ def _softmax_values(x: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def softmax(a: Var) -> Var:
-    if a.value.ndim != 1:
-        raise ShapeError(f"softmax expects a vector, got shape {a.shape}")
-    return a._tape.record("softmax", _softmax_values(a.value), (a,))
-
-
-@register_backward("softmax")
-def _softmax_bwd(node, grad, tape):
-    s = node.value
-    return (s * (grad - np.dot(grad, s)),)
-
-
 def log_softmax(a: Var) -> Var:
-    if a.value.ndim != 1:
-        raise ShapeError(f"log_softmax expects a vector, got shape {a.shape}")
+    """Log-softmax over the last axis: of a vector, or of each row."""
+    if a.value.ndim == 0:
+        raise ShapeError("log_softmax expects a vector or rows, got a scalar")
     x = a.value
-    shifted = x - x.max()
-    out = shifted - np.log(np.exp(shifted).sum())
+    shifted = x - x.max(axis=-1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return a._tape.record("log_softmax", out, (a,))
 
 
 @register_backward("log_softmax")
 def _log_softmax_bwd(node, grad, tape):
-    return (grad - np.exp(node.value) * grad.sum(),)
+    return (grad - np.exp(node.value) * grad.sum(axis=-1, keepdims=True),)
 
 
 def logsumexp(a: Var) -> Var:
@@ -364,18 +350,19 @@ def _logsumexp_bwd(node, grad, tape):
 
 
 def gather(a: Var, index: int) -> Var:
-    if a.value.ndim != 1:
-        raise ShapeError(f"gather expects a vector, got shape {a.shape}")
-    if not 0 <= index < a.value.shape[0]:
+    """Entry ``index`` of the last axis: of a vector, or of each row."""
+    if a.value.ndim == 0:
+        raise ShapeError("gather expects a vector or rows, got a scalar")
+    if not 0 <= index < a.value.shape[-1]:
         raise ShapeError(f"gather index {index} out of range for shape {a.shape}")
-    return a._tape.record("gather", np.asarray(a.value[index]), (a,), aux=index)
+    return a._tape.record("gather", np.asarray(a.value[..., index]), (a,), aux=index)
 
 
 @register_backward("gather")
 def _gather_bwd(node, grad, tape):
     x = tape.nodes[node.inputs[0]].value
     out = np.zeros_like(x)
-    out[node.aux] = grad
+    out[..., node.aux] = grad
     return (out,)
 
 

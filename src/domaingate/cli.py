@@ -45,12 +45,7 @@ def _apply_regime(corpus: dio.Corpus, regime: str) -> dio.Corpus:
         if not docs:
             raise ValueError("supervised regime left no fully-observed instances")
         return dio.Corpus(docs)
-    docs = [replace_doc_domain(d) for d in corpus.docs]
-    return dio.Corpus(docs)
-
-
-def replace_doc_domain(doc: dio.Document) -> dio.Document:
-    return dio.Document(doc.id, doc.text, doc.label, None)
+    return dio.Corpus([replace(d, domain=None) for d in corpus.docs])
 
 
 def _build_vocab(cfg: RunConfig, corpus: dio.Corpus, out_dir: Path):

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Var, register_backward
+from .autodiff import Var, register_backward
 from .special import (
     inv_reg_inc_beta,
     inv_reg_inc_gamma,
@@ -64,10 +64,6 @@ class BetaParams:
     alpha: Var  # (k,)
     beta: Var   # (k,)
 
-    @classmethod
-    def of(cls, tape: Tape, alpha, beta) -> "BetaParams":
-        return cls(tape.const(np.atleast_1d(alpha)), tape.const(np.atleast_1d(beta)))
-
     @property
     def k(self) -> int:
         return self.alpha.value.shape[0]
@@ -80,11 +76,6 @@ class DirichletParams:
 
     alpha0: Var     # scalar ()
     alpha_hat: Var  # (k,)
-
-    @classmethod
-    def of(cls, tape: Tape, alpha0: float, alpha_hat) -> "DirichletParams":
-        return cls(tape.const(np.asarray(float(alpha0))),
-                   tape.const(np.atleast_1d(alpha_hat)))
 
     @property
     def k(self) -> int:

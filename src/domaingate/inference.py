@@ -11,6 +11,11 @@ Strategies for the variational models:
 The discrete mixture marginalizes its k states exactly, so sampling
 strategies degrade to that exact computation (with a log note). The
 plain baselines are deterministic forwards.
+
+Every strategy runs the training graph of ``models`` on a ``Tape``: the
+gate draws (or the uniform gate, or for dsda the channel rows
+themselves) enter as constant rows, and one ``classify_batch`` call
+gives a label distribution per row. Prediction never calls ``backprop``.
 """
 
 from __future__ import annotations
@@ -20,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import distributions as dist
 from .autodiff import Tape
 from .data import Instance
-from .models import Model, classify_batch
+from .models import Model, classify_batch, gate_channels
 
 __all__ = ["InferConfig", "PredictionRecord", "predict", "predict_batch"]
 
@@ -54,47 +60,37 @@ class PredictionRecord:
     seed: int
 
 
-def _channel_matrix(model: Model, binder, ids) -> np.ndarray:
-    hs = model.channel_encodings(binder, ids, dropout_rng=None)
-    return np.stack([h.value for h in hs])
-
-
 def predict(model: Model, ids, cfg: InferConfig,
             rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Predict one instance; returns (label id, label distribution)."""
     mcfg = model.config
-    tape = Tape()
-    binder = model.binder(tape)
-    h_mat = _channel_matrix(model, binder, ids)
-
-    if mcfg.kind in ("scnn", "mcnn"):
-        z = np.full((1, mcfg.k), 1.0 / mcfg.k)
-        probs = np.exp(classify_batch(model.params, mcfg, z @ h_mat))[0]
-        return int(probs.argmax()), probs
+    binder = model.binder(Tape())
+    h_mat = model.channel_encodings(binder, ids, dropout_rng=None)
 
     if mcfg.family == "categorical":
         if cfg.strategy != "prior-sample":
             log.info("strategy %s is redundant for the discrete mixture; "
                      "marginalizing exactly", cfg.strategy)
         prior = model.prior_gate(binder, ids)
-        logits = prior.params.logits.value
-        weights = np.exp(logits - logits.max())
-        weights /= weights.sum()
-        per_channel = np.exp(classify_batch(model.params, mcfg, h_mat))
-        probs = weights @ per_channel
-        probs /= probs.sum()
-        return int(probs.argmax()), probs
+        weights = np.exp(ad.log_softmax(prior.params.logits).value)
+        return _normalized(weights @ np.exp(classify_batch(binder, mcfg, h_mat).value))
 
-    prior = model.prior_gate(binder, ids)
-    if cfg.strategy == "prior-mean":
-        z_rows = dist.mean(prior.params)[None, :]
-    elif cfg.strategy == "prior-sample":
-        z_rows = dist.draw_many(prior.params, rng, 1)
-    elif cfg.strategy == "mc-average":
-        z_rows = dist.draw_many(prior.params, rng, cfg.m)
+    if mcfg.kind in ("scnn", "mcnn"):
+        z_rows = np.full((1, mcfg.k), 1.0 / mcfg.k)
     else:
-        return _importance_sampling(model, binder, ids, h_mat, prior, cfg, rng)
-    probs = np.exp(classify_batch(model.params, mcfg, z_rows @ h_mat)).mean(axis=0)
+        prior = model.prior_gate(binder, ids)
+        if cfg.strategy == "importance-sampling":
+            return _importance_sampling(model, binder, ids, h_mat, prior, cfg, rng)
+        if cfg.strategy == "prior-mean":
+            z_rows = dist.mean(prior.params)[None, :]
+        else:
+            m = cfg.m if cfg.strategy == "mc-average" else 1
+            z_rows = dist.draw_many(prior.params, rng, m)
+    logp = classify_batch(binder, mcfg, gate_channels(h_mat, binder.tape.const(z_rows)))
+    return _normalized(np.exp(logp.value).mean(axis=0))
+
+
+def _normalized(probs: np.ndarray) -> tuple[int, np.ndarray]:
     probs /= probs.sum()
     return int(probs.argmax()), probs
 
@@ -107,14 +103,13 @@ def _importance_sampling(model, binder, ids, h_mat, prior, cfg, rng):
     for y_cand in range(mcfg.n_labels):
         q = model.posterior_gate(binder, ids, y_cand, None)
         z_rows = dist.draw_many(q.params, rng, cfg.m)
-        loglik = classify_batch(model.params, mcfg, z_rows @ h_mat)[:, y_cand]
-        log_w = dist.log_pdf_many(prior.params, z_rows) + loglik \
+        logp = classify_batch(binder, mcfg,
+                              gate_channels(h_mat, binder.tape.const(z_rows)))
+        log_w = dist.log_pdf_many(prior.params, z_rows) + logp.value[:, y_cand] \
             - dist.log_pdf_many(q.params, z_rows)
         top = log_w.max()
         log_est[y_cand] = top + np.log(np.exp(log_w - top).mean())
-    probs = np.exp(log_est - log_est.max())
-    probs /= probs.sum()
-    return int(probs.argmax()), probs
+    return _normalized(np.exp(log_est - log_est.max()))
 
 
 def predict_batch(model: Model, instances: list[Instance],

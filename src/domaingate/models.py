@@ -3,16 +3,20 @@ latent-domain mixture (dsda), and the continuous Beta/Dirichlet gated
 models (csda).
 
 All of them share the same likelihood shape: k channel encoders produce
-hidden vectors h_1..h_k, a gate vector z mixes them into h = sum_i z_i
-h_i, and a one-hidden-layer MLP with a softmax head predicts the label.
-They differ in where z comes from:
+hidden vectors h_1..h_k, stacked into a [k,H] matrix; a gate vector z
+mixes them into h = sum_i z_i h_i, and a one-hidden-layer MLP with a
+softmax head (``classify_batch``) predicts the label. The gate and the
+head also take rows: gate rows [r,k] give r hidden vectors and r label
+distributions in one call. Training and prediction build the same graph
+on a ``Tape``; prediction passes its gate draws as rows and never calls
+``backprop``. They differ in where z comes from:
 
 - scnn:  k = 1, z = (1,)
 - mcnn:  fixed uniform gate z = (1/k, ..., 1/k)
 - dsda:  z is a latent categorical; training marginalizes it exactly
-  (the per-channel likelihoods are summed in probability space via
-  log-sum-exp), optionally adding a supervised prior term when the
-  domain is observed
+  (one head call over the channel rows gives the per-channel
+  likelihoods, summed in probability space via log-sum-exp), optionally
+  adding a supervised prior term when the domain is observed
 - csda:  z ~ Beta or Dirichlet, parameterized by a prior network from x
   alone and, during training, a variational network that additionally
   conditions on the label and domain (with UNK sentinels); trained on a
@@ -35,7 +39,7 @@ from .encoder import EncoderConfig, encode, init_encoder_params
 
 __all__ = [
     "MODEL_KINDS", "ModelConfig", "Model", "CategoricalParams",
-    "GateDistribution", "gate_channels", "classify", "classify_batch",
+    "GateDistribution", "gate_channels", "classify_batch",
 ]
 
 MODEL_KINDS = ("scnn", "mcnn", "dsda", "csda-beta", "csda-dirichlet")
@@ -114,32 +118,22 @@ def _linear(binder, prefix, x: Var) -> Var:
     return ad.matmul(x, binder(f"{prefix}.w")) + binder(f"{prefix}.b")
 
 
-def gate_channels(hs: list[Var], z: Var) -> Var:
-    """h = sum_i z_i h_i. A one-hot z reproduces the selected channel
-    bitwise (multiplying by exact 0/1 and summing zeros is lossless)."""
-    if z.value.shape != (len(hs),):
+def gate_channels(h_mat: Var, z: Var) -> Var:
+    """h = sum_i z_i h_i over the stacked channels h_mat [k,H], for a gate
+    vector [k] (giving [H]) or gate rows [r,k] (giving [r,H]). An
+    indicator gate reproduces the selected channel bitwise (multiplying
+    by exact 0/1 and summing zeros is lossless)."""
+    if z.value.ndim not in (1, 2) or z.shape[-1] != h_mat.shape[0]:
         raise ad.ShapeError(
-            f"gate length {z.value.shape} does not match {len(hs)} channels")
-    return ad.matmul(z, ad.stack(hs))
+            f"gate shape {z.shape} does not match {h_mat.shape[0]} channels")
+    return ad.matmul(z, h_mat)
 
 
-def classify(binder: ParamBinder, cfg: ModelConfig, h: Var) -> Var:
-    """Label log-probabilities from a gated hidden vector."""
+def classify_batch(binder: ParamBinder, cfg: ModelConfig, h: Var) -> Var:
+    """Label log-probabilities from a gated hidden vector [H], or one
+    distribution per row of h [r,H]."""
     hidden = ad.relu(_linear(binder, "theta.head.l1", h))
     return ad.log_softmax(_linear(binder, "theta.head.l2", hidden))
-
-
-def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def classify_batch(params: dict, cfg: ModelConfig, h: np.ndarray) -> np.ndarray:
-    """Value-level twin of ``classify`` over rows of h; used by Monte
-    Carlo prediction where no gradients are needed."""
-    hidden = np.maximum(h @ params["theta.head.l1.w"] + params["theta.head.l1.b"], 0.0)
-    logits = hidden @ params["theta.head.l2.w"] + params["theta.head.l2.b"]
-    return _log_softmax_rows(logits)
 
 
 class Model:
@@ -196,11 +190,12 @@ class Model:
     # -- graph pieces ---------------------------------------------------------
 
     def channel_encodings(self, binder, ids,
-                          dropout_rng: Optional[np.random.Generator]) -> list[Var]:
+                          dropout_rng: Optional[np.random.Generator]) -> Var:
+        """The k channel encodings of x, stacked into [k,H]."""
         cfg = self.config
-        return [encode(binder, f"theta.ch{i}", ids, cfg.encoder,
-                       dropout_rng=dropout_rng, dropout_rate=cfg.dropout)
-                for i in range(cfg.k)]
+        return ad.stack([encode(binder, f"theta.ch{i}", ids, cfg.encoder,
+                                dropout_rng=dropout_rng, dropout_rate=cfg.dropout)
+                         for i in range(cfg.k)])
 
     def _continuous_heads(self, binder, feats: Var, group: str) -> GateDistribution:
         cfg = self.config
@@ -254,11 +249,11 @@ class Model:
             raise ValueError(f"label id {y_id} outside inventory of {cfg.n_labels}")
         tape = Tape()
         binder = self.binder(tape)
-        hs = self.channel_encodings(binder, ids, dropout_rng)
+        h_mat = self.channel_encodings(binder, ids, dropout_rng)
 
         if cfg.kind in ("scnn", "mcnn"):
             z = tape.const(np.full(cfg.k, 1.0 / cfg.k))
-            logprobs = classify(binder, cfg, gate_channels(hs, z))
+            logprobs = classify_batch(binder, cfg, gate_channels(h_mat, z))
             loglik = ad.gather(logprobs, y_id)
             return LossResult(tape, ad.neg(loglik), loglik.item())
 
@@ -268,8 +263,8 @@ class Model:
                     f"observed domain {d_id} >= number of channels {cfg.k}")
             prior = self.prior_gate(binder, ids)
             log_prior = ad.log_softmax(prior.params.logits)
-            per_channel = [ad.gather(classify(binder, cfg, h), y_id) for h in hs]
-            joint = ad.stack(per_channel) + log_prior
+            per_channel = ad.gather(classify_batch(binder, cfg, h_mat), y_id)
+            joint = per_channel + log_prior
             marginal = ad.logsumexp(joint)
             loss = ad.neg(marginal)
             if d_id is not None:
@@ -280,7 +275,7 @@ class Model:
         q = self.posterior_gate(binder, ids, y_id, d_id)
         p = self.prior_gate(binder, ids)
         z_var, gate = dist.sample(q.params, rng, eps=eps)
-        logprobs = classify(binder, cfg, gate_channels(hs, z_var))
+        logprobs = classify_batch(binder, cfg, gate_channels(h_mat, z_var))
         loglik = ad.gather(logprobs, y_id)
         kl = dist.kl_divergence(q.params, p.params)
         loss = ad.neg(loglik - lam * kl)

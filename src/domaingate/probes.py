@@ -20,7 +20,7 @@ import numpy as np
 from . import distributions as dist
 from .autodiff import Tape
 from .data import Instance
-from .models import Model
+from .models import Model, gate_channels
 
 __all__ = ["ProbeRecord", "collect", "probe", "probe_averaged",
            "export_representations", "fit_logistic"]
@@ -47,9 +47,7 @@ def collect(model: Model, instances: list[Instance],
         if inst.y_id is None or inst.d_id is None:
             raise ValueError(
                 f"instance {inst.doc_id} lacks an observed label or domain")
-        tape = Tape()
-        binder = model.binder(tape)
-        q = model.posterior_gate(binder, inst.ids, inst.y_id, inst.d_id)
+        q = model.posterior_gate(model.binder(Tape()), inst.ids, inst.y_id, inst.d_id)
         z = dist.draw_many(q.params, rng, 1)[0]
         records.append(ProbeRecord(z, inst.y_id, inst.d_id))
     return records
@@ -139,21 +137,15 @@ def export_representations(model: Model, instances: list[Instance],
     for inst in instances:
         tape = Tape()
         binder = model.binder(tape)
-        hs = model.channel_encodings(binder, inst.ids, dropout_rng=None)
-        h_mat = np.stack([h.value for h in hs])
-        if model.config.is_variational:
-            prior = model.prior_gate(binder, inst.ids)
-            if kind == "z":
-                vec = (dist.draw_many(prior.params, rng, 1)[0] if rng is not None
-                       else dist.mean(prior.params))
-            else:
-                vec = dist.mean(prior.params) @ h_mat
+        if not model.config.is_variational:
+            vec = np.full(model.config.k, 1.0 / model.config.k)
+        elif kind == "z" and rng is not None:
+            vec = dist.draw_many(model.prior_gate(binder, inst.ids).params, rng, 1)[0]
         else:
-            gate = np.full(model.config.k, 1.0 / model.config.k)
-            if kind == "z":
-                vec = gate
-            else:
-                vec = gate @ h_mat
+            vec = dist.mean(model.prior_gate(binder, inst.ids).params)
+        if kind == "h":
+            h_mat = model.channel_encodings(binder, inst.ids, dropout_rng=None)
+            vec = gate_channels(h_mat, tape.const(vec)).value
         rows.append({"id": inst.doc_id, "vector": vec,
                      "label": inst.label, "domain": inst.domain})
     return rows

@@ -17,7 +17,7 @@ from pathlib import Path
 __all__ = [
     "PAD_ID", "OOV_ID", "PAD_TOKEN", "OOV_TOKEN",
     "WORD_MAX_LEN", "BYTE_LEN", "BYTE_VOCAB_SIZE",
-    "Vocab", "TokenSeq", "tokenize", "byte_vocab_size",
+    "Vocab", "TokenSeq", "tokenize",
 ]
 
 PAD_ID = 0
@@ -69,7 +69,6 @@ class Vocab:
 class TokenSeq:
     ids: list[int]
     mode: str  # word | byte
-    was_empty: bool = False
 
     def __post_init__(self):
         if self.mode == "word":
@@ -82,28 +81,23 @@ class TokenSeq:
             raise ValueError(f"unknown token mode {self.mode!r}")
 
 
-def byte_vocab_size() -> int:
-    return BYTE_VOCAB_SIZE
-
-
 def tokenize(text: str, mode: str, vocab: Vocab | None = None) -> TokenSeq:
     """Map text to ids. Word mode requires a vocabulary; byte mode ignores it.
 
     Empty input yields a single PAD token (word) or an all-PAD sequence
-    (byte) with ``was_empty`` set.
+    (byte).
     """
     if mode == "word":
         if vocab is None:
             raise ValueError("word-mode tokenization requires a vocabulary")
         toks = text.lower().split()
         if not toks:
-            return TokenSeq([PAD_ID], "word", was_empty=True)
+            return TokenSeq([PAD_ID], "word")
         ids = [vocab.index.get(t, OOV_ID) for t in toks[:WORD_MAX_LEN]]
         return TokenSeq(ids, "word")
     if mode == "byte":
         raw = text.encode("utf-8")[:BYTE_LEN]
         ids = [b + _N_SPECIALS for b in raw]
-        was_empty = not ids
         ids.extend([PAD_ID] * (BYTE_LEN - len(ids)))
-        return TokenSeq(ids, "byte", was_empty=was_empty)
+        return TokenSeq(ids, "byte")
     raise ValueError(f"unknown token mode {mode!r}")

@@ -19,6 +19,7 @@ import numpy as np
 
 from .autodiff import backprop
 from .data import Instance
+from .distributions import DegenerateSampleError
 from .inference import InferConfig, predict_batch
 from .models import Model
 from .optim import AdamState, adam_step
@@ -108,9 +109,11 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
 
     Instances without a label are skipped (the unlabeled-label objective
     is not part of this implementation); instances without a domain pass
-    the UNK sentinel into the variational network. Dev accuracy is
-    checked twice per epoch; training stops after ``patience``
-    evaluations without improvement.
+    the UNK sentinel into the variational network. An instance whose
+    gate draw has no usable pathwise gradient (``DegenerateSampleError``)
+    is left out of its step and counted in the log entry's
+    ``degenerate``. Dev accuracy is checked twice per epoch; training
+    stops after ``patience`` evaluations without improvement.
     """
     usable = [inst for inst in train_set if inst.y_id is not None]
     if not usable:
@@ -143,11 +146,16 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
             loss_sum = 0.0
             kl_sum = 0.0
             kl_seen = False
+            degenerate = 0
             for inst in batch:
                 res = model.loss(inst.ids, inst.y_id, inst.d_id,
                                  lam=lam_t, w_dom=cfg.w_dom,
                                  rng=sample_rng, dropout_rng=dropout_rng)
-                grads = backprop(res.loss)
+                try:
+                    grads = backprop(res.loss)
+                except DegenerateSampleError:
+                    degenerate += 1
+                    continue
                 for name, g in grads.items():
                     if name in grad_sum:
                         grad_sum[name] += g
@@ -157,15 +165,17 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
                 if res.kl is not None:
                     kl_sum += res.kl
                     kl_seen = True
-            scale = 1.0 / len(batch)
-            for name in grad_sum:
-                grad_sum[name] *= scale
-            adam_step(model.params, grad_sum, opt)
             step += 1
-            entry = {"step": step, "epoch": epoch,
-                     "loss": loss_sum * scale,
-                     "kl": kl_sum * scale if kl_seen else None,
-                     "lambda": lam_t}
+            entry = {"step": step, "epoch": epoch, "loss": None, "kl": None,
+                     "lambda": lam_t, "degenerate": degenerate}
+            # The step averages over the kept instances; none kept, no step.
+            if degenerate < len(batch):
+                scale = 1.0 / (len(batch) - degenerate)
+                for name in grad_sum:
+                    grad_sum[name] *= scale
+                adam_step(model.params, grad_sum, opt)
+                entry["loss"] = loss_sum * scale
+                entry["kl"] = kl_sum * scale if kl_seen else None
             if b + 1 in eval_points:
                 result = evaluate(model, dev_set, cfg.infer)
                 entry["dev_acc"] = result.accuracy

@@ -18,11 +18,15 @@ EPS_GRID = (0.1, 0.5, 0.9)
 
 
 def beta_params(alpha, beta, tape=None):
-    return dist.BetaParams.of(tape or Tape(), alpha, beta)
+    tape = tape or Tape()
+    return dist.BetaParams(tape.const(np.atleast_1d(alpha)),
+                           tape.const(np.atleast_1d(beta)))
 
 
 def dirichlet_params(a0, ahat, tape=None):
-    return dist.DirichletParams.of(tape or Tape(), a0, ahat)
+    tape = tape or Tape()
+    return dist.DirichletParams(tape.const(np.asarray(float(a0))),
+                                tape.const(np.atleast_1d(ahat)))
 
 
 class TestSampling:

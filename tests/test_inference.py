@@ -10,7 +10,7 @@ from domaingate import distributions as dist
 from domaingate.autodiff import Tape
 from domaingate.encoder import EncoderConfig
 from domaingate.inference import InferConfig, predict
-from domaingate.models import Model, ModelConfig, classify_batch
+from domaingate.models import Model, ModelConfig, classify_batch, gate_channels
 
 IDS = (3, 7, 1, 12, 5, 9)
 
@@ -28,15 +28,18 @@ def dirichlet_model(conc_bias=None):
 def linear_space_estimates(model, m, seed):
     """Mean of exp(log w) per label, replaying the draws of ``predict``."""
     rng = np.random.default_rng(seed)
-    binder = model.binder(Tape())
-    h_mat = np.stack([h.value for h in
-                      model.channel_encodings(binder, IDS, dropout_rng=None)])
+    tape = Tape()
+    binder = model.binder(tape)
+    h_mat = model.channel_encodings(binder, IDS, dropout_rng=None)
     prior = model.prior_gate(binder, IDS)
     out = []
     for y in range(model.config.n_labels):
         q = model.posterior_gate(binder, IDS, y, None)
         z = dist.draw_many(q.params, rng, m)
-        loglik = classify_batch(model.params, model.config, z @ h_mat)[:, y]
+        loglik = np.array([
+            classify_batch(binder, model.config,
+                           gate_channels(h_mat, tape.const(row))).value[y]
+            for row in z])
         log_w = dist.log_pdf_many(prior.params, z) + loglik \
             - dist.log_pdf_many(q.params, z)
         out.append(np.exp(log_w).mean())

@@ -10,8 +10,7 @@ import pytest
 from domaingate import autodiff as ad
 from domaingate.autodiff import Tape, backprop
 from domaingate.encoder import EncoderConfig
-from domaingate.models import (Model, ModelConfig, classify, classify_batch,
-                               gate_channels)
+from domaingate.models import Model, ModelConfig, classify_batch, gate_channels
 
 ENC = EncoderConfig(embed_dim=8, n_filters=4, windows=(2, 3))
 
@@ -29,30 +28,42 @@ IDS = (3, 7, 1, 12, 5, 9)
 class TestGating:
     def test_indicator_gate_selects_channel_bitwise(self):
         t = Tape()
-        rng = np.random.default_rng(0)
-        hs = [t.const(rng.normal(size=5)) for _ in range(4)]
-        z = t.const(np.eye(4)[2])
-        out = gate_channels(hs, z)
-        np.testing.assert_array_equal(out.value, hs[2].value)
+        h_mat = t.const(np.random.default_rng(0).normal(size=(4, 5)))
+        out = gate_channels(h_mat, t.const(np.eye(4)[2]))
+        np.testing.assert_array_equal(out.value, h_mat.value[2])
+        rows = gate_channels(h_mat, t.const(np.eye(4)))
+        np.testing.assert_array_equal(rows.value, h_mat.value)
 
     def test_half_half_averages(self):
         t = Tape()
-        h1 = t.const(np.array([2.0, 4.0]))
-        h2 = t.const(np.array([0.0, 2.0]))
-        out = gate_channels([h1, h2], t.const(np.array([0.5, 0.5])))
+        h_mat = t.const(np.array([[2.0, 4.0], [0.0, 2.0]]))
+        out = gate_channels(h_mat, t.const(np.array([0.5, 0.5])))
         np.testing.assert_allclose(out.value, [1.0, 3.0], atol=1e-15)
 
     def test_zero_gate_gives_zero_vector(self):
         t = Tape()
-        hs = [t.const(np.ones(3)), t.const(np.ones(3))]
-        out = gate_channels(hs, t.const(np.zeros(2)))
+        out = gate_channels(t.const(np.ones((2, 3))), t.const(np.zeros(2)))
         np.testing.assert_array_equal(out.value, np.zeros(3))
+
+    def test_gate_rows_match_vector_gates(self):
+        t = Tape()
+        rng = np.random.default_rng(1)
+        h_mat = t.const(rng.normal(size=(3, 5)))
+        z_rows = rng.dirichlet(np.ones(3), size=4)
+        out = gate_channels(h_mat, t.const(z_rows))
+        assert out.shape == (4, 5)
+        for i in range(4):
+            np.testing.assert_allclose(
+                out.value[i], gate_channels(h_mat, t.const(z_rows[i])).value,
+                rtol=0, atol=1e-12)
 
     def test_length_mismatch_rejected(self):
         t = Tape()
-        hs = [t.const(np.ones(3))]
+        h_mat = t.const(np.ones((1, 3)))
         with pytest.raises(ad.ShapeError):
-            gate_channels(hs, t.const(np.ones(2)))
+            gate_channels(h_mat, t.const(np.ones(2)))
+        with pytest.raises(ad.ShapeError):
+            gate_channels(h_mat, t.const(np.ones((4, 2))))
 
 
 class TestClassify:
@@ -63,7 +74,7 @@ class TestClassify:
             model.params[name][:] = 0.0
         t = Tape()
         binder = model.binder(t)
-        logp = classify(binder, model.config, t.const(np.ones(ENC.out_dim)))
+        logp = classify_batch(binder, model.config, t.const(np.ones(ENC.out_dim)))
         np.testing.assert_allclose(np.exp(logp.value), np.ones(3) / 3, atol=1e-12)
 
     def test_probabilities_sum_to_one(self):
@@ -71,7 +82,7 @@ class TestClassify:
         t = Tape()
         binder = model.binder(t)
         h = t.const(np.random.default_rng(1).normal(size=ENC.out_dim))
-        logp = classify(binder, model.config, h)
+        logp = classify_batch(binder, model.config, h)
         assert abs(np.exp(logp.value).sum() - 1.0) <= 1e-12
 
     def test_head_gradient_matches_fd(self):
@@ -80,11 +91,11 @@ class TestClassify:
 
         def loss_value():
             t = Tape()
-            logp = classify(model.binder(t), model.config, t.const(h0))
+            logp = classify_batch(model.binder(t), model.config, t.const(h0))
             return -float(logp.value[1])
 
         t = Tape()
-        logp = classify(model.binder(t), model.config, t.const(h0))
+        logp = classify_batch(model.binder(t), model.config, t.const(h0))
         grads = backprop(ad.neg(ad.gather(logp, 1)))
         w = model.params["theta.head.l2.w"]
         rng = np.random.default_rng(3)
@@ -101,13 +112,35 @@ class TestClassify:
                 fd, rel=1e-4, abs=1e-9)
 
     def test_batch_head_matches_tape_head(self):
+        # Rows of one call equal per-row vector calls; a one-row call
+        # equals the vector call bitwise.
         model = toy_model("scnn", k=1, n_labels=3)
         rows = np.random.default_rng(4).normal(size=(5, ENC.out_dim))
-        batch = classify_batch(model.params, model.config, rows)
+        t = Tape()
+        binder = model.binder(t)
+        batch = classify_batch(binder, model.config, t.const(rows))
+        assert batch.shape == (5, 3)
         for i in range(5):
+            logp = classify_batch(binder, model.config, t.const(rows[i]))
+            np.testing.assert_allclose(batch.value[i], logp.value, rtol=0, atol=1e-12)
+            one = classify_batch(binder, model.config, t.const(rows[i:i + 1]))
+            np.testing.assert_array_equal(one.value[0], logp.value)
+
+    def test_row_head_gradient_sums_row_gradients(self):
+        model = toy_model("scnn", k=1, n_labels=3)
+        rows = np.random.default_rng(5).normal(size=(4, ENC.out_dim))
+        t = Tape()
+        logp = classify_batch(model.binder(t), model.config, t.const(rows))
+        batch_grads = backprop(ad.neg(ad.reduce_sum(ad.gather(logp, 1))))
+        summed = None
+        for row in rows:
             t = Tape()
-            logp = classify(model.binder(t), model.config, t.const(rows[i]))
-            np.testing.assert_allclose(batch[i], logp.value, atol=1e-12)
+            logp = classify_batch(model.binder(t), model.config, t.const(row))
+            g = backprop(ad.neg(ad.gather(logp, 1)))
+            summed = g if summed is None else {n: summed[n] + g[n] for n in g}
+        for name in summed:
+            np.testing.assert_allclose(batch_grads[name], summed[name],
+                                       rtol=1e-12, atol=1e-14)
 
 
 class TestDiscreteLoss:
@@ -115,8 +148,8 @@ class TestDiscreteLoss:
         # prior (0.3, 0.7), per-channel likelihoods (0.8, 0.5):
         # marginal = 0.3*0.8 + 0.7*0.5 = 0.59
         t = Tape()
-        log_prior = ad.log(t.const(np.array([0.3, 0.7])))
-        log_lik = ad.log(t.const(np.array([0.8, 0.5])))
+        log_prior = t.const(np.log([0.3, 0.7]))
+        log_lik = t.const(np.log([0.8, 0.5]))
         marginal = ad.logsumexp(ad.add(log_prior, log_lik))
         assert marginal.item() == pytest.approx(math.log(0.59), abs=1e-12)
 
@@ -141,10 +174,10 @@ class TestDiscreteLoss:
             logits = prior.params.logits.value
             weights = np.exp(logits - logits.max())
             weights /= weights.sum()
-            hs = model.channel_encodings(binder, IDS, None)
+            h_mat = model.channel_encodings(binder, IDS, None)
             total = 0.0
-            for i, h in enumerate(hs):
-                logp = classify(binder, model.config, h)
+            for i in range(k):
+                logp = classify_batch(binder, model.config, ad.take_row(h_mat, i))
                 total += weights[i] * math.exp(logp.value[0])
             assert res.loss.item() == pytest.approx(-math.log(total), abs=1e-10)
 

@@ -28,7 +28,6 @@ class TestWordMode:
     def test_empty_input_flagged_single_pad(self, vocab):
         seq = tokenize("   ", "word", vocab)
         assert seq.ids == [PAD_ID]
-        assert seq.was_empty
 
     def test_requires_vocab(self):
         with pytest.raises(ValueError):
@@ -51,7 +50,7 @@ class TestByteMode:
         assert all(0 <= i < BYTE_VOCAB_SIZE for i in seq.ids)
 
     def test_empty_flagged(self):
-        assert tokenize("", "byte").was_empty
+        assert tokenize("", "byte").ids == [PAD_ID] * BYTE_LEN
 
 
 class TestVocab:

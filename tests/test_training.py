@@ -1,12 +1,17 @@
-"""Evaluation refuses non-finite label probabilities instead of scoring
-their default argmax."""
+"""Training-loop policies: evaluation refuses non-finite label
+probabilities instead of scoring their default argmax, and an instance
+whose gate draw has no usable gradient is skipped and counted instead
+of ending the run."""
 
 import numpy as np
 import pytest
 
 from domaingate import training
 from domaingate.data import Instance
+from domaingate.distributions import DegenerateSampleError
+from domaingate.encoder import EncoderConfig
 from domaingate.inference import InferConfig, PredictionRecord
+from domaingate.models import Model, ModelConfig
 
 
 def test_evaluate_names_instance_with_non_finite_probs(monkeypatch):
@@ -20,3 +25,43 @@ def test_evaluate_names_instance_with_non_finite_probs(monkeypatch):
     monkeypatch.setattr(training, "predict_batch", stub_predict_batch)
     with pytest.raises(FloatingPointError, match="doc1"):
         training.evaluate(None, insts, InferConfig())
+
+
+def test_degenerate_sample_is_skipped_and_counted(monkeypatch):
+    cfg = ModelConfig(kind="csda-dirichlet", n_labels=2, n_domains=2,
+                      vocab_size=20, k=2, encoder=EncoderConfig(8, 4, (2, 3)),
+                      mlp_hidden=6, dropout=0.0)
+    model = Model.init(cfg, np.random.default_rng(0))
+    insts = [Instance(f"doc{i}", (3, 7, 1, 12, 5 + i, 9), i % 2, i % 2,
+                      f"l{i % 2}", f"d{i % 2}") for i in range(4)]
+    real_backprop, real_adam = training.backprop, training.adam_step
+    calls, kept, applied = [], [], []
+
+    def flaky_backprop(loss):
+        # Batch 1 loses its first instance, batch 2 loses both.
+        calls.append(loss.item())
+        if len(calls) in (1, 3, 4):
+            raise DegenerateSampleError("density underflow")
+        grads = real_backprop(loss)
+        kept.append((loss.item(), {n: g.copy() for n, g in grads.items()}))
+        return grads
+
+    def recording_adam(params, grads, opt):
+        applied.append({n: g.copy() for n, g in grads.items()})
+        return real_adam(params, grads, opt)
+
+    monkeypatch.setattr(training, "backprop", flaky_backprop)
+    monkeypatch.setattr(training, "adam_step", recording_adam)
+    result = training.train(model, insts, insts[:2], training.TrainConfig(
+        batch_size=2, max_epochs=1, lr=1e-3, seed=3))
+
+    assert len(calls) == 4
+    assert [e["degenerate"] for e in result.log] == [1, 2]
+    # The step averages over the one instance it kept ...
+    assert len(kept) == 1 and len(applied) == 1
+    assert result.log[0]["loss"] == kept[0][0]
+    for name, g in kept[0][1].items():
+        np.testing.assert_array_equal(applied[0][name], g)
+    # ... and a batch that keeps none takes no step.
+    assert result.log[1]["loss"] is None and result.log[1]["kl"] is None
+    assert result.steps == 2
