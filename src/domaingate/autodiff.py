@@ -5,6 +5,10 @@ node ids, output array, cached intermediates); ``backprop`` walks the
 tape once in reverse and returns a gradient for every named parameter
 leaf. Tapes are cheap, single-use, and never shared across threads.
 
+The gradient of a table that reaches the loss only through ``embedding``
+is a ``RowGrad``: the rows the instance looked up and their values, so
+its cost follows the text length, not the vocabulary size.
+
 Extension primitives (e.g. distribution sampling nodes) register a
 backward rule with ``register_backward`` and append their own node with
 ``Tape.record``.
@@ -23,8 +27,10 @@ from . import kernels, special
 __all__ = [
     "Tape",
     "Var",
+    "RowGrad",
     "ShapeError",
     "NonFiniteError",
+    "accumulate",
     "backprop",
     "register_backward",
 ]
@@ -79,6 +85,60 @@ class Tape:
         if not np.all(np.isfinite(value)):
             raise NonFiniteError(f"primitive {kind!r} produced non-finite values")
         return self._append(Node(kind, tuple(v._i for v in inputs), value, aux=aux))
+
+
+@dataclass
+class RowGrad:
+    """Gradient of a 2-d table that is zero outside some rows.
+
+    ``ids`` holds the sorted unique row ids and ``values`` their rows
+    [U,E]. Values are built by adding onto +0, so they are never -0 and
+    adding the zeros of the absent rows changes nothing: ``__add__`` and
+    ``accumulate`` give the dense sums bitwise.
+    """
+
+    ids: np.ndarray
+    values: np.ndarray
+    rows: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.values.shape[1])
+
+    @property
+    def nbytes(self) -> int:
+        return self.ids.nbytes + self.values.nbytes
+
+    def dense(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """Dense rows ``start:stop`` of the gradient (all rows by default)."""
+        stop = self.rows if stop is None else min(stop, self.rows)
+        lo, hi = np.searchsorted(self.ids, (start, stop))
+        out = np.zeros((stop - start, self.values.shape[1]))
+        out[self.ids[lo:hi] - start] = self.values[lo:hi]
+        return out
+
+    def __add__(self, other: "RowGrad") -> "RowGrad":
+        ids = np.union1d(self.ids, other.ids)
+        values = np.zeros((ids.size, self.values.shape[1]))
+        values[np.searchsorted(ids, self.ids)] = self.values
+        values[np.searchsorted(ids, other.ids)] += other.values
+        return RowGrad(ids, values, self.rows)
+
+    def __imul__(self, scale: float) -> "RowGrad":
+        self.values *= scale
+        return self
+
+
+def accumulate(acc, g):
+    """``acc + g`` for two gradients of one parameter, reusing ``acc``'s
+    storage when it is a dense array. Two row gradients stay a row
+    gradient; a row gradient meeting a dense one becomes dense."""
+    if isinstance(acc, RowGrad):
+        if isinstance(g, RowGrad):
+            return acc + g
+        acc = acc.dense()
+    acc += g.dense() if isinstance(g, RowGrad) else g
+    return acc
 
 
 class Var:
@@ -463,8 +523,9 @@ def embedding(table: Var, ids: np.ndarray) -> Var:
 
 @register_backward("embedding")
 def _embedding_bwd(node, grad, tape):
-    rows = tape.nodes[node.inputs[0]].value.shape[0]
-    return (kernels.embedding_backward(np.ascontiguousarray(grad), node.aux, rows),)
+    ids, inverse = np.unique(node.aux, return_inverse=True)
+    values = kernels.embedding_backward(np.ascontiguousarray(grad), inverse, ids.size)
+    return (RowGrad(ids, values, tape.nodes[node.inputs[0]].value.shape[0]),)
 
 
 def conv1d(x: Var, w: Var, b: Var) -> Var:
@@ -526,16 +587,17 @@ def _dropout_bwd(node, grad, tape):
 
 # -- reverse pass -------------------------------------------------------------
 
-def backprop(loss: Var) -> dict[str, np.ndarray]:
+def backprop(loss: Var) -> dict[str, np.ndarray | RowGrad]:
     """Gradient of a scalar loss for every named parameter leaf on the tape.
 
-    Parameters the loss does not depend on get zero gradients;
-    non-parameter leaves get none.
+    A table reached only through ``embedding`` gets a ``RowGrad``, every
+    other parameter a dense array. Parameters the loss does not depend
+    on get zero gradients; non-parameter leaves get none.
     """
     tape = loss._tape
     if loss.value.shape != ():
         raise ShapeError(f"backprop needs a scalar loss, got shape {loss.value.shape}")
-    grads: list[Optional[np.ndarray]] = [None] * len(tape.nodes)
+    grads: list = [None] * len(tape.nodes)
     grads[loss._i] = np.ones(())
     for i in range(loss._i, -1, -1):
         g = grads[i]
@@ -547,24 +609,22 @@ def backprop(loss: Var) -> dict[str, np.ndarray]:
         fn = _BACKWARD.get(node.kind)
         if fn is None:
             raise KeyError(f"no backward rule registered for primitive {node.kind!r}")
+        if isinstance(g, RowGrad):  # a table computed on the tape
+            g = g.dense()
         input_grads = fn(node, g, tape)
         for j, ig in zip(node.inputs, input_grads):
             if ig is None:
                 continue
             if grads[j] is None:
-                grads[j] = np.array(ig, dtype=np.float64)
+                # A private copy, so that ``accumulate`` may add in place.
+                grads[j] = ig if isinstance(ig, RowGrad) else np.array(ig, dtype=np.float64)
             else:
-                grads[j] = grads[j] + ig
-    out: dict[str, np.ndarray] = {}
+                grads[j] = accumulate(grads[j], ig)
+    out: dict = {}
     for i, node in enumerate(tape.nodes):
         if node.kind == "param":
-            g = grads[i]
-            if node.name in out:
-                out[node.name] = out[node.name] + (
-                    g if g is not None else 0.0)
-            else:
-                out[node.name] = (np.array(g, dtype=np.float64)
-                                  if g is not None else np.zeros_like(node.value))
+            g = grads[i] if grads[i] is not None else np.zeros_like(node.value)
+            out[node.name] = accumulate(out[node.name], g) if node.name in out else g
     return out
 
 

@@ -1,5 +1,10 @@
 """Hot numeric kernels for the encoder: 1-d convolution over time,
-max-pool over time, and embedding-table scatter.
+max-pool over time, and embedding-gradient scatter.
+
+``embedding_backward`` adds the gradient of the T looked-up rows into
+[U,E], one row per unique id: the backward pass passes the inverse
+indices of ``np.unique`` and U, never the vocabulary size, so the
+scatter's cost and output follow the text length.
 
 The kernels are plain numpy; ``perfbench/run.py`` times them per layer
 in its traced run. All arrays are C-contiguous float64.
@@ -55,7 +60,8 @@ def maxpool_backward(grad, idx, t_len):
 
 
 def embedding_backward(grad, ids, rows):
-    # grad: [T, E] for looked-up ids -> dtable [rows, E] scatter-add.
+    # grad: [T, E] for row indices ids in [0, rows) -> [rows, E] scatter-add,
+    # each row summed onto +0 in the order of ids.
     dtable = np.zeros((rows, grad.shape[1]))
     np.add.at(dtable, ids, grad)
     return dtable

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import backprop
+from .autodiff import RowGrad, accumulate, backprop
 from .data import Instance
 from .distributions import DegenerateSampleError
 from .inference import InferConfig, predict_batch
@@ -75,6 +75,15 @@ def _lambda_at(cfg: TrainConfig, step: int, steps_per_epoch: int) -> float:
     return cfg.lam * min(1.0, step / horizon)
 
 
+def _global_norm(grads: dict) -> float:
+    """L2 norm over every gradient entry; a ``RowGrad`` counts its rows only."""
+    total = 0.0
+    for g in grads.values():
+        x = (g.values if isinstance(g, RowGrad) else g).ravel()
+        total += float(np.dot(x, x))
+    return math.sqrt(total)
+
+
 def evaluate(model: Model, instances: list[Instance],
              infer_cfg: InferConfig) -> EvalResult:
     """Micro accuracy over labeled instances, plus a per-domain breakdown
@@ -112,8 +121,10 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
     the UNK sentinel into the variational network. An instance whose
     gate draw has no usable pathwise gradient (``DegenerateSampleError``)
     is left out of its step and counted in the log entry's
-    ``degenerate``. Dev accuracy is checked twice per epoch; training
-    stops after ``patience`` evaluations without improvement.
+    ``degenerate``; ``grad_norm`` is the global L2 norm of the step's
+    averaged gradient (null when no step is taken). Dev accuracy is
+    checked twice per epoch; training stops after ``patience``
+    evaluations without improvement.
     """
     usable = [inst for inst in train_set if inst.y_id is not None]
     if not usable:
@@ -142,7 +153,7 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
             if not batch:
                 continue
             lam_t = _lambda_at(cfg, step, steps_per_epoch)
-            grad_sum: dict[str, np.ndarray] = {}
+            grad_sum: dict = {}
             loss_sum = 0.0
             kl_sum = 0.0
             kl_seen = False
@@ -157,22 +168,21 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
                     degenerate += 1
                     continue
                 for name, g in grads.items():
-                    if name in grad_sum:
-                        grad_sum[name] += g
-                    else:
-                        grad_sum[name] = g
+                    grad_sum[name] = (accumulate(grad_sum[name], g)
+                                      if name in grad_sum else g)
                 loss_sum += res.loss.item()
                 if res.kl is not None:
                     kl_sum += res.kl
                     kl_seen = True
             step += 1
             entry = {"step": step, "epoch": epoch, "loss": None, "kl": None,
-                     "lambda": lam_t, "degenerate": degenerate}
+                     "lambda": lam_t, "degenerate": degenerate, "grad_norm": None}
             # The step averages over the kept instances; none kept, no step.
             if degenerate < len(batch):
                 scale = 1.0 / (len(batch) - degenerate)
                 for name in grad_sum:
                     grad_sum[name] *= scale
+                entry["grad_norm"] = _global_norm(grad_sum)
                 adam_step(model.params, grad_sum, opt)
                 entry["loss"] = loss_sum * scale
                 entry["kl"] = kl_sum * scale if kl_seen else None

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domaingate import autodiff as ad
+from domaingate import kernels
 from domaingate.autodiff import NonFiniteError, ShapeError, Tape, backprop
 
 
@@ -226,6 +227,72 @@ class TestBackwardRulesMatchFiniteDifferences:
         np.testing.assert_allclose(grads["table"],
                                    fd_gradient(scalar, table0.copy()),
                                    rtol=1e-4, atol=1e-8)
+
+    def test_row_gradient_densifies_to_dense_scatter(self):
+        # Repeated ids sum in id order onto +0: bitwise the scatter-add over
+        # the whole table, and so is the sum of two row gradients.
+        rng = np.random.default_rng(11)
+        table0 = rng.normal(size=(7, 3))
+        grads = []
+        for ids in (np.array([5, 1, 5, 0, 1, 5]), np.array([2, 5, 2])):
+            probe = rng.normal(size=(ids.size, 3))
+            t = Tape()
+            emb = ad.embedding(t.param(table0, "table"), ids)
+            g = backprop(ad.reduce_sum(ad.mul(emb, t.const(probe))))["table"]
+            assert isinstance(g, ad.RowGrad) and g.shape == (7, 3)
+            np.testing.assert_array_equal(g.ids, np.unique(ids))
+            np.testing.assert_array_equal(
+                g.dense(), kernels.embedding_backward(probe, ids, 7))
+            grads.append(g)
+        total = grads[0] + grads[1]
+        np.testing.assert_array_equal(total.ids, [0, 1, 2, 5])
+        np.testing.assert_array_equal(total.dense(),
+                                      grads[0].dense() + grads[1].dense())
+
+    @pytest.mark.parametrize("dense_use", [False, True])
+    def test_table_used_twice_on_one_tape(self, dense_use):
+        # Two lookups of one table stay row-sparse; a lookup plus a dense
+        # op on the table gives a dense gradient.
+        rng = np.random.default_rng(12)
+        table0 = rng.normal(size=(6, 3))
+        ids_a, ids_b = np.array([1, 4, 1]), np.array([4, 2])
+        probe = rng.normal(size=3)
+        weights = rng.normal(size=(6, 3))
+
+        def scalar(table):
+            second = (np.sum(table * weights) if dense_use
+                      else table[ids_b].max(axis=0) @ probe)
+            return float(table[ids_a].max(axis=0) @ probe + second)
+
+        t = Tape()
+        tv = t.param(table0, "table")
+        first = ad.matmul(ad.maxpool_time(ad.embedding(tv, ids_a)), t.const(probe))
+        second = (ad.reduce_sum(ad.mul(tv, t.const(weights))) if dense_use
+                  else ad.matmul(ad.maxpool_time(ad.embedding(tv, ids_b)),
+                                 t.const(probe)))
+        g = backprop(first + second)["table"]
+        if dense_use:
+            assert isinstance(g, np.ndarray)
+        else:
+            assert isinstance(g, ad.RowGrad)
+            np.testing.assert_array_equal(g.ids, [1, 2, 4])
+            g = g.dense()
+        np.testing.assert_allclose(g, fd_gradient(scalar, table0.copy()),
+                                   rtol=1e-4, atol=1e-8)
+
+    def test_embedding_of_computed_table(self):
+        # A row gradient reaching a non-leaf node is densified for its rule.
+        rng = np.random.default_rng(13)
+        table0 = rng.normal(size=(5, 2))
+        ids = np.array([3, 0, 3])
+        probe = rng.normal(size=(3, 2))
+        t = Tape()
+        tv = t.param(table0, "table")
+        emb = ad.embedding(ad.mul(tv, tv), ids)
+        g = backprop(ad.reduce_sum(ad.mul(emb, t.const(probe))))["table"]
+        np.testing.assert_allclose(
+            g, fd_gradient(lambda x: float(np.sum((x * x)[ids] * probe)), table0.copy()),
+            rtol=1e-4, atol=1e-8)
 
     def test_dropout_backward_with_frozen_mask(self):
         x0 = np.random.default_rng(3).normal(size=8)

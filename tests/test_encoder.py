@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from domaingate import autodiff as ad
-from domaingate.autodiff import ParamBinder, Tape, backprop
+from domaingate.autodiff import ParamBinder, RowGrad, Tape, backprop
 from domaingate.encoder import EncoderConfig, encode, init_encoder_params
 
 TOY = EncoderConfig(embed_dim=5, n_filters=4, windows=(2, 3))
@@ -115,7 +115,9 @@ class TestGradients:
         grads = backprop(loss)
 
         emb = params["enc.emb"]
-        g = grads["enc.emb"]
+        assert isinstance(grads["enc.emb"], RowGrad)
+        np.testing.assert_array_equal(grads["enc.emb"].ids, [1, 2, 3, 5, 9])
+        g = grads["enc.emb"].dense()
         rng = np.random.default_rng(2)
         flat_idx = rng.choice(emb.size, size=20, replace=False)
         for idx in flat_idx:

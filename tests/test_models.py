@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from domaingate import autodiff as ad
-from domaingate.autodiff import Tape, backprop
+from domaingate.autodiff import RowGrad, Tape, backprop
 from domaingate.encoder import EncoderConfig
 from domaingate.models import Model, ModelConfig, classify_batch, gate_channels
 
@@ -299,7 +299,7 @@ class TestVariationalObjective:
         worst = 0.0
         for name, g in grads.items():
             flat = model.params[name].reshape(-1)
-            gf = g.reshape(-1)
+            gf = (g.dense() if isinstance(g, RowGrad) else g).reshape(-1)
             for i in rng.choice(flat.size, size=min(3, flat.size), replace=False):
                 old = flat[i]
                 h = 1e-5 * max(1.0, abs(old))
