@@ -69,11 +69,15 @@ class Tape:
         return self._append(Node("const", (), arr))
 
     def param(self, value: np.ndarray, name: str) -> "Var":
-        """Record a parameter leaf; backprop reports its gradient under ``name``."""
-        arr = np.asarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError(f"parameter {name!r} contains non-finite values")
-        return self._append(Node("param", (), arr, name=name))
+        """Record a parameter leaf; backprop reports its gradient under ``name``.
+
+        The array is not scanned here: parameters are checked where they
+        get their values (``Model.init``, ``adam_step``,
+        ``load_checkpoint``). A non-finite entry placed by hand raises at
+        the first primitive whose output it reaches.
+        """
+        return self._append(Node("param", (), np.asarray(value, dtype=np.float64),
+                                 name=name))
 
     def record(self, kind: str, value: np.ndarray, inputs: tuple["Var", ...],
                aux: Any = None) -> "Var":

@@ -78,5 +78,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if start + 8 * count > len(payload):
             raise CheckpointError(f"{path}: truncated payload at {name!r}")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: parameter {name!r} has non-finite values")
         params[name] = arr.astype(np.float64).reshape(shape).copy()
     return params, header["meta"]

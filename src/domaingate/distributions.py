@@ -147,6 +147,9 @@ def _beta_partials(alpha: np.ndarray, beta: np.ndarray, z: np.ndarray):
     dz_db = np.empty_like(z)
     for i in range(z.shape[0]):
         a, b, zi = float(alpha[i]), float(beta[i]), float(z[i])
+        if not 0.0 < zi < 1.0:  # the draw rounded onto an end of [0, 1]
+            raise DegenerateSampleError(
+                f"beta draw on the boundary: z={zi}, alpha={a}, beta={b}")
         inv_pdf = _inv_pdf(_beta_log_pdf_scalar(zi, a, b),
                            f"beta z={zi}, alpha={a}, beta={b}")
         dFda = _cdf_param_fd(lambda x, t: reg_inc_beta(x, t, b), zi, a)

@@ -6,7 +6,9 @@ Strategies for the variational models:
 - prior-mean:             gate fixed at the prior mean
 - mc-average:             average the label distribution over m draws
 - importance-sampling:    estimate p(y|x) = E_q[p(y,z|x) / q(z|x,y,d)]
-  per candidate label with d = UNK, then take the argmax
+  per candidate label with d = UNK, then take the argmax; the record's
+  ``ess`` is the smallest effective sample size over the labels, and
+  ``predict_batch`` warns when it is below m/10
 
 The discrete mixture marginalizes its k states exactly, so sampling
 strategies degrade to that exact computation (with a log note). The
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -58,11 +61,14 @@ class PredictionRecord:
     probs: np.ndarray
     strategy: str
     seed: int
+    ess: Optional[float] = None
 
 
-def predict(model: Model, ids, cfg: InferConfig,
-            rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """Predict one instance; returns (label id, label distribution)."""
+def predict(model: Model, ids, cfg: InferConfig, rng: np.random.Generator
+            ) -> tuple[int, np.ndarray, Optional[float]]:
+    """Predict one instance; returns (label id, label distribution, ess).
+    ``ess`` is the importance-sampling effective sample size, None for
+    the other strategies."""
     mcfg = model.config
     binder = model.binder(Tape())
     h_mat = model.channel_encodings(binder, ids, dropout_rng=None)
@@ -90,16 +96,19 @@ def predict(model: Model, ids, cfg: InferConfig,
     return _normalized(np.exp(logp.value).mean(axis=0))
 
 
-def _normalized(probs: np.ndarray) -> tuple[int, np.ndarray]:
+def _normalized(probs: np.ndarray, ess: Optional[float] = None):
     probs /= probs.sum()
-    return int(probs.argmax()), probs
+    return int(probs.argmax()), probs, ess
 
 
 def _importance_sampling(model, binder, ids, h_mat, prior, cfg, rng):
     mcfg = model.config
     # Average the weights per label in log space (log-mean-exp) and
     # normalize there too: with a peaked prior every exp(log_w) underflows.
+    # The effective sample size (sum w)^2 / sum w^2 of the max-scaled
+    # weights tells how many draws carry a label's estimate.
     log_est = np.empty(mcfg.n_labels)
+    ess = np.empty(mcfg.n_labels)
     for y_cand in range(mcfg.n_labels):
         q = model.posterior_gate(binder, ids, y_cand, None)
         z_rows = dist.draw_many(q.params, rng, cfg.m)
@@ -108,19 +117,26 @@ def _importance_sampling(model, binder, ids, h_mat, prior, cfg, rng):
         log_w = dist.log_pdf_many(prior.params, z_rows) + logp.value[:, y_cand] \
             - dist.log_pdf_many(q.params, z_rows)
         top = log_w.max()
-        log_est[y_cand] = top + np.log(np.exp(log_w - top).mean())
-    return _normalized(np.exp(log_est - log_est.max()))
+        w = np.exp(log_w - top)
+        log_est[y_cand] = top + np.log(w.mean())
+        ess[y_cand] = w.sum() ** 2 / np.dot(w, w)
+    return _normalized(np.exp(log_est - log_est.max()), float(ess.min()))
 
 
 def predict_batch(model: Model, instances: list[Instance],
                   cfg: InferConfig) -> list[PredictionRecord]:
     """Predict a batch with per-instance RNG streams derived from
     (seed, instance position), so records are order-stable and
-    reproducible regardless of batch slicing elsewhere."""
+    reproducible regardless of batch slicing elsewhere. An importance-
+    sampling estimate carried by fewer than m/10 effective draws is
+    logged as a warning naming the instance."""
     records = []
     for i, inst in enumerate(instances):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, i)))
-        label_id, probs = predict(model, inst.ids, cfg, rng)
+        label_id, probs, ess = predict(model, inst.ids, cfg, rng)
+        if ess is not None and ess < cfg.m / 10:
+            log.warning("%s: importance-sampling effective sample size %.3g "
+                        "of m=%d", inst.doc_id, ess, cfg.m)
         records.append(PredictionRecord(inst.doc_id, label_id, probs,
-                                        cfg.strategy, cfg.seed))
+                                        cfg.strategy, cfg.seed, ess))
     return records

@@ -1,6 +1,11 @@
 """Hot numeric kernels for the encoder: 1-d convolution over time,
 max-pool over time, and embedding-gradient scatter.
 
+The convolution makes one GEMM per window offset i: the forward is
+``out = sum_i x[i:i+To] @ w[i] + b`` and the backward ``dw[i] =
+x[i:i+To].T @ grad``, each a contiguous [To,E] slice of x against one
+[E,F] slab of w, so no call pays for planning a contraction.
+
 ``embedding_backward`` adds the gradient of the T looked-up rows into
 [U,E], one row per unique id: the backward pass passes the inverse
 indices of ``np.unique`` and U, never the vocabulary size, so the
@@ -29,8 +34,10 @@ NUMBA_ENABLED = False
 def conv1d_forward(x, w, b):
     # x: [T, E], w: [win, E, F], b: [F] -> [T - win + 1, F], valid padding.
     win = w.shape[0]
-    windows = np.lib.stride_tricks.sliding_window_view(x, win, axis=0)  # [To, E, win]
-    out = np.einsum("tew,wef->tf", windows, w, optimize=True)
+    t_out = x.shape[0] - win + 1
+    out = x[:t_out] @ w[0]
+    for i in range(1, win):
+        out += x[i:i + t_out] @ w[i]
     out += b
     return out
 
@@ -38,13 +45,12 @@ def conv1d_forward(x, w, b):
 def conv1d_backward(x, w, grad):
     win = w.shape[0]
     t_out = grad.shape[0]
-    windows = np.lib.stride_tricks.sliding_window_view(x, win, axis=0)
-    dw = np.einsum("tew,tf->wef", windows, grad, optimize=True)
-    db = grad.sum(axis=0)
+    dw = np.empty_like(w)
     dx = np.zeros_like(x)
     for i in range(win):
+        np.matmul(x[i:i + t_out].T, grad, out=dw[i])
         dx[i:i + t_out] += grad @ w[i].T
-    return dx, dw, db
+    return dx, dw, grad.sum(axis=0)
 
 
 def maxpool_forward(x):

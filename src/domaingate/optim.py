@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import RowGrad
+from .autodiff import NonFiniteError, RowGrad
 
 __all__ = ["AdamState", "adam_step"]
 
@@ -70,6 +70,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | RowGr
     The update is the dense one of Kingma & Ba for every parameter, run
     over blocks of rows: a ``RowGrad`` is densified one block at a time,
     so a row without a gradient in this step still moves by its momentum.
+    Each block is checked right after its update, while it is in cache:
+    a non-finite value raises ``NonFiniteError`` naming the parameter.
     """
     state.step += 1
     bc1 = 1.0 - state.beta1 ** state.step
@@ -88,3 +90,6 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | RowGr
             g_rows = (g.dense(rows.start, rows.stop) if isinstance(g, RowGrad)
                       else g[rows])
             _update(p[rows], m[rows], v[rows], g_rows, state, bc1, bc2)
+            if not np.isfinite(p[rows]).all():
+                raise NonFiniteError(
+                    f"Adam step {state.step} made parameter {name!r} non-finite")

@@ -265,8 +265,11 @@ def _beta_seed(u: float, a: float, b: float) -> float:
 def _inv_beta_low(u: float, a: float, b: float) -> float:
     """Beta quantile for u <= 0.5: bracketed Newton with bisection fallback.
 
-    Bisection halves toward zero while the lower bracket is still 0, so
-    quantiles deep in the left tail are reached geometrically.
+    While the lower bracket is still 0 the fallback squares the upper
+    one below 0.5 (halves it above), so quantiles deep in the left tail
+    (1e-100 and below) are reached in a few steps. The bracket stops at
+    adjacent doubles, so a quantile among the subnormals, or below the
+    smallest of them, ends the search too.
     """
     ln_norm = lgamma(a + b) - lgamma(a) - lgamma(b)
     lo, hi = 0.0, 1.0
@@ -278,14 +281,14 @@ def _inv_beta_low(u: float, a: float, b: float) -> float:
             hi = x
         else:
             lo = x
-        if abs(f) < 1e-12 or hi - lo <= 1e-15 * hi:
+        if abs(f) < 1e-12 or hi - lo <= max(1e-15 * hi, math.ulp(hi)):
             return x
         ln_pdf = ln_norm + (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)
         x_new = x - f * math.exp(-ln_pdf) if ln_pdf > -700.0 else -1.0
         if lo < x_new < hi:
             x = x_new
         elif lo == 0.0:
-            x = 0.5 * hi
+            x = max(hi * min(hi, 0.5), math.ulp(0.0))
         else:
             x = 0.5 * (lo + hi)
     raise ConvergenceError(
@@ -352,7 +355,9 @@ def inv_reg_inc_gamma(u: float, a: float) -> float:
             hi_t = t
         else:
             lo_t = t
-        if abs(f) < 1e-12 or hi_t - lo_t < 1e-15:
+        # A bracket of a few ulps of t is as fine as doubles allow (one
+        # ulp near t = -737 is 1.1e-13).
+        if abs(f) < 1e-12 or hi_t - lo_t <= max(1e-15, 4.0 * math.ulp(t)):
             return x
         # dF/dt = pdf(x) * x, so the log-space Newton step is exp-safe.
         ln_slope = a * math.log(x) - x - lg_a

@@ -10,7 +10,6 @@ dev entries) that serializes to the documented JSONL schema.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -125,6 +124,10 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
     averaged gradient (null when no step is taken). Dev accuracy is
     checked twice per epoch; training stops after ``patience``
     evaluations without improvement.
+
+    The best state is copied only when it is about to change: while it is
+    the current state no copy exists, and the result then shares
+    ``model``'s arrays.
     """
     usable = [inst for inst in train_set if inst.y_id is not None]
     if not usable:
@@ -136,7 +139,8 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
     opt = AdamState(lr=cfg.lr)
     log_records: list[dict] = []
     best_acc = -math.inf
-    best_params = None
+    best_params = None     # buffers holding the best state once it is left
+    best_is_current = False
     stale = 0
     step = 0
     n = len(usable)
@@ -183,6 +187,13 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
                 for name in grad_sum:
                     grad_sum[name] *= scale
                 entry["grad_norm"] = _global_norm(grad_sum)
+                if best_is_current:  # keep the best state before Adam overwrites it
+                    if best_params is None:
+                        best_params = {name: np.empty_like(arr)
+                                       for name, arr in model.params.items()}
+                    for name, arr in model.params.items():
+                        np.copyto(best_params[name], arr)
+                    best_is_current = False
                 adam_step(model.params, grad_sum, opt)
                 entry["loss"] = loss_sum * scale
                 entry["kl"] = kl_sum * scale if kl_seen else None
@@ -191,7 +202,7 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
                 entry["dev_acc"] = result.accuracy
                 if result.accuracy > best_acc:
                     best_acc = result.accuracy
-                    best_params = copy.deepcopy(model.params)
+                    best_is_current = True
                     stale = 0
                 else:
                     stale += 1
@@ -201,8 +212,8 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
             if stop:
                 break
 
-    if best_params is None:
-        best_params = copy.deepcopy(model.params)
+    if best_acc == -math.inf:
         best_acc = evaluate(model, dev_set, cfg.infer).accuracy
-    return TrainResult(Model(model.config, best_params), log_records,
-                       best_acc, step)
+        best_is_current = True
+    params = model.params if best_is_current else best_params
+    return TrainResult(Model(model.config, params), log_records, best_acc, step)

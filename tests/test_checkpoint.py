@@ -1,5 +1,5 @@
-"""Checkpoint container: bitwise round trip and rejection of corrupt or
-truncated files with ``CheckpointError``."""
+"""Checkpoint container: bitwise round trip and rejection of corrupt,
+truncated or non-finite files with ``CheckpointError``."""
 
 import struct
 
@@ -63,3 +63,10 @@ def test_truncated_payload_rejected(saved):
     assert len(raw) > 12 + header_len + 8
     with pytest.raises(CheckpointError, match="truncated payload"):
         load_checkpoint(_rewrite(saved, raw[:-8]))
+
+
+def test_non_finite_payload_rejected_naming_parameter(tmp_path):
+    path = tmp_path / "nan.bin"
+    save_checkpoint(path, {**PARAMS, "b.vec": np.array([1.5, np.nan, 2.0])}, META)
+    with pytest.raises(CheckpointError, match="'b.vec'"):
+        load_checkpoint(path)

@@ -300,3 +300,26 @@ class TestImplicitGradients:
         da, db = _fd_beta_quantile(0.4, 1.8, 2.2)
         assert grads["a"][0] == pytest.approx(da, rel=1e-3)
         assert grads["b"][0] == pytest.approx(db, rel=1e-3)
+
+
+class TestDegenerateDraws:
+    def test_beta_draw_rounded_to_one_is_degenerate(self):
+        # u = 0.7 of Beta(5, 0.02) is 1 - 1e-16 or closer, so z = 1.0.
+        t = Tape()
+        params = dist.BetaParams(t.param(np.array([5.0]), "a"),
+                                 t.param(np.array([0.02]), "b"))
+        z_var, gate = dist.sample(params, None, eps=[0.7])
+        assert gate.z[0] == 1.0
+        with pytest.raises(dist.DegenerateSampleError,
+                           match=r"z=1\.0, alpha=5\.0, beta=0\.02"):
+            backprop(ad.reduce_sum(z_var))
+
+    def test_dirichlet_at_a_subnormal_gamma_draw(self):
+        # Concentration 0.0031 at u = 0.102 draws the Gamma 8.79e-321.
+        t = Tape()
+        params = dist.DirichletParams(t.param(np.asarray(1.0), "a0"),
+                                      t.param(np.array([0.0031, 0.5]), "ahat"))
+        z_var, gate = dist.sample(params, None, eps=[0.102, 0.5])
+        assert 0.0 < gate.z[0] < 1e-300
+        grads = backprop(ad.gather(z_var, 1))
+        assert np.isfinite(grads["a0"]) and np.all(np.isfinite(grads["ahat"]))

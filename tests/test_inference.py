@@ -1,15 +1,18 @@
 """Importance-sampled prediction: the log-space estimator against the
-linear-space average it replaces, and the peaked-prior case where every
-linear-space weight underflows."""
+linear-space average it replaces, the peaked-prior case where every
+linear-space weight underflows, and the effective sample size that
+flags an estimate carried by one draw."""
 
+import logging
 import warnings
 
 import numpy as np
 
 from domaingate import distributions as dist
 from domaingate.autodiff import Tape
+from domaingate.data import Instance
 from domaingate.encoder import EncoderConfig
-from domaingate.inference import InferConfig, predict
+from domaingate.inference import InferConfig, predict, predict_batch
 from domaingate.models import Model, ModelConfig, classify_batch, gate_channels
 
 IDS = (3, 7, 1, 12, 5, 9)
@@ -50,8 +53,8 @@ def test_matches_linear_space_average_without_underflow():
     model = dirichlet_model()
     want = linear_space_estimates(model, 100, 0)
     assert np.all(want > 0.0)
-    label, probs = predict(model, IDS, InferConfig("importance-sampling", 100),
-                           np.random.default_rng(0))
+    label, probs, _ = predict(model, IDS, InferConfig("importance-sampling", 100),
+                              np.random.default_rng(0))
     np.testing.assert_allclose(probs, want / want.sum(), rtol=1e-12)
     assert label == int(want.argmax())
 
@@ -61,9 +64,26 @@ def test_peaked_prior_gives_finite_probabilities():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert np.all(linear_space_estimates(model, 10, 0) == 0.0)
-    label, probs = predict(model, IDS, InferConfig("importance-sampling", 10),
-                           np.random.default_rng(0))
+    label, probs, _ = predict(model, IDS, InferConfig("importance-sampling", 10),
+                              np.random.default_rng(0))
     assert np.all(np.isfinite(probs))
     assert abs(probs.sum() - 1.0) <= 1e-12
     # label 1's largest log-weight beats all of label 0's by over 1000 nats
     assert label == 1 == int(probs.argmax())
+
+
+def test_effective_sample_size_flags_a_dominated_estimate(caplog):
+    # With the peaked prior one draw carries each label's estimate, and
+    # m=10 and m=100 pick different labels from one seed.
+    insts = [Instance("doc-peaked", IDS, 0, None, "l0", None)]
+    cfg = InferConfig("importance-sampling", 100)
+    with caplog.at_level(logging.WARNING, logger="domaingate.inference"):
+        [even] = predict_batch(dirichlet_model(), insts, cfg)
+        assert not caplog.records
+        [peaked] = predict_batch(dirichlet_model(conc_bias=7.0), insts, cfg)
+    assert even.ess > 90.0
+    assert 1.0 <= peaked.ess < 2.0
+    [warning] = caplog.records
+    assert "doc-peaked" in warning.getMessage()
+    [mean] = predict_batch(dirichlet_model(), insts, InferConfig("prior-mean"))
+    assert mean.ess is None

@@ -1,6 +1,7 @@
 """Model-level contracts: gating arithmetic, classifier head, discrete
-marginalization, the continuous gate parameterizations, and the
-single-sample variational objective."""
+marginalization, the continuous gate parameterizations, the
+single-sample variational objective, and non-finite parameters named at
+the first primitive that reads them."""
 
 import math
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from domaingate import autodiff as ad
-from domaingate.autodiff import RowGrad, Tape, backprop
+from domaingate.autodiff import NonFiniteError, RowGrad, Tape, backprop
 from domaingate.encoder import EncoderConfig
+from domaingate.inference import InferConfig, predict
 from domaingate.models import Model, ModelConfig, classify_batch, gate_channels
 
 ENC = EncoderConfig(embed_dim=8, n_filters=4, windows=(2, 3))
@@ -317,3 +319,29 @@ class TestVariationalObjective:
         model = toy_model("csda-dirichlet", k=1, n_domains=1)
         res = model.loss(IDS, 1, rng=np.random.default_rng(0))
         np.testing.assert_allclose(res.gate.z, [1.0], atol=1e-12)
+
+
+class TestNonFiniteParameters:
+    """``Tape.param`` does not scan parameters; a NaN in an embedding row
+    that the instance looks up raises at ``embedding``, and one in a row
+    it does not look up cannot change the result."""
+
+    @pytest.fixture
+    def model(self):
+        model = toy_model("csda-dirichlet")
+        model.params["phi.enc.emb"][IDS[2]] = np.nan
+        return model
+
+    def test_loss_names_embedding(self, model):
+        with pytest.raises(NonFiniteError, match="'embedding'"):
+            model.loss(IDS, 0, 1, rng=np.random.default_rng(0))
+
+    def test_predict_names_embedding(self, model):
+        with pytest.raises(NonFiniteError, match="'embedding'"):
+            predict(model, IDS, InferConfig("prior-mean"), np.random.default_rng(0))
+
+    def test_row_not_looked_up_is_not_read(self, model):
+        clean = toy_model("csda-dirichlet")
+        other = tuple(i for i in IDS if i != IDS[2])
+        want = clean.loss(other, 0, 1, rng=np.random.default_rng(0)).loss.item()
+        assert model.loss(other, 0, 1, rng=np.random.default_rng(0)).loss.item() == want

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from domaingate import optim
-from domaingate.autodiff import RowGrad
+from domaingate.autodiff import NonFiniteError, RowGrad
 from domaingate.optim import AdamState, adam_step
 
 # Elements per update block: one row per block, blocks of 4 rows with a
@@ -109,3 +109,11 @@ def test_moments_are_created_once():
     adam_step(params, grads, state)
     for n in params:
         assert state.m[n] is first[n][0] and state.v[n] is first[n][1]
+
+
+def test_non_finite_step_raises_naming_parameter():
+    params = {"w": np.ones((3, 2)), "emb": np.ones((4, 2))}
+    grads = {"w": np.full((3, 2), 0.5),
+             "emb": RowGrad(np.array([2]), np.array([[np.nan, 1.0]]), 4)}
+    with pytest.raises(NonFiniteError, match="'emb'"):
+        adam_step(params, grads, AdamState())

@@ -182,6 +182,26 @@ class TestInverses:
             x = sp.inv_reg_inc_gamma(u, 0.05)
             assert abs(sp.reg_inc_gamma(0.05, x) - u) < 1e-10
 
+    def test_subnormal_gamma_quantile(self):
+        # The quantile is 8.79e-321 (scipy gammaincinv): t = ln x is near
+        # -737, where one ulp of t is 1.1e-13.
+        x = sp.inv_reg_inc_gamma(0.102, 0.0031)
+        assert x == pytest.approx(8.79e-321, rel=1e-3)
+        assert abs(sp.reg_inc_gamma(0.0031, x) - 0.102) < 1e-6
+
+    def test_deep_left_tail_beta_quantile(self):
+        # scipy betaincinv(0.01, 50, 0.1) = 1.1434485249132965e-102, far
+        # below what 200 halvings from 1 reach; its mirror rounds to 1.
+        assert sp.inv_reg_inc_beta(0.1, 0.01, 50.0) == pytest.approx(
+            1.1434485249132965e-102, rel=1e-12)
+        assert sp.inv_reg_inc_beta(0.9, 50.0, 0.01) == 1.0
+
+    def test_quantiles_below_the_smallest_double(self):
+        # The true quantiles are about 1e-333 and 1e-1000: the searches
+        # end at the smallest positive double instead of stalling.
+        assert sp.inv_reg_inc_beta(0.1, 0.003, 5.0) == math.ulp(0.0)
+        assert sp.inv_reg_inc_gamma(0.1, 0.001) == math.ulp(0.0)
+
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):
             sp.inv_reg_inc_beta(0.0, 1.0, 1.0)

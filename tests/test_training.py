@@ -1,8 +1,8 @@
 """Training-loop policies: evaluation refuses non-finite label
 probabilities instead of scoring their default argmax, an instance
 whose gate draw has no usable gradient is skipped and counted instead
-of ending the run, and row-sparse embedding gradients train exactly as
-dense ones would."""
+of ending the run, row-sparse embedding gradients train exactly as
+dense ones would, and the result holds the best-dev parameters."""
 
 import copy
 
@@ -15,6 +15,7 @@ from domaingate.data import Instance
 from domaingate.distributions import DegenerateSampleError
 from domaingate.encoder import EncoderConfig
 from domaingate.inference import InferConfig, PredictionRecord
+from domaingate.training import EvalResult
 from domaingate.models import Model, ModelConfig
 from test_optim import dense_adam_step
 
@@ -117,3 +118,32 @@ def test_row_gradients_train_like_dense_gradients(monkeypatch):
     assert strip == [{k: v for k, v in e.items() if k != "grad_norm"} for e in ref_log]
     assert len(norms) == len(rows_log) == 6
     np.testing.assert_allclose([e["grad_norm"] for e in rows_log], norms, rtol=1e-12)
+
+
+@pytest.mark.parametrize("accuracies, best", [((0.5, 0.8, 0.6, 0.7), 1),
+                                              ((0.5, 0.6, 0.7, 0.8), 3)])
+def test_result_holds_best_dev_parameters(monkeypatch, accuracies, best):
+    """Scripted dev accuracies over four evaluations (two per epoch): the
+    result equals, bitwise, the parameters at the best evaluation, and
+    shares ``model``'s arrays when training ends on its best state."""
+    cfg = ModelConfig(kind="mcnn", n_labels=2, n_domains=2, vocab_size=20,
+                      k=2, encoder=EncoderConfig(6, 3, (2, 3)), mlp_hidden=5,
+                      dropout=0.0)
+    model = Model.init(cfg, np.random.default_rng(0))
+    insts = [Instance(f"doc{i}", (3, 7, 1, 12, 5 + i, 9), i % 2, i % 2,
+                      f"l{i % 2}", f"d{i % 2}") for i in range(4)]
+    seen = []
+
+    def scripted_evaluate(m, instances, infer_cfg):
+        seen.append({n: a.copy() for n, a in m.params.items()})
+        return EvalResult(accuracies[len(seen) - 1], {}, len(instances))
+
+    monkeypatch.setattr(training, "evaluate", scripted_evaluate)
+    result = training.train(model, insts, insts[:2], training.TrainConfig(
+        batch_size=2, max_epochs=2, lr=1e-2, seed=1))
+
+    assert len(seen) == 4 and result.best_dev_accuracy == accuracies[best]
+    for name, arr in result.model.params.items():
+        assert arr.tobytes() == seen[best][name].tobytes()
+        assert (arr is model.params[name]) == (best == 3)
+    assert any(not np.array_equal(seen[1][n], seen[3][n]) for n in seen[1])
