@@ -69,12 +69,19 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         header = json.loads(raw[12:12 + header_len].decode("utf-8"))
     except ValueError as exc:  # also covers UnicodeDecodeError
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None
+    for field in ("params", "meta"):
+        if not isinstance(header, dict) or not isinstance(header.get(field), dict):
+            raise CheckpointError(f"{path}: header has no {field!r} object")
     payload = raw[12 + header_len:]
     params = {}
     for name, entry in header["params"].items():
-        shape = tuple(entry["shape"])
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        start = entry.get("offset") if isinstance(entry, dict) else None
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise CheckpointError(f"{path}: parameter {name!r} has bad shape {shape!r}")
+        if not (type(start) is int and start >= 0):
+            raise CheckpointError(f"{path}: parameter {name!r} has bad offset {start!r}")
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
         if start + 8 * count > len(payload):
             raise CheckpointError(f"{path}: truncated payload at {name!r}")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)

@@ -1,8 +1,10 @@
 """Flat key=value config files and run manifests.
 
 Config syntax: one ``key = value`` pair per line, ``#`` starts a
-comment, blank lines ignored. Keys are documented in the README and in
-``domaingate --help``.
+comment, blank lines ignored. The keys of a run config (``domaingate
+train --config`` and ``sweep-lambda --config``) are the fields of
+``RunConfig``, documented in its docstring; the keys of a generator spec
+(``gen-synth --spec``) are the fields of ``data.SynthSpec``.
 """
 
 from __future__ import annotations
@@ -62,7 +64,28 @@ def _convert(name, raw, typ):
 
 @dataclass
 class RunConfig:
-    """Everything a training run needs, resolvable to a manifest."""
+    """Everything a training run needs, resolvable to a manifest.
+
+    Keys (a comma-separated value gives a tuple):
+
+    - ``model``: one of ``MODEL_KINDS``; ``k``: channels, 0 for the
+      number of training domains (1 for scnn).
+    - ``lambda``: KL weight >= 0; ``lambda_schedule``: ``fixed`` or
+      ``linear-anneal`` from 0 over ``anneal_steps`` (``none``: an epoch).
+    - ``regime``: ``supervised`` keeps instances with label and domain,
+      ``semi-supervised`` keeps all, ``unsupervised`` drops domains.
+    - ``train_data``, ``eval_data``: JSONL corpora, read per ``mode``
+      (``word`` or ``byte``); the eval corpus splits 4:6 into dev and
+      test by ``split_seed``; ``min_count``: word vocabulary cut-off.
+    - ``lr`` > 0, ``batch_size`` >= 1, ``max_epochs``, ``patience``
+      (dev evaluations without gain), ``w_dom`` (dsda domain-prior
+      weight), ``dropout`` in [0, 1); ``seed`` drives every stream.
+    - ``embed_dim``, ``n_filters``, ``windows``, ``mlp_hidden``: encoder
+      and head sizes, each >= 1.
+    - ``infer_strategy``: one of ``STRATEGIES``, with ``infer_m`` >= 1
+      draws; ``lambda_grid``: the weights ``sweep-lambda`` trains;
+      ``out_dir``: output directory when ``--out`` is not given.
+    """
 
     model: str = "csda-dirichlet"
     k: int = 0                        # 0 = auto (number of training domains)
@@ -95,7 +118,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, kv: dict[str, str]) -> "RunConfig":
-        known = {f.name: f for f in fields(cls) if not f.name.startswith("_")}
+        known = {f.name for f in fields(cls)}
         values = {}
         for key, raw in kv.items():
             name = cls._KEY_ALIASES.get(key, key)
@@ -111,11 +134,7 @@ class RunConfig:
                 values[name] = None if raw.lower() in ("", "none") \
                     else _convert(key, raw, int)
             else:
-                typ = known[name].type
-                pytype = {"str": str, "int": int, "float": float}.get(typ, None)
-                if pytype is None:
-                    pytype = type(getattr(cls(), name))
-                values[name] = _convert(key, raw, pytype)
+                values[name] = _convert(key, raw, type(getattr(cls, name)))
         cfg = cls(**values)
         cfg.validate()
         return cfg
@@ -135,6 +154,13 @@ class RunConfig:
             raise ConfigError("infer_strategy", f"must be one of {STRATEGIES}")
         if self.lam < 0:
             raise ConfigError("lambda", "must be nonnegative")
+        if not self.lr > 0:
+            raise ConfigError("lr", "must be positive")
+        for name in ("batch_size", "infer_m", "embed_dim", "n_filters", "mlp_hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, "must be >= 1")
+        if any(w < 1 for w in self.windows):
+            raise ConfigError("windows", "every window must be >= 1")
         if self.k < 0:
             raise ConfigError("k", "must be >= 1, or 0 for auto")
         if self.model == "scnn" and self.k not in (0, 1):

@@ -7,10 +7,13 @@ lgamma/digamma primitives), and pathwise gradients through samples.
 Sampling uses the CDF as a standardization map: a sample z with noise
 record u satisfies F(z; theta) = u, so differentiating implicitly in the
 parameters gives dz/dtheta = -(dF/dtheta) / pdf(z). The Dirichlet is
-sampled as normalized Gammas (rate 1), so its gradients compose the
-Gamma pathwise partials with ordinary tape arithmetic (product and
-normalization nodes), i.e. the multi-variable chain rule is handled by
-backprop itself.
+sampled as normalized Gammas (rate 1), so backprop composes the Gamma
+pathwise partials with the normalization node.
+
+Each family has one elementwise log-density, used by the pathwise
+rule and by ``log_pdf_many`` alike; a draw on the edge of the support
+(a Beta draw at 0 or 1, a Gamma draw or Dirichlet entry at 0) raises
+``DegenerateSampleError`` there, naming the draw and its parameters.
 
 dF/dtheta has no elementary closed form for the Beta/Gamma shape
 parameters; it is computed by central finite differences on the CDF with
@@ -27,19 +30,12 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var, register_backward
-from .special import (
-    inv_reg_inc_beta,
-    inv_reg_inc_gamma,
-    lgamma,
-    reg_inc_beta,
-    reg_inc_gamma,
-)
+from .autodiff import Var, _lgamma_vec, register_backward
+from .special import inv_reg_inc_beta, inv_reg_inc_gamma, reg_inc_beta, reg_inc_gamma
 
 __all__ = [
     "BetaParams",
     "DirichletParams",
-    "GateSample",
     "DegenerateSampleError",
     "sample",
     "draw_many",
@@ -48,13 +44,13 @@ __all__ = [
     "kl_divergence",
 ]
 
-_PDF_FLOOR = 1e-300
+_LN_PDF_FLOOR = math.log(1e-300)
 _U_LO = 1e-15
 _U_HI = 1.0 - 1e-16
 
 
 class DegenerateSampleError(ArithmeticError):
-    """A sample landed where the density underflows; no usable gradient."""
+    """A draw on the edge of the support, or where the density underflows."""
 
 
 @dataclass
@@ -71,35 +67,13 @@ class BetaParams:
 
 @dataclass
 class DirichletParams:
-    """Dirichlet over the k-simplex, split into an overall concentration
-    scalar and a per-channel affinity vector in (0,1)."""
+    """Dirichlet over the k-simplex."""
 
-    alpha0: Var     # scalar ()
-    alpha_hat: Var  # (k,)
+    conc: Var  # (k,) concentration
 
     @property
     def k(self) -> int:
-        return self.alpha_hat.value.shape[0]
-
-    def concentration(self) -> Var:
-        return ad.mul(self.alpha0, self.alpha_hat)
-
-
-@dataclass
-class GateSample:
-    """A realized gate vector plus the noise that produced it."""
-
-    z: np.ndarray
-    family: str  # box (Beta) | simplex (Dirichlet)
-    eps: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.family == "box":
-            if np.any(self.z < 0.0) or np.any(self.z > 1.0):
-                raise ValueError("box gate entries must lie in [0, 1]")
-        elif self.family == "simplex":
-            if np.any(self.z < 0.0) or abs(self.z.sum() - 1.0) > 1e-10:
-                raise ValueError("simplex gate must be nonnegative and sum to 1")
+        return self.conc.value.shape[0]
 
 
 def _uniform(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
@@ -107,157 +81,145 @@ def _uniform(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
     return np.clip(rng.random((m, k)), _U_LO, _U_HI)
 
 
+# -- log-densities -----------------------------------------------------------
+
+def _check_support(edge: np.ndarray, what: str, z: np.ndarray, **params) -> None:
+    """Raise naming the first draw flagged in ``edge`` and its parameters
+    (broadcast along the last axis of z)."""
+    if edge.any():
+        i = tuple(np.argwhere(edge)[0])
+        named = ", ".join(f"{k}={float(np.broadcast_to(v, z.shape)[i])}"
+                          for k, v in params.items())
+        raise DegenerateSampleError(
+            f"{what} draw on the edge of the support: z={float(z[i])}, {named}")
+
+
+def _beta_log_density(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise Beta(a, b) log-density; a draw at 0 or 1 raises."""
+    _check_support((z <= 0.0) | (z >= 1.0), "beta", z, alpha=a, beta=b)
+    return ((a - 1.0) * np.log(z) + (b - 1.0) * np.log1p(-z)
+            + _lgamma_vec(a + b) - _lgamma_vec(a) - _lgamma_vec(b))
+
+
+def _gamma_log_density(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Elementwise Gamma(a, 1) log-density; a draw at 0 raises."""
+    _check_support(x <= 0.0, "gamma", x, concentration=a)
+    return (a - 1.0) * np.log(x) - x - _lgamma_vec(a)
+
+
 # -- pathwise partial derivatives ------------------------------------------
-
-def _fd_step(theta: float) -> float:
-    return 1e-4 * max(1.0, theta)
-
 
 def _cdf_param_fd(cdf, z: float, theta: float) -> float:
     """d/dtheta of a CDF at fixed z, by central (or forward) differences."""
-    h = _fd_step(theta)
+    h = 1e-4 * max(1.0, theta)
     if theta - h > 0.0:
         return (cdf(z, theta + h) - cdf(z, theta - h)) / (2.0 * h)
     return (cdf(z, theta + h) - cdf(z, theta)) / h
 
 
-def _beta_log_pdf_scalar(z: float, a: float, b: float) -> float:
-    return ((a - 1.0) * math.log(z) + (b - 1.0) * math.log1p(-z)
-            + lgamma(a + b) - lgamma(a) - lgamma(b))
-
-
-def _gamma_log_pdf_scalar(z: float, a: float) -> float:
-    return (a - 1.0) * math.log(z) - z - lgamma(a)
-
-
-_LN_PDF_FLOOR = math.log(_PDF_FLOOR)
-
-
-def _inv_pdf(ln_pdf: float, where: str) -> float:
-    # exp(-ln_pdf) never overflows once the floor is enforced, and
-    # cleanly underflows to 0 when the density is enormous (the sample
-    # then carries no usable parameter gradient).
-    if ln_pdf < _LN_PDF_FLOOR:
-        raise DegenerateSampleError(f"density underflow at {where}")
-    return math.exp(-ln_pdf)
-
-
-def _beta_partials(alpha: np.ndarray, beta: np.ndarray, z: np.ndarray):
-    dz_da = np.empty_like(z)
-    dz_db = np.empty_like(z)
+def _pathwise(cdf, z: np.ndarray, ln_pdf: np.ndarray, *thetas: np.ndarray):
+    """dz/dtheta = -(dF/dtheta) / pdf(z) for each parameter vector in
+    ``thetas``, where F(x, *theta) = ``cdf`` is a scalar CDF and
+    ``ln_pdf`` its log-density at the draws z."""
+    low = ln_pdf < _LN_PDF_FLOOR
+    if low.any():
+        i = int(np.argmax(low))
+        raise DegenerateSampleError(
+            f"density underflow at z={float(z[i])}, "
+            f"parameters {tuple(float(t[i]) for t in thetas)}")
+    dF = np.empty((len(thetas),) + z.shape)
     for i in range(z.shape[0]):
-        a, b, zi = float(alpha[i]), float(beta[i]), float(z[i])
-        if not 0.0 < zi < 1.0:  # the draw rounded onto an end of [0, 1]
-            raise DegenerateSampleError(
-                f"beta draw on the boundary: z={zi}, alpha={a}, beta={b}")
-        inv_pdf = _inv_pdf(_beta_log_pdf_scalar(zi, a, b),
-                           f"beta z={zi}, alpha={a}, beta={b}")
-        dFda = _cdf_param_fd(lambda x, t: reg_inc_beta(x, t, b), zi, a)
-        dFdb = _cdf_param_fd(lambda x, t: reg_inc_beta(x, a, t), zi, b)
-        dz_da[i] = -dFda * inv_pdf
-        dz_db[i] = -dFdb * inv_pdf
-    return dz_da, dz_db
-
-
-def _gamma_partials(shape: np.ndarray, g: np.ndarray) -> np.ndarray:
-    out = np.empty_like(g)
-    for i in range(g.shape[0]):
-        a, gi = float(shape[i]), float(g[i])
-        if gi <= 0.0:
-            # quantile underflowed to zero; the CDF is flat in the
-            # parameter there, so the pathwise gradient vanishes
-            out[i] = 0.0
-            continue
-        inv_pdf = _inv_pdf(_gamma_log_pdf_scalar(gi, a), f"gamma z={gi}, shape={a}")
-        dFda = _cdf_param_fd(lambda x, t: reg_inc_gamma(t, x), gi, a)
-        out[i] = -dFda * inv_pdf
-    return out
+        at = [float(t[i]) for t in thetas]
+        for p in range(len(thetas)):
+            dF[p, i] = _cdf_param_fd(
+                lambda x, t: cdf(x, *at[:p], t, *at[p + 1:]), float(z[i]), at[p])
+    # exp(-ln_pdf) never overflows above the floor, and underflows to 0
+    # when the density is enormous (the draw then carries no gradient).
+    return -dF * np.exp(-ln_pdf)
 
 
 @register_backward("beta_sample")
 def _beta_sample_bwd(node, grad, tape):
     alpha = tape.nodes[node.inputs[0]].value
     beta = tape.nodes[node.inputs[1]].value
-    dz_da, dz_db = _beta_partials(alpha, beta, node.value)
+    z = node.value
+    dz_da, dz_db = _pathwise(reg_inc_beta, z, _beta_log_density(z, alpha, beta),
+                             alpha, beta)
     return grad * dz_da, grad * dz_db
 
 
 @register_backward("gamma_sample")
 def _gamma_sample_bwd(node, grad, tape):
-    shape = tape.nodes[node.inputs[0]].value
-    return (grad * _gamma_partials(shape, node.value),)
+    conc = tape.nodes[node.inputs[0]].value
+    g = node.value
+    (dg_dc,) = _pathwise(lambda x, a: reg_inc_gamma(a, x), g,
+                         _gamma_log_density(g, conc), conc)
+    return (grad * dg_dc,)
 
 
 # -- sampling ----------------------------------------------------------------
 
-def _quantiles(params, u: np.ndarray, conc: Optional[np.ndarray] = None) -> np.ndarray:
+def _quantiles(params, u: np.ndarray) -> np.ndarray:
     """Invert the CDF at each entry of the noise rows u [m, k]: Beta gate
-    values, or, for a Dirichlet with concentration values ``conc``, the
-    Gamma draws whose rows normalize to its gates."""
+    values, or, for a Dirichlet, the Gamma draws whose rows normalize to
+    its gates."""
     out = np.empty(u.shape)
     if isinstance(params, BetaParams):
         a, b = params.alpha.value, params.beta.value
         for i, j in np.ndindex(u.shape):
             out[i, j] = inv_reg_inc_beta(u[i, j], a[j], b[j])
-    else:
+    elif isinstance(params, DirichletParams):
+        c = params.conc.value
         for i, j in np.ndindex(u.shape):
-            out[i, j] = inv_reg_inc_gamma(u[i, j], conc[j])
+            out[i, j] = inv_reg_inc_gamma(u[i, j], c[j])
+    else:
+        raise TypeError(f"cannot sample from {type(params).__name__}")
     return out
 
 
 def sample(params, rng: Optional[np.random.Generator],
-           eps: Optional[np.ndarray] = None) -> tuple[Var, GateSample]:
+           eps: Optional[np.ndarray] = None) -> Var:
     """Draw one gate vector; the returned Var carries pathwise gradients
-    back into the distribution parameters.
+    back into the distribution parameters. The noise u of the draw is the
+    ``aux`` of its sampling node (for a Dirichlet, the Gamma node that
+    the gate normalizes).
 
     Passing ``eps`` (uniform noise in (0,1)) replays a draw with frozen
     noise, which is what gradient checks against finite differences need.
     """
-    if not isinstance(params, (BetaParams, DirichletParams)):
-        raise TypeError(f"cannot sample from {type(params).__name__}")
     u = (_uniform(rng, 1, params.k) if eps is None
          else np.asarray(eps, dtype=np.float64)[None, :])
     if isinstance(params, BetaParams):
-        z = _quantiles(params, u)[0]
-        var = params.alpha._tape.record("beta_sample", z,
-                                        (params.alpha, params.beta), aux=u[0])
-        return var, GateSample(z, "box", eps=u[0])
-    conc = params.concentration()
-    g = _quantiles(params, u, conc.value)[0]
-    g_var = conc._tape.record("gamma_sample", g, (conc,), aux=u[0])
-    z_var = ad.div(g_var, ad.reduce_sum(g_var))
-    return z_var, GateSample(z_var.value.copy(), "simplex", eps=u[0])
+        return params.alpha._tape.record("beta_sample", _quantiles(params, u)[0],
+                                         (params.alpha, params.beta), aux=u[0])
+    conc = params.conc
+    g_var = conc._tape.record("gamma_sample", _quantiles(params, u)[0], (conc,),
+                              aux=u[0])
+    return ad.div(g_var, ad.reduce_sum(g_var))
 
 
 def draw_many(params, rng: np.random.Generator, m: int) -> np.ndarray:
     """m independent gate draws as a value-level [m, k] array (no tape
     nodes, no gradients); used by Monte Carlo prediction."""
+    draws = _quantiles(params, _uniform(rng, m, params.k))
     if isinstance(params, BetaParams):
-        return _quantiles(params, _uniform(rng, m, params.k))
-    if isinstance(params, DirichletParams):
-        c = params.concentration().value
-        g = _quantiles(params, _uniform(rng, m, params.k), c)
-        return g / g.sum(axis=1, keepdims=True)
-    raise TypeError(f"draw_many supports Beta/Dirichlet, got {type(params).__name__}")
+        return draws
+    return draws / draws.sum(axis=1, keepdims=True)
 
 
 # -- densities, means, divergences -------------------------------------------
 
-_lgamma_vec = np.vectorize(lgamma, otypes=[np.float64])
-
-
 def log_pdf_many(params, z: np.ndarray) -> np.ndarray:
-    """Vectorized log-density over rows of z (all rows must be in the
-    support); used by importance-sampled prediction."""
+    """Log-density of each row of z; used by importance-sampled
+    prediction. A row entry on the edge of the support raises
+    ``DegenerateSampleError``."""
     z = np.asarray(z, dtype=np.float64)
     if isinstance(params, BetaParams):
-        a, b = params.alpha.value, params.beta.value
-        norm = (_lgamma_vec(a + b) - _lgamma_vec(a) - _lgamma_vec(b)).sum()
-        return ((a - 1.0) * np.log(z) + (b - 1.0) * np.log1p(-z)).sum(axis=1) + norm
+        return _beta_log_density(z, params.alpha.value, params.beta.value).sum(axis=1)
     if isinstance(params, DirichletParams):
-        c = params.concentration().value
-        norm = lgamma(c.sum()) - _lgamma_vec(c).sum()
-        return ((c - 1.0) * np.log(z)).sum(axis=1) + norm
+        # log Dir(z | c) = lgamma(sum c) + sum_j (log Gamma(z_j | c_j, 1) + z_j)
+        c = params.conc.value
+        return (_gamma_log_density(z, c) + z).sum(axis=1) + _lgamma_vec(c.sum())
     raise TypeError(f"log_pdf_many supports Beta/Dirichlet, got {type(params).__name__}")
 
 
@@ -266,7 +228,7 @@ def mean(params) -> np.ndarray:
         a, b = params.alpha.value, params.beta.value
         return a / (a + b)
     if isinstance(params, DirichletParams):
-        c = params.concentration().value
+        c = params.conc.value
         return c / c.sum()
     raise TypeError(f"no mean for {type(params).__name__}")
 
@@ -277,9 +239,9 @@ def kl_divergence(q, p) -> Var:
         raise TypeError(
             f"KL requires matching families, got {type(q).__name__} "
             f"and {type(p).__name__}")
+    if q.k != p.k:
+        raise ValueError(f"KL dimension mismatch: {q.k} vs {p.k}")
     if isinstance(q, BetaParams):
-        if q.k != p.k:
-            raise ValueError(f"KL dimension mismatch: {q.k} vs {p.k}")
         a1, b1, a2, b2 = q.alpha, q.beta, p.alpha, p.beta
         s1 = a1 + b1
         s2 = a2 + b2
@@ -290,10 +252,7 @@ def kl_divergence(q, p) -> Var:
             + ((a2 - a1) + (b2 - b1)) * ad.digamma(s1)
         return ad.reduce_sum(term)
     if isinstance(q, DirichletParams):
-        if q.k != p.k:
-            raise ValueError(f"KL dimension mismatch: {q.k} vs {p.k}")
-        c1 = q.concentration()
-        c2 = p.concentration()
+        c1, c2 = q.conc, p.conc
         c1_sum = ad.reduce_sum(c1)
         front = ad.lgamma(c1_sum) - ad.reduce_sum(ad.lgamma(c1)) \
             - ad.lgamma(ad.reduce_sum(c2)) + ad.reduce_sum(ad.lgamma(c2))

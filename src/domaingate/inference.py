@@ -78,7 +78,7 @@ def predict(model: Model, ids, cfg: InferConfig, rng: np.random.Generator
             log.info("strategy %s is redundant for the discrete mixture; "
                      "marginalizing exactly", cfg.strategy)
         prior = model.prior_gate(binder, ids)
-        weights = np.exp(ad.log_softmax(prior.params.logits).value)
+        weights = np.exp(ad.log_softmax(prior).value)
         return _normalized(weights @ np.exp(classify_batch(binder, mcfg, h_mat).value))
 
     if mcfg.kind in ("scnn", "mcnn"):
@@ -88,10 +88,10 @@ def predict(model: Model, ids, cfg: InferConfig, rng: np.random.Generator
         if cfg.strategy == "importance-sampling":
             return _importance_sampling(model, binder, ids, h_mat, prior, cfg, rng)
         if cfg.strategy == "prior-mean":
-            z_rows = dist.mean(prior.params)[None, :]
+            z_rows = dist.mean(prior)[None, :]
         else:
             m = cfg.m if cfg.strategy == "mc-average" else 1
-            z_rows = dist.draw_many(prior.params, rng, m)
+            z_rows = dist.draw_many(prior, rng, m)
     logp = classify_batch(binder, mcfg, gate_channels(h_mat, binder.tape.const(z_rows)))
     return _normalized(np.exp(logp.value).mean(axis=0))
 
@@ -111,11 +111,11 @@ def _importance_sampling(model, binder, ids, h_mat, prior, cfg, rng):
     ess = np.empty(mcfg.n_labels)
     for y_cand in range(mcfg.n_labels):
         q = model.posterior_gate(binder, ids, y_cand, None)
-        z_rows = dist.draw_many(q.params, rng, cfg.m)
+        z_rows = dist.draw_many(q, rng, cfg.m)
         logp = classify_batch(binder, mcfg,
                               gate_channels(h_mat, binder.tape.const(z_rows)))
-        log_w = dist.log_pdf_many(prior.params, z_rows) + logp.value[:, y_cand] \
-            - dist.log_pdf_many(q.params, z_rows)
+        log_w = dist.log_pdf_many(prior, z_rows) + logp.value[:, y_cand] \
+            - dist.log_pdf_many(q, z_rows)
         top = log_w.max()
         w = np.exp(log_w - top)
         log_est[y_cand] = top + np.log(w.mean())

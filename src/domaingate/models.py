@@ -21,6 +21,13 @@ on a ``Tape``; prediction passes its gate draws as rows and never calls
   alone and, during training, a variational network that additionally
   conditions on the label and domain (with UNK sentinels); trained on a
   single-sample bound with a lambda-weighted closed-form KL
+
+The gate networks return the distribution parameters themselves: the
+dsda prior's logits ``Var``, or ``BetaParams``/``DirichletParams``. A
+Dirichlet head's concentration is the product node scale * affinity of
+an overall scale and per-channel affinities in (0,1), recorded once per
+head; backprop carries the Gamma pathwise partials of a draw through
+it, so the multi-variable chain rule is handled by the tape itself.
 """
 
 from __future__ import annotations
@@ -34,32 +41,18 @@ import numpy as np
 from . import autodiff as ad
 from . import distributions as dist
 from .autodiff import ParamBinder, Tape, Var
-from .distributions import BetaParams, DirichletParams, GateSample
+from .distributions import BetaParams, DirichletParams
 from .encoder import EncoderConfig, encode, init_encoder_params
 
-__all__ = [
-    "MODEL_KINDS", "ModelConfig", "Model", "CategoricalParams",
-    "GateDistribution", "gate_channels", "classify_batch",
-]
+__all__ = ["MODEL_KINDS", "ModelConfig", "Model", "gate_channels", "classify_batch"]
 
 MODEL_KINDS = ("scnn", "mcnn", "dsda", "csda-beta", "csda-dirichlet")
 
 UNK = None  # sentinel spelling for an unobserved label/domain id
 
-
-@dataclass
-class CategoricalParams:
-    logits: Var  # (k,)
-
-    @property
-    def k(self) -> int:
-        return self.logits.value.shape[0]
-
-
-@dataclass
-class GateDistribution:
-    family: str  # categorical | beta | dirichlet
-    params: object
+# Widths of the label and domain embeddings the variational network reads.
+LABEL_EMB_DIM = 4
+DOMAIN_EMB_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -71,8 +64,6 @@ class ModelConfig:
     k: int = 1
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     mlp_hidden: int = 300
-    label_emb_dim: int = 4
-    domain_emb_dim: int = 16
     dropout: float = 0.5
 
     def __post_init__(self):
@@ -101,9 +92,7 @@ class ModelConfig:
 class LossResult:
     tape: Tape
     loss: Var
-    loglik: float
     kl: Optional[float] = None
-    gate: Optional[GateSample] = None
 
 
 def _init_linear(rng, n_in, n_out, prefix, he=False):
@@ -112,6 +101,20 @@ def _init_linear(rng, n_in, n_out, prefix, he=False):
     else:
         w = rng.uniform(-0.05, 0.05, size=(n_in, n_out))
     return {f"{prefix}.w": w, f"{prefix}.b": np.zeros(n_out)}
+
+
+def _init_gate_heads(rng, family: str, n_in: int, k: int, group: str) -> dict:
+    """The output heads of a gate network: dsda logits, Beta alpha and
+    beta, or a Dirichlet's overall concentration and channel affinities."""
+    if family == "categorical":
+        return _init_linear(rng, n_in, k, f"{group}.logits")
+    if family == "beta":
+        heads = _init_linear(rng, n_in, k, f"{group}.alpha")
+        heads.update(_init_linear(rng, n_in, k, f"{group}.beta"))
+    else:
+        heads = _init_linear(rng, n_in, 1, f"{group}.conc")
+        heads.update(_init_linear(rng, n_in, k, f"{group}.base"))
+    return heads
 
 
 def _linear(binder, prefix, x: Var) -> Var:
@@ -157,28 +160,16 @@ class Model:
                               "theta.head.l2"))
         if config.is_latent:
             p.update(init_encoder_params(rng, config.vocab_size, enc, "phi.enc"))
-            if config.family == "categorical":
-                p.update(_init_linear(rng, enc.out_dim, config.k, "phi.logits"))
-            elif config.family == "beta":
-                p.update(_init_linear(rng, enc.out_dim, config.k, "phi.alpha"))
-                p.update(_init_linear(rng, enc.out_dim, config.k, "phi.beta"))
-            else:
-                p.update(_init_linear(rng, enc.out_dim, 1, "phi.conc"))
-                p.update(_init_linear(rng, enc.out_dim, config.k, "phi.base"))
+            p.update(_init_gate_heads(rng, config.family, enc.out_dim, config.k, "phi"))
         if config.is_variational:
             p.update(init_encoder_params(rng, config.vocab_size, enc, "sigma.enc"))
             # +1 rows hold the UNK sentinel embedding (last row).
             p["sigma.y_emb"] = rng.uniform(
-                -0.05, 0.05, size=(config.n_labels + 1, config.label_emb_dim))
+                -0.05, 0.05, size=(config.n_labels + 1, LABEL_EMB_DIM))
             p["sigma.d_emb"] = rng.uniform(
-                -0.05, 0.05, size=(config.n_domains + 1, config.domain_emb_dim))
-            q_in = enc.out_dim + config.label_emb_dim + config.domain_emb_dim
-            if config.family == "beta":
-                p.update(_init_linear(rng, q_in, config.k, "sigma.alpha"))
-                p.update(_init_linear(rng, q_in, config.k, "sigma.beta"))
-            else:
-                p.update(_init_linear(rng, q_in, 1, "sigma.conc"))
-                p.update(_init_linear(rng, q_in, config.k, "sigma.base"))
+                -0.05, 0.05, size=(config.n_domains + 1, DOMAIN_EMB_DIM))
+            q_in = enc.out_dim + LABEL_EMB_DIM + DOMAIN_EMB_DIM
+            p.update(_init_gate_heads(rng, config.family, q_in, config.k, "sigma"))
         return cls(config, p)
 
     def copy(self) -> "Model":
@@ -197,28 +188,28 @@ class Model:
                                 dropout_rng=dropout_rng, dropout_rate=cfg.dropout)
                          for i in range(cfg.k)])
 
-    def _continuous_heads(self, binder, feats: Var, group: str) -> GateDistribution:
-        cfg = self.config
-        if cfg.family == "beta":
+    def _continuous_heads(self, binder, feats: Var, group: str):
+        if self.config.family == "beta":
             alpha = ad.elu(_linear(binder, f"{group}.alpha", feats)) + 1.0
             beta = ad.elu(_linear(binder, f"{group}.beta", feats)) + 1.0
-            return GateDistribution("beta", BetaParams(alpha, beta))
-        conc = ad.exp(ad.gather(_linear(binder, f"{group}.conc", feats), 0))
-        base = ad.sigmoid(_linear(binder, f"{group}.base", feats))
-        return GateDistribution("dirichlet", DirichletParams(conc, base))
+            return BetaParams(alpha, beta)
+        scale = ad.exp(ad.gather(_linear(binder, f"{group}.conc", feats), 0))
+        affinity = ad.sigmoid(_linear(binder, f"{group}.base", feats))
+        return DirichletParams(ad.mul(scale, affinity))
 
-    def prior_gate(self, binder, ids) -> GateDistribution:
-        """p(z | x): encoder over x with family-specific positive heads."""
+    def prior_gate(self, binder, ids):
+        """p(z | x): encoder over x with family-specific heads. Returns the
+        dsda logits ``Var``, or the ``BetaParams``/``DirichletParams``."""
         cfg = self.config
         feats = encode(binder, "phi.enc", ids, cfg.encoder)
         if cfg.family == "categorical":
-            return GateDistribution("categorical",
-                                    CategoricalParams(_linear(binder, "phi.logits", feats)))
+            return _linear(binder, "phi.logits", feats)
         return self._continuous_heads(binder, feats, "phi")
 
     def posterior_gate(self, binder, ids, y_id: Optional[int],
-                       d_id: Optional[int]) -> GateDistribution:
-        """q(z | x, y, d) with UNK sentinels when y or d is unobserved."""
+                       d_id: Optional[int]):
+        """q(z | x, y, d) with UNK sentinels when y or d is unobserved;
+        returns its ``BetaParams``/``DirichletParams``."""
         cfg = self.config
         if y_id is not None and not 0 <= y_id < cfg.n_labels:
             raise ValueError(f"label id {y_id} outside inventory of {cfg.n_labels}")
@@ -254,29 +245,26 @@ class Model:
         if cfg.kind in ("scnn", "mcnn"):
             z = tape.const(np.full(cfg.k, 1.0 / cfg.k))
             logprobs = classify_batch(binder, cfg, gate_channels(h_mat, z))
-            loglik = ad.gather(logprobs, y_id)
-            return LossResult(tape, ad.neg(loglik), loglik.item())
+            return LossResult(tape, ad.neg(ad.gather(logprobs, y_id)))
 
         if cfg.kind == "dsda":
             if d_id is not None and d_id >= cfg.k:
                 raise ValueError(
                     f"observed domain {d_id} >= number of channels {cfg.k}")
-            prior = self.prior_gate(binder, ids)
-            log_prior = ad.log_softmax(prior.params.logits)
+            log_prior = ad.log_softmax(self.prior_gate(binder, ids))
             per_channel = ad.gather(classify_batch(binder, cfg, h_mat), y_id)
             joint = per_channel + log_prior
-            marginal = ad.logsumexp(joint)
-            loss = ad.neg(marginal)
+            loss = ad.neg(ad.logsumexp(joint))
             if d_id is not None:
                 loss = loss + w_dom * ad.neg(ad.gather(log_prior, d_id))
-            return LossResult(tape, loss, marginal.item())
+            return LossResult(tape, loss)
 
         # variational csda
         q = self.posterior_gate(binder, ids, y_id, d_id)
         p = self.prior_gate(binder, ids)
-        z_var, gate = dist.sample(q.params, rng, eps=eps)
+        z_var = dist.sample(q, rng, eps=eps)
         logprobs = classify_batch(binder, cfg, gate_channels(h_mat, z_var))
         loglik = ad.gather(logprobs, y_id)
-        kl = dist.kl_divergence(q.params, p.params)
+        kl = dist.kl_divergence(q, p)
         loss = ad.neg(loglik - lam * kl)
-        return LossResult(tape, loss, loglik.item(), kl=kl.item(), gate=gate)
+        return LossResult(tape, loss, kl=kl.item())

@@ -48,7 +48,7 @@ def collect(model: Model, instances: list[Instance],
             raise ValueError(
                 f"instance {inst.doc_id} lacks an observed label or domain")
         q = model.posterior_gate(model.binder(Tape()), inst.ids, inst.y_id, inst.d_id)
-        z = dist.draw_many(q.params, rng, 1)[0]
+        z = dist.draw_many(q, rng, 1)[0]
         records.append(ProbeRecord(z, inst.y_id, inst.d_id))
     return records
 
@@ -129,20 +129,22 @@ def export_representations(model: Model, instances: list[Instance],
                            kind: str, rng: Optional[np.random.Generator] = None
                            ) -> list[dict]:
     """One row per instance: the gated hidden vector (kind='h', using the
-    prior mean as gate) or a gate sample from the prior (kind='z'),
-    with the raw label/domain strings for plotting."""
+    prior mean as gate) or a gate sample from the prior drawn with ``rng``
+    (kind='z'), with the raw label/domain strings for plotting."""
     if kind not in ("h", "z"):
         raise ValueError(f"export kind must be 'h' or 'z', got {kind!r}")
+    if kind == "z" and rng is None:
+        raise ValueError("export kind 'z' draws gate samples and needs an rng")
     rows = []
     for inst in instances:
         tape = Tape()
         binder = model.binder(tape)
         if not model.config.is_variational:
             vec = np.full(model.config.k, 1.0 / model.config.k)
-        elif kind == "z" and rng is not None:
-            vec = dist.draw_many(model.prior_gate(binder, inst.ids).params, rng, 1)[0]
+        elif kind == "z":
+            vec = dist.draw_many(model.prior_gate(binder, inst.ids), rng, 1)[0]
         else:
-            vec = dist.mean(model.prior_gate(binder, inst.ids).params)
+            vec = dist.mean(model.prior_gate(binder, inst.ids))
         if kind == "h":
             h_mat = model.channel_encodings(binder, inst.ids, dropout_rng=None)
             vec = gate_channels(h_mat, tape.const(vec)).value

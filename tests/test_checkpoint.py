@@ -1,6 +1,7 @@
 """Checkpoint container: bitwise round trip and rejection of corrupt,
-truncated or non-finite files with ``CheckpointError``."""
+truncated, malformed or non-finite files with ``CheckpointError``."""
 
+import json
 import struct
 
 import numpy as np
@@ -69,4 +70,22 @@ def test_non_finite_payload_rejected_naming_parameter(tmp_path):
     path = tmp_path / "nan.bin"
     save_checkpoint(path, {**PARAMS, "b.vec": np.array([1.5, np.nan, 2.0])}, META)
     with pytest.raises(CheckpointError, match="'b.vec'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header, names", [
+    ([], "'params'"),
+    ({"meta": {}}, "'params'"),
+    ({"params": {}}, "'meta'"),
+    ({"params": {"w": {"shape": [2]}}, "meta": {}}, "'w' has bad offset None"),
+    ({"params": {"w": {"shape": [2], "offset": -8}}, "meta": {}}, "'w' has bad offset -8"),
+    ({"params": {"w": {"shape": [-1], "offset": 0}}, "meta": {}},
+     r"'w' has bad shape \[-1\]"),
+])
+def test_malformed_header_rejected_naming_field(tmp_path, header, names):
+    raw = json.dumps(header).encode("utf-8")
+    path = tmp_path / "crafted.bin"
+    path.write_bytes(b"DGCKPT" + bytes([1, 0]) + struct.pack("<I", len(raw)) + raw
+                     + np.arange(2.0).tobytes())
+    with pytest.raises(CheckpointError, match=names):
         load_checkpoint(path)

@@ -148,6 +148,14 @@ def test_tiny_run_through_every_command(tmp_path, capsys):
     ("batch_size = many", "batch_size"),
     ("seed = 1\nseed = 2", "seed"),
     ("windows = 3,x", "windows"),
+    ("windows = 3,0", "windows"),
+    ("lr = -1", "lr"),
+    ("lr = 0", "lr"),
+    ("batch_size = 0", "batch_size"),
+    ("infer_m = 0", "infer_m"),
+    ("embed_dim = 0", "embed_dim"),
+    ("n_filters = 0", "n_filters"),
+    ("mlp_hidden = 0", "mlp_hidden"),
 ])
 def test_train_bad_config_exits_nonzero_naming_field(tmp_path, capsys, lines, field):
     cfg = tmp_path / "run.cfg"

@@ -24,9 +24,10 @@ def beta_params(alpha, beta, tape=None):
 
 
 def dirichlet_params(a0, ahat, tape=None):
+    """Concentration a0 * ahat, built on the tape as the models build it."""
     tape = tape or Tape()
-    return dist.DirichletParams(tape.const(np.asarray(float(a0))),
-                                tape.const(np.atleast_1d(ahat)))
+    return dist.DirichletParams(ad.mul(tape.const(np.asarray(float(a0))),
+                                       tape.const(np.atleast_1d(ahat))))
 
 
 class TestSampling:
@@ -34,24 +35,22 @@ class TestSampling:
         rng = np.random.default_rng(0)
         p = dirichlet_params(2.0, [0.2, 0.5, 0.8])
         for _ in range(50):
-            _, s = dist.sample(p, rng)
-            assert s.family == "simplex"
-            assert abs(s.z.sum() - 1.0) <= 1e-10
-            assert np.all(s.z >= 0.0)
+            z = dist.sample(p, rng).value
+            assert abs(z.sum() - 1.0) <= 1e-10
+            assert np.all(z >= 0.0)
 
     def test_beta_uniform_case_returns_noise(self):
         p = beta_params([1.0], [1.0])
-        var, s = dist.sample(p, None, eps=np.array([0.73]))
+        var = dist.sample(p, None, eps=np.array([0.73]))
         assert var.value[0] == pytest.approx(0.73, abs=1e-12)
-        assert s.eps[0] == 0.73
+        assert var._tape.nodes[var._i].aux[0] == 0.73
 
     def test_beta_samples_in_box(self):
         rng = np.random.default_rng(1)
         p = beta_params([0.5, 2.0, 5.0], [5.0, 2.0, 0.5])
         for _ in range(50):
-            _, s = dist.sample(p, rng)
-            assert s.family == "box"
-            assert np.all((s.z >= 0.0) & (s.z <= 1.0))
+            z = dist.sample(p, rng).value
+            assert np.all((z >= 0.0) & (z <= 1.0))
 
     def test_beta_empirical_mean(self):
         rng = np.random.default_rng(2)
@@ -65,9 +64,9 @@ class TestSampling:
     def test_frozen_noise_reproduces(self):
         eps = np.array([0.3, 0.6])
         p1 = beta_params([2.0, 3.0], [1.5, 0.7])
-        v1, _ = dist.sample(p1, None, eps=eps)
+        v1 = dist.sample(p1, None, eps=eps)
         p2 = beta_params([2.0, 3.0], [1.5, 0.7])
-        v2, _ = dist.sample(p2, None, eps=eps)
+        v2 = dist.sample(p2, None, eps=eps)
         np.testing.assert_array_equal(v1.value, v2.value)
 
 
@@ -100,7 +99,7 @@ class TestLogPdf:
                                    rtol=1e-12)
         d = dirichlet_params(2.5, [0.4, 0.8, 0.9])
         zs = dist.draw_many(d, rng, 10)
-        want = [stats.dirichlet.logpdf(z, d.concentration().value) for z in zs]
+        want = [stats.dirichlet.logpdf(z, d.conc.value) for z in zs]
         np.testing.assert_allclose(dist.log_pdf_many(d, zs), want, rtol=1e-12)
 
 
@@ -159,7 +158,7 @@ class TestKL:
                                      tape)
                 p = dirichlet_params(rng.uniform(1.0, 4.0), rng.uniform(0.3, 0.9, 3),
                                      tape)
-                zs = rng.dirichlet(q.concentration().value, size=n)
+                zs = rng.dirichlet(q.conc.value, size=n)
                 zs = np.clip(zs, 1e-12, None)
                 zs /= zs.sum(axis=1, keepdims=True)
                 diffs = dist.log_pdf_many(q, zs) - dist.log_pdf_many(p, zs)
@@ -213,7 +212,7 @@ def _beta_sample_grads(a, b, u):
     t = Tape()
     av = t.param(np.array([a]), "a")
     bv = t.param(np.array([b]), "b")
-    z_var, _ = dist.sample(dist.BetaParams(av, bv), None, eps=np.array([u]))
+    z_var = dist.sample(dist.BetaParams(av, bv), None, eps=np.array([u]))
     grads = backprop(ad.reduce_sum(z_var))
     return grads["a"][0], grads["b"][0]
 
@@ -233,8 +232,11 @@ class TestImplicitGradients:
 
     def test_gamma_shape_gradient_at_two(self):
         u, a = 0.5, 2.0
-        g = np.array([sp.inv_reg_inc_gamma(u, a)])
-        got = dist._gamma_partials(np.array([a]), g)[0]
+        # the Gamma node of a Dirichlet draw, recorded alone
+        t = Tape()
+        g = t.record("gamma_sample", np.array([sp.inv_reg_inc_gamma(u, a)]),
+                     (t.param(np.array([a]), "a"),), aux=np.array([u]))
+        got = backprop(ad.reduce_sum(g))["a"][0]
         h = 1e-5
         fd = (sp.inv_reg_inc_gamma(u, a + h) - sp.inv_reg_inc_gamma(u, a - h)) / (2 * h)
         assert got == pytest.approx(fd, rel=1e-4)
@@ -273,9 +275,8 @@ class TestImplicitGradients:
                 fd_hat[:, i] = (z_of(a0, up, u) - z_of(a0, dn, u)) / (2 * hh)
             for j in range(3):
                 t = Tape()
-                params = dist.DirichletParams(t.param(np.asarray(a0), "a0"),
-                                              t.param(ahat, "ahat"))
-                z_var, _ = dist.sample(params, None, eps=u)
+                conc = ad.mul(t.param(np.asarray(a0), "a0"), t.param(ahat, "ahat"))
+                z_var = dist.sample(dist.DirichletParams(conc), None, eps=u)
                 grads = backprop(ad.gather(z_var, j))
                 assert grads["a0"] == pytest.approx(fd0[j], rel=1e-3, abs=1e-8)
                 np.testing.assert_allclose(grads["ahat"], fd_hat[j],
@@ -295,7 +296,7 @@ class TestImplicitGradients:
         t = Tape()
         a = t.param(np.array([1.8]), "a")
         b = t.param(np.array([2.2]), "b")
-        z_var, _ = dist.sample(dist.BetaParams(a, b), None, eps=eps)
+        z_var = dist.sample(dist.BetaParams(a, b), None, eps=eps)
         grads = backprop(ad.reduce_sum(z_var))
         da, db = _fd_beta_quantile(0.4, 1.8, 2.2)
         assert grads["a"][0] == pytest.approx(da, rel=1e-3)
@@ -308,8 +309,8 @@ class TestDegenerateDraws:
         t = Tape()
         params = dist.BetaParams(t.param(np.array([5.0]), "a"),
                                  t.param(np.array([0.02]), "b"))
-        z_var, gate = dist.sample(params, None, eps=[0.7])
-        assert gate.z[0] == 1.0
+        z_var = dist.sample(params, None, eps=[0.7])
+        assert z_var.value[0] == 1.0
         with pytest.raises(dist.DegenerateSampleError,
                            match=r"z=1\.0, alpha=5\.0, beta=0\.02"):
             backprop(ad.reduce_sum(z_var))
@@ -317,9 +318,30 @@ class TestDegenerateDraws:
     def test_dirichlet_at_a_subnormal_gamma_draw(self):
         # Concentration 0.0031 at u = 0.102 draws the Gamma 8.79e-321.
         t = Tape()
-        params = dist.DirichletParams(t.param(np.asarray(1.0), "a0"),
-                                      t.param(np.array([0.0031, 0.5]), "ahat"))
-        z_var, gate = dist.sample(params, None, eps=[0.102, 0.5])
-        assert 0.0 < gate.z[0] < 1e-300
+        conc = ad.mul(t.param(np.asarray(1.0), "a0"),
+                      t.param(np.array([0.0031, 0.5]), "ahat"))
+        z_var = dist.sample(dist.DirichletParams(conc), None, eps=[0.102, 0.5])
+        assert 0.0 < z_var.value[0] < 1e-300
         grads = backprop(ad.gather(z_var, 1))
         assert np.isfinite(grads["a0"]) and np.all(np.isfinite(grads["ahat"]))
+
+    def test_beta_draws_rounded_to_one_have_no_log_density(self):
+        # 12 of these 20 rows are exactly 1.0, where the log-density of q
+        # would be +inf and that of a Beta(2, 3) prior -inf.
+        q = beta_params([5.0], [0.02])
+        z = dist.draw_many(q, np.random.default_rng(0), 20)
+        assert np.count_nonzero(z == 1.0) == 12
+        for params, a, b in ((q, 5.0, 0.02), (beta_params([2.0], [3.0]), 2.0, 3.0)):
+            with pytest.raises(dist.DegenerateSampleError,
+                               match=rf"z=1\.0, alpha={a}, beta={b}"):
+                dist.log_pdf_many(params, z)
+
+    def test_dirichlet_entries_rounded_to_zero_have_no_log_density(self):
+        # The Gamma quantile 5e-324 over a row sum near 11.6 rounds to 0
+        # in 3 of these 20 rows.
+        p = dist.DirichletParams(Tape().const(np.array([0.001, 5.0])))
+        z = dist.draw_many(p, np.random.default_rng(0), 20)
+        assert np.count_nonzero(z == 0.0) == 3
+        with pytest.raises(dist.DegenerateSampleError,
+                           match=r"z=0\.0, concentration=0\.001"):
+            dist.log_pdf_many(p, z)

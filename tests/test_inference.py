@@ -1,12 +1,13 @@
 """Importance-sampled prediction: the log-space estimator against the
 linear-space average it replaces, the peaked-prior case where every
-linear-space weight underflows, and the effective sample size that
-flags an estimate carried by one draw."""
+linear-space weight underflows, the effective sample size that flags an
+estimate carried by one draw, and draws on the edge of the support."""
 
 import logging
 import warnings
 
 import numpy as np
+import pytest
 
 from domaingate import distributions as dist
 from domaingate.autodiff import Tape
@@ -28,6 +29,18 @@ def dirichlet_model(conc_bias=None):
     return model
 
 
+def beta_model_with_edge_posterior():
+    """A csda-beta model whose q head gives about Beta(5, 0.02), where most
+    draws round to exactly 1.0."""
+    cfg = ModelConfig(kind="csda-beta", n_labels=2, n_domains=2, vocab_size=20,
+                      k=2, encoder=EncoderConfig(8, 4, (2, 3)), mlp_hidden=6,
+                      dropout=0.0)
+    model = Model.init(cfg, np.random.default_rng(0))
+    model.params["sigma.alpha.b"][:] = 4.0            # elu(4) + 1 = 5
+    model.params["sigma.beta.b"][:] = np.log(0.02)    # elu(ln 0.02) + 1 = 0.02
+    return model
+
+
 def linear_space_estimates(model, m, seed):
     """Mean of exp(log w) per label, replaying the draws of ``predict``."""
     rng = np.random.default_rng(seed)
@@ -38,13 +51,13 @@ def linear_space_estimates(model, m, seed):
     out = []
     for y in range(model.config.n_labels):
         q = model.posterior_gate(binder, IDS, y, None)
-        z = dist.draw_many(q.params, rng, m)
+        z = dist.draw_many(q, rng, m)
         loglik = np.array([
             classify_batch(binder, model.config,
                            gate_channels(h_mat, tape.const(row))).value[y]
             for row in z])
-        log_w = dist.log_pdf_many(prior.params, z) + loglik \
-            - dist.log_pdf_many(q.params, z)
+        log_w = dist.log_pdf_many(prior, z) + loglik \
+            - dist.log_pdf_many(q, z)
         out.append(np.exp(log_w).mean())
     return np.array(out)
 
@@ -87,3 +100,12 @@ def test_effective_sample_size_flags_a_dominated_estimate(caplog):
     assert "doc-peaked" in warning.getMessage()
     [mean] = predict_batch(dirichlet_model(), insts, InferConfig("prior-mean"))
     assert mean.ess is None
+
+
+def test_draws_on_the_edge_of_the_support_raise():
+    # Rather than weigh the draws rounded to z = 1 with log-weight -inf
+    # (or NaN), importance sampling names the draw and its parameters.
+    model = beta_model_with_edge_posterior()
+    with pytest.raises(dist.DegenerateSampleError, match=r"z=1\.0, alpha=.*, beta="):
+        predict(model, IDS, InferConfig("importance-sampling", 20),
+                np.random.default_rng(0))
