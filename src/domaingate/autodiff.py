@@ -6,8 +6,13 @@ tape once in reverse and returns a gradient for every named parameter
 leaf. Tapes are cheap, single-use, and never shared across threads.
 
 The gradient of a table that reaches the loss only through ``embedding``
-is a ``RowGrad``: the rows the instance looked up and their values, so
-its cost follows the text length, not the vocabulary size.
+is a ``RowGrad``: the rows the batch looked up and their values, so its
+cost follows the text length, not the vocabulary size.
+
+A tape holds a whole mini-batch: the primitives work on rows [B,...]
+(numpy broadcasting, reductions and gathers along an axis, stacked
+matrix products), and the encoder's ``conv_pool`` convolves a ragged
+batch of token rows and max-pools each instance over its own windows.
 
 Extension primitives (e.g. distribution sampling nodes) register a
 backward rule with ``register_backward`` and append their own node with
@@ -30,7 +35,6 @@ __all__ = [
     "RowGrad",
     "ShapeError",
     "NonFiniteError",
-    "accumulate",
     "backprop",
     "register_backward",
 ]
@@ -98,7 +102,7 @@ class RowGrad:
     ``ids`` holds the sorted unique row ids and ``values`` their rows
     [U,E]. Values are built by adding onto +0, so they are never -0 and
     adding the zeros of the absent rows changes nothing: ``__add__`` and
-    ``accumulate`` give the dense sums bitwise.
+    ``_accumulate`` give the dense sums bitwise.
     """
 
     ids: np.ndarray
@@ -128,12 +132,8 @@ class RowGrad:
         values[np.searchsorted(ids, other.ids)] += other.values
         return RowGrad(ids, values, self.rows)
 
-    def __imul__(self, scale: float) -> "RowGrad":
-        self.values *= scale
-        return self
 
-
-def accumulate(acc, g):
+def _accumulate(acc, g):
     """``acc + g`` for two gradients of one parameter, reusing ``acc``'s
     storage when it is a dense array. Two row gradients stay a row
     gradient; a row gradient meeting a dense one becomes dense."""
@@ -216,20 +216,22 @@ def register_backward(kind: str):
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # The binary ops broadcast a scalar, or a vector along the other
-    # operand's last axis (a bias added to rows).
+    # Sum the gradient of a broadcast operand back to its own shape.
     if grad.shape == shape:
         return grad
-    if shape == ():
-        return np.asarray(grad.sum())
-    return grad.sum(axis=tuple(range(grad.ndim - 1)))
+    lead = grad.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape) if n == 1 and grad.shape[lead + i] != 1)
+    return grad.sum(axis=axes).reshape(shape)
 
 
 def _check_binary(kind: str, a: Var, b: Var):
-    sa, sb = a.shape, b.shape
-    # Equal shapes, a scalar, or a vector matching the other's last axis.
-    if not (sa == sb or () in (sa, sb) or sa[-1:] == sb or sb[-1:] == sa):
-        raise ShapeError(f"{kind}: incompatible shapes {sa} and {sb}")
+    # numpy broadcasting: a scalar, a vector along the rows' last axis, or
+    # rows [B,1] against [B,k].
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ShapeError(f"{kind}: incompatible shapes {a.shape} and {b.shape}") from None
 
 
 # -- elementwise binary ----------------------------------------------------
@@ -366,21 +368,21 @@ def _digamma_bwd(node, grad, tape):
     return (grad * _trigamma_vec(tape.nodes[node.inputs[0]].value),)
 
 
-# -- reductions and vector ops ----------------------------------------------
+# -- reductions and shape ops -------------------------------------------------
 
-def reduce_sum(a: Var) -> Var:
-    return a._tape.record("reduce_sum", np.asarray(a.value.sum()), (a,))
+def reduce_sum(a: Var, axis: Optional[int] = None, keepdims: bool = False) -> Var:
+    """Sum of all entries, or along one axis."""
+    out = np.asarray(a.value.sum(axis=axis, keepdims=keepdims))
+    return a._tape.record("reduce_sum", out, (a,), aux=(axis, keepdims))
 
 
 @register_backward("reduce_sum")
 def _reduce_sum_bwd(node, grad, tape):
     x = tape.nodes[node.inputs[0]].value
+    axis, keepdims = node.aux
+    if axis is not None and not keepdims:
+        grad = np.expand_dims(grad, axis)
     return (np.broadcast_to(grad, x.shape).copy(),)
-
-
-def _softmax_values(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max())
-    return e / e.sum()
 
 
 def log_softmax(a: Var) -> Var:
@@ -399,78 +401,93 @@ def _log_softmax_bwd(node, grad, tape):
 
 
 def logsumexp(a: Var) -> Var:
-    if a.value.ndim != 1:
-        raise ShapeError(f"logsumexp expects a vector, got shape {a.shape}")
+    """Log-sum-exp over the last axis: of a vector, or of each row."""
+    if a.value.ndim == 0:
+        raise ShapeError("logsumexp expects a vector or rows, got a scalar")
     x = a.value
-    m = x.max()
-    out = np.asarray(m + np.log(np.exp(x - m).sum()))
+    m = x.max(axis=-1, keepdims=True)
+    out = (m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True)))[..., 0]
     return a._tape.record("logsumexp", out, (a,))
 
 
 @register_backward("logsumexp")
 def _logsumexp_bwd(node, grad, tape):
     x = tape.nodes[node.inputs[0]].value
-    return (float(grad) * _softmax_values(x),)
+    return (grad[..., None] * np.exp(x - node.value[..., None]),)
 
 
-def gather(a: Var, index: int) -> Var:
-    """Entry ``index`` of the last axis: of a vector, or of each row."""
+def gather(a: Var, index) -> Var:
+    """Entry ``index`` of the last axis: of a vector, or of each row. An
+    integer array of shape ``a.shape[:-1]`` picks one entry per row."""
     if a.value.ndim == 0:
         raise ShapeError("gather expects a vector or rows, got a scalar")
-    if not 0 <= index < a.value.shape[-1]:
+    index = np.asarray(index, dtype=np.intp)
+    if index.shape not in ((), a.shape[:-1]):
+        raise ShapeError(f"gather index shape {index.shape} does not match {a.shape}")
+    if index.size and not (0 <= index.min() and index.max() < a.shape[-1]):
         raise ShapeError(f"gather index {index} out of range for shape {a.shape}")
-    return a._tape.record("gather", np.asarray(a.value[..., index]), (a,), aux=index)
+    out = np.take_along_axis(a.value, np.broadcast_to(index, a.shape[:-1])[..., None],
+                             axis=-1)[..., 0]
+    return a._tape.record("gather", out, (a,), aux=index)
 
 
 @register_backward("gather")
 def _gather_bwd(node, grad, tape):
     x = tape.nodes[node.inputs[0]].value
     out = np.zeros_like(x)
-    out[..., node.aux] = grad
+    np.put_along_axis(out, np.broadcast_to(node.aux, x.shape[:-1])[..., None],
+                      grad[..., None], axis=-1)
     return (out,)
 
 
-def take_row(a: Var, index: int) -> Var:
-    """Select one row of a 2-d tensor as a vector."""
-    if a.value.ndim != 2:
-        raise ShapeError(f"take_row expects a matrix, got shape {a.shape}")
-    if not 0 <= index < a.value.shape[0]:
-        raise ShapeError(f"take_row index {index} out of range for {a.shape}")
-    return a._tape.record("take_row", a.value[index].copy(), (a,), aux=index)
+def take_rows(a: Var, index) -> Var:
+    """``a[index]`` along the first axis: one row for an integer, the
+    stacked rows for an integer array (rows may repeat)."""
+    if a.value.ndim == 0:
+        raise ShapeError("take_rows expects rows, got a scalar")
+    index = np.asarray(index, dtype=np.intp)
+    if index.size and not (0 <= index.min() and index.max() < a.shape[0]):
+        raise ShapeError(f"take_rows index out of range for {a.shape}")
+    return a._tape.record("take_rows", a.value[index], (a,), aux=index)
 
 
-@register_backward("take_row")
-def _take_row_bwd(node, grad, tape):
-    x = tape.nodes[node.inputs[0]].value
-    out = np.zeros_like(x)
-    out[node.aux] = grad
+@register_backward("take_rows")
+def _take_rows_bwd(node, grad, tape):
+    out = np.zeros_like(tape.nodes[node.inputs[0]].value)
+    np.add.at(out, node.aux, grad)
     return (out,)
+
+
+def reshape(a: Var, shape: tuple[int, ...]) -> Var:
+    return a._tape.record("reshape", a.value.reshape(shape), (a,))
+
+
+@register_backward("reshape")
+def _reshape_bwd(node, grad, tape):
+    return (grad.reshape(tape.nodes[node.inputs[0]].value.shape),)
 
 
 def concat(parts: list[Var]) -> Var:
+    """Concatenate along the last axis: vectors, or rows with one leading shape."""
     if not parts:
         raise ShapeError("concat of zero parts")
     tape = parts[0]._tape
+    lead = parts[0].shape[:-1]
     for p in parts:
-        if p.value.ndim != 1:
-            raise ShapeError(f"concat expects vectors, got shape {p.shape}")
-    sizes = [p.value.shape[0] for p in parts]
-    out = np.concatenate([p.value for p in parts])
+        if p.value.ndim == 0 or p.shape[:-1] != lead:
+            raise ShapeError(f"concat expects one leading shape {lead}, got {p.shape}")
+    sizes = [p.value.shape[-1] for p in parts]
+    out = np.concatenate([p.value for p in parts], axis=-1)
     return tape.record("concat", out, tuple(parts), aux=sizes)
 
 
 @register_backward("concat")
 def _concat_bwd(node, grad, tape):
-    grads = []
-    offset = 0
-    for size in node.aux:
-        grads.append(grad[offset:offset + size])
-        offset += size
-    return tuple(grads)
+    return tuple(np.split(grad, np.cumsum(node.aux)[:-1], axis=-1))
 
 
-def stack(parts: list[Var]) -> Var:
-    """Stack same-shape tensors along a new leading axis."""
+def stack(parts: list[Var], axis: int = 0) -> Var:
+    """Stack same-shape tensors along a new axis."""
     if not parts:
         raise ShapeError("stack of zero parts")
     tape = parts[0]._tape
@@ -478,20 +495,25 @@ def stack(parts: list[Var]) -> Var:
     for p in parts:
         if p.shape != shape0:
             raise ShapeError(f"stack shape mismatch: {p.shape} vs {shape0}")
-    out = np.stack([p.value for p in parts])
-    return tape.record("stack", out, tuple(parts))
+    out = np.stack([p.value for p in parts], axis=axis)
+    return tape.record("stack", out, tuple(parts), aux=axis)
 
 
 @register_backward("stack")
 def _stack_bwd(node, grad, tape):
-    return tuple(grad[i] for i in range(grad.shape[0]))
+    return tuple(np.moveaxis(grad, node.aux, 0))
 
 
 def matmul(a: Var, b: Var) -> Var:
+    """Matrix product: 1-d/2-d operands; rows of any leading shape
+    [...,n] @ [n,m]; or a stack of matrices [B,r,n] @ [B,n,m]."""
     av, bv = a.value, b.value
-    if av.ndim == 0 or bv.ndim == 0 or av.ndim > 2 or bv.ndim > 2:
-        raise ShapeError(f"matmul expects 1-d/2-d operands, got {av.shape} @ {bv.shape}")
-    if av.shape[-1] != bv.shape[0]:
+    ok = (1 <= bv.ndim <= 2 and av.ndim >= 1 and (av.ndim <= 2 or bv.ndim == 2)) \
+        or (av.ndim == bv.ndim == 3 and av.shape[0] == bv.shape[0])
+    if not ok:
+        raise ShapeError(f"matmul expects 1-d/2-d operands, rows @ a matrix or "
+                         f"stacked matrices, got {av.shape} @ {bv.shape}")
+    if av.shape[-1] != bv.shape[-2 if bv.ndim > 1 else 0]:
         raise ShapeError(f"matmul inner dimensions differ: {av.shape} @ {bv.shape}")
     return a._tape.record("matmul", np.matmul(av, bv), (a, b))
 
@@ -500,6 +522,11 @@ def matmul(a: Var, b: Var) -> Var:
 def _matmul_bwd(node, grad, tape):
     av = tape.nodes[node.inputs[0]].value
     bv = tape.nodes[node.inputs[1]].value
+    if bv.ndim == 3:
+        return grad @ bv.swapaxes(1, 2), av.swapaxes(1, 2) @ grad
+    if av.ndim > 2:
+        rows = av.reshape(-1, av.shape[-1])
+        return grad @ bv.T, rows.T @ grad.reshape(-1, grad.shape[-1])
     if av.ndim == 2 and bv.ndim == 2:
         return grad @ bv.T, av.T @ grad
     if av.ndim == 2 and bv.ndim == 1:
@@ -532,55 +559,77 @@ def _embedding_bwd(node, grad, tape):
     return (RowGrad(ids, values, tape.nodes[node.inputs[0]].value.shape[0]),)
 
 
-def conv1d(x: Var, w: Var, b: Var) -> Var:
-    """Valid 1-d convolution over time: [T,E] x [win,E,F] + [F] -> [T-win+1,F]."""
+def _blocks(starts: np.ndarray):
+    """(first, last + 1) instance ranges of about ``kernels.BLOCK_ROWS``
+    rows each; a longer instance is a block of its own."""
+    first = 0
+    for j in range(1, starts.size):
+        if j == starts.size - 1 or starts[j + 1] - starts[first] > kernels.BLOCK_ROWS:
+            yield first, j
+            first = j
+
+
+def conv_pool(x: Var, w: Var, b: Var, starts: np.ndarray) -> Var:
+    """relu(max over each instance's windows of the valid convolution of
+    x [N,E] with w [win,E,F] plus b [F]) -> [B,F].
+
+    Instance j owns rows ``starts[j]:starts[j+1]`` of x. A window that
+    starts in one instance and ends in the next is never pooled. Ties
+    take the lowest window; relu after the max equals the max after relu
+    exactly. Only the argmax windows and the relu mask are kept for the
+    backward pass."""
     xv, wv, bv = x.value, w.value, b.value
     if xv.ndim != 2 or wv.ndim != 3 or bv.ndim != 1:
         raise ShapeError(
-            f"conv1d expects x:[T,E], w:[win,E,F], b:[F]; got {xv.shape}, "
+            f"conv_pool expects x:[N,E], w:[win,E,F], b:[F]; got {xv.shape}, "
             f"{wv.shape}, {bv.shape}")
     if wv.shape[1] != xv.shape[1] or wv.shape[2] != bv.shape[0]:
         raise ShapeError(
-            f"conv1d dimension mismatch: x {xv.shape}, w {wv.shape}, b {bv.shape}")
-    if xv.shape[0] < wv.shape[0]:
+            f"conv_pool dimension mismatch: x {xv.shape}, w {wv.shape}, b {bv.shape}")
+    starts = np.asarray(starts, dtype=np.intp)
+    win = wv.shape[0]
+    lengths = np.diff(starts)
+    if starts[0] != 0 or starts[-1] != xv.shape[0] or lengths.size == 0:
+        raise ShapeError(f"conv_pool starts {starts} do not cover {xv.shape[0]} rows")
+    if lengths.min() < win:
         raise ShapeError(
-            f"conv1d input length {xv.shape[0]} shorter than window {wv.shape[0]}")
-    out = kernels.conv1d_forward(np.ascontiguousarray(xv),
-                                 np.ascontiguousarray(wv),
-                                 np.ascontiguousarray(bv))
-    return x._tape.record("conv1d", out, (x, w, b))
+            f"conv_pool input length {lengths.min()} shorter than window {win}")
+    xv, wv = np.ascontiguousarray(xv), np.ascontiguousarray(wv)
+    peak = np.empty((lengths.size, wv.shape[2]))
+    idx = np.empty(peak.shape, dtype=np.intp)
+    for j0, j1 in _blocks(starts):
+        r0 = starts[j0]
+        out = kernels.conv1d_forward(xv[r0:starts[j1]], wv, bv)
+        lo = starts[j0:j1] - r0
+        peak[j0:j1], idx[j0:j1] = kernels.maxpool_forward(out, lo, lo + lengths[j0:j1] - win + 1)
+        idx[j0:j1] += r0
+    # The relu would hide a non-finite maximum, so check it first.
+    if not np.all(np.isfinite(peak)):
+        raise NonFiniteError("primitive 'conv_pool' produced non-finite values")
+    live = peak > 0.0
+    return x._tape.record("conv_pool", np.where(live, peak, 0.0), (x, w, b),
+                          aux=(idx, live))
 
 
-@register_backward("conv1d")
-def _conv1d_bwd(node, grad, tape):
+@register_backward("conv_pool")
+def _conv_pool_bwd(node, grad, tape):
     xv = tape.nodes[node.inputs[0]].value
     wv = tape.nodes[node.inputs[1]].value
-    dx, dw, db = kernels.conv1d_backward(np.ascontiguousarray(xv),
-                                         np.ascontiguousarray(wv),
-                                         np.ascontiguousarray(grad))
-    return dx, dw, db
+    idx, live = node.aux
+    u, s = kernels.maxpool_backward(grad, idx, live)
+    return kernels.conv1d_backward(np.ascontiguousarray(xv), np.ascontiguousarray(wv),
+                                   u, s)
 
 
-def maxpool_time(x: Var) -> Var:
-    """Max over the time axis: [T,F] -> [F]; ties take the lowest index."""
-    if x.value.ndim != 2:
-        raise ShapeError(f"maxpool_time expects [T,F], got {x.shape}")
-    out, idx = kernels.maxpool_forward(np.ascontiguousarray(x.value))
-    return x._tape.record("maxpool_time", out, (x,),
-                          aux=(idx, x.value.shape[0]))
-
-
-@register_backward("maxpool_time")
-def _maxpool_bwd(node, grad, tape):
-    idx, t_len = node.aux
-    return (kernels.maxpool_backward(np.ascontiguousarray(grad), idx, t_len),)
-
-
-def dropout(x: Var, rate: float, rng: np.random.Generator) -> Var:
-    """Inverted dropout; the scaled mask is recorded for the backward pass."""
+def dropout(x: Var, rate: float, u: np.ndarray) -> Var:
+    """Inverted dropout from uniform noise u of x's shape: an entry is
+    kept where u >= rate. The scaled mask is recorded for the backward
+    pass."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    mask = (rng.random(x.value.shape) >= rate) / (1.0 - rate)
+    if u.shape != x.shape:
+        raise ShapeError(f"dropout noise shape {u.shape} does not match {x.shape}")
+    mask = (u >= rate) / (1.0 - rate)
     return x._tape.record("dropout", x.value * mask, (x,), aux=mask)
 
 
@@ -620,15 +669,15 @@ def backprop(loss: Var) -> dict[str, np.ndarray | RowGrad]:
             if ig is None:
                 continue
             if grads[j] is None:
-                # A private copy, so that ``accumulate`` may add in place.
+                # A private copy, so that ``_accumulate`` may add in place.
                 grads[j] = ig if isinstance(ig, RowGrad) else np.array(ig, dtype=np.float64)
             else:
-                grads[j] = accumulate(grads[j], ig)
+                grads[j] = _accumulate(grads[j], ig)
     out: dict = {}
     for i, node in enumerate(tape.nodes):
         if node.kind == "param":
             g = grads[i] if grads[i] is not None else np.zeros_like(node.value)
-            out[node.name] = accumulate(out[node.name], g) if node.name in out else g
+            out[node.name] = _accumulate(out[node.name], g) if node.name in out else g
     return out
 
 

@@ -185,8 +185,10 @@ def cmd_eval(args) -> None:
     run_dir = Path(args.run_dir)
     model, meta, cfg = _load_run(run_dir)
     insts = _load_instances(run_dir, meta, cfg, args.data, args.split)
+    if args.m is not None and args.m < 1:
+        raise ConfigError("m", f"sample count must be >= 1, got {args.m}")
     infer_cfg = InferConfig(args.strategy or cfg.infer_strategy,
-                            args.m or cfg.infer_m, cfg.seed)
+                            cfg.infer_m if args.m is None else args.m, cfg.seed)
     result = evaluate(model, insts, infer_cfg)
     out_dir = Path(args.out or run_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -222,6 +224,8 @@ def cmd_sweep_lambda(args) -> None:
 
 
 def cmd_probe(args) -> None:
+    if args.runs < 1:
+        raise ConfigError("runs", f"must be >= 1, got {args.runs}")
     run_dir = Path(args.run_dir)
     model, meta, cfg = _load_run(run_dir)
     insts = _load_instances(run_dir, meta, cfg, args.data, "all")

@@ -10,10 +10,18 @@ parameters gives dz/dtheta = -(dF/dtheta) / pdf(z). The Dirichlet is
 sampled as normalized Gammas (rate 1), so backprop composes the Gamma
 pathwise partials with the normalization node.
 
+Parameters come as one vector [k] or as rows [B,k], one per instance of
+a mini-batch; ``sample`` draws one gate per row, and ``draw_many`` m per
+row, each row from its own generator in prediction.
+
 Each family has one elementwise log-density, used by the pathwise
 rule and by ``log_pdf_many`` alike; a draw on the edge of the support
 (a Beta draw at 0 or 1, a Gamma draw or Dirichlet entry at 0) raises
 ``DegenerateSampleError`` there, naming the draw and its parameters.
+Whether a draw has a pathwise gradient depends only on the draw and its
+parameters, so ``sample`` flags such rows when it draws them, and a
+loss leaves them out; the pathwise rule then skips every row whose
+gradient is zero.
 
 dF/dtheta has no elementary closed form for the Beta/Gamma shape
 parameters; it is computed by central finite differences on the CDF with
@@ -50,61 +58,100 @@ _U_HI = 1.0 - 1e-16
 
 
 class DegenerateSampleError(ArithmeticError):
-    """A draw on the edge of the support, or where the density underflows."""
+    """A draw on the edge of the support, or where the density underflows.
+    ``index`` is the position of the first such draw in the array that
+    was checked, when known."""
+
+    def __init__(self, message: str, index: Optional[tuple] = None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass
 class BetaParams:
-    """Factorized Beta over a k-dimensional hyper-cube gate."""
+    """Factorized Beta over a k-dimensional hyper-cube gate: one parameter
+    vector [k], or one per row [..., k]."""
 
-    alpha: Var  # (k,)
-    beta: Var   # (k,)
+    alpha: Var
+    beta: Var
 
     @property
     def k(self) -> int:
-        return self.alpha.value.shape[0]
+        return self.alpha.value.shape[-1]
 
 
 @dataclass
 class DirichletParams:
-    """Dirichlet over the k-simplex."""
+    """Dirichlet over the k-simplex: one concentration vector [k], or one
+    per row [..., k]."""
 
-    conc: Var  # (k,) concentration
+    conc: Var
 
     @property
     def k(self) -> int:
-        return self.conc.value.shape[0]
+        return self.conc.value.shape[-1]
 
 
-def _uniform(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
+def _values(params) -> tuple[np.ndarray, ...]:
+    if isinstance(params, BetaParams):
+        return params.alpha.value, params.beta.value
+    if isinstance(params, DirichletParams):
+        return (params.conc.value,)
+    raise TypeError(f"cannot sample from {type(params).__name__}")
+
+
+def _along(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Parameters [..., k] broadcast to draws z of the same shape, or to m
+    draws per parameter vector [..., m, k]."""
+    if theta.ndim < z.ndim:
+        theta = np.expand_dims(theta, -2)
+    return np.broadcast_to(theta, z.shape)
+
+
+def _uniform(rng: np.random.Generator, *shape: int) -> np.ndarray:
     # Clip away from {0, 1} so quantiles stay finite.
-    return np.clip(rng.random((m, k)), _U_LO, _U_HI)
+    return np.clip(rng.random(shape), _U_LO, _U_HI)
 
 
 # -- log-densities -----------------------------------------------------------
 
 def _check_support(edge: np.ndarray, what: str, z: np.ndarray, **params) -> None:
     """Raise naming the first draw flagged in ``edge`` and its parameters
-    (broadcast along the last axis of z)."""
+    (of z's shape)."""
     if edge.any():
-        i = tuple(np.argwhere(edge)[0])
-        named = ", ".join(f"{k}={float(np.broadcast_to(v, z.shape)[i])}"
-                          for k, v in params.items())
+        i = tuple(int(j) for j in np.argwhere(edge)[0])
+        named = ", ".join(f"{k}={float(v[i])}" for k, v in params.items())
         raise DegenerateSampleError(
-            f"{what} draw on the edge of the support: z={float(z[i])}, {named}")
+            f"{what} draw on the edge of the support: z={float(z[i])}, {named}", i)
+
+
+def _beta_edge(z: np.ndarray) -> np.ndarray:
+    return (z <= 0.0) | (z >= 1.0)
+
+
+def _gamma_edge(x: np.ndarray) -> np.ndarray:
+    return x <= 0.0
 
 
 def _beta_log_density(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise Beta(a, b) log-density; a draw at 0 or 1 raises."""
-    _check_support((z <= 0.0) | (z >= 1.0), "beta", z, alpha=a, beta=b)
+    _check_support(_beta_edge(z), "beta", z, alpha=a, beta=b)
     return ((a - 1.0) * np.log(z) + (b - 1.0) * np.log1p(-z)
             + _lgamma_vec(a + b) - _lgamma_vec(a) - _lgamma_vec(b))
 
 
 def _gamma_log_density(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Elementwise Gamma(a, 1) log-density; a draw at 0 raises."""
-    _check_support(x <= 0.0, "gamma", x, concentration=a)
+    _check_support(_gamma_edge(x), "gamma", x, concentration=a)
     return (a - 1.0) * np.log(x) - x - _lgamma_vec(a)
+
+
+def _degenerate_rows(log_density, edge, x: np.ndarray, *thetas) -> np.ndarray:
+    """The rows of draws x [..., k] that have no pathwise gradient: an
+    entry on the edge of the support, or a density below the floor."""
+    on_edge = edge(x)
+    low = log_density(np.where(on_edge, 0.5, x), *thetas) < _LN_PDF_FLOOR
+    return (on_edge | low).any(axis=-1)
 
 
 # -- pathwise partial derivatives ------------------------------------------
@@ -117,25 +164,40 @@ def _cdf_param_fd(cdf, z: float, theta: float) -> float:
     return (cdf(z, theta + h) - cdf(z, theta)) / h
 
 
-def _pathwise(cdf, z: np.ndarray, ln_pdf: np.ndarray, *thetas: np.ndarray):
-    """dz/dtheta = -(dF/dtheta) / pdf(z) for each parameter vector in
-    ``thetas``, where F(x, *theta) = ``cdf`` is a scalar CDF and
-    ``ln_pdf`` its log-density at the draws z."""
-    low = ln_pdf < _LN_PDF_FLOOR
-    if low.any():
-        i = int(np.argmax(low))
-        raise DegenerateSampleError(
-            f"density underflow at z={float(z[i])}, "
-            f"parameters {tuple(float(t[i]) for t in thetas)}")
-    dF = np.empty((len(thetas),) + z.shape)
-    for i in range(z.shape[0]):
-        at = [float(t[i]) for t in thetas]
+def _pathwise(cdf, log_density, z: np.ndarray, grad: np.ndarray, *thetas: np.ndarray):
+    """grad * dz/dtheta for each parameter array in ``thetas`` (of z's
+    shape), with dz/dtheta = -(dF/dtheta) / pdf(z), where F(x, *theta) =
+    ``cdf`` is a scalar CDF. Only rows of z [..., k] with a nonzero
+    gradient are differentiated: a degenerate row that the loss left out
+    costs nothing and raises nothing. A differentiated draw on the edge
+    of the support, or with an underflowing density, raises."""
+    k = z.shape[-1]
+    g = grad.reshape(-1, k)
+    rows = np.flatnonzero((g != 0.0).any(axis=1))
+    out = [np.zeros(g.shape) for _ in thetas]
+    if rows.size:
+        zr = z.reshape(-1, k)[rows]
+        at = [t.reshape(-1, k)[rows] for t in thetas]
+        ln_pdf = log_density(zr, *at)
+        low = ln_pdf < _LN_PDF_FLOOR
+        if low.any():
+            i = tuple(np.argwhere(low)[0])
+            raise DegenerateSampleError(
+                f"density underflow at z={float(zr[i])}, "
+                f"parameters {tuple(float(t[i]) for t in at)}")
+        dF = np.empty((len(thetas),) + zr.shape)
+        for i, j in np.ndindex(zr.shape):
+            point = [float(t[i, j]) for t in at]
+            for p in range(len(thetas)):
+                dF[p, i, j] = _cdf_param_fd(
+                    lambda x, t: cdf(x, *point[:p], t, *point[p + 1:]),
+                    float(zr[i, j]), point[p])
+        # exp(-ln_pdf) never overflows above the floor, and underflows to 0
+        # when the density is enormous (the draw then carries no gradient).
+        dz = -dF * np.exp(-ln_pdf)
         for p in range(len(thetas)):
-            dF[p, i] = _cdf_param_fd(
-                lambda x, t: cdf(x, *at[:p], t, *at[p + 1:]), float(z[i]), at[p])
-    # exp(-ln_pdf) never overflows above the floor, and underflows to 0
-    # when the density is enormous (the draw then carries no gradient).
-    return -dF * np.exp(-ln_pdf)
+            out[p][rows] = g[rows] * dz[p]
+    return tuple(o.reshape(z.shape) for o in out)
 
 
 @register_backward("beta_sample")
@@ -143,83 +205,101 @@ def _beta_sample_bwd(node, grad, tape):
     alpha = tape.nodes[node.inputs[0]].value
     beta = tape.nodes[node.inputs[1]].value
     z = node.value
-    dz_da, dz_db = _pathwise(reg_inc_beta, z, _beta_log_density(z, alpha, beta),
-                             alpha, beta)
-    return grad * dz_da, grad * dz_db
+    return _pathwise(reg_inc_beta, _beta_log_density, z, grad,
+                     np.broadcast_to(alpha, z.shape), np.broadcast_to(beta, z.shape))
 
 
 @register_backward("gamma_sample")
 def _gamma_sample_bwd(node, grad, tape):
     conc = tape.nodes[node.inputs[0]].value
     g = node.value
-    (dg_dc,) = _pathwise(lambda x, a: reg_inc_gamma(a, x), g,
-                         _gamma_log_density(g, conc), conc)
-    return (grad * dg_dc,)
+    return _pathwise(lambda x, a: reg_inc_gamma(a, x), _gamma_log_density, g, grad,
+                     np.broadcast_to(conc, g.shape))
 
 
 # -- sampling ----------------------------------------------------------------
 
 def _quantiles(params, u: np.ndarray) -> np.ndarray:
-    """Invert the CDF at each entry of the noise rows u [m, k]: Beta gate
-    values, or, for a Dirichlet, the Gamma draws whose rows normalize to
-    its gates."""
+    """Invert the CDF at each entry of the noise u [..., k] (the shape of
+    the parameters, or m rows per parameter vector): Beta gate values,
+    or, for a Dirichlet, the Gamma draws whose rows normalize to its
+    gates."""
+    thetas = [_along(t, u) for t in _values(params)]
+    inverse = inv_reg_inc_beta if isinstance(params, BetaParams) else inv_reg_inc_gamma
     out = np.empty(u.shape)
-    if isinstance(params, BetaParams):
-        a, b = params.alpha.value, params.beta.value
-        for i, j in np.ndindex(u.shape):
-            out[i, j] = inv_reg_inc_beta(u[i, j], a[j], b[j])
-    elif isinstance(params, DirichletParams):
-        c = params.conc.value
-        for i, j in np.ndindex(u.shape):
-            out[i, j] = inv_reg_inc_gamma(u[i, j], c[j])
-    else:
-        raise TypeError(f"cannot sample from {type(params).__name__}")
+    for i in np.ndindex(u.shape):
+        out[i] = inverse(u[i], *(t[i] for t in thetas))
     return out
 
 
 def sample(params, rng: Optional[np.random.Generator],
-           eps: Optional[np.ndarray] = None) -> Var:
-    """Draw one gate vector; the returned Var carries pathwise gradients
-    back into the distribution parameters. The noise u of the draw is the
-    ``aux`` of its sampling node (for a Dirichlet, the Gamma node that
-    the gate normalizes).
+           eps: Optional[np.ndarray] = None) -> tuple[Var, np.ndarray]:
+    """Draw one gate per parameter vector ([k], or rows [B,k]); the gate
+    Var carries pathwise gradients back into the distribution parameters.
+    The noise u of the draw is the ``aux`` of its sampling node (for a
+    Dirichlet, the Gamma node that the gate normalizes); rows [B,k] of
+    noise are the B per-row draws of one generator in turn.
 
-    Passing ``eps`` (uniform noise in (0,1)) replays a draw with frozen
-    noise, which is what gradient checks against finite differences need.
+    Also returns the rows whose draw has no pathwise gradient (an entry
+    on the edge of the support, or an underflowing density), so that a
+    loss can leave them out. Passing ``eps`` (uniform noise in (0,1))
+    replays a draw with frozen noise, which is what gradient checks
+    against finite differences need.
     """
-    u = (_uniform(rng, 1, params.k) if eps is None
-         else np.asarray(eps, dtype=np.float64)[None, :])
+    shape = _values(params)[0].shape
+    u = (_uniform(rng, *shape) if eps is None
+         else np.asarray(eps, dtype=np.float64).reshape(shape))
+    draws = _quantiles(params, u)
     if isinstance(params, BetaParams):
-        return params.alpha._tape.record("beta_sample", _quantiles(params, u)[0],
-                                         (params.alpha, params.beta), aux=u[0])
-    conc = params.conc
-    g_var = conc._tape.record("gamma_sample", _quantiles(params, u)[0], (conc,),
-                              aux=u[0])
-    return ad.div(g_var, ad.reduce_sum(g_var))
+        z = params.alpha._tape.record("beta_sample", draws,
+                                      (params.alpha, params.beta), aux=u)
+        return z, _degenerate_rows(_beta_log_density, _beta_edge, draws,
+                                   *_values(params))
+    g_var = params.conc._tape.record("gamma_sample", draws, (params.conc,), aux=u)
+    return (ad.div(g_var, ad.reduce_sum(g_var, axis=-1, keepdims=True)),
+            _degenerate_rows(_gamma_log_density, _gamma_edge, draws, params.conc.value))
 
 
-def draw_many(params, rng: np.random.Generator, m: int) -> np.ndarray:
-    """m independent gate draws as a value-level [m, k] array (no tape
-    nodes, no gradients); used by Monte Carlo prediction."""
-    draws = _quantiles(params, _uniform(rng, m, params.k))
+def draw_many(params, rng, m: int) -> np.ndarray:
+    """m independent gate draws per parameter vector as a value-level
+    array (no tape nodes, no gradients); used by Monte Carlo prediction.
+
+    Parameters [k] give [m,k] drawn from the generator ``rng``. Parameter
+    rows [B,...,k] give [B,...,m,k]; ``rng`` then holds one generator per
+    row b, which draws all of row b's noise in the order of its axes.
+    """
+    shape = _values(params)[0].shape
+    if len(shape) == 1:
+        u = _uniform(rng, m, shape[0])
+    else:
+        if len(rng) != shape[0]:
+            raise ValueError(f"{shape[0]} parameter rows need as many generators, "
+                             f"got {len(rng)}")
+        u = np.stack([_uniform(r, *shape[1:-1], m, shape[-1]) for r in rng])
+    draws = _quantiles(params, u)
     if isinstance(params, BetaParams):
         return draws
-    return draws / draws.sum(axis=1, keepdims=True)
+    return draws / draws.sum(axis=-1, keepdims=True)
 
 
 # -- densities, means, divergences -------------------------------------------
 
 def log_pdf_many(params, z: np.ndarray) -> np.ndarray:
-    """Log-density of each row of z; used by importance-sampled
-    prediction. A row entry on the edge of the support raises
-    ``DegenerateSampleError``."""
+    """Log-density of each row of draws z [..., m, k] (or of z in the
+    parameters' own shape) under its parameter vector; used by
+    importance-sampled prediction. A row entry on the edge of the support
+    raises ``DegenerateSampleError``, whose ``index`` locates it in z."""
     z = np.asarray(z, dtype=np.float64)
     if isinstance(params, BetaParams):
-        return _beta_log_density(z, params.alpha.value, params.beta.value).sum(axis=1)
+        a, b = _values(params)
+        return _beta_log_density(z, _along(a, z), _along(b, z)).sum(axis=-1)
     if isinstance(params, DirichletParams):
         # log Dir(z | c) = lgamma(sum c) + sum_j (log Gamma(z_j | c_j, 1) + z_j)
         c = params.conc.value
-        return (_gamma_log_density(z, c) + z).sum(axis=1) + _lgamma_vec(c.sum())
+        norm = _lgamma_vec(c.sum(axis=-1))
+        if c.ndim < z.ndim:
+            norm = norm[..., None]
+        return (_gamma_log_density(z, _along(c, z)) + z).sum(axis=-1) + norm
     raise TypeError(f"log_pdf_many supports Beta/Dirichlet, got {type(params).__name__}")
 
 
@@ -229,12 +309,13 @@ def mean(params) -> np.ndarray:
         return a / (a + b)
     if isinstance(params, DirichletParams):
         c = params.conc.value
-        return c / c.sum()
+        return c / c.sum(axis=-1, keepdims=True)
     raise TypeError(f"no mean for {type(params).__name__}")
 
 
 def kl_divergence(q, p) -> Var:
-    """Closed-form same-family KL(q || p) as a differentiable tape scalar."""
+    """Closed-form same-family KL(q || p) as a differentiable tape value:
+    a scalar for parameter vectors, one per row [B] for rows [B,k]."""
     if type(q) is not type(p):
         raise TypeError(
             f"KL requires matching families, got {type(q).__name__} "
@@ -250,12 +331,14 @@ def kl_divergence(q, p) -> Var:
             + (a1 - a2) * ad.digamma(a1) \
             + (b1 - b2) * ad.digamma(b1) \
             + ((a2 - a1) + (b2 - b1)) * ad.digamma(s1)
-        return ad.reduce_sum(term)
+        return ad.reduce_sum(term, axis=-1)
     if isinstance(q, DirichletParams):
+        # Row sums keep their axis, so that they broadcast against [.., k].
         c1, c2 = q.conc, p.conc
-        c1_sum = ad.reduce_sum(c1)
-        front = ad.lgamma(c1_sum) - ad.reduce_sum(ad.lgamma(c1)) \
-            - ad.lgamma(ad.reduce_sum(c2)) + ad.reduce_sum(ad.lgamma(c2))
+        c1_sum = ad.reduce_sum(c1, axis=-1, keepdims=True)
+        front = ad.lgamma(c1_sum) - ad.reduce_sum(ad.lgamma(c1), axis=-1, keepdims=True) \
+            - ad.lgamma(ad.reduce_sum(c2, axis=-1, keepdims=True)) \
+            + ad.reduce_sum(ad.lgamma(c2), axis=-1, keepdims=True)
         inner = (c1 - c2) * (ad.digamma(c1) - ad.digamma(c1_sum))
-        return front + ad.reduce_sum(inner)
+        return ad.reduce_sum(front + ad.reduce_sum(inner, axis=-1, keepdims=True), axis=-1)
     raise TypeError(f"no KL for {type(q).__name__}")

@@ -1,15 +1,23 @@
-"""Convolutional text encoder: embed, convolve over time with several
-window sizes, ReLU, max-pool over time, concatenate.
+"""Convolutional text encoder (Kim, arXiv 1408.5882): embed, convolve
+over time with several window sizes, max-pool over time, ReLU,
+concatenate.
 
 One encoder instance (a parameter prefix inside a flat store) is used
 per channel, and separate ones for the prior and inference networks. At
 full scale the dimensions are 300-d embeddings and 128 filters for each
 of the window sizes {3,4,5}, giving a 384-d output; tests shrink them.
+
+A batch is encoded on one tape as one ragged sequence: ``pack`` strips
+each instance's trailing PAD, left-pads it to the widest window and
+concatenates the instances into ``TokenBatch.ids`` [N], with instance j
+at ``starts[j]:starts[j+1]``. ``encode`` then makes one embedding lookup
+per batch and one fused ``conv_pool`` per window size, which pools each
+instance over its own windows only, and returns rows [B, out_dim].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +25,7 @@ from . import autodiff as ad
 from .autodiff import ParamBinder, Var
 from .text import PAD_ID
 
-__all__ = ["EncoderConfig", "init_encoder_params", "encode"]
+__all__ = ["EncoderConfig", "TokenBatch", "pack", "init_encoder_params", "encode"]
 
 
 @dataclass(frozen=True)
@@ -29,6 +37,46 @@ class EncoderConfig:
     @property
     def out_dim(self) -> int:
         return self.n_filters * len(self.windows)
+
+
+@dataclass(frozen=True)
+class TokenBatch:
+    """B token sequences concatenated into ``ids`` [N]; instance j is
+    ``ids[starts[j]:starts[j+1]]``."""
+
+    ids: np.ndarray
+    starts: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.starts.size - 1
+
+
+def pack(seqs, cfg: EncoderConfig) -> TokenBatch:
+    """Concatenate a batch of id sequences for ``encode``.
+
+    Trailing PAD is stripped first (it carries no content, and windows
+    straddling real tokens and padding would otherwise leak into the
+    pooled maxima), so the encoding is invariant to trailing padding.
+    Sequences shorter than the largest window are left-padded with PAD.
+    An empty sequence raises ``ValueError`` naming its batch position.
+    """
+    longest = max(cfg.windows)
+    parts = []
+    for j, seq in enumerate(seqs):
+        ids = np.asarray(seq, dtype=np.int64)
+        if ids.size == 0:
+            raise ValueError(f"cannot encode an empty id sequence (batch position {j})")
+        content = np.flatnonzero(ids != PAD_ID)
+        end = content[-1] + 1 if content.size else 1
+        pad = max(0, longest - end)
+        parts.append(np.concatenate([np.full(pad, PAD_ID, dtype=np.int64), ids[:end]])
+                     if pad else ids[:end])
+    if not parts:
+        raise ValueError("cannot encode an empty batch")
+    starts = np.zeros(len(parts) + 1, dtype=np.intp)
+    np.cumsum([p.size for p in parts], out=starts[1:])
+    return TokenBatch(np.concatenate(parts), starts)
 
 
 def init_encoder_params(rng: np.random.Generator, vocab_size: int,
@@ -46,34 +94,18 @@ def init_encoder_params(rng: np.random.Generator, vocab_size: int,
     return params
 
 
-def encode(binder: ParamBinder, prefix: str, ids, cfg: EncoderConfig,
-           dropout_rng: np.random.Generator | None = None,
-           dropout_rate: float = 0.5) -> Var:
-    """Encode a token-id sequence to a pooled vector of cfg.out_dim.
+def encode(binder: ParamBinder, prefix: str, batch: TokenBatch, cfg: EncoderConfig,
+           dropout_u: np.ndarray | None = None, dropout_rate: float = 0.5) -> Var:
+    """Encode a packed batch to pooled rows [B, cfg.out_dim].
 
-    Trailing PAD is stripped first (it carries no content, and windows
-    straddling real tokens and padding would otherwise leak into the
-    pooled maxima), so the encoding is invariant to trailing padding.
-    Sequences shorter than the largest window are left-padded with PAD.
-    Dropout applies to the pooled vector only when a generator is given
-    (training); without one the encoding is deterministic.
+    Dropout applies to the pooled rows only when uniform noise
+    ``dropout_u`` [B, out_dim] is given (training); without it the
+    encoding is deterministic.
     """
-    ids = list(ids)
-    if not ids:
-        raise ValueError("cannot encode an empty id sequence")
-    while len(ids) > 1 and ids[-1] == PAD_ID:
-        ids.pop()
-    longest = max(cfg.windows)
-    if len(ids) < longest:
-        ids = [PAD_ID] * (longest - len(ids)) + ids
-    table = binder(f"{prefix}.emb")
-    embedded = ad.embedding(table, np.asarray(ids, dtype=np.int64))
-    pooled = []
-    for w in cfg.windows:
-        conv = ad.conv1d(embedded, binder(f"{prefix}.conv{w}.w"),
-                         binder(f"{prefix}.conv{w}.b"))
-        pooled.append(ad.maxpool_time(ad.relu(conv)))
-    h = ad.concat(pooled)
-    if dropout_rng is not None and dropout_rate > 0.0:
-        h = ad.dropout(h, dropout_rate, dropout_rng)
+    embedded = ad.embedding(binder(f"{prefix}.emb"), batch.ids)
+    h = ad.concat([ad.conv_pool(embedded, binder(f"{prefix}.conv{w}.w"),
+                                binder(f"{prefix}.conv{w}.b"), batch.starts)
+                   for w in cfg.windows])
+    if dropout_u is not None and dropout_rate > 0.0:
+        h = ad.dropout(h, dropout_rate, dropout_u)
     return h

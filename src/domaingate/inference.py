@@ -14,10 +14,15 @@ The discrete mixture marginalizes its k states exactly, so sampling
 strategies degrade to that exact computation (with a log note). The
 plain baselines are deterministic forwards.
 
-Every strategy runs the training graph of ``models`` on a ``Tape``: the
-gate draws (or the uniform gate, or for dsda the channel rows
-themselves) enter as constant rows, and one ``classify_batch`` call
-gives a label distribution per row. Prediction never calls ``backprop``.
+``predict_batch`` cuts the instances into chunks of ``CHUNK_SIZE``, which
+bounds the memory of one tape, and ``predict`` runs one chunk on one
+``Tape`` through the training graph of ``models``: every encoder runs
+once over the chunk's ragged batch, the gate draws (or the uniform
+gate, or for dsda the channel rows themselves) enter as constant rows
+[B,r,k], and one ``classify_batch`` call gives a label distribution per
+row. Instance i draws its noise from its own generator, seeded with
+(seed, i), so records do not depend on how the chunks are cut.
+Prediction never calls ``backprop``.
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ __all__ = ["InferConfig", "PredictionRecord", "predict", "predict_batch"]
 log = logging.getLogger(__name__)
 
 STRATEGIES = ("prior-sample", "prior-mean", "mc-average", "importance-sampling")
+
+# Instances per prediction tape. Every node of a tape stays alive until
+# the chunk is done, so this bounds the memory of predicting a corpus.
+CHUNK_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -64,79 +73,94 @@ class PredictionRecord:
     ess: Optional[float] = None
 
 
-def predict(model: Model, ids, cfg: InferConfig, rng: np.random.Generator
-            ) -> tuple[int, np.ndarray, Optional[float]]:
-    """Predict one instance; returns (label id, label distribution, ess).
-    ``ess`` is the importance-sampling effective sample size, None for
-    the other strategies."""
+def predict(model: Model, seqs, cfg: InferConfig, rngs: list
+            ) -> list[tuple[int, np.ndarray, Optional[float]]]:
+    """Predict one chunk of instances on one tape, instance i drawing from
+    ``rngs[i]``; returns (label id, label distribution, ess) per
+    instance. ``ess`` is the importance-sampling effective sample size,
+    None for the other strategies."""
     mcfg = model.config
     binder = model.binder(Tape())
-    h_mat = model.channel_encodings(binder, ids, dropout_rng=None)
+    batch = model.pack(seqs)
+    h_mat = model.channel_encodings(binder, batch, dropout_rng=None)
 
     if mcfg.family == "categorical":
         if cfg.strategy != "prior-sample":
             log.info("strategy %s is redundant for the discrete mixture; "
                      "marginalizing exactly", cfg.strategy)
-        prior = model.prior_gate(binder, ids)
-        weights = np.exp(ad.log_softmax(prior).value)
-        return _normalized(weights @ np.exp(classify_batch(binder, mcfg, h_mat).value))
+        prior = model.prior_gate(binder, batch)
+        weights = np.exp(ad.log_softmax(prior).value)[:, None, :]
+        return _normalized((weights @ np.exp(classify_batch(binder, mcfg, h_mat).value))[:, 0])
 
     if mcfg.kind in ("scnn", "mcnn"):
-        z_rows = np.full((1, mcfg.k), 1.0 / mcfg.k)
+        z_rows = np.full((batch.size, 1, mcfg.k), 1.0 / mcfg.k)
     else:
-        prior = model.prior_gate(binder, ids)
+        prior = model.prior_gate(binder, batch)
         if cfg.strategy == "importance-sampling":
-            return _importance_sampling(model, binder, ids, h_mat, prior, cfg, rng)
+            return _importance_sampling(model, binder, batch, h_mat, prior, cfg, rngs)
         if cfg.strategy == "prior-mean":
-            z_rows = dist.mean(prior)[None, :]
+            z_rows = dist.mean(prior)[:, None, :]
         else:
             m = cfg.m if cfg.strategy == "mc-average" else 1
-            z_rows = dist.draw_many(prior, rng, m)
+            z_rows = dist.draw_many(prior, rngs, m)
     logp = classify_batch(binder, mcfg, gate_channels(h_mat, binder.tape.const(z_rows)))
-    return _normalized(np.exp(logp.value).mean(axis=0))
+    return _normalized(np.exp(logp.value).mean(axis=1))
 
 
-def _normalized(probs: np.ndarray, ess: Optional[float] = None):
-    probs /= probs.sum()
-    return int(probs.argmax()), probs, ess
+def _normalized(probs: np.ndarray, ess: Optional[np.ndarray] = None):
+    probs /= probs.sum(axis=1, keepdims=True)
+    return [(int(p.argmax()), p, None if ess is None else float(ess[i]))
+            for i, p in enumerate(probs)]
 
 
-def _importance_sampling(model, binder, ids, h_mat, prior, cfg, rng):
+def _importance_sampling(model, binder, batch, h_mat, prior, cfg, rngs):
     mcfg = model.config
+    n, labels, m = batch.size, mcfg.n_labels, cfg.m
+    # One encoding of x serves q for every candidate label: rows [B,L,k].
+    q = model.posterior_gate(binder, batch, [range(labels)] * n, None)
+    z = dist.draw_many(q, rngs, m)                               # [B,L,m,k]
+    rows = z.reshape(n, labels * m, mcfg.k)
+    logp = classify_batch(binder, mcfg, gate_channels(h_mat, binder.tape.const(rows)))
+    logp = logp.value.reshape(n, labels, m, labels)
+    loglik = np.stack([logp[:, y, :, y] for y in range(labels)], axis=1)
+    log_w = dist.log_pdf_many(prior, rows).reshape(n, labels, m) + loglik \
+        - dist.log_pdf_many(q, z)
     # Average the weights per label in log space (log-mean-exp) and
     # normalize there too: with a peaked prior every exp(log_w) underflows.
     # The effective sample size (sum w)^2 / sum w^2 of the max-scaled
     # weights tells how many draws carry a label's estimate.
-    log_est = np.empty(mcfg.n_labels)
-    ess = np.empty(mcfg.n_labels)
-    for y_cand in range(mcfg.n_labels):
-        q = model.posterior_gate(binder, ids, y_cand, None)
-        z_rows = dist.draw_many(q, rng, cfg.m)
-        logp = classify_batch(binder, mcfg,
-                              gate_channels(h_mat, binder.tape.const(z_rows)))
-        log_w = dist.log_pdf_many(prior, z_rows) + logp.value[:, y_cand] \
-            - dist.log_pdf_many(q, z_rows)
-        top = log_w.max()
-        w = np.exp(log_w - top)
-        log_est[y_cand] = top + np.log(w.mean())
-        ess[y_cand] = w.sum() ** 2 / np.dot(w, w)
-    return _normalized(np.exp(log_est - log_est.max()), float(ess.min()))
+    top = log_w.max(axis=2, keepdims=True)
+    w = np.exp(log_w - top)
+    log_est = top[..., 0] + np.log(w.mean(axis=2))
+    ess = w.sum(axis=2) ** 2 / (w * w).sum(axis=2)
+    return _normalized(np.exp(log_est - log_est.max(axis=1, keepdims=True)),
+                       ess.min(axis=1))
 
 
 def predict_batch(model: Model, instances: list[Instance],
                   cfg: InferConfig) -> list[PredictionRecord]:
-    """Predict a batch with per-instance RNG streams derived from
-    (seed, instance position), so records are order-stable and
-    reproducible regardless of batch slicing elsewhere. An importance-
-    sampling estimate carried by fewer than m/10 effective draws is
-    logged as a warning naming the instance."""
+    """Predict instances chunk by chunk, with per-instance RNG streams
+    derived from (seed, instance position), so records are order-stable
+    and reproducible regardless of how the chunks are cut. An
+    importance-sampling estimate carried by fewer than m/10 effective
+    draws is logged as a warning naming the instance; a draw on the edge
+    of the support raises ``DegenerateSampleError`` naming it too."""
     records = []
-    for i, inst in enumerate(instances):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, i)))
-        label_id, probs, ess = predict(model, inst.ids, cfg, rng)
-        if ess is not None and ess < cfg.m / 10:
-            log.warning("%s: importance-sampling effective sample size %.3g "
-                        "of m=%d", inst.doc_id, ess, cfg.m)
-        records.append(PredictionRecord(inst.doc_id, label_id, probs,
-                                        cfg.strategy, cfg.seed, ess))
+    for start in range(0, len(instances), CHUNK_SIZE):
+        chunk = instances[start:start + CHUNK_SIZE]
+        rngs = [np.random.default_rng(np.random.SeedSequence((cfg.seed, start + j)))
+                for j in range(len(chunk))]
+        try:
+            results = predict(model, [inst.ids for inst in chunk], cfg, rngs)
+        except dist.DegenerateSampleError as exc:
+            if exc.index is None:
+                raise
+            raise dist.DegenerateSampleError(
+                f"{chunk[exc.index[0]].doc_id}: {exc}", exc.index) from None
+        for inst, (label_id, probs, ess) in zip(chunk, results):
+            if ess is not None and ess < cfg.m / 10:
+                log.warning("%s: importance-sampling effective sample size %.3g "
+                            "of m=%d", inst.doc_id, ess, cfg.m)
+            records.append(PredictionRecord(inst.doc_id, label_id, probs,
+                                            cfg.strategy, cfg.seed, ess))
     return records

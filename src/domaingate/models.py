@@ -5,11 +5,8 @@ models (csda).
 All of them share the same likelihood shape: k channel encoders produce
 hidden vectors h_1..h_k, stacked into a [k,H] matrix; a gate vector z
 mixes them into h = sum_i z_i h_i, and a one-hidden-layer MLP with a
-softmax head (``classify_batch``) predicts the label. The gate and the
-head also take rows: gate rows [r,k] give r hidden vectors and r label
-distributions in one call. Training and prediction build the same graph
-on a ``Tape``; prediction passes its gate draws as rows and never calls
-``backprop``. They differ in where z comes from:
+softmax head (``classify_batch``) predicts the label. They differ in
+where z comes from:
 
 - scnn:  k = 1, z = (1,)
 - mcnn:  fixed uniform gate z = (1/k, ..., 1/k)
@@ -22,12 +19,21 @@ on a ``Tape``; prediction passes its gate draws as rows and never calls
   conditions on the label and domain (with UNK sentinels); trained on a
   single-sample bound with a lambda-weighted closed-form KL
 
+Everything works on rows: a batch of B instances is packed once
+(``encoder.pack``) and every graph piece returns one row per instance:
+channel encodings [B,k,H], gate parameters [B,k], gates [B,k] (or r
+gates per instance [B,r,k] in prediction), label log-probabilities
+[B,L] (or [B,r,L]). ``Model.loss`` builds one tape for a whole
+mini-batch and returns the mean over its rows; training and prediction
+build the same graph, and prediction never calls ``backprop``.
+
 The gate networks return the distribution parameters themselves: the
 dsda prior's logits ``Var``, or ``BetaParams``/``DirichletParams``. A
 Dirichlet head's concentration is the product node scale * affinity of
-an overall scale and per-channel affinities in (0,1), recorded once per
-head; backprop carries the Gamma pathwise partials of a draw through
-it, so the multi-variable chain rule is handled by the tape itself.
+an overall scale [B,1] and per-channel affinities in (0,1), recorded
+once per head; backprop carries the Gamma pathwise partials of a draw
+through it, so the multi-variable chain rule is handled by the tape
+itself.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from . import autodiff as ad
 from . import distributions as dist
 from .autodiff import ParamBinder, Tape, Var
 from .distributions import BetaParams, DirichletParams
-from .encoder import EncoderConfig, encode, init_encoder_params
+from .encoder import EncoderConfig, TokenBatch, encode, init_encoder_params, pack
 
 __all__ = ["MODEL_KINDS", "ModelConfig", "Model", "gate_channels", "classify_batch"]
 
@@ -90,9 +96,14 @@ class ModelConfig:
 
 @dataclass
 class LossResult:
+    """One mini-batch's loss: the mean over the kept rows (None when every
+    row's gate draw is degenerate), their mean KL for the variational
+    models, and the number of rows left out."""
+
     tape: Tape
-    loss: Var
+    loss: Optional[Var]
     kl: Optional[float] = None
+    degenerate: int = 0
 
 
 def _init_linear(rng, n_in, n_out, prefix, he=False):
@@ -121,20 +132,39 @@ def _linear(binder, prefix, x: Var) -> Var:
     return ad.matmul(x, binder(f"{prefix}.w")) + binder(f"{prefix}.b")
 
 
+def _table_rows(ids, n: int, what: str) -> np.ndarray:
+    """Rows of an id table, one per batch position: the id itself, or the
+    UNK row n for None. An entry may also be a sequence of ids (one row
+    per candidate). An id outside [0, n) raises naming its position."""
+    rows = np.array([n if i is None else i for i in ids], dtype=np.intp)
+    bad = (rows < 0) | (rows >= n)
+    bad &= np.array([i is not None for i in ids]).reshape((-1,) + (1,) * (rows.ndim - 1))
+    if bad.any():
+        j = int(np.argwhere(bad)[0][0])
+        raise ValueError(f"{what} id {ids[j]} outside inventory of {n} "
+                         f"(batch position {j})")
+    return rows
+
+
 def gate_channels(h_mat: Var, z: Var) -> Var:
-    """h = sum_i z_i h_i over the stacked channels h_mat [k,H], for a gate
-    vector [k] (giving [H]) or gate rows [r,k] (giving [r,H]). An
-    indicator gate reproduces the selected channel bitwise (multiplying
-    by exact 0/1 and summing zeros is lossless)."""
-    if z.value.ndim not in (1, 2) or z.shape[-1] != h_mat.shape[0]:
+    """h = sum_i z_i h_i for each instance's stacked channels h_mat
+    [B,k,H], with gate rows z [B,k] (giving [B,H]) or r gates per
+    instance [B,r,k] (giving [B,r,H]). An indicator gate reproduces the
+    selected channel bitwise (multiplying by exact 0/1 and summing zeros
+    is lossless)."""
+    if h_mat.value.ndim != 3 or z.value.ndim not in (2, 3) \
+            or z.shape[0] != h_mat.shape[0] or z.shape[-1] != h_mat.shape[1]:
         raise ad.ShapeError(
-            f"gate shape {z.shape} does not match {h_mat.shape[0]} channels")
-    return ad.matmul(z, h_mat)
+            f"gate shape {z.shape} does not match channels {h_mat.shape}")
+    if z.value.ndim == 3:
+        return ad.matmul(z, h_mat)
+    n, k = z.shape
+    return ad.reshape(ad.matmul(ad.reshape(z, (n, 1, k)), h_mat), (n, h_mat.shape[2]))
 
 
 def classify_batch(binder: ParamBinder, cfg: ModelConfig, h: Var) -> Var:
     """Label log-probabilities from a gated hidden vector [H], or one
-    distribution per row of h [r,H]."""
+    distribution per row of h [..., H]."""
     hidden = ad.relu(_linear(binder, "theta.head.l1", h))
     return ad.log_softmax(_linear(binder, "theta.head.l2", hidden))
 
@@ -178,93 +208,127 @@ class Model:
     def binder(self, tape: Tape) -> ParamBinder:
         return ParamBinder(tape, self.params)
 
+    def pack(self, seqs) -> TokenBatch:
+        """A batch of token-id sequences, packed once for every encoder."""
+        return pack(seqs, self.config.encoder)
+
     # -- graph pieces ---------------------------------------------------------
 
-    def channel_encodings(self, binder, ids,
+    def channel_encodings(self, binder, batch: TokenBatch,
                           dropout_rng: Optional[np.random.Generator]) -> Var:
-        """The k channel encodings of x, stacked into [k,H]."""
+        """The k channel encodings of each instance, stacked into [B,k,H].
+        The dropout noise of all channels is one draw [B,k,H]: instance by
+        instance, channel by channel."""
         cfg = self.config
-        return ad.stack([encode(binder, f"theta.ch{i}", ids, cfg.encoder,
-                                dropout_rng=dropout_rng, dropout_rate=cfg.dropout)
-                         for i in range(cfg.k)])
+        u = None
+        if dropout_rng is not None and cfg.dropout > 0.0:
+            u = dropout_rng.random((batch.size, cfg.k, cfg.encoder.out_dim))
+        return ad.stack([encode(binder, f"theta.ch{i}", batch, cfg.encoder,
+                                dropout_u=None if u is None else u[:, i],
+                                dropout_rate=cfg.dropout)
+                         for i in range(cfg.k)], axis=1)
 
     def _continuous_heads(self, binder, feats: Var, group: str):
         if self.config.family == "beta":
             alpha = ad.elu(_linear(binder, f"{group}.alpha", feats)) + 1.0
             beta = ad.elu(_linear(binder, f"{group}.beta", feats)) + 1.0
             return BetaParams(alpha, beta)
-        scale = ad.exp(ad.gather(_linear(binder, f"{group}.conc", feats), 0))
+        scale = ad.exp(_linear(binder, f"{group}.conc", feats))
         affinity = ad.sigmoid(_linear(binder, f"{group}.base", feats))
         return DirichletParams(ad.mul(scale, affinity))
 
-    def prior_gate(self, binder, ids):
-        """p(z | x): encoder over x with family-specific heads. Returns the
-        dsda logits ``Var``, or the ``BetaParams``/``DirichletParams``."""
+    def prior_gate(self, binder, batch: TokenBatch):
+        """p(z | x) for each instance: encoder over x with family-specific
+        heads. Returns the dsda logits ``Var`` [B,k], or the
+        ``BetaParams``/``DirichletParams`` rows."""
         cfg = self.config
-        feats = encode(binder, "phi.enc", ids, cfg.encoder)
+        feats = encode(binder, "phi.enc", batch, cfg.encoder)
         if cfg.family == "categorical":
             return _linear(binder, "phi.logits", feats)
         return self._continuous_heads(binder, feats, "phi")
 
-    def posterior_gate(self, binder, ids, y_id: Optional[int],
-                       d_id: Optional[int]):
-        """q(z | x, y, d) with UNK sentinels when y or d is unobserved;
-        returns its ``BetaParams``/``DirichletParams``."""
+    def posterior_gate(self, binder, batch: TokenBatch, y_ids, d_ids=None):
+        """q(z | x, y, d) for each instance, with UNK sentinels where y or d
+        is None (``d_ids=None``: no domain observed); returns its
+        ``BetaParams``/``DirichletParams`` rows [B,k]. Each y entry may also
+        be a sequence of C candidate labels, giving rows [B,C,k] from one
+        encoding of x."""
         cfg = self.config
-        if y_id is not None and not 0 <= y_id < cfg.n_labels:
-            raise ValueError(f"label id {y_id} outside inventory of {cfg.n_labels}")
-        if d_id is not None and not 0 <= d_id < cfg.n_domains:
-            raise ValueError(f"domain id {d_id} outside inventory of {cfg.n_domains}")
-        y_row = cfg.n_labels if y_id is None else y_id
-        d_row = cfg.n_domains if d_id is None else d_id
-        feats = encode(binder, "sigma.enc", ids, cfg.encoder)
-        y_emb = ad.take_row(binder("sigma.y_emb"), y_row)
-        d_emb = ad.take_row(binder("sigma.d_emb"), d_row)
-        feats = ad.concat([feats, y_emb, d_emb])
+        y_rows = _table_rows(y_ids, cfg.n_labels, "label")
+        d_rows = np.broadcast_to(
+            _table_rows([None] * batch.size if d_ids is None else d_ids,
+                        cfg.n_domains, "domain").reshape((-1,) + (1,) * (y_rows.ndim - 1)),
+            y_rows.shape)
+        feats = encode(binder, "sigma.enc", batch, cfg.encoder)
+        if y_rows.ndim == 2:
+            feats = ad.take_rows(feats, np.repeat(
+                np.arange(batch.size)[:, None], y_rows.shape[1], axis=1))
+        feats = ad.concat([feats, ad.take_rows(binder("sigma.y_emb"), y_rows),
+                           ad.take_rows(binder("sigma.d_emb"), d_rows)])
         return self._continuous_heads(binder, feats, "sigma")
 
     # -- losses ---------------------------------------------------------------
 
-    def loss(self, ids, y_id: int, d_id: Optional[int] = None, *,
+    def loss(self, seqs, y_ids, d_ids=None, *,
              lam: float = 0.1, w_dom: float = 1.0,
              rng: Optional[np.random.Generator] = None,
              dropout_rng: Optional[np.random.Generator] = None,
              eps: Optional[np.ndarray] = None) -> LossResult:
-        """Per-instance training loss (negative objective) on a fresh tape.
+        """Training loss (negative objective) of a mini-batch on one tape:
+        the mean over its instances of each one's loss.
 
-        ``rng`` drives gate sampling (variational models); ``dropout_rng``
-        enables channel dropout; ``eps`` freezes the sampling noise.
+        ``seqs`` are the B token-id sequences, ``y_ids`` their labels and
+        ``d_ids`` their domains (None entries, or None for all, where
+        unobserved). ``rng`` drives gate sampling (variational models);
+        ``dropout_rng`` enables channel dropout; ``eps`` [B,k] freezes the
+        sampling noise. A row whose gate draw has no pathwise gradient is
+        left out of the mean and counted in ``degenerate``. An invalid id
+        raises ``ValueError`` naming its batch position.
         """
         cfg = self.config
-        if not 0 <= y_id < cfg.n_labels:
-            raise ValueError(f"label id {y_id} outside inventory of {cfg.n_labels}")
+        n = len(seqs)
+        if len(y_ids) != n or any(v is None for v in y_ids):
+            raise ValueError(f"loss needs one observed label per instance, got {y_ids}")
+        y = _table_rows(y_ids, cfg.n_labels, "label")
+        d_ids = [None] * n if d_ids is None else list(d_ids)
         tape = Tape()
         binder = self.binder(tape)
-        h_mat = self.channel_encodings(binder, ids, dropout_rng)
+        batch = self.pack(seqs)
+        h_mat = self.channel_encodings(binder, batch, dropout_rng)
+        keep = np.ones(n, dtype=bool)
+        kl = None
 
         if cfg.kind in ("scnn", "mcnn"):
-            z = tape.const(np.full(cfg.k, 1.0 / cfg.k))
+            z = tape.const(np.full((n, cfg.k), 1.0 / cfg.k))
             logprobs = classify_batch(binder, cfg, gate_channels(h_mat, z))
-            return LossResult(tape, ad.neg(ad.gather(logprobs, y_id)))
+            rows = ad.neg(ad.gather(logprobs, y))
+        elif cfg.kind == "dsda":
+            for j, d in enumerate(d_ids):
+                if d is not None and not 0 <= d < cfg.k:
+                    raise ValueError(f"observed domain {d} outside the {cfg.k} "
+                                     f"channels (batch position {j})")
+            log_prior = ad.log_softmax(self.prior_gate(binder, batch))
+            per_channel = ad.gather(classify_batch(binder, cfg, h_mat),
+                                    np.repeat(y[:, None], cfg.k, axis=1))
+            rows = ad.neg(ad.logsumexp(per_channel + log_prior))
+            observed = np.array([d is not None for d in d_ids])
+            if observed.any():
+                d = np.array([0 if d is None else d for d in d_ids])
+                rows = rows + tape.const(np.where(observed, w_dom, 0.0)) \
+                    * ad.neg(ad.gather(log_prior, d))
+        else:
+            q = self.posterior_gate(binder, batch, y_ids, d_ids)
+            p = self.prior_gate(binder, batch)
+            z_var, degenerate = dist.sample(q, rng, eps=eps)
+            keep = ~degenerate
+            loglik = ad.gather(classify_batch(binder, cfg, gate_channels(h_mat, z_var)), y)
+            kl = dist.kl_divergence(q, p)
+            rows = ad.neg(loglik - lam * kl)
 
-        if cfg.kind == "dsda":
-            if d_id is not None and d_id >= cfg.k:
-                raise ValueError(
-                    f"observed domain {d_id} >= number of channels {cfg.k}")
-            log_prior = ad.log_softmax(self.prior_gate(binder, ids))
-            per_channel = ad.gather(classify_batch(binder, cfg, h_mat), y_id)
-            joint = per_channel + log_prior
-            loss = ad.neg(ad.logsumexp(joint))
-            if d_id is not None:
-                loss = loss + w_dom * ad.neg(ad.gather(log_prior, d_id))
-            return LossResult(tape, loss)
-
-        # variational csda
-        q = self.posterior_gate(binder, ids, y_id, d_id)
-        p = self.prior_gate(binder, ids)
-        z_var = dist.sample(q, rng, eps=eps)
-        logprobs = classify_batch(binder, cfg, gate_channels(h_mat, z_var))
-        loglik = ad.gather(logprobs, y_id)
-        kl = dist.kl_divergence(q, p)
-        loss = ad.neg(loglik - lam * kl)
-        return LossResult(tape, loss, kl=kl.item())
+        kept = int(keep.sum())
+        if kept == 0:
+            return LossResult(tape, None, None, n)
+        weights = keep / kept
+        loss = ad.reduce_sum(rows * tape.const(weights))
+        return LossResult(tape, loss, None if kl is None else float(kl.value @ weights),
+                          n - kept)

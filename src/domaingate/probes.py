@@ -17,9 +17,11 @@ from typing import Optional
 
 import numpy as np
 
+from . import autodiff as ad
 from . import distributions as dist
 from .autodiff import Tape
 from .data import Instance
+from .inference import CHUNK_SIZE
 from .models import Model, gate_channels
 
 __all__ = ["ProbeRecord", "collect", "probe", "probe_averaged",
@@ -36,20 +38,29 @@ class ProbeRecord:
     d_id: int
 
 
+def _chunks(instances: list[Instance]):
+    for start in range(0, len(instances), CHUNK_SIZE):
+        yield instances[start:start + CHUNK_SIZE]
+
+
 def collect(model: Model, instances: list[Instance],
             rng: np.random.Generator) -> list[ProbeRecord]:
-    """One gate sample per instance from q(z|x, y, d). Instances must
-    carry observed labels and domains."""
+    """One gate sample per instance from q(z|x, y, d), drawn from ``rng``
+    instance by instance. Instances must carry observed labels and
+    domains."""
     if not model.config.is_variational:
         raise ValueError("probe collection needs a variational (csda) model")
-    records = []
     for inst in instances:
         if inst.y_id is None or inst.d_id is None:
             raise ValueError(
                 f"instance {inst.doc_id} lacks an observed label or domain")
-        q = model.posterior_gate(model.binder(Tape()), inst.ids, inst.y_id, inst.d_id)
-        z = dist.draw_many(q, rng, 1)[0]
-        records.append(ProbeRecord(z, inst.y_id, inst.d_id))
+    records = []
+    for chunk in _chunks(instances):
+        q = model.posterior_gate(model.binder(Tape()), model.pack([i.ids for i in chunk]),
+                                 [i.y_id for i in chunk], [i.d_id for i in chunk])
+        z = dist.draw_many(q, [rng] * len(chunk), 1)[:, 0]
+        records.extend(ProbeRecord(row, inst.y_id, inst.d_id)
+                       for row, inst in zip(z, chunk))
     return records
 
 
@@ -104,10 +115,11 @@ def probe(records: list[ProbeRecord], target: str, split_seed: int) -> float:
     y = np.array([remap[v] for v in labels])
     x = np.stack([r.z for r in records])
     perm = np.random.default_rng(split_seed).permutation(len(records))
-    n_train = round(0.7 * len(records))
-    if n_train == 0 or n_train == len(records):
-        raise ValueError("too few records for a 70/30 split")
-    tr, te = perm[:n_train], perm[n_train:]
+    tr, te = np.split(perm, [round(0.7 * len(records))])
+    missing = sorted(set(classes.tolist()) - set(labels[tr].tolist()))
+    if missing:
+        raise ValueError(f"the 70% training side of the {target!r} probe lacks "
+                         f"class(es) {missing}")
     w, b = fit_logistic(x[tr], y[tr], len(classes))
     pred = (x[te] @ w + b).argmax(axis=1)
     return float((pred == y[te]).mean())
@@ -117,6 +129,8 @@ def probe_averaged(model: Model, instances: list[Instance], target: str,
                    seed: int, runs: int = 3) -> float:
     """Average probe accuracy over ``runs`` collections, each with its own
     gate samples and split."""
+    if runs < 1:
+        raise ValueError(f"probe runs must be >= 1, got {runs}")
     accs = []
     for r in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, r)))
@@ -128,26 +142,37 @@ def probe_averaged(model: Model, instances: list[Instance], target: str,
 def export_representations(model: Model, instances: list[Instance],
                            kind: str, rng: Optional[np.random.Generator] = None
                            ) -> list[dict]:
-    """One row per instance: the gated hidden vector (kind='h', using the
-    prior mean as gate) or a gate sample from the prior drawn with ``rng``
-    (kind='z'), with the raw label/domain strings for plotting."""
+    """One row per instance: the gated hidden vector (kind='h', gated by
+    the prior mean: csda's mean gate, dsda's prior probabilities) or a
+    gate sample from the prior drawn with ``rng`` (kind='z': a csda draw,
+    or a one-hot dsda draw), with the raw label/domain strings for
+    plotting. The plain baselines use the uniform gate for both."""
     if kind not in ("h", "z"):
         raise ValueError(f"export kind must be 'h' or 'z', got {kind!r}")
     if kind == "z" and rng is None:
         raise ValueError("export kind 'z' draws gate samples and needs an rng")
+    cfg = model.config
     rows = []
-    for inst in instances:
+    for chunk in _chunks(instances):
         tape = Tape()
         binder = model.binder(tape)
-        if not model.config.is_variational:
-            vec = np.full(model.config.k, 1.0 / model.config.k)
-        elif kind == "z":
-            vec = dist.draw_many(model.prior_gate(binder, inst.ids), rng, 1)[0]
+        batch = model.pack([inst.ids for inst in chunk])
+        if cfg.is_variational:
+            prior = model.prior_gate(binder, batch)
+            gates = (dist.draw_many(prior, [rng] * batch.size, 1)[:, 0] if kind == "z"
+                     else dist.mean(prior))
+        elif cfg.family == "categorical":
+            gates = np.exp(ad.log_softmax(model.prior_gate(binder, batch)).value)
+            if kind == "z":
+                # Inverse CDF of each row's categorical at one uniform.
+                u = rng.random(batch.size)[:, None]
+                picks = np.minimum((u >= np.cumsum(gates, axis=1)).sum(axis=1), cfg.k - 1)
+                gates = np.eye(cfg.k)[picks]
         else:
-            vec = dist.mean(model.prior_gate(binder, inst.ids))
+            gates = np.full((batch.size, cfg.k), 1.0 / cfg.k)
         if kind == "h":
-            h_mat = model.channel_encodings(binder, inst.ids, dropout_rng=None)
-            vec = gate_channels(h_mat, tape.const(vec)).value
-        rows.append({"id": inst.doc_id, "vector": vec,
-                     "label": inst.label, "domain": inst.domain})
+            h_mat = model.channel_encodings(binder, batch, dropout_rng=None)
+            gates = gate_channels(h_mat, tape.const(gates)).value
+        rows.extend({"id": inst.doc_id, "vector": vec, "label": inst.label,
+                     "domain": inst.domain} for inst, vec in zip(chunk, gates))
     return rows

@@ -16,9 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import RowGrad, accumulate, backprop
+from .autodiff import RowGrad, backprop
 from .data import Instance
-from .distributions import DegenerateSampleError
 from .inference import InferConfig, predict_batch
 from .models import Model
 from .optim import AdamState, adam_step
@@ -115,12 +114,14 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
           cfg: TrainConfig) -> TrainResult:
     """Train in place and return the best-dev checkpoint.
 
-    Instances without a label are skipped (the unlabeled-label objective
-    is not part of this implementation); instances without a domain pass
-    the UNK sentinel into the variational network. An instance whose
-    gate draw has no usable pathwise gradient (``DegenerateSampleError``)
-    is left out of its step and counted in the log entry's
-    ``degenerate``; ``grad_norm`` is the global L2 norm of the step's
+    Each step runs one mini-batch on one tape: one ``Model.loss`` call,
+    one ``backprop`` and one Adam step. Instances without a label are
+    skipped (the unlabeled-label objective is not part of this
+    implementation); instances without a domain pass the UNK sentinel
+    into the variational network. An instance whose gate draw has no
+    usable pathwise gradient is left out of its step's mean and counted
+    in the log entry's ``degenerate``; a step that keeps no instance
+    takes no Adam step. ``grad_norm`` is the global L2 norm of the step's
     averaged gradient (null when no step is taken). Dev accuracy is
     checked twice per epoch; training stops after ``patience``
     evaluations without improvement.
@@ -157,36 +158,15 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
             if not batch:
                 continue
             lam_t = _lambda_at(cfg, step, steps_per_epoch)
-            grad_sum: dict = {}
-            loss_sum = 0.0
-            kl_sum = 0.0
-            kl_seen = False
-            degenerate = 0
-            for inst in batch:
-                res = model.loss(inst.ids, inst.y_id, inst.d_id,
-                                 lam=lam_t, w_dom=cfg.w_dom,
-                                 rng=sample_rng, dropout_rng=dropout_rng)
-                try:
-                    grads = backprop(res.loss)
-                except DegenerateSampleError:
-                    degenerate += 1
-                    continue
-                for name, g in grads.items():
-                    grad_sum[name] = (accumulate(grad_sum[name], g)
-                                      if name in grad_sum else g)
-                loss_sum += res.loss.item()
-                if res.kl is not None:
-                    kl_sum += res.kl
-                    kl_seen = True
+            res = model.loss([inst.ids for inst in batch], [inst.y_id for inst in batch],
+                             [inst.d_id for inst in batch], lam=lam_t, w_dom=cfg.w_dom,
+                             rng=sample_rng, dropout_rng=dropout_rng)
             step += 1
             entry = {"step": step, "epoch": epoch, "loss": None, "kl": None,
-                     "lambda": lam_t, "degenerate": degenerate, "grad_norm": None}
-            # The step averages over the kept instances; none kept, no step.
-            if degenerate < len(batch):
-                scale = 1.0 / (len(batch) - degenerate)
-                for name in grad_sum:
-                    grad_sum[name] *= scale
-                entry["grad_norm"] = _global_norm(grad_sum)
+                     "lambda": lam_t, "degenerate": res.degenerate, "grad_norm": None}
+            if res.loss is not None:
+                grads = backprop(res.loss)
+                entry["grad_norm"] = _global_norm(grads)
                 if best_is_current:  # keep the best state before Adam overwrites it
                     if best_params is None:
                         best_params = {name: np.empty_like(arr)
@@ -194,9 +174,9 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
                     for name, arr in model.params.items():
                         np.copyto(best_params[name], arr)
                     best_is_current = False
-                adam_step(model.params, grad_sum, opt)
-                entry["loss"] = loss_sum * scale
-                entry["kl"] = kl_sum * scale if kl_seen else None
+                adam_step(model.params, grads, opt)
+                entry["loss"] = res.loss.item()
+                entry["kl"] = res.kl
             if b + 1 in eval_points:
                 result = evaluate(model, dev_set, cfg.infer)
                 entry["dev_acc"] = result.accuracy

@@ -83,8 +83,17 @@ UNARY_CASES = [
     ("log_softmax", ad.log_softmax, lambda r: r.normal(0, 1.0, 6)),
     ("log_softmax_rows", ad.log_softmax, lambda r: r.normal(0, 1.0, (3, 4))),
     ("gather_rows", lambda a: ad.gather(a, 2), lambda r: r.normal(0, 1.0, (3, 4))),
+    ("gather_per_row", lambda a: ad.gather(a, np.array([2, 0, 3])),
+     lambda r: r.normal(0, 1.0, (3, 4))),
     ("logsumexp", ad.logsumexp, lambda r: r.normal(0, 1.0, 6)),
+    ("logsumexp_rows", ad.logsumexp, lambda r: r.normal(0, 1.0, (3, 4))),
     ("reduce_sum", ad.reduce_sum, lambda r: r.normal(0, 1.0, 6)),
+    ("reduce_sum_rows", lambda a: ad.reduce_sum(a, axis=-1), lambda r: r.normal(0, 1.0, (3, 4))),
+    ("reduce_sum_keepdims", lambda a: ad.reduce_sum(a, axis=0, keepdims=True),
+     lambda r: r.normal(0, 1.0, (3, 4))),
+    ("take_rows_repeated", lambda a: ad.take_rows(a, np.array([[2, 0], [2, 2]])),
+     lambda r: r.normal(0, 1.0, (3, 4))),
+    ("reshape", lambda a: ad.reshape(a, (2, 1, 6)), lambda r: r.normal(0, 1.0, (3, 4))),
     ("neg", ad.neg, lambda r: r.normal(0, 1.0, 6)),
 ]
 
@@ -113,7 +122,9 @@ class TestBackwardRulesMatchFiniteDifferences:
     @pytest.mark.parametrize("shape_a,shape_b", [((3, 4), (4, 2)),
                                                  ((3, 4), (4,)),
                                                  ((4,), (4, 2)),
-                                                 ((4,), (4,))])
+                                                 ((4,), (4,)),
+                                                 ((2, 3, 4), (4, 2)),
+                                                 ((2, 3, 4), (2, 4, 5))])
     def test_matmul(self, shape_a, shape_b):
         rng = np.random.default_rng(7)
         a0 = rng.normal(size=shape_a)
@@ -180,49 +191,109 @@ class TestBackwardRulesMatchFiniteDifferences:
                 grads["b"], fd_gradient(lambda b: float(np.sum((x0 + b) * probe)),
                                         b0.copy()), rtol=1e-4, atol=1e-8)
 
+    def test_add_broadcasts_rows_against_a_column(self):
+        rng = np.random.default_rng(14)
+        x0 = rng.normal(size=(3, 4))
+        c0 = rng.normal(size=(3, 1))
+        probe = rng.normal(size=(3, 4))
+        t = Tape()
+        out = ad.mul(t.param(c0, "c"), t.param(x0, "x"))
+        grads = backprop(ad.reduce_sum(ad.mul(out, t.const(probe))))
+        np.testing.assert_allclose(
+            grads["c"], fd_gradient(lambda c: float(np.sum(c * x0 * probe)), c0.copy()),
+            rtol=1e-4, atol=1e-8)
+        np.testing.assert_allclose(
+            grads["x"], fd_gradient(lambda x: float(np.sum(c0 * x * probe)), x0.copy()),
+            rtol=1e-4, atol=1e-8)
+
     def test_conv1d_and_maxpool(self):
+        # The fused conv -> per-instance max-pool -> relu over a ragged
+        # batch: an instance exactly one window long, a longer one, and a
+        # third. Filter 0 is negative in every window of instances 0 and 2
+        # (output 0, no gradient), while the second instance's large rows
+        # make a window that crosses from instance 0 into it positive: it
+        # would win instance 0's filter 0 if it were pooled. The direct
+        # reference convolves each instance alone.
         rng = np.random.default_rng(9)
-        x0 = rng.normal(size=(7, 3))
+        lengths = [3, 7, 5]
+        starts = np.concatenate([[0], np.cumsum(lengths)])
+        x0 = rng.normal(size=(starts[-1], 3))
         w0 = rng.normal(size=(3, 3, 4))
         b0 = rng.normal(size=4)
+        b0[0] = -40.0
+        w0[:, :, 0] = np.abs(w0[:, :, 0])
+        x0[3:10] = 8.0 * np.abs(x0[3:10])
+        probe = rng.normal(size=(3, 4))
+        crossing = np.einsum("we,we->", x0[2:5], w0[:, :, 0]) + b0[0]
+        assert crossing > 0.0
 
         def forward(x, w, b):
-            win = np.lib.stride_tricks.sliding_window_view(x, 3, axis=0)
-            conv = np.einsum("tew,wef->tf", win, w) + b
-            return conv.max(axis=0).sum()
+            out = []
+            for j in range(3):
+                seg = x[starts[j]:starts[j + 1]]
+                win = np.lib.stride_tricks.sliding_window_view(seg, 3, axis=0)
+                conv = np.einsum("tew,wef->tf", win, w) + b
+                out.append(np.maximum(conv.max(axis=0), 0.0))
+            return float(np.sum(np.array(out) * probe))
 
         t = Tape()
         xv, wv, bv = t.param(x0, "x"), t.param(w0, "w"), t.param(b0, "b")
-        loss = ad.reduce_sum(ad.maxpool_time(ad.conv1d(xv, wv, bv)))
-        grads = backprop(loss)
-        np.testing.assert_allclose(
-            grads["x"], fd_gradient(lambda x: forward(x, w0, b0), x0.copy()),
-            rtol=1e-4, atol=1e-8)
-        np.testing.assert_allclose(
-            grads["w"], fd_gradient(lambda w: forward(x0, w, b0), w0.copy()),
-            rtol=1e-4, atol=1e-8)
-        np.testing.assert_allclose(
-            grads["b"], fd_gradient(lambda b: forward(x0, w0, b), b0.copy()),
-            rtol=1e-4, atol=1e-8)
+        pooled = ad.conv_pool(xv, wv, bv, starts)
+        assert pooled.value[1, 0] > 0.0
+        assert pooled.value[0, 0] == pooled.value[2, 0] == 0.0
+        grads = backprop(ad.reduce_sum(ad.mul(pooled, t.const(probe))))
+        for name, arr in (("x", x0), ("w", w0), ("b", b0)):
+            args = {"x": x0, "w": w0, "b": b0}
+
+            def scalar(v, name=name):
+                return forward(**{**args, name: v})
+
+            np.testing.assert_allclose(grads[name], fd_gradient(scalar, arr.copy()),
+                                       rtol=1e-4, atol=1e-8)
+        # filter 0 of the first and last instance passes no gradient
+        assert grads["b"][0] == probe[1, 0]
+
+    def test_conv_pool_never_pools_a_window_across_instances(self):
+        # The window starting at the last row of instance 0 and ending in
+        # instance 1 has by far the largest pre-activation; it must never
+        # win, and no gradient may reach it.
+        w0 = np.ones((2, 1, 1))
+        x0 = np.array([[1.0], [2.0], [50.0], [60.0], [3.0]])
+        starts = np.array([0, 2, 5])
+        t = Tape()
+        xv = t.param(x0, "x")
+        pooled = ad.conv_pool(xv, t.param(w0, "w"), t.param(np.zeros(1), "b"), starts)
+        # instance 0 has the window (1, 2); instance 1 the windows (50, 60), (60, 3)
+        np.testing.assert_array_equal(pooled.value, [[3.0], [110.0]])
+        grads = backprop(ad.reduce_sum(pooled))
+        np.testing.assert_array_equal(grads["x"], [[1.0], [1.0], [1.0], [1.0], [0.0]])
 
     def test_embedding_gather_concat_stack_take_row(self):
         rng = np.random.default_rng(10)
         table0 = rng.normal(size=(6, 3))
         ids = np.array([1, 4, 1, 0])
         probe = rng.normal(size=3)
+        probe_rows = rng.normal(size=(4, 2, 3))
 
         def scalar(table):
             emb = table[ids]
-            pooled = emb.max(axis=0)
-            return float(pooled @ probe + table[2] @ probe + emb[0, 1])
+            pooled = emb.sum(axis=0)
+            rows = np.stack([emb, emb[::-1]], axis=1)
+            return float(pooled @ probe + table[2] @ probe + emb[0, 1]
+                         + np.sum(rows * probe_rows)
+                         + np.sum(np.concatenate([emb, emb], axis=-1)[np.arange(4), [0, 5, 1, 3]]))
 
         t = Tape()
         tv = t.param(table0, "table")
         emb = ad.embedding(tv, ids)
-        pooled = ad.maxpool_time(emb)
+        pooled = ad.reduce_sum(emb, axis=0)
+        reversed_rows = ad.take_rows(emb, np.array([3, 2, 1, 0]))
+        rows = ad.stack([emb, reversed_rows], axis=1)
         loss = ad.matmul(pooled, t.const(probe)) \
-            + ad.matmul(ad.take_row(tv, 2), t.const(probe)) \
-            + ad.gather(ad.take_row(emb, 0), 1)
+            + ad.matmul(ad.take_rows(tv, 2), t.const(probe)) \
+            + ad.gather(ad.take_rows(emb, 0), 1) \
+            + ad.reduce_sum(ad.mul(rows, t.const(probe_rows))) \
+            + ad.reduce_sum(ad.gather(ad.concat([emb, emb]), np.array([0, 5, 1, 3])))
         grads = backprop(loss)
         np.testing.assert_allclose(grads["table"],
                                    fd_gradient(scalar, table0.copy()),
@@ -261,14 +332,14 @@ class TestBackwardRulesMatchFiniteDifferences:
 
         def scalar(table):
             second = (np.sum(table * weights) if dense_use
-                      else table[ids_b].max(axis=0) @ probe)
-            return float(table[ids_a].max(axis=0) @ probe + second)
+                      else table[ids_b].sum(axis=0) @ probe)
+            return float(table[ids_a].sum(axis=0) @ probe + second)
 
         t = Tape()
         tv = t.param(table0, "table")
-        first = ad.matmul(ad.maxpool_time(ad.embedding(tv, ids_a)), t.const(probe))
+        first = ad.matmul(ad.reduce_sum(ad.embedding(tv, ids_a), axis=0), t.const(probe))
         second = (ad.reduce_sum(ad.mul(tv, t.const(weights))) if dense_use
-                  else ad.matmul(ad.maxpool_time(ad.embedding(tv, ids_b)),
+                  else ad.matmul(ad.reduce_sum(ad.embedding(tv, ids_b), axis=0),
                                  t.const(probe)))
         g = backprop(first + second)["table"]
         if dense_use:
@@ -300,7 +371,7 @@ class TestBackwardRulesMatchFiniteDifferences:
         def run(x, seed=123):
             t = Tape()
             xv = t.param(x, "x")
-            out = ad.dropout(xv, 0.5, np.random.default_rng(seed))
+            out = ad.dropout(xv, 0.5, np.random.default_rng(seed).random(8))
             return t, xv, ad.reduce_sum(out)
 
         _, _, loss = run(x0)
@@ -325,17 +396,25 @@ class TestInvariants:
     def test_dropout_reproducible_from_rng(self):
         t1, t2 = Tape(), Tape()
         x = np.arange(10.0)
-        a = ad.dropout(t1.const(x), 0.4, np.random.default_rng(5)).value
-        b = ad.dropout(t2.const(x), 0.4, np.random.default_rng(5)).value
+        a = ad.dropout(t1.const(x), 0.4, np.random.default_rng(5).random(10)).value
+        b = ad.dropout(t2.const(x), 0.4, np.random.default_rng(5).random(10)).value
         np.testing.assert_array_equal(a, b)
+        assert 0 < np.count_nonzero(a[1:]) < 9
 
     def test_maxpool_tie_takes_lowest_index(self):
+        # Window-1 identity filters pool the rows themselves; instance 1
+        # (rows 3-5) ties in both filters, and the gradient goes to the
+        # lowest tied row.
         t = Tape()
-        x = t.param(np.array([[2.0, 1.0], [2.0, 3.0], [0.0, 3.0]]), "x")
-        out = ad.maxpool_time(x)
+        x = t.param(np.array([[2.0, 1.0], [2.0, 3.0], [0.0, 3.0],
+                              [4.0, 5.0], [4.0, 5.0], [1.0, 5.0]]), "x")
+        out = ad.conv_pool(x, t.const(np.eye(2)[None]), t.const(np.zeros(2)),
+                           np.array([0, 3, 6]))
+        np.testing.assert_array_equal(out.value, [[2.0, 3.0], [4.0, 5.0]])
         grads = backprop(ad.reduce_sum(out))
         np.testing.assert_array_equal(
-            grads["x"], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+            grads["x"], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0],
+                         [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
 
     def test_tape_topological_order(self):
         t = Tape()
@@ -371,6 +450,13 @@ class TestErrors:
         t = Tape()
         with pytest.raises(NonFiniteError, match="exp"):
             ad.exp(t.const(np.array([1000.0])))
+        # a NaN or -inf maximum must not vanish behind the fused relu
+        for bad in (np.nan, -np.inf):
+            w = np.ones((2, 3, 2))
+            w[0, 0, 1] = bad
+            with pytest.raises(NonFiniteError, match="conv_pool"):
+                ad.conv_pool(t.const(np.ones((4, 3))), t.param(w, "w"),
+                             t.const(np.zeros(2)), np.array([0, 2, 4]))
 
     def test_non_scalar_loss_rejected(self):
         t = Tape()
@@ -381,8 +467,8 @@ class TestErrors:
     def test_conv_too_short_rejected(self):
         t = Tape()
         with pytest.raises(ShapeError, match="shorter"):
-            ad.conv1d(t.const(np.zeros((2, 3))), t.const(np.zeros((3, 3, 1))),
-                      t.const(np.zeros(1)))
+            ad.conv_pool(t.const(np.zeros((5, 3))), t.const(np.zeros((3, 3, 1))),
+                         t.const(np.zeros(1)), np.array([0, 3, 5]))
 
     def test_embedding_out_of_range(self):
         t = Tape()

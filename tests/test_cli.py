@@ -1,7 +1,7 @@
 """The command line: gen-synth from a spec file; a tiny end-to-end run
 through every command, whose training is byte-reproducible; and a
-non-zero exit with a JSON error naming the field on a bad spec or run
-config."""
+non-zero exit with a JSON error naming the field on a bad spec, run
+config or command-line count."""
 
 import json
 
@@ -114,6 +114,21 @@ def test_tiny_run_through_every_command(tmp_path, capsys):
                          "--strategy", strategy, "--out", str(tmp_path / out)]) == 0
         for name in ("results.tsv", "results.txt", "eval_manifest.json"):
             assert (tmp_path / out / name).is_file(), name
+
+    # A count of 0 is refused, naming the option, rather than replaced or
+    # averaged over nothing.
+    capsys.readouterr()
+    for argv, field in ((["eval", "--run-dir", str(run), "--data", heldout, "--m", "0",
+                          "--out", str(tmp_path / "eval_m0")], "m"),
+                        (["probe", "--run-dir", str(run), "--data",
+                          str(corpus / "train.jsonl"), "--runs", "0",
+                          "--out", str(tmp_path / "probe_r0")], "runs")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["field"] == field
+        assert not (tmp_path / argv[-1]).exists()
 
     sweep = tmp_path / "sweep"
     assert cli.main(["sweep-lambda", "--config", str(cfg), "--out", str(sweep)]) == 0

@@ -35,13 +35,13 @@ class TestSampling:
         rng = np.random.default_rng(0)
         p = dirichlet_params(2.0, [0.2, 0.5, 0.8])
         for _ in range(50):
-            z = dist.sample(p, rng).value
+            z = dist.sample(p, rng)[0].value
             assert abs(z.sum() - 1.0) <= 1e-10
             assert np.all(z >= 0.0)
 
     def test_beta_uniform_case_returns_noise(self):
         p = beta_params([1.0], [1.0])
-        var = dist.sample(p, None, eps=np.array([0.73]))
+        var, _ = dist.sample(p, None, eps=np.array([0.73]))
         assert var.value[0] == pytest.approx(0.73, abs=1e-12)
         assert var._tape.nodes[var._i].aux[0] == 0.73
 
@@ -49,7 +49,7 @@ class TestSampling:
         rng = np.random.default_rng(1)
         p = beta_params([0.5, 2.0, 5.0], [5.0, 2.0, 0.5])
         for _ in range(50):
-            z = dist.sample(p, rng).value
+            z = dist.sample(p, rng)[0].value
             assert np.all((z >= 0.0) & (z <= 1.0))
 
     def test_beta_empirical_mean(self):
@@ -64,9 +64,9 @@ class TestSampling:
     def test_frozen_noise_reproduces(self):
         eps = np.array([0.3, 0.6])
         p1 = beta_params([2.0, 3.0], [1.5, 0.7])
-        v1 = dist.sample(p1, None, eps=eps)
+        v1, _ = dist.sample(p1, None, eps=eps)
         p2 = beta_params([2.0, 3.0], [1.5, 0.7])
-        v2 = dist.sample(p2, None, eps=eps)
+        v2, _ = dist.sample(p2, None, eps=eps)
         np.testing.assert_array_equal(v1.value, v2.value)
 
 
@@ -212,7 +212,7 @@ def _beta_sample_grads(a, b, u):
     t = Tape()
     av = t.param(np.array([a]), "a")
     bv = t.param(np.array([b]), "b")
-    z_var = dist.sample(dist.BetaParams(av, bv), None, eps=np.array([u]))
+    z_var, _ = dist.sample(dist.BetaParams(av, bv), None, eps=np.array([u]))
     grads = backprop(ad.reduce_sum(z_var))
     return grads["a"][0], grads["b"][0]
 
@@ -276,7 +276,7 @@ class TestImplicitGradients:
             for j in range(3):
                 t = Tape()
                 conc = ad.mul(t.param(np.asarray(a0), "a0"), t.param(ahat, "ahat"))
-                z_var = dist.sample(dist.DirichletParams(conc), None, eps=u)
+                z_var, _ = dist.sample(dist.DirichletParams(conc), None, eps=u)
                 grads = backprop(ad.gather(z_var, j))
                 assert grads["a0"] == pytest.approx(fd0[j], rel=1e-3, abs=1e-8)
                 np.testing.assert_allclose(grads["ahat"], fd_hat[j],
@@ -296,7 +296,7 @@ class TestImplicitGradients:
         t = Tape()
         a = t.param(np.array([1.8]), "a")
         b = t.param(np.array([2.2]), "b")
-        z_var = dist.sample(dist.BetaParams(a, b), None, eps=eps)
+        z_var, _ = dist.sample(dist.BetaParams(a, b), None, eps=eps)
         grads = backprop(ad.reduce_sum(z_var))
         da, db = _fd_beta_quantile(0.4, 1.8, 2.2)
         assert grads["a"][0] == pytest.approx(da, rel=1e-3)
@@ -309,19 +309,38 @@ class TestDegenerateDraws:
         t = Tape()
         params = dist.BetaParams(t.param(np.array([5.0]), "a"),
                                  t.param(np.array([0.02]), "b"))
-        z_var = dist.sample(params, None, eps=[0.7])
+        z_var, degenerate = dist.sample(params, None, eps=[0.7])
         assert z_var.value[0] == 1.0
+        assert degenerate  # flagged at draw time ...
         with pytest.raises(dist.DegenerateSampleError,
                            match=r"z=1\.0, alpha=5\.0, beta=0\.02"):
-            backprop(ad.reduce_sum(z_var))
+            backprop(ad.reduce_sum(z_var))  # ... and never differentiated
+
+    def test_degenerate_rows_are_flagged_and_left_out(self):
+        # Rows [B,k]: row 1 draws z = 1.0 from Beta(5, 0.02). Its flag is
+        # set at draw time; a loss that leaves it out backpropagates, and
+        # the kept rows get the gradients of their own draws.
+        t = Tape()
+        a = t.param(np.array([[1.8, 2.0], [5.0, 5.0], [0.9, 3.0]]), "a")
+        b = t.param(np.array([[2.2, 1.0], [0.02, 0.02], [1.5, 0.7]]), "b")
+        eps = np.array([[0.4, 0.6], [0.7, 0.7], [0.3, 0.5]])
+        z_var, degenerate = dist.sample(dist.BetaParams(a, b), None, eps=eps)
+        np.testing.assert_array_equal(degenerate, [False, True, False])
+        keep = t.const((~degenerate).astype(float)[:, None])
+        grads = backprop(ad.reduce_sum(ad.mul(z_var, keep)))
+        np.testing.assert_array_equal(grads["a"][1], [0.0, 0.0])
+        for row in (0, 2):
+            for j in range(2):
+                ga, gb = _beta_sample_grads(a.value[row, j], b.value[row, j], eps[row, j])
+                assert grads["a"][row, j] == ga and grads["b"][row, j] == gb
 
     def test_dirichlet_at_a_subnormal_gamma_draw(self):
         # Concentration 0.0031 at u = 0.102 draws the Gamma 8.79e-321.
         t = Tape()
         conc = ad.mul(t.param(np.asarray(1.0), "a0"),
                       t.param(np.array([0.0031, 0.5]), "ahat"))
-        z_var = dist.sample(dist.DirichletParams(conc), None, eps=[0.102, 0.5])
-        assert 0.0 < z_var.value[0] < 1e-300
+        z_var, degenerate = dist.sample(dist.DirichletParams(conc), None, eps=[0.102, 0.5])
+        assert 0.0 < z_var.value[0] < 1e-300 and not degenerate
         grads = backprop(ad.gather(z_var, 1))
         assert np.isfinite(grads["a0"]) and np.all(np.isfinite(grads["ahat"]))
 

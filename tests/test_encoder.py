@@ -1,12 +1,13 @@
-"""Convolutional encoder: output shape, PAD behavior, determinism, and
-the embedding-gradient finite-difference check on a toy instance."""
+"""Convolutional encoder: output shape, PAD behavior, determinism, a
+ragged batch against its instances encoded one by one, and
+finite-difference checks of the gradients over a ragged batch."""
 
 import numpy as np
 import pytest
 
 from domaingate import autodiff as ad
 from domaingate.autodiff import ParamBinder, RowGrad, Tape, backprop
-from domaingate.encoder import EncoderConfig, encode, init_encoder_params
+from domaingate.encoder import EncoderConfig, encode, init_encoder_params, pack
 
 TOY = EncoderConfig(embed_dim=5, n_filters=4, windows=(2, 3))
 
@@ -16,16 +17,17 @@ def params():
     return init_encoder_params(np.random.default_rng(0), 10, TOY, "enc")
 
 
-def run_encode(params, ids, dropout_rng=None):
+def run_encode(params, ids, dropout_u=None, batch=None):
+    """Encode one instance (a [1, out_dim] row), or a batch of them."""
     tape = Tape()
     binder = ParamBinder(tape, params)
-    return tape, encode(binder, "enc", ids, TOY, dropout_rng=dropout_rng)
+    return tape, encode(binder, "enc", pack(batch or [ids], TOY), TOY, dropout_u=dropout_u)
 
 
 class TestShapes:
     def test_output_dim_is_filters_times_windows(self, params):
         _, h = run_encode(params, [1, 2, 3, 4, 5, 6])
-        assert h.value.shape == (TOY.out_dim,) == (8,)
+        assert h.value.shape == (1, TOY.out_dim) == (1, 8)
 
     def test_full_scale_dims_default(self):
         cfg = EncoderConfig()
@@ -36,16 +38,24 @@ class TestShapes:
     def test_output_dim_independent_of_length(self, params):
         for n in (1, 2, 5, 40):
             _, h = run_encode(params, list(np.arange(n) % 10))
-            assert h.value.shape == (8,)
+            assert h.value.shape == (1, 8)
 
     def test_short_input_left_padded(self, params):
         # a single token is padded up to the largest window
         _, h = run_encode(params, [4])
-        assert h.value.shape == (8,)
+        assert h.value.shape == (1, 8)
+        _, padded = run_encode(params, [0, 0, 4])
+        np.testing.assert_array_equal(h.value, padded.value)
+
+    def test_pack_strips_trailing_pad_and_left_pads(self):
+        batch = pack([[5, 6, 0, 0], [4], [0, 0], [1, 2, 3, 0]], TOY)
+        np.testing.assert_array_equal(batch.ids, [0, 5, 6, 0, 0, 4, 0, 0, 0, 1, 2, 3])
+        np.testing.assert_array_equal(batch.starts, [0, 3, 6, 9, 12])
+        assert batch.size == 4
 
     def test_empty_rejected(self, params):
-        with pytest.raises(ValueError):
-            run_encode(params, [])
+        with pytest.raises(ValueError, match="batch position 1"):
+            run_encode(params, None, batch=[[1, 2], []])
 
 
 class TestValues:
@@ -55,7 +65,7 @@ class TestValues:
         for w in TOY.windows:
             p[f"enc.conv{w}.b"][:] = 0.0
         _, h = run_encode(p, [0, 0, 0, 0])
-        np.testing.assert_array_equal(h.value, np.zeros(8))
+        np.testing.assert_array_equal(h.value, np.zeros((1, 8)))
 
     def test_trailing_pad_invariance(self, params):
         ids = [3, 7, 2, 9, 4]
@@ -81,7 +91,7 @@ class TestValues:
 
         def pooled(ids):
             tape = Tape()
-            return encode(ParamBinder(tape, p), "enc", ids, cfg).value
+            return encode(ParamBinder(tape, p), "enc", pack([ids], cfg), cfg).value
 
         a = pooled(wrap(block1, block2))
         b = pooled(wrap(block2, block1))
@@ -97,37 +107,59 @@ class TestValues:
         ids = [1, 5, 3, 2]
         _, clean = run_encode(params, ids)
         _, dropped = run_encode(params, ids,
-                                dropout_rng=np.random.default_rng(0))
+                                dropout_u=np.random.default_rng(0).random((1, 8)))
         assert not np.array_equal(clean.value, dropped.value)
+
+    def test_batch_rows_match_instances_encoded_alone(self, params):
+        # A 1-token instance, one exactly as long as the widest window, a
+        # trailing-PAD one and a long one: each row of the ragged batch is
+        # that instance's own encoding.
+        seqs = [[4], [7, 8, 6], [3, 7, 2, 9, 4, 0, 0], list(np.arange(40) % 10)]
+        _, rows = run_encode(params, None, batch=seqs)
+        assert rows.value.shape == (4, 8)
+        for row, ids in zip(rows.value, seqs):
+            np.testing.assert_allclose(row, run_encode(params, ids)[1].value[0],
+                                       rtol=1e-13, atol=1e-15)
+
+
+# A ragged batch: a 1-token instance (left-padded), one exactly as long
+# as the widest window, and a longer one with a repeated id.
+BATCH = [[1, 5, 3, 2, 9, 9], [4], [7, 8, 6]]
 
 
 class TestGradients:
-    def test_embedding_gradient_matches_fd(self, params):
-        ids = [1, 5, 3, 2, 9, 9]
-        probe = np.random.default_rng(1).normal(size=TOY.out_dim)
+    def _check_fd(self, params, name, grad, n=20, seed=2):
+        probe = np.random.default_rng(1).normal(size=(len(BATCH), TOY.out_dim))
 
-        def loss_value(p):
-            tape, h = run_encode(p, ids)
-            return float(h.value @ probe)
+        def loss_value():
+            return float(np.sum(run_encode(params, None, batch=BATCH)[1].value * probe))
 
-        tape, h = run_encode(params, ids)
-        loss = ad.matmul(h, tape.const(probe))
-        grads = backprop(loss)
-
-        emb = params["enc.emb"]
-        assert isinstance(grads["enc.emb"], RowGrad)
-        np.testing.assert_array_equal(grads["enc.emb"].ids, [1, 2, 3, 5, 9])
-        g = grads["enc.emb"].dense()
-        rng = np.random.default_rng(2)
-        flat_idx = rng.choice(emb.size, size=20, replace=False)
-        for idx in flat_idx:
-            r, c = np.unravel_index(idx, emb.shape)
+        arr = params[name]
+        rng = np.random.default_rng(seed)
+        for idx in rng.choice(arr.size, size=min(n, arr.size), replace=False):
+            i = np.unravel_index(idx, arr.shape)
             h_step = 1e-5
-            old = emb[r, c]
-            emb[r, c] = old + h_step
-            up = loss_value(params)
-            emb[r, c] = old - h_step
-            down = loss_value(params)
-            emb[r, c] = old
+            old = arr[i]
+            arr[i] = old + h_step
+            up = loss_value()
+            arr[i] = old - h_step
+            down = loss_value()
+            arr[i] = old
             fd = (up - down) / (2 * h_step)
-            assert g[r, c] == pytest.approx(fd, rel=1e-4, abs=1e-9)
+            assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-9)
+
+    def _grads(self, params):
+        probe = np.random.default_rng(1).normal(size=(len(BATCH), TOY.out_dim))
+        tape, h = run_encode(params, None, batch=BATCH)
+        return backprop(ad.reduce_sum(ad.mul(h, tape.const(probe))))
+
+    def test_embedding_gradient_matches_fd(self, params):
+        grads = self._grads(params)
+        assert isinstance(grads["enc.emb"], RowGrad)
+        # PAD (0) is looked up by the left-padded instance
+        np.testing.assert_array_equal(grads["enc.emb"].ids, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9])
+        self._check_fd(params, "enc.emb", grads["enc.emb"].dense())
+
+    @pytest.mark.parametrize("name", ["enc.conv2.w", "enc.conv3.w", "enc.conv3.b"])
+    def test_convolution_gradients_match_fd(self, params, name):
+        self._check_fd(params, name, self._grads(params)[name])

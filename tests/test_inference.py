@@ -1,4 +1,5 @@
-"""Importance-sampled prediction: the log-space estimator against the
+"""Prediction: records that do not depend on how the instances are cut
+into chunks; importance sampling's log-space estimator against the
 linear-space average it replaces, the peaked-prior case where every
 linear-space weight underflows, the effective sample size that flags an
 estimate carried by one draw, and draws on the edge of the support."""
@@ -13,7 +14,8 @@ from domaingate import distributions as dist
 from domaingate.autodiff import Tape
 from domaingate.data import Instance
 from domaingate.encoder import EncoderConfig
-from domaingate.inference import InferConfig, predict, predict_batch
+from domaingate import inference
+from domaingate.inference import STRATEGIES, InferConfig, predict, predict_batch
 from domaingate.models import Model, ModelConfig, classify_batch, gate_channels
 
 IDS = (3, 7, 1, 12, 5, 9)
@@ -46,18 +48,19 @@ def linear_space_estimates(model, m, seed):
     rng = np.random.default_rng(seed)
     tape = Tape()
     binder = model.binder(tape)
-    h_mat = model.channel_encodings(binder, IDS, dropout_rng=None)
-    prior = model.prior_gate(binder, IDS)
+    batch = model.pack([IDS])
+    h_mat = model.channel_encodings(binder, batch, dropout_rng=None)
+    prior = model.prior_gate(binder, batch)
     out = []
     for y in range(model.config.n_labels):
-        q = model.posterior_gate(binder, IDS, y, None)
-        z = dist.draw_many(q, rng, m)
+        q = model.posterior_gate(binder, batch, [y], None)
+        z = dist.draw_many(q, [rng], m)
         loglik = np.array([
             classify_batch(binder, model.config,
-                           gate_channels(h_mat, tape.const(row))).value[y]
-            for row in z])
-        log_w = dist.log_pdf_many(prior, z) + loglik \
-            - dist.log_pdf_many(q, z)
+                           gate_channels(h_mat, tape.const(row[None]))).value[0, y]
+            for row in z[0]])
+        log_w = dist.log_pdf_many(prior, z)[0] + loglik \
+            - dist.log_pdf_many(q, z)[0]
         out.append(np.exp(log_w).mean())
     return np.array(out)
 
@@ -66,8 +69,8 @@ def test_matches_linear_space_average_without_underflow():
     model = dirichlet_model()
     want = linear_space_estimates(model, 100, 0)
     assert np.all(want > 0.0)
-    label, probs, _ = predict(model, IDS, InferConfig("importance-sampling", 100),
-                              np.random.default_rng(0))
+    [(label, probs, _)] = predict(model, [IDS], InferConfig("importance-sampling", 100),
+                                  [np.random.default_rng(0)])
     np.testing.assert_allclose(probs, want / want.sum(), rtol=1e-12)
     assert label == int(want.argmax())
 
@@ -77,8 +80,8 @@ def test_peaked_prior_gives_finite_probabilities():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert np.all(linear_space_estimates(model, 10, 0) == 0.0)
-    label, probs, _ = predict(model, IDS, InferConfig("importance-sampling", 10),
-                              np.random.default_rng(0))
+    [(label, probs, _)] = predict(model, [IDS], InferConfig("importance-sampling", 10),
+                                  [np.random.default_rng(0)])
     assert np.all(np.isfinite(probs))
     assert abs(probs.sum() - 1.0) <= 1e-12
     # label 1's largest log-weight beats all of label 0's by over 1000 nats
@@ -107,5 +110,31 @@ def test_draws_on_the_edge_of_the_support_raise():
     # (or NaN), importance sampling names the draw and its parameters.
     model = beta_model_with_edge_posterior()
     with pytest.raises(dist.DegenerateSampleError, match=r"z=1\.0, alpha=.*, beta="):
-        predict(model, IDS, InferConfig("importance-sampling", 20),
-                np.random.default_rng(0))
+        predict(model, [IDS], InferConfig("importance-sampling", 20),
+                [np.random.default_rng(0)])
+    # In a chunk, the error names the instance whose draw it was.
+    insts = [Instance(f"doc{i}", IDS, 0, None, "l0", None) for i in range(3)]
+    with pytest.raises(dist.DegenerateSampleError, match=r"^doc0: beta draw .* z=1\.0"):
+        predict_batch(model, insts, InferConfig("importance-sampling", 20))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("kind", ["dsda", "csda-beta", "csda-dirichlet"])
+def test_records_do_not_depend_on_the_chunks(monkeypatch, kind, strategy):
+    cfg = ModelConfig(kind=kind, n_labels=3, n_domains=2, vocab_size=20, k=2,
+                      encoder=EncoderConfig(8, 4, (2, 3)), mlp_hidden=6, dropout=0.5)
+    model = Model.init(cfg, np.random.default_rng(4))
+    rng = np.random.default_rng(5)
+    insts = [Instance(f"doc{i}", tuple(int(t) for t in rng.integers(0, 20, 1 + 3 * i)),
+                      None, None, None, None) for i in range(5)]
+    infer = InferConfig(strategy, m=7, seed=3)
+    monkeypatch.setattr(inference, "CHUNK_SIZE", 1)
+    one_by_one = predict_batch(model, insts, infer)
+    monkeypatch.setattr(inference, "CHUNK_SIZE", 100)
+    together = predict_batch(model, insts, infer)
+    for a, b in zip(one_by_one, together):
+        assert (a.doc_id, a.label_id) == (b.doc_id, b.label_id)
+        np.testing.assert_allclose(a.probs, b.probs, rtol=0, atol=1e-12)
+        assert (a.ess is None) == (b.ess is None)
+        if a.ess is not None:
+            assert a.ess == pytest.approx(b.ess, rel=1e-12)

@@ -1,7 +1,8 @@
 """Model-level contracts: gating arithmetic, classifier head, discrete
 marginalization, the continuous gate parameterizations, the
-single-sample variational objective, and non-finite parameters named at
-the first primitive that reads them."""
+single-sample variational objective, a mini-batch loss against the mean
+of its instances' losses, and non-finite parameters named at the first
+primitive that reads them."""
 
 import math
 
@@ -33,57 +34,60 @@ def csda_loglik(model, y_id, d_id, eps):
     from one head call on a fresh tape."""
     t = Tape()
     binder = model.binder(t)
-    h_mat = model.channel_encodings(binder, IDS, None)
-    z = dist.sample(model.posterior_gate(binder, IDS, y_id, d_id), None, eps=eps)
-    return classify_batch(binder, model.config, gate_channels(h_mat, z)).value[y_id]
+    batch = model.pack([IDS])
+    h_mat = model.channel_encodings(binder, batch, None)
+    z, _ = dist.sample(model.posterior_gate(binder, batch, [y_id], [d_id]), None, eps=eps)
+    return classify_batch(binder, model.config, gate_channels(h_mat, z)).value[0, y_id]
 
 
 def head_gate(tape):
-    """The gate value that ``gate_channels`` mixed the channels with."""
+    """The gate rows [B,k] that ``gate_channels`` mixed the channels with."""
     [node] = [n for n in tape.nodes
               if n.kind == "matmul" and tape.nodes[n.inputs[1]].kind == "stack"]
-    return tape.nodes[node.inputs[0]].value
+    return tape.nodes[node.inputs[0]].value[:, 0, :]
 
 
 class TestGating:
     def test_indicator_gate_selects_channel_bitwise(self):
         t = Tape()
-        h_mat = t.const(np.random.default_rng(0).normal(size=(4, 5)))
-        out = gate_channels(h_mat, t.const(np.eye(4)[2]))
-        np.testing.assert_array_equal(out.value, h_mat.value[2])
-        rows = gate_channels(h_mat, t.const(np.eye(4)))
+        h_mat = t.const(np.random.default_rng(0).normal(size=(2, 4, 5)))
+        out = gate_channels(h_mat, t.const(np.eye(4)[[2, 0]]))
+        np.testing.assert_array_equal(out.value, h_mat.value[[0, 1], [2, 0]])
+        rows = gate_channels(h_mat, t.const(np.stack([np.eye(4)] * 2)))
         np.testing.assert_array_equal(rows.value, h_mat.value)
 
     def test_half_half_averages(self):
         t = Tape()
-        h_mat = t.const(np.array([[2.0, 4.0], [0.0, 2.0]]))
-        out = gate_channels(h_mat, t.const(np.array([0.5, 0.5])))
-        np.testing.assert_allclose(out.value, [1.0, 3.0], atol=1e-15)
+        h_mat = t.const(np.array([[[2.0, 4.0], [0.0, 2.0]]]))
+        out = gate_channels(h_mat, t.const(np.array([[0.5, 0.5]])))
+        np.testing.assert_allclose(out.value, [[1.0, 3.0]], atol=1e-15)
 
     def test_zero_gate_gives_zero_vector(self):
         t = Tape()
-        out = gate_channels(t.const(np.ones((2, 3))), t.const(np.zeros(2)))
-        np.testing.assert_array_equal(out.value, np.zeros(3))
+        out = gate_channels(t.const(np.ones((1, 2, 3))), t.const(np.zeros((1, 2))))
+        np.testing.assert_array_equal(out.value, np.zeros((1, 3)))
 
     def test_gate_rows_match_vector_gates(self):
         t = Tape()
         rng = np.random.default_rng(1)
-        h_mat = t.const(rng.normal(size=(3, 5)))
-        z_rows = rng.dirichlet(np.ones(3), size=4)
+        h_mat = t.const(rng.normal(size=(2, 3, 5)))
+        z_rows = rng.dirichlet(np.ones(3), size=(2, 4))
         out = gate_channels(h_mat, t.const(z_rows))
-        assert out.shape == (4, 5)
+        assert out.shape == (2, 4, 5)
         for i in range(4):
             np.testing.assert_allclose(
-                out.value[i], gate_channels(h_mat, t.const(z_rows[i])).value,
+                out.value[:, i], gate_channels(h_mat, t.const(z_rows[:, i])).value,
                 rtol=0, atol=1e-12)
 
     def test_length_mismatch_rejected(self):
         t = Tape()
-        h_mat = t.const(np.ones((1, 3)))
+        h_mat = t.const(np.ones((1, 1, 3)))
         with pytest.raises(ad.ShapeError):
-            gate_channels(h_mat, t.const(np.ones(2)))
+            gate_channels(h_mat, t.const(np.ones((1, 2))))
         with pytest.raises(ad.ShapeError):
-            gate_channels(h_mat, t.const(np.ones((4, 2))))
+            gate_channels(h_mat, t.const(np.ones((1, 4, 2))))
+        with pytest.raises(ad.ShapeError):  # one gate row per instance
+            gate_channels(h_mat, t.const(np.ones((2, 1))))
 
 
 class TestClassify:
@@ -175,46 +179,47 @@ class TestDiscreteLoss:
 
     def test_k1_reduces_to_single_channel_nll(self):
         model = toy_model("dsda", k=1, n_domains=1)
-        res = model.loss(IDS, 1)
+        res = model.loss([IDS], [1])
         single = toy_model("scnn", k=1)
         # same channel parameters -> same conditional likelihood
         for name, val in model.params.items():
             if name.startswith("theta."):
                 single.params[name] = val.copy()
-        res_single = single.loss(IDS, 1)
+        res_single = single.loss([IDS], [1])
         assert res.loss.item() == pytest.approx(res_single.loss.item(), abs=1e-12)
 
     def test_logsumexp_matches_probability_space_enumeration(self):
         for k in (1, 2, 4, 9):
             model = toy_model("dsda", k=k, n_domains=k, seed=k)
-            res = model.loss(IDS, 0)
+            res = model.loss([IDS], [0])
             t = Tape()
             binder = model.binder(t)
-            prior = model.prior_gate(binder, IDS)
-            logits = prior.value
+            batch = model.pack([IDS])
+            prior = model.prior_gate(binder, batch)
+            logits = prior.value[0]
             weights = np.exp(logits - logits.max())
             weights /= weights.sum()
-            h_mat = model.channel_encodings(binder, IDS, None)
+            h_mat = model.channel_encodings(binder, batch, None)
+            logp = classify_batch(binder, model.config, ad.take_rows(h_mat, 0)).value
             total = 0.0
             for i in range(k):
-                logp = classify_batch(binder, model.config, ad.take_row(h_mat, i))
-                total += weights[i] * math.exp(logp.value[0])
+                total += weights[i] * math.exp(logp[i, 0])
             assert res.loss.item() == pytest.approx(-math.log(total), abs=1e-10)
 
     def test_domain_supervision_adds_prior_term(self):
         model = toy_model("dsda", k=2, n_domains=2)
-        plain = model.loss(IDS, 1, None)
-        with_d = model.loss(IDS, 1, 0, w_dom=1.0)
+        plain = model.loss([IDS], [1], [None])
+        with_d = model.loss([IDS], [1], [0], w_dom=1.0)
         t = Tape()
-        prior = model.prior_gate(model.binder(t), IDS)
-        log_prior = ad.log_softmax(prior).value
+        prior = model.prior_gate(model.binder(t), model.pack([IDS]))
+        log_prior = ad.log_softmax(prior).value[0]
         assert with_d.loss.item() == pytest.approx(
             plain.loss.item() - log_prior[0], abs=1e-12)
 
     def test_observed_domain_beyond_k_rejected(self):
         model = toy_model("dsda", k=2, n_domains=4)
-        with pytest.raises(ValueError, match="channels"):
-            model.loss(IDS, 0, 3)
+        with pytest.raises(ValueError, match="channels.*batch position 1"):
+            model.loss([IDS, IDS], [0, 0], [1, 3])
 
 
 class TestContinuousGateParameterization:
@@ -223,61 +228,79 @@ class TestContinuousGateParameterization:
         for name in ("phi.alpha.w", "phi.alpha.b", "phi.beta.w", "phi.beta.b"):
             model.params[name][:] = 0.0
         t = Tape()
-        prior = model.prior_gate(model.binder(t), IDS)
-        np.testing.assert_allclose(prior.alpha.value, np.ones(3), atol=1e-12)
-        np.testing.assert_allclose(prior.beta.value, np.ones(3), atol=1e-12)
+        prior = model.prior_gate(model.binder(t), model.pack([IDS]))
+        np.testing.assert_allclose(prior.alpha.value, np.ones((1, 3)), atol=1e-12)
+        np.testing.assert_allclose(prior.beta.value, np.ones((1, 3)), atol=1e-12)
 
     def test_dirichlet_zero_projection_gives_half_concentration(self):
         model = toy_model("csda-dirichlet", k=3)
         for name in ("phi.conc.w", "phi.conc.b", "phi.base.w", "phi.base.b"):
             model.params[name][:] = 0.0
         t = Tape()
-        prior = model.prior_gate(model.binder(t), IDS)
-        # the concentration is the product node scale * affinity
+        prior = model.prior_gate(model.binder(t), model.pack([IDS]))
+        # the concentration is the product node scale [B,1] * affinity [B,k]
         product = t.nodes[prior.conc._i]
         scale, affinity = (t.nodes[i].value for i in product.inputs)
-        assert product.kind == "mul"
-        assert scale.item() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(affinity, np.full(3, 0.5), atol=1e-12)
-        np.testing.assert_allclose(prior.conc.value, np.full(3, 0.5), atol=1e-12)
+        assert product.kind == "mul" and scale.shape == (1, 1)
+        assert scale[0, 0] == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(affinity, np.full((1, 3), 0.5), atol=1e-12)
+        np.testing.assert_allclose(prior.conc.value, np.full((1, 3), 0.5), atol=1e-12)
 
     def test_posterior_feature_width_includes_label_and_domain(self):
         model = toy_model("csda-beta", k=2)
         t = Tape()
         binder = model.binder(t)
-        model.posterior_gate(binder, IDS, 1, 0)
+        model.posterior_gate(binder, model.pack([IDS]), [1], [0])
         concat_nodes = [n for n in t.nodes if n.kind == "concat"]
         assert concat_nodes, "posterior should concatenate features"
-        assert concat_nodes[-1].value.shape == (ENC.out_dim + 4 + 16,)
+        assert concat_nodes[-1].value.shape == (1, ENC.out_dim + 4 + 16)
 
     def test_posterior_accepts_unk_sentinels(self):
         model = toy_model("csda-beta", k=2)
         t = Tape()
-        q = model.posterior_gate(model.binder(t), IDS, None, None)
+        q = model.posterior_gate(model.binder(t), model.pack([IDS]), [None], [None])
         assert np.all(q.alpha.value > 0.0)
+        assert q.alpha.shape == (1, 2)
+
+    def test_candidate_labels_share_one_encoding(self):
+        # Rows [B,C,k] for C candidate labels equal C separate calls.
+        model = toy_model("csda-dirichlet", k=2)
+        t = Tape()
+        binder = model.binder(t)
+        batch = model.pack([IDS, IDS[:3]])
+        q = model.posterior_gate(binder, batch, [range(2), range(2)], None)
+        assert q.conc.shape == (2, 2, 2)
+        assert sum(n.kind == "embedding" for n in t.nodes) == 1
+        for y in range(2):
+            one = model.posterior_gate(binder, batch, [y, y], None)
+            np.testing.assert_allclose(q.conc.value[:, y], one.conc.value, rtol=1e-13)
 
     def test_posterior_depends_on_domain_embedding(self):
         model = toy_model("csda-beta", k=2)
         t = Tape()
         binder = model.binder(t)
-        q0 = model.posterior_gate(binder, IDS, 0, 0)
-        q1 = model.posterior_gate(binder, IDS, 0, 1)
+        batch = model.pack([IDS])
+        q0 = model.posterior_gate(binder, batch, [0], [0])
+        q1 = model.posterior_gate(binder, batch, [0], [1])
         assert not np.allclose(q0.alpha.value, q1.alpha.value)
 
     def test_unknown_ids_rejected(self):
         model = toy_model("csda-beta", k=2)
         t = Tape()
-        with pytest.raises(ValueError, match="inventory"):
-            model.posterior_gate(model.binder(t), IDS, 5, None)
-        with pytest.raises(ValueError, match="inventory"):
-            model.posterior_gate(model.binder(t), IDS, None, 7)
+        batch = model.pack([IDS, IDS])
+        with pytest.raises(ValueError, match="inventory.*batch position 1"):
+            model.posterior_gate(model.binder(t), batch, [0, 5], None)
+        with pytest.raises(ValueError, match="inventory.*batch position 0"):
+            model.posterior_gate(model.binder(t), batch, [None, None], [7, 0])
+        with pytest.raises(ValueError, match="inventory.*batch position 1"):
+            model.loss([IDS, IDS], [1, 2])
 
 
 class TestVariationalObjective:
     def test_lambda_zero_is_pure_loglik(self):
         model = toy_model("csda-beta", k=2)
         eps = np.array([0.4, 0.7])
-        res = model.loss(IDS, 1, 0, lam=0.0, eps=eps)
+        res = model.loss([IDS], [1], [0], lam=0.0, eps=eps)
         assert res.loss.item() == pytest.approx(
             -csda_loglik(model, 1, 0, eps), abs=1e-12)
 
@@ -289,7 +312,7 @@ class TestVariationalObjective:
                 model.params[f"{group}.{head}.w"][:] = 0.0
                 model.params[f"{group}.{head}.b"][:] = 0.0
         eps = np.array([0.2, 0.9])
-        res = model.loss(IDS, 1, 0, lam=1.0, eps=eps)
+        res = model.loss([IDS], [1], [0], lam=1.0, eps=eps)
         assert res.kl == pytest.approx(0.0, abs=1e-12)
         assert res.loss.item() == pytest.approx(
             -csda_loglik(model, 1, 0, eps), abs=1e-12)
@@ -298,18 +321,18 @@ class TestVariationalObjective:
         model = toy_model("csda-dirichlet", k=3)
         eps = np.array([0.3, 0.5, 0.8])
         lam = 0.7
-        res = model.loss(IDS, 0, 1, lam=lam, eps=eps)
+        res = model.loss([IDS], [0], [1], lam=lam, eps=eps)
         assert res.loss.item() == pytest.approx(
             -csda_loglik(model, 0, 1, eps) + lam * res.kl, abs=1e-12)
 
     def test_gate_sample_recorded(self):
         # the Dirichlet gate lies on the simplex, the Beta gate in the box
-        res = toy_model("csda-dirichlet", k=3).loss(IDS, 0, rng=np.random.default_rng(0))
-        z = head_gate(res.tape)
+        res = toy_model("csda-dirichlet", k=3).loss([IDS], [0], rng=np.random.default_rng(0))
+        [z] = head_gate(res.tape)
         assert z.shape == (3,) and np.all(z >= 0.0)
         assert abs(z.sum() - 1.0) <= 1e-10
-        res = toy_model("csda-beta", k=3).loss(IDS, 0, rng=np.random.default_rng(0))
-        z = head_gate(res.tape)
+        res = toy_model("csda-beta", k=3).loss([IDS], [0], rng=np.random.default_rng(0))
+        [z] = head_gate(res.tape)
         assert z.shape == (3,) and np.all((z >= 0.0) & (z <= 1.0))
 
     @pytest.mark.parametrize("kind", ["csda-beta", "csda-dirichlet", "dsda"])
@@ -319,9 +342,9 @@ class TestVariationalObjective:
         lam = 0.4
 
         def loss_value():
-            return model.loss(IDS, 1, 0, lam=lam, eps=eps).loss.item()
+            return model.loss([IDS], [1], [0], lam=lam, eps=eps).loss.item()
 
-        res = model.loss(IDS, 1, 0, lam=lam, eps=eps)
+        res = model.loss([IDS], [1], [0], lam=lam, eps=eps)
         grads = backprop(res.loss)
         rng = np.random.default_rng(9)
         worst = 0.0
@@ -343,8 +366,53 @@ class TestVariationalObjective:
 
     def test_dirichlet_k1_gate_is_constant_one(self):
         model = toy_model("csda-dirichlet", k=1, n_domains=1)
-        res = model.loss(IDS, 1, rng=np.random.default_rng(0))
-        np.testing.assert_allclose(head_gate(res.tape), [1.0], atol=1e-12)
+        res = model.loss([IDS], [1], rng=np.random.default_rng(0))
+        np.testing.assert_allclose(head_gate(res.tape), [[1.0]], atol=1e-12)
+
+
+def dense(g):
+    return g.dense() if isinstance(g, RowGrad) else g
+
+
+class TestMiniBatch:
+    SEQS = [IDS, (4,), (11, 2, 8, 0, 0), (6, 6, 13, 1, 17, 2, 9, 3)]
+    Y = [1, 0, 0, 1]
+    D = [0, None, 1, 1]
+
+    @pytest.mark.parametrize("kind", ["scnn", "mcnn", "dsda", "csda-beta",
+                                      "csda-dirichlet"])
+    def test_batch_loss_is_mean_of_instance_losses(self, kind):
+        # One tape for B instances equals B one-instance tapes under the
+        # same generators, for the loss, the KL and every gradient.
+        model = toy_model(kind, k=1 if kind == "scnn" else 2, dropout=0.5)
+
+        def run(idx):
+            return model.loss([self.SEQS[i] for i in idx], [self.Y[i] for i in idx],
+                              [self.D[i] for i in idx], lam=0.3, rng=rngs[0],
+                              dropout_rng=rngs[1])
+
+        rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+        batch = run(range(4))
+        batch_grads = backprop(batch.loss)
+        rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+        singles = [run([i]) for i in range(4)]
+        assert batch.degenerate == 0
+        assert batch.loss.item() == pytest.approx(
+            np.mean([r.loss.item() for r in singles]), rel=1e-10)
+        if kind.startswith("csda"):
+            assert batch.kl == pytest.approx(np.mean([r.kl for r in singles]), rel=1e-10)
+        single_grads = [backprop(r.loss) for r in singles]
+        for name, g in batch_grads.items():
+            want = np.mean([dense(sg[name]) for sg in single_grads], axis=0)
+            np.testing.assert_allclose(dense(g), want, rtol=1e-10, atol=1e-13)
+
+    def test_every_row_degenerate_gives_no_loss(self):
+        # q about Beta(5, 0.02) in every row, where u = 0.7 draws z = 1.
+        model = toy_model("csda-beta", k=1, n_domains=2)
+        model.params["sigma.alpha.b"][:] = 4.0
+        model.params["sigma.beta.b"][:] = np.log(0.02)
+        res = model.loss(self.SEQS[:2], [0, 1], eps=np.array([[0.7], [0.7]]))
+        assert res.loss is None and res.kl is None and res.degenerate == 2
 
 
 class TestNonFiniteParameters:
@@ -360,14 +428,14 @@ class TestNonFiniteParameters:
 
     def test_loss_names_embedding(self, model):
         with pytest.raises(NonFiniteError, match="'embedding'"):
-            model.loss(IDS, 0, 1, rng=np.random.default_rng(0))
+            model.loss([IDS], [0], [1], rng=np.random.default_rng(0))
 
     def test_predict_names_embedding(self, model):
         with pytest.raises(NonFiniteError, match="'embedding'"):
-            predict(model, IDS, InferConfig("prior-mean"), np.random.default_rng(0))
+            predict(model, [IDS], InferConfig("prior-mean"), [np.random.default_rng(0)])
 
     def test_row_not_looked_up_is_not_read(self, model):
         clean = toy_model("csda-dirichlet")
         other = tuple(i for i in IDS if i != IDS[2])
-        want = clean.loss(other, 0, 1, rng=np.random.default_rng(0)).loss.item()
-        assert model.loss(other, 0, 1, rng=np.random.default_rng(0)).loss.item() == want
+        want = clean.loss([other], [0], [1], rng=np.random.default_rng(0)).loss.item()
+        assert model.loss([other], [0], [1], rng=np.random.default_rng(0)).loss.item() == want

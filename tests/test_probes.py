@@ -80,6 +80,8 @@ class TestProbe:
         (records(10, np.random.default_rng(0)), "x", "'y' or 'd'"),
         ([probes.ProbeRecord(np.zeros(3), 0, i % 2) for i in range(10)], "y",
          "single class"),
+        # two records of two classes: the 70% side holds one class only
+        (records(2, np.random.default_rng(0)), "y", "training side .* lacks"),
     ])
     def test_rejects_bad_input(self, recs, target, message):
         with pytest.raises(ValueError, match=message):
@@ -121,11 +123,12 @@ class TestExport:
             (i.doc_id, i.label, i.domain) for i in insts]
         tape = Tape()
         binder = model.binder(tape)
-        gate = dist.mean(model.prior_gate(binder, insts[0].ids))
-        h_mat = model.channel_encodings(binder, insts[0].ids, dropout_rng=None)
-        want = gate_channels(h_mat, tape.const(gate)).value
+        batch = model.pack([insts[0].ids])
+        gate = dist.mean(model.prior_gate(binder, batch))
+        h_mat = model.channel_encodings(binder, batch, dropout_rng=None)
+        want = gate_channels(h_mat, tape.const(gate)).value[0]
         assert rows[0]["vector"].shape == (ENC.out_dim,)
-        np.testing.assert_array_equal(rows[0]["vector"], want)
+        np.testing.assert_allclose(rows[0]["vector"], want, rtol=1e-13, atol=1e-15)
 
     def test_z_rows_are_prior_draws(self):
         model = toy_model("csda-beta")
@@ -133,8 +136,31 @@ class TestExport:
         rows = probes.export_representations(model, insts, "z", np.random.default_rng(5))
         rng = np.random.default_rng(5)
         for inst, row in zip(insts, rows):
-            prior = model.prior_gate(model.binder(Tape()), inst.ids)
-            np.testing.assert_array_equal(row["vector"], dist.draw_many(prior, rng, 1)[0])
+            prior = model.prior_gate(model.binder(Tape()), model.pack([inst.ids]))
+            np.testing.assert_allclose(row["vector"], dist.draw_many(prior, [rng], 1)[0, 0],
+                                       rtol=1e-12)
+
+    def test_dsda_rows_follow_the_prior_logits(self):
+        # logits (5, -5): h rows gate with softmax(5, -5), the categorical's
+        # mean, and z rows are one-hot draws from it.
+        model = toy_model("dsda", k=2)
+        model.params["phi.logits.w"][:] = 0.0
+        model.params["phi.logits.b"][:] = (5.0, -5.0)
+        insts = instances(3)
+        probs = np.exp([5.0, -5.0]) / np.exp([5.0, -5.0]).sum()
+        z_rows = probes.export_representations(model, insts, "z", np.random.default_rng(0))
+        for row in z_rows:
+            np.testing.assert_array_equal(row["vector"], [1.0, 0.0])
+        model.params["phi.logits.b"][:] = (-5.0, 5.0)
+        flipped = probes.export_representations(model, insts, "z", np.random.default_rng(0))
+        assert all(list(r["vector"]) == [0.0, 1.0] for r in flipped)
+        tape = Tape()
+        binder = model.binder(tape)
+        batch = model.pack([i.ids for i in insts])
+        h_mat = model.channel_encodings(binder, batch, dropout_rng=None)
+        want = gate_channels(h_mat, tape.const(np.tile(probs[::-1], (3, 1)))).value
+        h_rows = probes.export_representations(model, insts, "h")
+        np.testing.assert_allclose([r["vector"] for r in h_rows], want, rtol=1e-12)
 
     def test_z_without_rng_rejected(self):
         with pytest.raises(ValueError, match="rng"):

@@ -1,7 +1,7 @@
 """Training-loop policies: evaluation refuses non-finite label
 probabilities instead of scoring their default argmax, an instance
-whose gate draw has no usable gradient is skipped and counted instead
-of ending the run, row-sparse embedding gradients train exactly as
+whose gate draw has no usable gradient is left out of its step's mean
+and counted instead of ending the run, row-sparse embedding gradients train exactly as
 dense ones would, and the result holds the best-dev parameters."""
 
 import copy
@@ -12,7 +12,6 @@ import pytest
 from domaingate import training
 from domaingate.autodiff import RowGrad
 from domaingate.data import Instance
-from domaingate.distributions import DegenerateSampleError
 from domaingate.encoder import EncoderConfig
 from domaingate.inference import InferConfig, PredictionRecord
 from domaingate.training import EvalResult
@@ -38,43 +37,62 @@ def test_evaluate_names_instance_with_non_finite_probs(monkeypatch):
 
 
 def test_degenerate_sample_is_skipped_and_counted(monkeypatch):
-    cfg = ModelConfig(kind="csda-dirichlet", n_labels=2, n_domains=2,
-                      vocab_size=20, k=2, encoder=EncoderConfig(8, 4, (2, 3)),
+    # q is Beta(5, 0.02) for domain 0, where about every other draw
+    # rounds to z = 1.0 (no pathwise gradient), so that nearly every gate
+    # of k = 8 channels is degenerate; q is Beta(1, 1) for domain 1. With
+    # three domain-0 instances and one domain-1 instance in batches of
+    # two, one batch keeps one instance and the other keeps none.
+    cfg = ModelConfig(kind="csda-beta", n_labels=2, n_domains=2,
+                      vocab_size=20, k=8, encoder=EncoderConfig(8, 4, (2, 3)),
                       mlp_hidden=6, dropout=0.0)
     model = Model.init(cfg, np.random.default_rng(0))
-    insts = [Instance(f"doc{i}", (3, 7, 1, 12, 5 + i, 9), i % 2, i % 2,
-                      f"l{i % 2}", f"d{i % 2}") for i in range(4)]
+    d_coord = cfg.encoder.out_dim + 4      # first domain-embedding input
+    model.params["sigma.d_emb"][:] = 0.0
+    model.params["sigma.d_emb"][0, 0] = 1.0
+    for head, weight in (("alpha", 4.0), ("beta", np.log(0.02))):
+        model.params[f"sigma.{head}.w"][:] = 0.0
+        model.params[f"sigma.{head}.b"][:] = 0.0
+        model.params[f"sigma.{head}.w"][d_coord] = weight
+    initial = model.copy()
+    insts = [Instance(f"doc{i}", (3, 7, 1, 12, 5 + i, 9), i % 2, int(i == 2),
+                      f"l{i % 2}", f"d{int(i == 2)}") for i in range(4)]
     real_backprop, real_adam = training.backprop, training.adam_step
-    calls, kept, applied = [], [], []
+    kept, applied = [], []
 
-    def flaky_backprop(loss):
-        # Batch 1 loses its first instance, batch 2 loses both.
-        calls.append(loss.item())
-        if len(calls) in (1, 3, 4):
-            raise DegenerateSampleError("density underflow")
+    def recording_backprop(loss):
         grads = real_backprop(loss)
-        kept.append((loss.item(), copy.deepcopy(grads)))
+        kept.append((loss, copy.deepcopy(grads)))
         return grads
 
     def recording_adam(params, grads, opt):
         applied.append(copy.deepcopy(grads))
         return real_adam(params, grads, opt)
 
-    monkeypatch.setattr(training, "backprop", flaky_backprop)
+    monkeypatch.setattr(training, "backprop", recording_backprop)
     monkeypatch.setattr(training, "adam_step", recording_adam)
     result = training.train(model, insts, insts[:2], training.TrainConfig(
         batch_size=2, max_epochs=1, lr=1e-3, seed=3))
 
-    assert len(calls) == 4
-    assert [e["degenerate"] for e in result.log] == [1, 2]
-    # The step averages over the one instance it kept ...
+    # The degenerate rows are flagged at draw time: only the batch that
+    # keeps a row reaches backprop, and no error is raised.
+    assert sorted(e["degenerate"] for e in result.log) == [1, 2]
     assert len(kept) == 1 and len(applied) == 1
-    assert result.log[0]["loss"] == kept[0][0]
-    for name, g in kept[0][1].items():
-        assert type(applied[0][name]) is type(g)
-        np.testing.assert_array_equal(dense(applied[0][name]), dense(g))
+    one = next(e for e in result.log if e["degenerate"] == 1)
+    none = next(e for e in result.log if e["degenerate"] == 2)
+    # The step averages over the one instance it kept: its loss and
+    # gradients are those of that instance alone under its own draw ...
+    loss, grads = kept[0]
+    [node] = [n for n in loss._tape.nodes if n.kind == "beta_sample"]
+    [row] = np.flatnonzero((node.value < 1.0).all(axis=1))
+    alone = initial.loss([insts[2].ids], [insts[2].y_id], [insts[2].d_id],
+                         eps=node.aux[row:row + 1])
+    assert one["loss"] == loss.item() == pytest.approx(alone.loss.item(), rel=1e-12)
+    assert one["kl"] == pytest.approx(alone.kl, rel=1e-12)
+    for name, g in real_backprop(alone.loss).items():
+        assert type(applied[0][name]) is type(grads[name])
+        np.testing.assert_allclose(dense(applied[0][name]), dense(g), rtol=1e-10, atol=1e-15)
     # ... and a batch that keeps none takes no step.
-    assert result.log[1]["loss"] is None and result.log[1]["kl"] is None
+    assert none["loss"] is None and none["kl"] is None and none["grad_norm"] is None
     assert result.steps == 2
 
 
