@@ -5,14 +5,17 @@ node ids, output array, cached intermediates); ``backprop`` walks the
 tape once in reverse and returns a gradient for every named parameter
 leaf. Tapes are cheap, single-use, and never shared across threads.
 
-The gradient of a table that reaches the loss only through ``embedding``
-is a ``RowGrad``: the rows the batch looked up and their values, so its
-cost follows the text length, not the vocabulary size.
+``embedding`` is the one row gather, ``table[ids]`` for ids of any shape.
+The gradient of a parameter table that reaches the loss through one
+``embedding`` is a ``RowGrad``: the rows the batch looked up and their
+values, so its cost follows the text length, not the vocabulary size.
+A row gradient that meets any other gradient is made dense.
 
 A tape holds a whole mini-batch: the primitives work on rows [B,...]
-(numpy broadcasting, reductions and gathers along an axis, stacked
-matrix products), and the encoder's ``conv_pool`` convolves a ragged
-batch of token rows and max-pools each instance over its own windows.
+(numpy broadcasting, reductions and gathers along an axis, rows times a
+matrix, stacked matrix products), and the encoder's ``conv_pool``
+convolves a ragged batch of token rows and max-pools each instance over
+its own windows.
 
 Extension primitives (e.g. distribution sampling nodes) register a
 backward rule with ``register_backward`` and append their own node with
@@ -101,8 +104,7 @@ class RowGrad:
 
     ``ids`` holds the sorted unique row ids and ``values`` their rows
     [U,E]. Values are built by adding onto +0, so they are never -0 and
-    adding the zeros of the absent rows changes nothing: ``__add__`` and
-    ``_accumulate`` give the dense sums bitwise.
+    ``dense`` adds nothing a dense scatter would not.
     """
 
     ids: np.ndarray
@@ -125,21 +127,12 @@ class RowGrad:
         out[self.ids[lo:hi] - start] = self.values[lo:hi]
         return out
 
-    def __add__(self, other: "RowGrad") -> "RowGrad":
-        ids = np.union1d(self.ids, other.ids)
-        values = np.zeros((ids.size, self.values.shape[1]))
-        values[np.searchsorted(ids, self.ids)] = self.values
-        values[np.searchsorted(ids, other.ids)] += other.values
-        return RowGrad(ids, values, self.rows)
-
 
 def _accumulate(acc, g):
     """``acc + g`` for two gradients of one parameter, reusing ``acc``'s
-    storage when it is a dense array. Two row gradients stay a row
-    gradient; a row gradient meeting a dense one becomes dense."""
+    storage when it is a dense array. A row gradient that meets any other
+    gradient becomes dense."""
     if isinstance(acc, RowGrad):
-        if isinstance(g, RowGrad):
-            return acc + g
         acc = acc.dense()
     acc += g.dense() if isinstance(g, RowGrad) else g
     return acc
@@ -440,24 +433,6 @@ def _gather_bwd(node, grad, tape):
     return (out,)
 
 
-def take_rows(a: Var, index) -> Var:
-    """``a[index]`` along the first axis: one row for an integer, the
-    stacked rows for an integer array (rows may repeat)."""
-    if a.value.ndim == 0:
-        raise ShapeError("take_rows expects rows, got a scalar")
-    index = np.asarray(index, dtype=np.intp)
-    if index.size and not (0 <= index.min() and index.max() < a.shape[0]):
-        raise ShapeError(f"take_rows index out of range for {a.shape}")
-    return a._tape.record("take_rows", a.value[index], (a,), aux=index)
-
-
-@register_backward("take_rows")
-def _take_rows_bwd(node, grad, tape):
-    out = np.zeros_like(tape.nodes[node.inputs[0]].value)
-    np.add.at(out, node.aux, grad)
-    return (out,)
-
-
 def reshape(a: Var, shape: tuple[int, ...]) -> Var:
     return a._tape.record("reshape", a.value.reshape(shape), (a,))
 
@@ -505,15 +480,14 @@ def _stack_bwd(node, grad, tape):
 
 
 def matmul(a: Var, b: Var) -> Var:
-    """Matrix product: 1-d/2-d operands; rows of any leading shape
-    [...,n] @ [n,m]; or a stack of matrices [B,r,n] @ [B,n,m]."""
+    """Matrix product: rows of any leading shape [..., n] @ [n, m], or a
+    stack of matrices [B, r, n] @ [B, n, m]."""
     av, bv = a.value, b.value
-    ok = (1 <= bv.ndim <= 2 and av.ndim >= 1 and (av.ndim <= 2 or bv.ndim == 2)) \
-        or (av.ndim == bv.ndim == 3 and av.shape[0] == bv.shape[0])
-    if not ok:
-        raise ShapeError(f"matmul expects 1-d/2-d operands, rows @ a matrix or "
-                         f"stacked matrices, got {av.shape} @ {bv.shape}")
-    if av.shape[-1] != bv.shape[-2 if bv.ndim > 1 else 0]:
+    if not ((av.ndim >= 1 and bv.ndim == 2)
+            or (av.ndim == bv.ndim == 3 and av.shape[0] == bv.shape[0])):
+        raise ShapeError(f"matmul expects rows @ a matrix or stacked matrices, "
+                         f"got {av.shape} @ {bv.shape}")
+    if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {av.shape} @ {bv.shape}")
     return a._tape.record("matmul", np.matmul(av, bv), (a, b))
 
@@ -524,27 +498,20 @@ def _matmul_bwd(node, grad, tape):
     bv = tape.nodes[node.inputs[1]].value
     if bv.ndim == 3:
         return grad @ bv.swapaxes(1, 2), av.swapaxes(1, 2) @ grad
-    if av.ndim > 2:
-        rows = av.reshape(-1, av.shape[-1])
-        return grad @ bv.T, rows.T @ grad.reshape(-1, grad.shape[-1])
-    if av.ndim == 2 and bv.ndim == 2:
-        return grad @ bv.T, av.T @ grad
-    if av.ndim == 2 and bv.ndim == 1:
-        return np.outer(grad, bv), av.T @ grad
-    if av.ndim == 1 and bv.ndim == 2:
-        return bv @ grad, np.outer(av, grad)
-    # 1-d @ 1-d -> scalar dot product
-    return float(grad) * bv, float(grad) * av
+    return grad @ bv.T, av.reshape(-1, av.shape[-1]).T @ grad.reshape(-1, bv.shape[1])
 
 
 # -- encoder primitives ------------------------------------------------------
 
-def embedding(table: Var, ids: np.ndarray) -> Var:
+def embedding(table: Var, ids) -> Var:
+    """Rows ``table[ids]`` [*ids.shape, E] of a 2-d table, for non-empty
+    integer ids of any shape (rows may repeat). The gradient of the
+    table is a ``RowGrad`` over the unique ids."""
     ids = np.asarray(ids, dtype=np.int64)
     if table.value.ndim != 2:
         raise ShapeError(f"embedding table must be 2-d, got {table.shape}")
-    if ids.ndim != 1 or ids.size == 0:
-        raise ShapeError("embedding ids must be a non-empty 1-d integer array")
+    if ids.size == 0:
+        raise ShapeError("embedding ids must be non-empty")
     if ids.min() < 0 or ids.max() >= table.value.shape[0]:
         raise ShapeError(
             f"embedding ids out of range [0, {table.value.shape[0]}): "
@@ -554,8 +521,9 @@ def embedding(table: Var, ids: np.ndarray) -> Var:
 
 @register_backward("embedding")
 def _embedding_bwd(node, grad, tape):
-    ids, inverse = np.unique(node.aux, return_inverse=True)
-    values = kernels.embedding_backward(np.ascontiguousarray(grad), inverse, ids.size)
+    ids, inverse = np.unique(node.aux.ravel(), return_inverse=True)
+    values = kernels.embedding_backward(
+        np.ascontiguousarray(grad.reshape(inverse.size, -1)), inverse, ids.size)
     return (RowGrad(ids, values, tape.nodes[node.inputs[0]].value.shape[0]),)
 
 
@@ -643,8 +611,8 @@ def _dropout_bwd(node, grad, tape):
 def backprop(loss: Var) -> dict[str, np.ndarray | RowGrad]:
     """Gradient of a scalar loss for every named parameter leaf on the tape.
 
-    A table reached only through ``embedding`` gets a ``RowGrad``, every
-    other parameter a dense array. Parameters the loss does not depend
+    A table reached through one ``embedding`` only gets a ``RowGrad``,
+    every other parameter a dense array. Parameters the loss does not depend
     on get zero gradients; non-parameter leaves get none.
     """
     tape = loss._tape

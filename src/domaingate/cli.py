@@ -69,9 +69,8 @@ def _resolve_k(cfg: RunConfig, n_domains: int) -> int:
 
 def _train_one(cfg: RunConfig, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
-    fmt = f"{cfg.mode}-jsonl"
-    train_corpus = _apply_regime(dio.load_corpus(cfg.train_data, fmt), cfg.regime)
-    eval_corpus = dio.load_corpus(cfg.eval_data, fmt)
+    train_corpus = _apply_regime(dio.load_corpus(cfg.train_data), cfg.regime)
+    eval_corpus = dio.load_corpus(cfg.eval_data)
     vocab, vocab_size, vocab_hash = _build_vocab(cfg, train_corpus, out_dir)
 
     labels = train_corpus.labels
@@ -94,8 +93,7 @@ def _train_one(cfg: RunConfig, out_dir: Path) -> dict:
         np.random.SeedSequence((cfg.seed, 1))))
 
     train_insts = dio.prepare(train_corpus, vocab, cfg.mode, labels, domains)
-    dev_corpus, test_corpus = dio.split_dev_test(
-        eval_corpus, (4, 6), cfg.split_seed)
+    dev_corpus, test_corpus = dio.split_dev_test(eval_corpus, cfg.split_seed)
     dev_insts = dio.prepare(dev_corpus, vocab, cfg.mode, labels, domains)
     test_insts = dio.prepare(test_corpus, vocab, cfg.mode, labels, domains)
 
@@ -149,10 +147,9 @@ def _load_run(run_dir: Path) -> tuple[Model, dict, RunConfig]:
 
 def _load_instances(run_dir: Path, meta: dict, cfg: RunConfig, data_path: str,
                     split: str) -> list:
-    fmt = f"{meta['mode']}-jsonl"
-    corpus = dio.load_corpus(data_path, fmt)
+    corpus = dio.load_corpus(data_path)
     if split != "all":
-        dev, test = dio.split_dev_test(corpus, (4, 6), cfg.split_seed)
+        dev, test = dio.split_dev_test(corpus, cfg.split_seed)
         corpus = dev if split == "dev" else test
     vocab = Vocab.load(run_dir / "vocab.txt") if meta["mode"] == "word" else None
     return dio.prepare(corpus, vocab, meta["mode"], meta["labels"], meta["domains"])

@@ -79,14 +79,9 @@ def _reject_duplicate_keys(pairs):
     return seen
 
 
-_FORMATS = ("word-jsonl", "byte-jsonl")
-
-
-def load_corpus(path, fmt: str = "word-jsonl") -> Corpus:
+def load_corpus(path) -> Corpus:
     """Parse a JSON-lines corpus; malformed lines are rejected with their
     line number, and an empty corpus is rejected."""
-    if fmt not in _FORMATS:
-        raise CorpusFormatError(f"unknown corpus format {fmt!r}")
     docs = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -126,15 +121,18 @@ def save_corpus(corpus: Corpus, path) -> None:
             fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
 
 
-def split_dev_test(corpus: Corpus, ratio: tuple[int, int] = (4, 6),
-                   seed: int = 0) -> tuple[Corpus, Corpus]:
-    """Seeded shuffle then split; the two sides are disjoint and exhaustive."""
-    if len(ratio) != 2 or ratio[0] <= 0 or ratio[1] <= 0:
-        raise ValueError(f"split ratio must be two positive parts, got {ratio}")
+# Dev and test parts of an evaluation corpus.
+DEV_TEST_RATIO = (4, 6)
+
+
+def split_dev_test(corpus: Corpus, seed: int = 0) -> tuple[Corpus, Corpus]:
+    """Seeded shuffle then a ``DEV_TEST_RATIO`` split; the two sides are
+    disjoint and exhaustive."""
     n = len(corpus.docs)
-    n_dev = round(n * ratio[0] / (ratio[0] + ratio[1]))
+    dev_part, test_part = DEV_TEST_RATIO
+    n_dev = round(n * dev_part / (dev_part + test_part))
     if n_dev == 0 or n_dev == n:
-        raise ValueError(f"split of {n} instances at {ratio} leaves one side empty")
+        raise ValueError(f"split of {n} instances at {DEV_TEST_RATIO} leaves one side empty")
     perm = np.random.default_rng(seed).permutation(n)
     dev = [corpus.docs[i] for i in perm[:n_dev]]
     test = [corpus.docs[i] for i in perm[n_dev:]]
@@ -279,10 +277,9 @@ def prepare(corpus: Corpus, vocab, mode: str, labels: list[str],
     domain_idx = {name: i for i, name in enumerate(domains)}
     out = []
     for doc in corpus.docs:
-        seq = tokenize(doc.text, mode, vocab)
         out.append(Instance(
             doc_id=doc.id,
-            ids=tuple(seq.ids),
+            ids=tuple(tokenize(doc.text, mode, vocab)),
             y_id=label_idx.get(doc.label) if doc.label is not None else None,
             d_id=domain_idx.get(doc.domain) if doc.domain is not None else None,
             label=doc.label,

@@ -10,9 +10,11 @@ parameters gives dz/dtheta = -(dF/dtheta) / pdf(z). The Dirichlet is
 sampled as normalized Gammas (rate 1), so backprop composes the Gamma
 pathwise partials with the normalization node.
 
-Parameters come as one vector [k] or as rows [B,k], one per instance of
-a mini-batch; ``sample`` draws one gate per row, and ``draw_many`` m per
-row, each row from its own generator in prediction.
+Parameters come as rows [B,k], one per instance of a mini-batch (or
+[B,C,k], one per candidate label); ``sample`` draws one gate per row
+from one generator, and ``draw_many`` m per row, each instance from its
+own generator, in prediction. ``sample``, the log-densities and the KL
+also take a single parameter vector [k].
 
 Each family has one elementwise log-density, used by the pathwise
 rule and by ``log_pdf_many`` alike; a draw on the edge of the support
@@ -260,22 +262,19 @@ def sample(params, rng: Optional[np.random.Generator],
             _degenerate_rows(_gamma_log_density, _gamma_edge, draws, params.conc.value))
 
 
-def draw_many(params, rng, m: int) -> np.ndarray:
+def draw_many(params, rngs, m: int) -> np.ndarray:
     """m independent gate draws per parameter vector as a value-level
     array (no tape nodes, no gradients); used by Monte Carlo prediction.
 
-    Parameters [k] give [m,k] drawn from the generator ``rng``. Parameter
-    rows [B,...,k] give [B,...,m,k]; ``rng`` then holds one generator per
-    row b, which draws all of row b's noise in the order of its axes.
+    Parameter rows [B,...,k] give [B,...,m,k]. ``rngs`` holds one
+    generator per row b, which draws all of row b's noise in the order
+    of its axes.
     """
     shape = _values(params)[0].shape
-    if len(shape) == 1:
-        u = _uniform(rng, m, shape[0])
-    else:
-        if len(rng) != shape[0]:
-            raise ValueError(f"{shape[0]} parameter rows need as many generators, "
-                             f"got {len(rng)}")
-        u = np.stack([_uniform(r, *shape[1:-1], m, shape[-1]) for r in rng])
+    if len(shape) < 2 or len(rngs) != shape[0]:
+        raise ValueError(f"draw_many needs parameter rows and one generator per row, "
+                         f"got shape {shape} and {len(rngs)} generators")
+    u = np.stack([_uniform(r, *shape[1:-1], m, shape[-1]) for r in rngs])
     draws = _quantiles(params, u)
     if isinstance(params, BetaParams):
         return draws

@@ -261,10 +261,10 @@ class Model:
             y_rows.shape)
         feats = encode(binder, "sigma.enc", batch, cfg.encoder)
         if y_rows.ndim == 2:
-            feats = ad.take_rows(feats, np.repeat(
+            feats = ad.embedding(feats, np.repeat(
                 np.arange(batch.size)[:, None], y_rows.shape[1], axis=1))
-        feats = ad.concat([feats, ad.take_rows(binder("sigma.y_emb"), y_rows),
-                           ad.take_rows(binder("sigma.d_emb"), d_rows)])
+        feats = ad.concat([feats, ad.embedding(binder("sigma.y_emb"), y_rows),
+                           ad.embedding(binder("sigma.d_emb"), d_rows)])
         return self._continuous_heads(binder, feats, "sigma")
 
     # -- losses ---------------------------------------------------------------

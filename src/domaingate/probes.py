@@ -64,12 +64,12 @@ def collect(model: Model, instances: list[Instance],
     return records
 
 
-def fit_logistic(x: np.ndarray, y: np.ndarray, n_classes: int,
-                 l2: float = L2_STRENGTH, tol: float = GRAD_TOL,
-                 max_iter: int = 50_000) -> tuple[np.ndarray, np.ndarray]:
-    """Multinomial logistic regression by full-batch gradient descent
-    with a backtracking step size; converges when the gradient's max
-    norm drops below ``tol``."""
+def fit_logistic(x: np.ndarray, y: np.ndarray,
+                 n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Multinomial logistic regression with L2 strength ``L2_STRENGTH``
+    by full-batch gradient descent with a backtracking step size; stops
+    when the gradient's max norm drops below ``GRAD_TOL``, or after
+    50,000 steps."""
     n, d = x.shape
     w = np.zeros((d, n_classes))
     b = np.zeros(n_classes)
@@ -82,14 +82,14 @@ def fit_logistic(x: np.ndarray, y: np.ndarray, n_classes: int,
         expl = np.exp(logits)
         probs = expl / expl.sum(axis=1, keepdims=True)
         nll = -np.mean(np.log(probs[np.arange(n), y]))
-        loss = nll + 0.5 * l2 * np.sum(w * w)
+        loss = nll + 0.5 * L2_STRENGTH * np.sum(w * w)
         delta = (probs - onehot) / n
-        return loss, x.T @ delta + l2 * w, delta.sum(axis=0)
+        return loss, x.T @ delta + L2_STRENGTH * w, delta.sum(axis=0)
 
     lr = 1.0
     loss, gw, gb = loss_and_grad(w, b)
-    for _ in range(max_iter):
-        if max(np.abs(gw).max(), np.abs(gb).max()) < tol:
+    for _ in range(50_000):
+        if max(np.abs(gw).max(), np.abs(gb).max()) < GRAD_TOL:
             break
         while True:
             w_new = w - lr * gw

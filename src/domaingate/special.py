@@ -267,9 +267,10 @@ def _inv_beta_low(u: float, a: float, b: float) -> float:
 
     While the lower bracket is still 0 the fallback squares the upper
     one below 0.5 (halves it above), so quantiles deep in the left tail
-    (1e-100 and below) are reached in a few steps. The bracket stops at
-    adjacent doubles, so a quantile among the subnormals, or below the
-    smallest of them, ends the search too.
+    (1e-100 and below) are reached in a few steps; while the bracket
+    spans more than a factor 2 it bisects ln x, as the gamma quantile
+    searches. The bracket stops at adjacent doubles, so a quantile among
+    the subnormals, or below the smallest of them, ends the search too.
     """
     ln_norm = lgamma(a + b) - lgamma(a) - lgamma(b)
     lo, hi = 0.0, 1.0
@@ -289,6 +290,8 @@ def _inv_beta_low(u: float, a: float, b: float) -> float:
             x = x_new
         elif lo == 0.0:
             x = max(hi * min(hi, 0.5), math.ulp(0.0))
+        elif hi > 2.0 * lo:
+            x = math.sqrt(lo) * math.sqrt(hi)  # no underflow of lo * hi
         else:
             x = 0.5 * (lo + hi)
     raise ConvergenceError(

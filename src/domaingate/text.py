@@ -2,8 +2,9 @@
 
 Word mode lower-cases, splits on whitespace, maps through the vocabulary
 with OOV fallback, and truncates to 256 tokens. Byte mode encodes the
-UTF-8 bytes shifted past the reserved ids and truncates or pads to
-exactly 1000 positions.
+UTF-8 bytes shifted past the reserved ids and truncates to 1000. Neither
+mode pads: ``encoder.pack`` left-pads a sequence shorter than the widest
+window, and only there.
 
 Vocabulary file format: one token per line, the line number (0-based) is
 the id. Line 0 must be the PAD token and line 1 the OOV token.
@@ -17,7 +18,7 @@ from pathlib import Path
 __all__ = [
     "PAD_ID", "OOV_ID", "PAD_TOKEN", "OOV_TOKEN",
     "WORD_MAX_LEN", "BYTE_LEN", "BYTE_VOCAB_SIZE",
-    "Vocab", "TokenSeq", "tokenize",
+    "Vocab", "tokenize",
 ]
 
 PAD_ID = 0
@@ -65,39 +66,17 @@ class Vocab:
         return cls(lines)
 
 
-@dataclass
-class TokenSeq:
-    ids: list[int]
-    mode: str  # word | byte
-
-    def __post_init__(self):
-        if self.mode == "word":
-            if len(self.ids) > WORD_MAX_LEN:
-                raise ValueError(f"word sequence longer than {WORD_MAX_LEN}")
-        elif self.mode == "byte":
-            if len(self.ids) != BYTE_LEN:
-                raise ValueError(f"byte sequence must have length {BYTE_LEN}")
-        else:
-            raise ValueError(f"unknown token mode {self.mode!r}")
-
-
-def tokenize(text: str, mode: str, vocab: Vocab | None = None) -> TokenSeq:
+def tokenize(text: str, mode: str, vocab: Vocab | None = None) -> list[int]:
     """Map text to ids. Word mode requires a vocabulary; byte mode ignores it.
 
-    Empty input yields a single PAD token (word) or an all-PAD sequence
-    (byte).
+    Empty input yields a single PAD token in both modes.
     """
     if mode == "word":
         if vocab is None:
             raise ValueError("word-mode tokenization requires a vocabulary")
-        toks = text.lower().split()
-        if not toks:
-            return TokenSeq([PAD_ID], "word")
-        ids = [vocab.index.get(t, OOV_ID) for t in toks[:WORD_MAX_LEN]]
-        return TokenSeq(ids, "word")
-    if mode == "byte":
-        raw = text.encode("utf-8")[:BYTE_LEN]
-        ids = [b + _N_SPECIALS for b in raw]
-        ids.extend([PAD_ID] * (BYTE_LEN - len(ids)))
-        return TokenSeq(ids, "byte")
-    raise ValueError(f"unknown token mode {mode!r}")
+        ids = [vocab.index.get(t, OOV_ID) for t in text.lower().split()[:WORD_MAX_LEN]]
+    elif mode == "byte":
+        ids = [b + _N_SPECIALS for b in text.encode("utf-8")[:BYTE_LEN]]
+    else:
+        raise ValueError(f"unknown token mode {mode!r}")
+    return ids or [PAD_ID]

@@ -91,7 +91,7 @@ UNARY_CASES = [
     ("reduce_sum_rows", lambda a: ad.reduce_sum(a, axis=-1), lambda r: r.normal(0, 1.0, (3, 4))),
     ("reduce_sum_keepdims", lambda a: ad.reduce_sum(a, axis=0, keepdims=True),
      lambda r: r.normal(0, 1.0, (3, 4))),
-    ("take_rows_repeated", lambda a: ad.take_rows(a, np.array([[2, 0], [2, 2]])),
+    ("embedding_repeated", lambda a: ad.embedding(a, np.array([[2, 0], [2, 2]])),
      lambda r: r.normal(0, 1.0, (3, 4))),
     ("reshape", lambda a: ad.reshape(a, (2, 1, 6)), lambda r: r.normal(0, 1.0, (3, 4))),
     ("neg", ad.neg, lambda r: r.normal(0, 1.0, 6)),
@@ -115,14 +115,18 @@ class TestBackwardRulesMatchFiniteDifferences:
         t = Tape()
         out = op(t.param(x0, "x"))
         loss = ad.reduce_sum(ad.mul(out, t.const(probe)))
-        grads = backprop(loss)
+        g = backprop(loss)["x"]
+        if isinstance(g, ad.RowGrad):
+            g = g.dense()
         fd = fd_gradient(scalar, x0.copy())
-        np.testing.assert_allclose(grads["x"], fd, rtol=1e-4, atol=1e-8)
+        np.testing.assert_allclose(g, fd, rtol=1e-4, atol=1e-8)
 
+    # Rows @ a matrix, also of one column (a Dirichlet scale head) and
+    # for one 1-d row; stacked matrices, also with r = 1 (a training gate).
     @pytest.mark.parametrize("shape_a,shape_b", [((3, 4), (4, 2)),
-                                                 ((3, 4), (4,)),
+                                                 ((3, 4), (4, 1)),
                                                  ((4,), (4, 2)),
-                                                 ((4,), (4,)),
+                                                 ((2, 1, 4), (2, 4, 5)),
                                                  ((2, 3, 4), (4, 2)),
                                                  ((2, 3, 4), (2, 4, 5))])
     def test_matmul(self, shape_a, shape_b):
@@ -287,11 +291,11 @@ class TestBackwardRulesMatchFiniteDifferences:
         tv = t.param(table0, "table")
         emb = ad.embedding(tv, ids)
         pooled = ad.reduce_sum(emb, axis=0)
-        reversed_rows = ad.take_rows(emb, np.array([3, 2, 1, 0]))
+        reversed_rows = ad.embedding(emb, np.array([3, 2, 1, 0]))
         rows = ad.stack([emb, reversed_rows], axis=1)
-        loss = ad.matmul(pooled, t.const(probe)) \
-            + ad.matmul(ad.take_rows(tv, 2), t.const(probe)) \
-            + ad.gather(ad.take_rows(emb, 0), 1) \
+        loss = ad.reduce_sum(ad.mul(pooled, t.const(probe))) \
+            + ad.reduce_sum(ad.mul(ad.embedding(tv, 2), t.const(probe))) \
+            + ad.gather(ad.embedding(emb, 0), 1) \
             + ad.reduce_sum(ad.mul(rows, t.const(probe_rows))) \
             + ad.reduce_sum(ad.gather(ad.concat([emb, emb]), np.array([0, 5, 1, 3])))
         grads = backprop(loss)
@@ -301,29 +305,23 @@ class TestBackwardRulesMatchFiniteDifferences:
 
     def test_row_gradient_densifies_to_dense_scatter(self):
         # Repeated ids sum in id order onto +0: bitwise the scatter-add over
-        # the whole table, and so is the sum of two row gradients.
+        # the whole table, for ids of any shape.
         rng = np.random.default_rng(11)
         table0 = rng.normal(size=(7, 3))
-        grads = []
-        for ids in (np.array([5, 1, 5, 0, 1, 5]), np.array([2, 5, 2])):
-            probe = rng.normal(size=(ids.size, 3))
+        for ids in (np.array([5, 1, 5, 0, 1, 5]), np.array([[2, 5], [2, 5]])):
+            probe = rng.normal(size=ids.shape + (3,))
             t = Tape()
             emb = ad.embedding(t.param(table0, "table"), ids)
             g = backprop(ad.reduce_sum(ad.mul(emb, t.const(probe))))["table"]
             assert isinstance(g, ad.RowGrad) and g.shape == (7, 3)
             np.testing.assert_array_equal(g.ids, np.unique(ids))
             np.testing.assert_array_equal(
-                g.dense(), kernels.embedding_backward(probe, ids, 7))
-            grads.append(g)
-        total = grads[0] + grads[1]
-        np.testing.assert_array_equal(total.ids, [0, 1, 2, 5])
-        np.testing.assert_array_equal(total.dense(),
-                                      grads[0].dense() + grads[1].dense())
+                g.dense(), kernels.embedding_backward(probe.reshape(-1, 3), ids.ravel(), 7))
 
     @pytest.mark.parametrize("dense_use", [False, True])
     def test_table_used_twice_on_one_tape(self, dense_use):
-        # Two lookups of one table stay row-sparse; a lookup plus a dense
-        # op on the table gives a dense gradient.
+        # A lookup plus a second lookup, or plus a dense op on the table,
+        # gives a dense gradient: the dense sum of the two uses' gradients.
         rng = np.random.default_rng(12)
         table0 = rng.normal(size=(6, 3))
         ids_a, ids_b = np.array([1, 4, 1]), np.array([4, 2])
@@ -335,19 +333,24 @@ class TestBackwardRulesMatchFiniteDifferences:
                       else table[ids_b].sum(axis=0) @ probe)
             return float(table[ids_a].sum(axis=0) @ probe + second)
 
+        def uses(t, tv):
+            rows_a = ad.reduce_sum(ad.embedding(tv, ids_a), axis=0)
+            first = ad.reduce_sum(ad.mul(rows_a, t.const(probe)))
+            if dense_use:
+                return first, ad.reduce_sum(ad.mul(tv, t.const(weights)))
+            rows_b = ad.reduce_sum(ad.embedding(tv, ids_b), axis=0)
+            return first, ad.reduce_sum(ad.mul(rows_b, t.const(probe)))
+
         t = Tape()
-        tv = t.param(table0, "table")
-        first = ad.matmul(ad.reduce_sum(ad.embedding(tv, ids_a), axis=0), t.const(probe))
-        second = (ad.reduce_sum(ad.mul(tv, t.const(weights))) if dense_use
-                  else ad.matmul(ad.reduce_sum(ad.embedding(tv, ids_b), axis=0),
-                                 t.const(probe)))
+        first, second = uses(t, t.param(table0, "table"))
         g = backprop(first + second)["table"]
-        if dense_use:
-            assert isinstance(g, np.ndarray)
-        else:
-            assert isinstance(g, ad.RowGrad)
-            np.testing.assert_array_equal(g.ids, [1, 2, 4])
-            g = g.dense()
+        assert isinstance(g, np.ndarray)
+        alone = []
+        for which in (0, 1):
+            t = Tape()
+            g1 = backprop(uses(t, t.param(table0, "table"))[which])["table"]
+            alone.append(g1.dense() if isinstance(g1, ad.RowGrad) else g1)
+        np.testing.assert_array_equal(g, alone[0] + alone[1])
         np.testing.assert_allclose(g, fd_gradient(scalar, table0.copy()),
                                    rtol=1e-4, atol=1e-8)
 
@@ -355,8 +358,8 @@ class TestBackwardRulesMatchFiniteDifferences:
         # A row gradient reaching a non-leaf node is densified for its rule.
         rng = np.random.default_rng(13)
         table0 = rng.normal(size=(5, 2))
-        ids = np.array([3, 0, 3])
-        probe = rng.normal(size=(3, 2))
+        ids = np.array([[2, 0], [2, 2]])
+        probe = rng.normal(size=(2, 2, 2))
         t = Tape()
         tv = t.param(table0, "table")
         emb = ad.embedding(ad.mul(tv, tv), ids)
@@ -445,6 +448,12 @@ class TestErrors:
         t = Tape()
         with pytest.raises(ShapeError):
             ad.matmul(t.const(np.zeros((2, 3))), t.const(np.zeros((4, 2))))
+
+    def test_matmul_rejects_a_vector_right_operand(self):
+        t = Tape()
+        for shape_a in ((3, 4), (4,)):
+            with pytest.raises(ShapeError, match="rows @ a matrix"):
+                ad.matmul(t.const(np.zeros(shape_a)), t.const(np.zeros(4)))
 
     def test_non_finite_rejected_naming_primitive(self):
         t = Tape()

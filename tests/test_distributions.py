@@ -54,8 +54,8 @@ class TestSampling:
 
     def test_beta_empirical_mean(self):
         rng = np.random.default_rng(2)
-        p = beta_params([2.0], [6.0])
-        draws = dist.draw_many(p, rng, 100_000)
+        p = beta_params([[2.0]], [[6.0]])
+        draws = dist.draw_many(p, [rng], 100_000)[0]
         true_mean, n = 0.25, draws.shape[0]
         true_var = (2.0 * 6.0) / ((8.0) ** 2 * 9.0)
         se = math.sqrt(true_var / n)
@@ -93,12 +93,12 @@ class TestLogPdf:
         rng = np.random.default_rng(3)
         a, b = np.array([2.0, 0.8]), np.array([1.5, 3.0])
         p = beta_params(a, b)
-        zs = dist.draw_many(p, rng, 10)
+        zs = dist.draw_many(beta_params([a], [b]), [rng], 10)[0]
         np.testing.assert_allclose(dist.log_pdf_many(p, zs),
                                    stats.beta.logpdf(zs, a, b).sum(axis=1),
                                    rtol=1e-12)
         d = dirichlet_params(2.5, [0.4, 0.8, 0.9])
-        zs = dist.draw_many(d, rng, 10)
+        zs = dist.draw_many(dirichlet_params(2.5, [[0.4, 0.8, 0.9]]), [rng], 10)[0]
         want = [stats.dirichlet.logpdf(z, d.conc.value) for z in zs]
         np.testing.assert_allclose(dist.log_pdf_many(d, zs), want, rtol=1e-12)
 
@@ -316,6 +316,17 @@ class TestDegenerateDraws:
                            match=r"z=1\.0, alpha=5\.0, beta=0\.02"):
             backprop(ad.reduce_sum(z_var))  # ... and never differentiated
 
+    def test_beta_quantile_near_the_smallest_double_is_flagged(self):
+        # u = 0.5173416925822343 of Beta(5, 0.001) mirrors a quantile of
+        # 5.4e-318, so z = 1.0: the row is flagged instead of ending the
+        # draw with a ConvergenceError.
+        t = Tape()
+        params = dist.BetaParams(t.param(np.array([[5.0], [2.0]]), "a"),
+                                 t.param(np.array([[0.001], [3.0]]), "b"))
+        z_var, degenerate = dist.sample(params, None, eps=[[0.5173416925822343], [0.5]])
+        assert z_var.value[0, 0] == 1.0
+        np.testing.assert_array_equal(degenerate, [True, False])
+
     def test_degenerate_rows_are_flagged_and_left_out(self):
         # Rows [B,k]: row 1 draws z = 1.0 from Beta(5, 0.02). Its flag is
         # set at draw time; a loss that leaves it out backpropagates, and
@@ -348,7 +359,7 @@ class TestDegenerateDraws:
         # 12 of these 20 rows are exactly 1.0, where the log-density of q
         # would be +inf and that of a Beta(2, 3) prior -inf.
         q = beta_params([5.0], [0.02])
-        z = dist.draw_many(q, np.random.default_rng(0), 20)
+        z = dist.draw_many(beta_params([[5.0]], [[0.02]]), [np.random.default_rng(0)], 20)[0]
         assert np.count_nonzero(z == 1.0) == 12
         for params, a, b in ((q, 5.0, 0.02), (beta_params([2.0], [3.0]), 2.0, 3.0)):
             with pytest.raises(dist.DegenerateSampleError,
@@ -359,7 +370,8 @@ class TestDegenerateDraws:
         # The Gamma quantile 5e-324 over a row sum near 11.6 rounds to 0
         # in 3 of these 20 rows.
         p = dist.DirichletParams(Tape().const(np.array([0.001, 5.0])))
-        z = dist.draw_many(p, np.random.default_rng(0), 20)
+        z = dist.draw_many(dist.DirichletParams(Tape().const(np.array([[0.001, 5.0]]))),
+                           [np.random.default_rng(0)], 20)[0]
         assert np.count_nonzero(z == 0.0) == 3
         with pytest.raises(dist.DegenerateSampleError,
                            match=r"z=0\.0, concentration=0\.001"):

@@ -8,6 +8,7 @@ import pytest
 from domaingate import autodiff as ad
 from domaingate.autodiff import ParamBinder, RowGrad, Tape, backprop
 from domaingate.encoder import EncoderConfig, encode, init_encoder_params, pack
+from domaingate.text import BYTE_LEN, BYTE_VOCAB_SIZE, PAD_ID, tokenize
 
 TOY = EncoderConfig(embed_dim=5, n_filters=4, windows=(2, 3))
 
@@ -72,6 +73,15 @@ class TestValues:
         _, h1 = run_encode(params, ids)
         _, h2 = run_encode(params, ids + [0, 0, 0])
         np.testing.assert_array_equal(h1.value, h2.value)
+
+    def test_byte_text_encodes_as_with_the_old_padding(self):
+        # Byte tokenization used to pad every text to BYTE_LEN ids.
+        params = init_encoder_params(np.random.default_rng(0), BYTE_VOCAB_SIZE, TOY, "enc")
+        ids = tokenize("a short byte text", "byte")
+        padded = ids + [PAD_ID] * (BYTE_LEN - len(ids))
+        np.testing.assert_array_equal(pack([ids], TOY).ids, pack([padded], TOY).ids)
+        np.testing.assert_array_equal(run_encode(params, ids)[1].value,
+                                      run_encode(params, padded)[1].value)
 
     def test_permuting_beyond_window_reach_only_moves_maxima(self):
         # brute force on a toy vocab: the pooled value for each filter is

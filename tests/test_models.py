@@ -200,7 +200,7 @@ class TestDiscreteLoss:
             weights = np.exp(logits - logits.max())
             weights /= weights.sum()
             h_mat = model.channel_encodings(binder, batch, None)
-            logp = classify_batch(binder, model.config, ad.take_rows(h_mat, 0)).value
+            logp = classify_batch(binder, model.config, h_mat).value[0]
             total = 0.0
             for i in range(k):
                 total += weights[i] * math.exp(logp[i, 0])
@@ -270,7 +270,7 @@ class TestContinuousGateParameterization:
         batch = model.pack([IDS, IDS[:3]])
         q = model.posterior_gate(binder, batch, [range(2), range(2)], None)
         assert q.conc.shape == (2, 2, 2)
-        assert sum(n.kind == "embedding" for n in t.nodes) == 1
+        assert sum(n.kind == "conv_pool" for n in t.nodes) == len(model.config.encoder.windows)
         for y in range(2):
             one = model.posterior_gate(binder, batch, [y, y], None)
             np.testing.assert_allclose(q.conc.value[:, y], one.conc.value, rtol=1e-13)

@@ -58,9 +58,9 @@ class TestProbe:
         sizes = []
         real_fit = probes.fit_logistic
 
-        def recording_fit(x, y, n_classes, **kw):
+        def recording_fit(x, y, n_classes):
             sizes.append(len(x))
-            return real_fit(x, y, n_classes, **kw)
+            return real_fit(x, y, n_classes)
 
         monkeypatch.setattr(probes, "fit_logistic", recording_fit)
         recs = records(20, np.random.default_rng(1))

@@ -196,6 +196,18 @@ class TestInverses:
             1.1434485249132965e-102, rel=1e-12)
         assert sp.inv_reg_inc_beta(0.9, 50.0, 0.01) == 1.0
 
+    def test_subnormal_beta_quantile_behind_a_wide_bracket(self):
+        # The quantile is 5.4e-318, 125 decades below the first lower
+        # bracket: arithmetic halving stalled near 1e-248. Adjacent
+        # subnormals differ by 1e-6 of x here, which moves the CDF by
+        # about 1e-9.
+        x = sp.inv_reg_inc_beta(0.4826583074177656, 0.001, 5.0)
+        assert 0.0 < x < 1e-316
+        with mpmath.workdps(30):
+            cdf = mpmath.betainc(0.001, 5.0, 0, x, regularized=True)
+        assert abs(float(cdf) - 0.4826583074177656) < 1e-9
+        assert sp.inv_reg_inc_beta(0.5173416925822343, 5.0, 0.001) == 1.0
+
     def test_quantiles_below_the_smallest_double(self):
         # The true quantiles are about 1e-333 and 1e-1000: the searches
         # end at the smallest positive double instead of stalling.

@@ -3,7 +3,7 @@
 import pytest
 
 from domaingate.text import (BYTE_LEN, BYTE_VOCAB_SIZE, OOV_ID, PAD_ID,
-                             WORD_MAX_LEN, TokenSeq, Vocab, tokenize)
+                             WORD_MAX_LEN, Vocab, tokenize)
 
 
 @pytest.fixture
@@ -13,21 +13,18 @@ def vocab():
 
 class TestWordMode:
     def test_lowercases_and_maps(self, vocab):
-        seq = tokenize("Good BOOK", "word", vocab)
-        assert seq.ids == [vocab.index["good"], vocab.index["book"]]
-        assert len(seq.ids) == 2
+        assert tokenize("Good BOOK", "word", vocab) == [vocab.index["good"],
+                                                        vocab.index["book"]]
 
     def test_oov_fallback(self, vocab):
-        seq = tokenize("good zebra", "word", vocab)
-        assert seq.ids[1] == OOV_ID
+        assert tokenize("good zebra", "word", vocab)[1] == OOV_ID
 
     def test_truncates_to_max(self, vocab):
         text = " ".join(["good"] * 300)
-        assert len(tokenize(text, "word", vocab).ids) == WORD_MAX_LEN
+        assert len(tokenize(text, "word", vocab)) == WORD_MAX_LEN
 
     def test_empty_input_flagged_single_pad(self, vocab):
-        seq = tokenize("   ", "word", vocab)
-        assert seq.ids == [PAD_ID]
+        assert tokenize("   ", "word", vocab) == [PAD_ID]
 
     def test_requires_vocab(self):
         with pytest.raises(ValueError):
@@ -36,21 +33,16 @@ class TestWordMode:
 
 class TestByteMode:
     def test_long_document_truncated_to_exact_length(self):
-        seq = tokenize("x" * 1500, "byte")
-        assert len(seq.ids) == BYTE_LEN
+        assert len(tokenize("x" * 1500, "byte")) == BYTE_LEN
 
-    def test_short_document_padded(self):
-        seq = tokenize("ab", "byte")
-        assert len(seq.ids) == BYTE_LEN
-        assert seq.ids[0] == ord("a") + 2
-        assert seq.ids[2:] == [PAD_ID] * (BYTE_LEN - 2)
+    def test_short_document_not_padded(self):
+        assert tokenize("ab", "byte") == [ord("a") + 2, ord("b") + 2]
 
     def test_ids_within_byte_vocab(self):
-        seq = tokenize("h\xe9llo ☃", "byte")
-        assert all(0 <= i < BYTE_VOCAB_SIZE for i in seq.ids)
+        assert all(0 <= i < BYTE_VOCAB_SIZE for i in tokenize("h\xe9llo ☃", "byte"))
 
     def test_empty_flagged(self):
-        assert tokenize("", "byte").ids == [PAD_ID] * BYTE_LEN
+        assert tokenize("", "byte") == [PAD_ID]
 
 
 class TestVocab:
@@ -84,8 +76,3 @@ class TestVocab:
         with pytest.raises(ValueError):
             tokenize("x", "subword", vocab)
 
-    def test_token_seq_validates_lengths(self):
-        with pytest.raises(ValueError):
-            TokenSeq(list(range(WORD_MAX_LEN + 1)), "word")
-        with pytest.raises(ValueError):
-            TokenSeq([1, 2, 3], "byte")

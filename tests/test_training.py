@@ -138,6 +138,37 @@ def test_row_gradients_train_like_dense_gradients(monkeypatch):
     np.testing.assert_allclose([e["grad_norm"] for e in rows_log], norms, rtol=1e-12)
 
 
+def test_label_embedding_row_gradient_steps_like_its_dense_form(monkeypatch):
+    """A csda-beta step looks ``sigma.y_emb`` up once, so it gets a
+    ``RowGrad`` over the batch's labels, and Adam moves the table and its
+    moments bitwise as it would with the dense gradient."""
+    cfg = ModelConfig(kind="csda-beta", n_labels=3, n_domains=2, vocab_size=20,
+                      k=2, encoder=EncoderConfig(6, 3, (2, 3)), mlp_hidden=5,
+                      dropout=0.0)
+    model = Model.init(cfg, np.random.default_rng(0))
+    insts = [Instance(f"doc{i}", (3, 7, 1 + i, 12, 5), i % 2, i % 2,
+                      f"l{i % 2}", f"d{i % 2}") for i in range(4)]
+    real_adam = training.adam_step
+    seen = []
+
+    def checking_adam(params, grads, opt):
+        g = grads["sigma.y_emb"]
+        ref_params, ref_opt = copy.deepcopy(params), copy.deepcopy(opt)
+        real_adam(ref_params, {**grads, "sigma.y_emb": g.dense()}, ref_opt)
+        real_adam(params, grads, opt)
+        seen.append(g)
+        np.testing.assert_array_equal(params["sigma.y_emb"], ref_params["sigma.y_emb"])
+        np.testing.assert_array_equal(opt.m["sigma.y_emb"], ref_opt.m["sigma.y_emb"])
+        np.testing.assert_array_equal(opt.v["sigma.y_emb"], ref_opt.v["sigma.y_emb"])
+
+    monkeypatch.setattr(training, "adam_step", checking_adam)
+    training.train(model, insts, insts[:2],
+                   training.TrainConfig(batch_size=2, max_epochs=2, lr=1e-2, seed=3))
+    assert len(seen) == 4 and all(isinstance(g, RowGrad) for g in seen)
+    # Labels 0 and 1 only: row 2 and the UNK row 3 carry no gradient.
+    assert set(np.concatenate([g.ids for g in seen]).tolist()) == {0, 1}
+
+
 @pytest.mark.parametrize("accuracies, best", [((0.5, 0.8, 0.6, 0.7), 1),
                                               ((0.5, 0.6, 0.7, 0.8), 3)])
 def test_result_holds_best_dev_parameters(monkeypatch, accuracies, best):
