@@ -336,29 +336,24 @@ def _exp_bwd(node, grad, tape):
     return (grad * node.value,)
 
 
-_lgamma_vec = np.vectorize(special.lgamma, otypes=[np.float64])
-_digamma_vec = np.vectorize(special.digamma, otypes=[np.float64])
-_trigamma_vec = np.vectorize(special.trigamma, otypes=[np.float64])
-
-
 def lgamma(a: Var) -> Var:
     """Elementwise log-gamma; differentiable (derivative is digamma)."""
-    return a._tape.record("lgamma", _lgamma_vec(a.value), (a,))
+    return a._tape.record("lgamma", special.lgamma(a.value), (a,))
 
 
 @register_backward("lgamma")
 def _lgamma_bwd(node, grad, tape):
-    return (grad * _digamma_vec(tape.nodes[node.inputs[0]].value),)
+    return (grad * special.digamma(tape.nodes[node.inputs[0]].value),)
 
 
 def digamma(a: Var) -> Var:
     """Elementwise digamma; differentiable (derivative is trigamma)."""
-    return a._tape.record("digamma", _digamma_vec(a.value), (a,))
+    return a._tape.record("digamma", special.digamma(a.value), (a,))
 
 
 @register_backward("digamma")
 def _digamma_bwd(node, grad, tape):
-    return (grad * _trigamma_vec(tape.nodes[node.inputs[0]].value),)
+    return (grad * special.trigamma(tape.nodes[node.inputs[0]].value),)
 
 
 # -- reductions and shape ops -------------------------------------------------

@@ -8,7 +8,8 @@ Sampling uses the CDF as a standardization map: a sample z with noise
 record u satisfies F(z; theta) = u, so differentiating implicitly in the
 parameters gives dz/dtheta = -(dF/dtheta) / pdf(z). The Dirichlet is
 sampled as normalized Gammas (rate 1), so backprop composes the Gamma
-pathwise partials with the normalization node.
+pathwise partials with the normalization node. A draw inverts the CDF
+over its whole noise array in one call.
 
 Parameters come as rows [B,k], one per instance of a mini-batch (or
 [B,C,k], one per candidate label); ``sample`` draws one gate per row
@@ -27,8 +28,9 @@ gradient is zero.
 
 dF/dtheta has no elementary closed form for the Beta/Gamma shape
 parameters; it is computed by central finite differences on the CDF with
-step 1e-4 * max(1, theta), which is far inside the gradient tolerance
-the rest of the system needs.
+step 1e-4 * max(1, theta) (forward where theta - h <= 0), which is far
+inside the gradient tolerance the rest of the system needs; each
+parameter and side is one CDF call.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var, _lgamma_vec, register_backward
-from .special import inv_reg_inc_beta, inv_reg_inc_gamma, reg_inc_beta, reg_inc_gamma
+from .autodiff import Var, register_backward
+from .special import inv_reg_inc_beta, inv_reg_inc_gamma, lgamma, reg_inc_beta, reg_inc_gamma
 
 __all__ = [
     "BetaParams",
@@ -139,13 +141,13 @@ def _beta_log_density(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     """Elementwise Beta(a, b) log-density; a draw at 0 or 1 raises."""
     _check_support(_beta_edge(z), "beta", z, alpha=a, beta=b)
     return ((a - 1.0) * np.log(z) + (b - 1.0) * np.log1p(-z)
-            + _lgamma_vec(a + b) - _lgamma_vec(a) - _lgamma_vec(b))
+            + lgamma(a + b) - lgamma(a) - lgamma(b))
 
 
 def _gamma_log_density(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Elementwise Gamma(a, 1) log-density; a draw at 0 raises."""
     _check_support(_gamma_edge(x), "gamma", x, concentration=a)
-    return (a - 1.0) * np.log(x) - x - _lgamma_vec(a)
+    return (a - 1.0) * np.log(x) - x - lgamma(a)
 
 
 def _degenerate_rows(log_density, edge, x: np.ndarray, *thetas) -> np.ndarray:
@@ -158,18 +160,12 @@ def _degenerate_rows(log_density, edge, x: np.ndarray, *thetas) -> np.ndarray:
 
 # -- pathwise partial derivatives ------------------------------------------
 
-def _cdf_param_fd(cdf, z: float, theta: float) -> float:
-    """d/dtheta of a CDF at fixed z, by central (or forward) differences."""
-    h = 1e-4 * max(1.0, theta)
-    if theta - h > 0.0:
-        return (cdf(z, theta + h) - cdf(z, theta - h)) / (2.0 * h)
-    return (cdf(z, theta + h) - cdf(z, theta)) / h
-
-
 def _pathwise(cdf, log_density, z: np.ndarray, grad: np.ndarray, *thetas: np.ndarray):
     """grad * dz/dtheta for each parameter array in ``thetas`` (of z's
     shape), with dz/dtheta = -(dF/dtheta) / pdf(z), where F(x, *theta) =
-    ``cdf`` is a scalar CDF. Only rows of z [..., k] with a nonzero
+    ``cdf`` is an array CDF. dF/dtheta is a central difference with step
+    h = 1e-4 * max(1, theta), or a forward one where theta - h <= 0: one
+    CDF call per parameter and side. Only rows of z [..., k] with a nonzero
     gradient are differentiated: a degenerate row that the loss left out
     costs nothing and raises nothing. A differentiated draw on the edge
     of the support, or with an underflowing density, raises."""
@@ -187,18 +183,16 @@ def _pathwise(cdf, log_density, z: np.ndarray, grad: np.ndarray, *thetas: np.nda
             raise DegenerateSampleError(
                 f"density underflow at z={float(zr[i])}, "
                 f"parameters {tuple(float(t[i]) for t in at)}")
-        dF = np.empty((len(thetas),) + zr.shape)
-        for i, j in np.ndindex(zr.shape):
-            point = [float(t[i, j]) for t in at]
-            for p in range(len(thetas)):
-                dF[p, i, j] = _cdf_param_fd(
-                    lambda x, t: cdf(x, *point[:p], t, *point[p + 1:]),
-                    float(zr[i, j]), point[p])
         # exp(-ln_pdf) never overflows above the floor, and underflows to 0
         # when the density is enormous (the draw then carries no gradient).
-        dz = -dF * np.exp(-ln_pdf)
-        for p in range(len(thetas)):
-            out[p][rows] = g[rows] * dz[p]
+        inv_pdf = np.exp(-ln_pdf)
+        for p, theta in enumerate(at):
+            h = 1e-4 * np.maximum(1.0, theta)
+            central = theta - h > 0.0
+            dF = (cdf(zr, *at[:p], theta + h, *at[p + 1:])
+                  - cdf(zr, *at[:p], np.where(central, theta - h, theta), *at[p + 1:])) \
+                / np.where(central, 2.0 * h, h)
+            out[p][rows] = g[rows] * (-dF * inv_pdf)
     return tuple(o.reshape(z.shape) for o in out)
 
 
@@ -227,11 +221,9 @@ def _quantiles(params, u: np.ndarray) -> np.ndarray:
     or, for a Dirichlet, the Gamma draws whose rows normalize to its
     gates."""
     thetas = [_along(t, u) for t in _values(params)]
-    inverse = inv_reg_inc_beta if isinstance(params, BetaParams) else inv_reg_inc_gamma
-    out = np.empty(u.shape)
-    for i in np.ndindex(u.shape):
-        out[i] = inverse(u[i], *(t[i] for t in thetas))
-    return out
+    if isinstance(params, BetaParams):
+        return inv_reg_inc_beta(u, *thetas)
+    return inv_reg_inc_gamma(u, *thetas)
 
 
 def sample(params, rng: Optional[np.random.Generator],
@@ -295,7 +287,7 @@ def log_pdf_many(params, z: np.ndarray) -> np.ndarray:
     if isinstance(params, DirichletParams):
         # log Dir(z | c) = lgamma(sum c) + sum_j (log Gamma(z_j | c_j, 1) + z_j)
         c = params.conc.value
-        norm = _lgamma_vec(c.sum(axis=-1))
+        norm = lgamma(c.sum(axis=-1))
         if c.ndim < z.ndim:
             norm = norm[..., None]
         return (_gamma_log_density(z, _along(c, z)) + z).sum(axis=-1) + norm
