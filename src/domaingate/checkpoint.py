@@ -10,9 +10,10 @@ Layout (version 1):
     remainder   concatenated little-endian float64 payloads, C order
 
 The header maps each parameter name to its shape and byte offset into the
-payload region, plus an arbitrary ``meta`` object (model family, k,
-lambda, vocab hash, ...). Writing is canonical (sorted names, sorted JSON
-keys) so identical states serialize to identical bytes.
+payload region, plus a ``meta`` object (for a CLI run, what its data
+decide: k, labels, domains, vocabulary size and hash; and its best dev
+accuracy). Writing is canonical (sorted names, sorted JSON keys) so
+identical states serialize to identical bytes.
 """
 
 from __future__ import annotations

@@ -1,19 +1,21 @@
 """Command-line entry point.
 
-Commands: train, eval, sweep-lambda, probe, export, gen-synth,
-summarize. Each command writes its artifacts under an output directory
-together with a manifest (resolved config + seeds + code version)
-sufficient to reproduce the run; the exit status is zero iff all
-requested artifacts were written. Failures are emitted as one JSON
-object per error on stderr.
+Commands: train, eval, grid (a ``train`` run per cell of a product of
+config values), probe, export, gen-synth, summarize. Each command writes
+its artifacts under an output directory together with a manifest
+(resolved config + seeds + code version) sufficient to reproduce the
+run; the exit status is zero iff all requested artifacts were written.
+A run holds its test split's ``results.tsv``, as ``eval`` writes it, for
+``summarize``. Failures are emitted as one JSON object per error on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (ConfigError, RunConfig, file_sha256, parse_kv_file,
                      synth_spec_from_dict, write_manifest)
 from .encoder import EncoderConfig
-from .inference import InferConfig
+from .inference import STRATEGIES, InferConfig
 from .models import Model, ModelConfig
 from .text import BYTE_VOCAB_SIZE, Vocab
 from .training import TrainConfig, evaluate, train
@@ -57,17 +59,31 @@ def _build_vocab(cfg: RunConfig, corpus: dio.Corpus, out_dir: Path):
     return vocab, len(vocab), file_sha256(vocab_path)
 
 
-def _resolve_k(cfg: RunConfig, n_domains: int) -> int:
-    if cfg.k:
-        return cfg.k
-    if cfg.model == "scnn":
-        return 1
-    if n_domains == 0:
+def _resolve_k(cfg: RunConfig, domains: list[str]) -> int:
+    k = cfg.k or (1 if cfg.model == "scnn" else len(domains))
+    if not k:
         raise ConfigError("k", "set k explicitly when no training domain is observed")
-    return n_domains
+    if cfg.model == "dsda" and cfg.regime != "unsupervised" and domains \
+            and k != len(domains):
+        raise ValueError(
+            f"dsda with domain supervision needs k == number of training "
+            f"domains ({len(domains)}), got k={k}")
+    return k
 
 
-def _train_one(cfg: RunConfig, out_dir: Path) -> dict:
+def _model_config(cfg: RunConfig, meta: dict) -> ModelConfig:
+    """The model of a run: ``cfg`` plus the data-derived ``k``, labels,
+    domains and vocabulary size that its checkpoint ``meta`` records."""
+    return ModelConfig(
+        kind=cfg.model, n_labels=len(meta["labels"]),
+        n_domains=max(len(meta["domains"]), 1), vocab_size=meta["vocab_size"],
+        k=meta["k"], encoder=EncoderConfig(cfg.embed_dim, cfg.n_filters, cfg.windows),
+        mlp_hidden=cfg.mlp_hidden, dropout=cfg.dropout)
+
+
+def _train_one(cfg: RunConfig, out_dir: Path) -> tuple[float, float]:
+    """Train, checkpoint and test one run in ``out_dir``; returns its best
+    dev accuracy and its test accuracy."""
     out_dir.mkdir(parents=True, exist_ok=True)
     train_corpus = _apply_regime(dio.load_corpus(cfg.train_data), cfg.regime)
     eval_corpus = dio.load_corpus(cfg.eval_data)
@@ -77,19 +93,9 @@ def _train_one(cfg: RunConfig, out_dir: Path) -> dict:
     domains = train_corpus.domains
     if len(labels) < 2:
         raise ValueError("training corpus must contain at least two labels")
-    k = _resolve_k(cfg, len(domains))
-    if cfg.model == "dsda" and cfg.regime != "unsupervised" and domains \
-            and k != len(domains):
-        raise ValueError(
-            f"dsda with domain supervision needs k == number of training "
-            f"domains ({len(domains)}), got k={k}")
-
-    mcfg = ModelConfig(
-        kind=cfg.model, n_labels=len(labels), n_domains=max(len(domains), 1),
-        vocab_size=vocab_size, k=k,
-        encoder=EncoderConfig(cfg.embed_dim, cfg.n_filters, cfg.windows),
-        mlp_hidden=cfg.mlp_hidden, dropout=cfg.dropout)
-    model = Model.init(mcfg, np.random.default_rng(
+    meta = {"k": _resolve_k(cfg, domains), "labels": labels, "domains": domains,
+            "vocab_size": vocab_size, "vocab_hash": vocab_hash}
+    model = Model.init(_model_config(cfg, meta), np.random.default_rng(
         np.random.SeedSequence((cfg.seed, 1))))
 
     train_insts = dio.prepare(train_corpus, vocab, cfg.mode, labels, domains)
@@ -109,89 +115,69 @@ def _train_one(cfg: RunConfig, out_dir: Path) -> dict:
         for entry in result.log:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
-    meta = {
-        "kind": cfg.model, "k": k, "lambda": cfg.lam, "mode": cfg.mode,
-        "vocab_hash": vocab_hash, "labels": labels, "domains": domains,
-        "vocab_size": vocab_size, "mlp_hidden": cfg.mlp_hidden,
-        "embed_dim": cfg.embed_dim, "n_filters": cfg.n_filters,
-        "windows": list(cfg.windows), "dropout": cfg.dropout,
-        "best_dev_accuracy": result.best_dev_accuracy,
-    }
+    meta["best_dev_accuracy"] = result.best_dev_accuracy
     save_checkpoint(out_dir / "checkpoint.bin", result.model.params, meta)
 
     test_eval = evaluate(result.model, test_insts, infer_cfg)
-    write_manifest(out_dir / "manifest.json", "train", cfg.resolved(), {
-        "vocab_hash": vocab_hash,
-        "resolved_k": k,
+    _write_accuracy_table(out_dir, cfg.model, test_eval.per_domain, test_eval.accuracy)
+    write_manifest(out_dir / "manifest.json", "train", asdict(cfg), {
         "best_dev_accuracy": result.best_dev_accuracy,
         "test_accuracy": test_eval.accuracy,
     })
-    return {"dev": result.best_dev_accuracy, "test": test_eval.accuracy,
-            "model": result.model, "meta": meta}
+    return result.best_dev_accuracy, test_eval.accuracy
 
 
-def _load_run(run_dir: Path) -> tuple[Model, dict, RunConfig]:
+def _load_run(run_dir: Path, data_path: str, split: str) -> tuple[Model, list, RunConfig]:
+    """A trained run's model and config, and the ``split`` of a corpus
+    prepared as the run prepared its own."""
     params, meta = load_checkpoint(run_dir / "checkpoint.bin")
     manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
     cfg = RunConfig(**{k: tuple(v) if isinstance(v, list) else v
                        for k, v in manifest["config"].items()})
-    mcfg = ModelConfig(
-        kind=meta["kind"], n_labels=len(meta["labels"]),
-        n_domains=max(len(meta["domains"]), 1), vocab_size=meta["vocab_size"],
-        k=meta["k"],
-        encoder=EncoderConfig(meta["embed_dim"], meta["n_filters"],
-                              tuple(meta["windows"])),
-        mlp_hidden=meta["mlp_hidden"], dropout=meta["dropout"])
-    return Model(mcfg, params), meta, cfg
-
-
-def _load_instances(run_dir: Path, meta: dict, cfg: RunConfig, data_path: str,
-                    split: str) -> list:
     corpus = dio.load_corpus(data_path)
     if split != "all":
         dev, test = dio.split_dev_test(corpus, cfg.split_seed)
         corpus = dev if split == "dev" else test
-    vocab = Vocab.load(run_dir / "vocab.txt") if meta["mode"] == "word" else None
-    return dio.prepare(corpus, vocab, meta["mode"], meta["labels"], meta["domains"])
+    vocab = Vocab.load(run_dir / "vocab.txt") if cfg.mode == "word" else None
+    insts = dio.prepare(corpus, vocab, cfg.mode, meta["labels"], meta["domains"])
+    return Model(_model_config(cfg, meta), params), insts, cfg
 
 
-def _write_accuracy_table(path_tsv: Path, path_txt: Path, name: str,
-                          per_domain: dict[str, float], average: float) -> None:
+def _write_accuracy_table(out_dir: Path, name: str, per_domain: dict[str, float],
+                          average: float) -> None:
     domains = sorted(per_domain)
     header = domains + ["average"]
     values = [per_domain[d] for d in domains] + [average]
-    with open(path_tsv, "w", encoding="utf-8") as fh:
+    with open(out_dir / "results.tsv", "w", encoding="utf-8") as fh:
         fh.write("model\t" + "\t".join(header) + "\n")
         fh.write(name + "\t" + "\t".join(f"{v:.6f}" for v in values) + "\n")
     width = max(len(h) for h in header) + 2
     lines = [name,
              "".join(h.rjust(width) for h in header),
              "".join(f"{100 * v:.1f}".rjust(width) for v in values)]
-    path_txt.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out_dir / "results.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_train(args) -> None:
     cfg = RunConfig.load(args.config)
     out_dir = Path(args.out or cfg.out_dir)
-    summary = _train_one(cfg, out_dir)
-    print(f"dev accuracy {summary['dev']:.4f}  test accuracy {summary['test']:.4f}")
+    dev, test = _train_one(cfg, out_dir)
+    print(f"dev accuracy {dev:.4f}  test accuracy {test:.4f}")
     print(f"artifacts in {out_dir}")
 
 
 def cmd_eval(args) -> None:
-    run_dir = Path(args.run_dir)
-    model, meta, cfg = _load_run(run_dir)
-    insts = _load_instances(run_dir, meta, cfg, args.data, args.split)
     if args.m is not None and args.m < 1:
         raise ConfigError("m", f"sample count must be >= 1, got {args.m}")
+    run_dir = Path(args.run_dir)
+    model, insts, cfg = _load_run(run_dir, args.data, args.split)
     infer_cfg = InferConfig(args.strategy or cfg.infer_strategy,
                             cfg.infer_m if args.m is None else args.m, cfg.seed)
     result = evaluate(model, insts, infer_cfg)
     out_dir = Path(args.out or run_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_accuracy_table(out_dir / "results.tsv", out_dir / "results.txt",
-                          meta["kind"], result.per_domain, result.accuracy)
-    write_manifest(out_dir / "eval_manifest.json", "eval", cfg.resolved(), {
+    _write_accuracy_table(out_dir, cfg.model, result.per_domain, result.accuracy)
+    write_manifest(out_dir / "eval_manifest.json", "eval", asdict(cfg), {
         "data": args.data, "split": args.split,
         "strategy": infer_cfg.strategy, "m": infer_cfg.m,
         "accuracy": result.accuracy, "per_domain": result.per_domain,
@@ -199,54 +185,68 @@ def cmd_eval(args) -> None:
     print((out_dir / "results.txt").read_text(), end="")
 
 
-def cmd_sweep_lambda(args) -> None:
-    cfg = RunConfig.load(args.config)
-    out_dir = Path(args.out or cfg.out_dir)
+def _grid_cells(base: dict[str, str], vary: list[str]) -> tuple[dict, list]:
+    """The values of each ``key=v1,v2,...`` of ``vary``, and each cell's
+    values and validated config, in Cartesian-product order."""
+    axes: dict[str, list[str]] = {}
+    for spec in vary:
+        key, eq, raw = (part.strip() for part in spec.partition("="))
+        if not eq:
+            raise ConfigError("vary", f"expected key=v1,v2,..., got {spec!r}")
+        if key == "windows":
+            raise ConfigError(key, "its value holds commas, so it cannot be varied")
+        if key in axes:
+            raise ConfigError(key, "varied twice")
+        axes[key] = [v.strip() for v in raw.split(",")]
+    return axes, [(values, RunConfig.from_dict({**base, **dict(zip(axes, values))}))
+                  for values in itertools.product(*axes.values())]
+
+
+def cmd_grid(args) -> None:
+    base = parse_kv_file(args.config)
+    axes, cells = _grid_cells(base, args.vary)
+    out_dir = Path(args.out or cells[0][1].out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for lam in cfg.lambda_grid:
-        sub = replace(cfg, lam=lam)
-        sub_dir = out_dir / f"lam_{lam:g}"
-        summary = _train_one(sub, sub_dir)
-        rows.append((lam, summary["dev"], summary["test"]))
-        print(f"lambda={lam:g}  dev={summary['dev']:.4f}  test={summary['test']:.4f}")
-    with open(out_dir / "sweep.tsv", "w", encoding="utf-8") as fh:
-        fh.write("lambda\tdev_accuracy\ttest_accuracy\n")
-        for lam, dev, test in rows:
-            fh.write(f"{lam:g}\t{dev:.6f}\t{test:.6f}\n")
-    best = max(rows, key=lambda r: r[1])
-    write_manifest(out_dir / "manifest.json", "sweep-lambda", cfg.resolved(),
-                   {"grid": list(cfg.lambda_grid), "best_lambda": best[0]})
-    print(f"best lambda by dev accuracy: {best[0]:g}")
+    names, devs = [], []
+    with open(out_dir / "grid.tsv", "w", encoding="utf-8") as fh:
+        fh.write("\t".join(["cell", *axes, "dev_accuracy", "test_accuracy"]) + "\n")
+        for i, (values, cfg) in enumerate(cells):
+            names.append(f"cell-{i:03d}")
+            dev, test = _train_one(cfg, out_dir / names[-1])
+            devs.append(dev)
+            fh.write("\t".join([names[-1], *values, f"{dev:.6f}", f"{test:.6f}"]) + "\n")
+            fh.flush()
+            print(names[-1], *(f"{k}={v}" for k, v in zip(axes, values)),
+                  f"dev={dev:.4f}", f"test={test:.4f}", sep="  ")
+    best = int(np.argmax(devs))
+    write_manifest(out_dir / "manifest.json", "grid", base, {
+        "vary": axes, "cells": names, "best_cell": names[best],
+        "best": dict(zip(axes, cells[best][0]))})
+    print(f"best cell by dev accuracy: {names[best]}")
 
 
 def cmd_probe(args) -> None:
     if args.runs < 1:
         raise ConfigError("runs", f"must be >= 1, got {args.runs}")
     run_dir = Path(args.run_dir)
-    model, meta, cfg = _load_run(run_dir)
-    insts = _load_instances(run_dir, meta, cfg, args.data, "all")
+    model, insts, cfg = _load_run(run_dir, args.data, "all")
     observed = [i for i in insts if i.y_id is not None and i.d_id is not None]
     if not observed:
         raise _fail("probe needs instances with observed label and domain")
     out_dir = Path(args.out or run_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for target in ("y", "d"):
-        acc = probes_mod.probe_averaged(model, observed, target,
-                                        seed=cfg.seed, runs=args.runs)
-        rows.append((meta["lambda"], target, acc))
-        print(f"{target}-probe accuracy {acc:.4f} (lambda={meta['lambda']:g})")
     with open(out_dir / "probe.tsv", "w", encoding="utf-8") as fh:
         fh.write("lambda\ttarget\taccuracy\truns\n")
-        for lam, target, acc in rows:
-            fh.write(f"{lam:g}\t{target}\t{acc:.6f}\t{args.runs}\n")
+        for target in ("y", "d"):
+            acc = probes_mod.probe_averaged(model, observed, target,
+                                            seed=cfg.seed, runs=args.runs)
+            fh.write(f"{cfg.lam:g}\t{target}\t{acc:.6f}\t{args.runs}\n")
+            print(f"{target}-probe accuracy {acc:.4f} (lambda={cfg.lam:g})")
 
 
 def cmd_export(args) -> None:
     run_dir = Path(args.run_dir)
-    model, meta, cfg = _load_run(run_dir)
-    insts = _load_instances(run_dir, meta, cfg, args.data, "all")
+    model, insts, cfg = _load_run(run_dir, args.data, "all")
     rng = np.random.default_rng(cfg.seed) if args.repr == "z" else None
     rows = probes_mod.export_representations(model, insts, args.repr, rng)
     out_path = Path(args.out or (run_dir / "export.tsv"))
@@ -272,9 +272,7 @@ def cmd_gen_synth(args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     dio.save_corpus(train_corpus, out_dir / "train.jsonl")
     dio.save_corpus(heldout_corpus, out_dir / "heldout.jsonl")
-    write_manifest(out_dir / "manifest.json", "gen-synth",
-                   {k: list(v) if isinstance(v, tuple) else v
-                    for k, v in vars(spec).items()},
+    write_manifest(out_dir / "manifest.json", "gen-synth", asdict(spec),
                    {"train_instances": len(train_corpus),
                     "heldout_instances": len(heldout_corpus)})
     print(f"wrote {len(train_corpus)} training and {len(heldout_corpus)} "
@@ -304,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="domaingate",
         description="Latent-domain gated text classifiers: train, evaluate, "
-                    "sweep the KL weight, probe the latent space, export "
-                    "representations, and generate synthetic corpora.")
+                    "train grids over config keys, probe the latent space, "
+                    "export representations, and generate synthetic corpora.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -318,15 +316,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-dir", required=True)
     p.add_argument("--data", required=True, help="held-out corpus (jsonl)")
     p.add_argument("--split", choices=("dev", "test", "all"), default="test")
-    p.add_argument("--strategy", help="override inference strategy")
+    p.add_argument("--strategy", choices=STRATEGIES, help="override inference strategy")
     p.add_argument("--m", type=int, help="override sample count")
     p.add_argument("--out", help="output directory (default: run dir)")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("sweep-lambda", help="train/evaluate across the KL-weight grid")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("grid", help="train and test every cell of a grid over config keys")
+    p.add_argument("--config", required=True, help="key=value base run config")
+    p.add_argument("--vary", action="append", required=True, metavar="KEY=V1,V2,...",
+                   help="values of one config key; repeat it for a product grid")
     p.add_argument("--out", help="output directory (default: config out_dir)")
-    p.set_defaults(fn=cmd_sweep_lambda)
+    p.set_defaults(fn=cmd_grid)
 
     p = sub.add_parser("probe", help="linear probes for label/domain on gate samples")
     p.add_argument("--run-dir", required=True)

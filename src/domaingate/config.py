@@ -2,23 +2,24 @@
 
 Config syntax: one ``key = value`` pair per line, ``#`` starts a
 comment, blank lines ignored. The keys of a run config (``domaingate
-train --config`` and ``sweep-lambda --config``) are the fields of
-``RunConfig``, documented in its docstring; the keys of a generator spec
-(``gen-synth --spec``) are the fields of ``data.SynthSpec``.
+train --config``, and the base config of ``grid``, whose ``--vary``
+flags set keys per cell) are the fields of ``RunConfig``, documented in
+its docstring; the keys of a generator spec (``gen-synth --spec``) are
+the fields of ``data.SynthSpec``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 from .data import SynthSpec
 from .inference import STRATEGIES
 from .models import MODEL_KINDS
-from .training import LAMBDA_GRID
+from .training import LAMBDA_SCHEDULES
 
 __all__ = ["ConfigError", "parse_kv_file", "RunConfig", "synth_spec_from_dict",
            "write_manifest", "file_sha256"]
@@ -66,12 +67,12 @@ def _convert(name, raw, typ):
 class RunConfig:
     """Everything a training run needs, resolvable to a manifest.
 
-    Keys (a comma-separated value gives a tuple):
+    Keys (``windows`` is comma-separated, so ``grid --vary`` cannot vary it):
 
     - ``model``: one of ``MODEL_KINDS``; ``k``: channels, 0 for the
       number of training domains (1 for scnn).
     - ``lambda``: KL weight >= 0; ``lambda_schedule``: ``fixed`` or
-      ``linear-anneal`` from 0 over ``anneal_steps`` (``none``: an epoch).
+      ``linear-anneal`` from 0 over ``anneal_steps`` >= 1 (``none``: one epoch).
     - ``regime``: ``supervised`` keeps instances with label and domain,
       ``semi-supervised`` keeps all, ``unsupervised`` drops domains.
     - ``train_data``, ``eval_data``: JSONL corpora, read per ``mode``
@@ -83,8 +84,7 @@ class RunConfig:
     - ``embed_dim``, ``n_filters``, ``windows``, ``mlp_hidden``: encoder
       and head sizes, each >= 1.
     - ``infer_strategy``: one of ``STRATEGIES``, with ``infer_m`` >= 1
-      draws; ``lambda_grid``: the weights ``sweep-lambda`` trains;
-      ``out_dir``: output directory when ``--out`` is not given.
+      draws; ``out_dir``: output directory when ``--out`` is not given.
     """
 
     model: str = "csda-dirichlet"
@@ -111,7 +111,6 @@ class RunConfig:
     infer_m: int = 100
     split_seed: int = 0
     min_count: int = 1
-    lambda_grid: tuple[float, ...] = LAMBDA_GRID
     out_dir: str = "run"
 
     _KEY_ALIASES = {"lambda": "lam", "lambda_schedule": "lam_schedule"}
@@ -126,9 +125,6 @@ class RunConfig:
                 raise ConfigError(key, "unknown key")
             if name == "windows":
                 values[name] = tuple(_convert(key, part, int)
-                                     for part in raw.split(","))
-            elif name == "lambda_grid":
-                values[name] = tuple(_convert(key, part, float)
                                      for part in raw.split(","))
             elif name == "anneal_steps":
                 values[name] = None if raw.lower() in ("", "none") \
@@ -154,6 +150,10 @@ class RunConfig:
             raise ConfigError("infer_strategy", f"must be one of {STRATEGIES}")
         if self.lam < 0:
             raise ConfigError("lambda", "must be nonnegative")
+        if self.lam_schedule not in LAMBDA_SCHEDULES:
+            raise ConfigError("lambda_schedule", f"must be one of {LAMBDA_SCHEDULES}")
+        if self.anneal_steps is not None and self.anneal_steps < 1:
+            raise ConfigError("anneal_steps", "must be >= 1, or none for an epoch")
         if not self.lr > 0:
             raise ConfigError("lr", "must be positive")
         for name in ("batch_size", "infer_m", "embed_dim", "n_filters", "mlp_hidden"):
@@ -167,12 +167,6 @@ class RunConfig:
             raise ConfigError("k", "scnn is single-channel")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout", "must be in [0, 1)")
-
-    def resolved(self) -> dict:
-        out = asdict(self)
-        out["windows"] = list(self.windows)
-        out["lambda_grid"] = list(self.lambda_grid)
-        return out
 
 
 _SYNTH_KEYS = {f.name for f in fields(SynthSpec)} - {"label_names"}

@@ -43,7 +43,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var, register_backward
-from .special import inv_reg_inc_beta, inv_reg_inc_gamma, lgamma, reg_inc_beta, reg_inc_gamma
+from .special import (inv_reg_inc_beta, inv_reg_inc_gamma, lgamma, ln_inv_beta, reg_inc_beta,
+                      reg_inc_gamma)
 
 __all__ = [
     "BetaParams",
@@ -140,8 +141,7 @@ def _gamma_edge(x: np.ndarray) -> np.ndarray:
 def _beta_log_density(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise Beta(a, b) log-density; a draw at 0 or 1 raises."""
     _check_support(_beta_edge(z), "beta", z, alpha=a, beta=b)
-    return ((a - 1.0) * np.log(z) + (b - 1.0) * np.log1p(-z)
-            + lgamma(a + b) - lgamma(a) - lgamma(b))
+    return (a - 1.0) * np.log(z) + (b - 1.0) * np.log1p(-z) + ln_inv_beta(a, b)
 
 
 def _gamma_log_density(x: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-__all__ = ["lgamma", "digamma", "trigamma", "reg_inc_beta", "reg_inc_gamma",
-           "inv_reg_inc_beta", "inv_reg_inc_gamma", "ConvergenceError"]
+__all__ = ["lgamma", "digamma", "trigamma", "ln_inv_beta", "reg_inc_beta",
+           "reg_inc_gamma", "inv_reg_inc_beta", "inv_reg_inc_gamma", "ConvergenceError"]
 
 _FPMIN = 1e-300
 _STEPS = np.arange(1.0, 33.0)  # the power-series terms summed per pass
@@ -133,10 +133,12 @@ _STIRLING_TAIL = (1.0 / 156.0, -691.0 / 360360.0, 1.0 / 1188.0, -1.0 / 1680.0,
                   1.0 / 1260.0, -1.0 / 360.0, 1.0 / 12.0)
 
 
-def _ln_inv_beta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """ln 1/B(a, b), with lgamma(p+q) - lgamma(q) from Stirling's series
-    for q >= 10: as a difference it loses 2e-11 at q = 1e4, which is 2e-8
-    of a tail mass of 1e-3 taken as 1 - I."""
+@_elementwise
+def ln_inv_beta(a, b):
+    """ln 1/B(a, b) for a, b > 0, with lgamma(p+q) - lgamma(q) from
+    Stirling's series for q >= 10: as a difference it loses 2e-11 at
+    q = 1e4, which is 2e-8 of a tail mass of 1e-3 taken as 1 - I."""
+    _require((a > 0.0) & (b > 0.0), "ln_inv_beta requires a, b > 0", a=a, b=b)
     p, large = np.minimum(a, b), np.maximum(a, b) >= 10.0
     q = np.where(large, np.maximum(a, b), 10.0)
     tails = [_poly(_STIRLING_TAIL, 1.0 / (z * z)) / z for z in (p + q, q)]
@@ -225,7 +227,7 @@ def reg_inc_beta(x, a, b):
     _require((a > 0.0) & (b > 0.0), "reg_inc_beta requires a, b > 0", a=a, b=b)
     _require((x >= 0.0) & (x <= 1.0), "reg_inc_beta requires x in [0, 1]", x=x)
     return _either((x > 0.0) & (x < 1.0),
-                   lambda x, a, b: _beta_cdf(x, a, b, _ln_inv_beta(a, b))[0],
+                   lambda x, a, b: _beta_cdf(x, a, b, ln_inv_beta(a, b))[0],
                    lambda x, a, b: x, x, a, b)
 
 
@@ -327,7 +329,7 @@ def inv_reg_inc_beta(u, a, b):
                  lo=lo, hi=hi, residual=np.abs(f))
         return done, x
 
-    ln_norm = _ln_inv_beta(a, b)
+    ln_norm = ln_inv_beta(a, b)
     mirror = u > _beta_cdf(np.full(u.size, 0.5), a, b, ln_norm)[0]
     a, b = np.where(mirror, b, a), np.where(mirror, a, b)
     # The start needs no precision, but 1 - u must stay below 1.

@@ -23,17 +23,16 @@ from .models import Model
 from .optim import AdamState, adam_step
 
 __all__ = ["TrainConfig", "TrainResult", "EvalResult", "train", "evaluate",
-           "LAMBDA_GRID"]
+           "LAMBDA_SCHEDULES"]
 
-# The default sweep grid for the KL weight.
-LAMBDA_GRID = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0, 3.0, 10.0)
+LAMBDA_SCHEDULES = ("fixed", "linear-anneal")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     lam: float = 0.1
-    lam_schedule: str = "fixed"        # fixed | linear-anneal
-    anneal_steps: Optional[int] = None  # default: one epoch of steps
+    lam_schedule: str = "fixed"        # one of LAMBDA_SCHEDULES
+    anneal_steps: Optional[int] = None  # >= 1; default: one epoch of steps
     lr: float = 1e-4
     batch_size: int = 32
     max_epochs: int = 20
@@ -47,15 +46,16 @@ class TrainConfig:
             raise ValueError("lambda must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.lam_schedule not in ("fixed", "linear-anneal"):
+        if self.lam_schedule not in LAMBDA_SCHEDULES:
             raise ValueError(f"unknown lambda schedule {self.lam_schedule!r}")
+        if self.anneal_steps is not None and self.anneal_steps < 1:
+            raise ValueError("anneal steps must be >= 1")
 
 
 @dataclass
 class EvalResult:
     accuracy: float
     per_domain: dict[str, float]
-    n: int
 
 
 @dataclass
@@ -69,8 +69,7 @@ class TrainResult:
 def _lambda_at(cfg: TrainConfig, step: int, steps_per_epoch: int) -> float:
     if cfg.lam_schedule == "fixed":
         return cfg.lam
-    horizon = cfg.anneal_steps if cfg.anneal_steps else max(steps_per_epoch, 1)
-    return cfg.lam * min(1.0, step / horizon)
+    return cfg.lam * min(1.0, step / (cfg.anneal_steps or steps_per_epoch))
 
 
 def _global_norm(grads: dict) -> float:
@@ -107,7 +106,7 @@ def evaluate(model: Model, instances: list[Instance],
             hits += 1
             correct[key] = correct.get(key, 0) + 1
     per_domain = {k: correct.get(k, 0) / totals[k] for k in sorted(totals)}
-    return EvalResult(hits / len(labeled), per_domain, len(labeled))
+    return EvalResult(hits / len(labeled), per_domain)
 
 
 def train(model: Model, train_set: list[Instance], dev_set: list[Instance],

@@ -1,7 +1,8 @@
 """The command line: gen-synth from a spec file; a tiny end-to-end run
-through every command, whose training is byte-reproducible; and a
-non-zero exit with a JSON error naming the field on a bad spec, run
-config or command-line count."""
+through every command, whose training is byte-reproducible and whose
+grid cells train exactly as ``train`` does; grid cells in product order;
+and a non-zero exit with a JSON error naming the field on a bad spec,
+run config, grid flag or command-line count."""
 
 import json
 
@@ -82,7 +83,6 @@ max_epochs = 1
 batch_size = 4
 lr = 0.003
 infer_m = 4
-lambda_grid = 0.1,1
 seed = 11
 """
 
@@ -98,7 +98,8 @@ def test_tiny_run_through_every_command(tmp_path, capsys):
 
     run = tmp_path / "run"
     assert cli.main(["train", "--config", str(cfg), "--out", str(run)]) == 0
-    for name in ("checkpoint.bin", "train_log.jsonl", "manifest.json", "vocab.txt"):
+    for name in ("checkpoint.bin", "train_log.jsonl", "manifest.json", "vocab.txt",
+                 "results.tsv", "results.txt"):
         assert (run / name).is_file(), name
     log = [json.loads(line) for line in (run / "train_log.jsonl").read_text().splitlines()]
     assert len(log) == 6 and all(e["degenerate"] == 0 for e in log)
@@ -114,6 +115,9 @@ def test_tiny_run_through_every_command(tmp_path, capsys):
                          "--strategy", strategy, "--out", str(tmp_path / out)]) == 0
         for name in ("results.tsv", "results.txt", "eval_manifest.json"):
             assert (tmp_path / out / name).is_file(), name
+    # train tests with the run's own strategy, as eval does by default.
+    assert (tmp_path / "eval_a" / "results.tsv").read_bytes() == \
+        (run / "results.tsv").read_bytes()
 
     # A count of 0 is refused, naming the option, rather than replaced or
     # averaged over nothing.
@@ -130,11 +134,23 @@ def test_tiny_run_through_every_command(tmp_path, capsys):
         assert error["field"] == field
         assert not (tmp_path / argv[-1]).exists()
 
-    sweep = tmp_path / "sweep"
-    assert cli.main(["sweep-lambda", "--config", str(cfg), "--out", str(sweep)]) == 0
-    rows = (sweep / "sweep.tsv").read_text().splitlines()
-    assert [r.split("\t")[0] for r in rows[1:]] == ["0.1", "1"]
-    assert (sweep / "lam_1" / "checkpoint.bin").is_file()
+    # Each grid cell is the run that train makes of that cell's config.
+    grid = tmp_path / "grid"
+    assert cli.main(["grid", "--config", str(cfg), "--vary", "lambda=0.1,1",
+                     "--out", str(grid)]) == 0
+    header, *rows = [r.split("\t") for r in (grid / "grid.tsv").read_text().splitlines()]
+    assert header == ["cell", "lambda", "dev_accuracy", "test_accuracy"]
+    assert [r[:2] for r in rows] == [["cell-000", "0.1"], ["cell-001", "1"]]
+    lam1_cfg = tmp_path / "lam1.cfg"
+    lam1_cfg.write_text(tiny_run_config(corpus) + "lambda = 1\n")
+    assert cli.main(["train", "--config", str(lam1_cfg), "--out", str(tmp_path / "lam1")]) == 0
+    for cell, single in (("cell-000", run), ("cell-001", tmp_path / "lam1")):
+        for name in ("checkpoint.bin", "train_log.jsonl", "results.tsv"):
+            assert (grid / cell / name).read_bytes() == (single / name).read_bytes(), name
+    manifest = json.loads((grid / "manifest.json").read_text())
+    devs = [float(r[2]) for r in rows]
+    assert manifest["best_cell"] == rows[devs.index(max(devs))][0]
+    assert manifest["vary"] == {"lambda": ["0.1", "1"]}
 
     assert cli.main(["probe", "--run-dir", str(run), "--data",
                      str(corpus / "train.jsonl"), "--runs", "1"]) == 0
@@ -152,10 +168,11 @@ def test_tiny_run_through_every_command(tmp_path, capsys):
 
     summary = tmp_path / "summary.tsv"
     assert cli.main(["summarize", str(tmp_path / "eval_a"), str(tmp_path / "eval_b"),
+                     str(grid / "cell-000"), str(grid / "cell-001"),
                      "--out", str(summary)]) == 0
     header, *cols = summary.read_text().splitlines()
     assert header == "column\tmean\tstd\tn"
-    assert cols[-1].startswith("average\t") and cols[-1].endswith("\t2")
+    assert cols[-1].startswith("average\t") and cols[-1].endswith("\t4")
 
 
 @pytest.mark.parametrize("lines, field", [
@@ -171,12 +188,49 @@ def test_tiny_run_through_every_command(tmp_path, capsys):
     ("embed_dim = 0", "embed_dim"),
     ("n_filters = 0", "n_filters"),
     ("mlp_hidden = 0", "mlp_hidden"),
+    ("lambda_schedule = cosine", "lambda_schedule"),
+    ("anneal_steps = -5", "anneal_steps"),
+    ("anneal_steps = 0", "anneal_steps"),
 ])
 def test_train_bad_config_exits_nonzero_naming_field(tmp_path, capsys, lines, field):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(lines + "\n")
     with pytest.raises(SystemExit) as exc:
         cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["field"] == field
+    assert not (tmp_path / "o").exists()
+
+
+def test_grid_cells_follow_product_order_of_the_vary_flags():
+    axes, cells = cli._grid_cells({"model": "dsda", "lr": "0.5"},
+                                  ["lr=0.1, 0.2", "seed=1,2,3"])
+    assert axes == {"lr": ["0.1", "0.2"], "seed": ["1", "2", "3"]}
+    assert [values for values, _ in cells] == [
+        ("0.1", "1"), ("0.1", "2"), ("0.1", "3"), ("0.2", "1"), ("0.2", "2"), ("0.2", "3")]
+    assert [(c.model, c.lr, c.seed) for _, c in cells] == [
+        ("dsda", lr, seed) for lr in (0.1, 0.2) for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("vary, field", [
+    (["lr=0.1,0"], "lr"),
+    (["windows=3,4"], "windows"),
+    (["lr=0.1", "lr=0.2"], "lr"),
+    (["modle=dsda,mcnn"], "modle"),
+    (["lr"], "vary"),
+])
+def test_grid_bad_vary_exits_nonzero_naming_field_before_any_run(tmp_path, capsys,
+                                                                 vary, field):
+    # The base config names no corpus: a cell that started training would
+    # fail on it, after making its directory.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = dsda\n")
+    argv = ["grid", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    for flag in vary:
+        argv += ["--vary", flag]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
     assert exc.value.code == 1
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["field"] == field

@@ -6,7 +6,6 @@ import pytest
 
 from domaingate.config import ConfigError, RunConfig, parse_kv_file, synth_spec_from_dict
 from domaingate.data import SynthSpec
-from domaingate.training import LAMBDA_GRID
 
 
 def write(tmp_path, text):
@@ -38,7 +37,7 @@ class TestRunConfig:
     def test_defaults_need_no_keys(self):
         cfg = RunConfig.from_dict({})
         assert cfg == RunConfig()
-        assert cfg.lambda_grid == LAMBDA_GRID and cfg.anneal_steps is None
+        assert cfg.anneal_steps is None
 
     def test_lambda_aliases(self):
         cfg = RunConfig.from_dict({"lambda": "0.3", "lambda_schedule": "linear-anneal"})
@@ -50,11 +49,8 @@ class TestRunConfig:
         assert RunConfig.from_dict({"anneal_steps": raw}).anneal_steps == want
 
     def test_tuples(self):
-        cfg = RunConfig.from_dict({"windows": "2, 5", "lambda_grid": "0.1,1,10"})
-        assert cfg.windows == (2, 5)
-        assert cfg.lambda_grid == (0.1, 1.0, 10.0)
-        resolved = cfg.resolved()
-        assert resolved["windows"] == [2, 5] and resolved["lambda_grid"] == [0.1, 1.0, 10.0]
+        assert RunConfig.from_dict({"windows": "2, 5"}).windows == (2, 5)
+        assert RunConfig.from_dict({"windows": "4"}).windows == (4,)
 
     def test_typed_values(self):
         cfg = RunConfig.from_dict({"k": "3", "lr": "1e-3", "model": "mcnn"})
@@ -77,6 +73,9 @@ class TestRunConfig:
         ({"embed_dim": "0"}, "embed_dim"),
         ({"n_filters": "0"}, "n_filters"),
         ({"mlp_hidden": "0"}, "mlp_hidden"),
+        ({"lambda_schedule": "cosine"}, "lambda_schedule"),
+        ({"anneal_steps": "-5"}, "anneal_steps"),
+        ({"anneal_steps": "0"}, "anneal_steps"),
     ])
     def test_bad_value_names_key(self, kv, field):
         with pytest.raises(ConfigError) as exc:

@@ -1,5 +1,6 @@
-"""Training-loop policies: evaluation refuses non-finite label
-probabilities instead of scoring their default argmax, an instance
+"""Training-loop policies: the config refuses an unknown lambda schedule
+and an anneal horizon below one step, evaluation refuses non-finite
+label probabilities instead of scoring their default argmax, an instance
 whose gate draw has no usable gradient is left out of its step's mean
 and counted instead of ending the run, row-sparse embedding gradients train exactly as
 dense ones would, and the result holds the best-dev parameters."""
@@ -34,6 +35,15 @@ def test_evaluate_names_instance_with_non_finite_probs(monkeypatch):
     monkeypatch.setattr(training, "predict_batch", stub_predict_batch)
     with pytest.raises(FloatingPointError, match="doc1"):
         training.evaluate(None, insts, InferConfig())
+
+
+@pytest.mark.parametrize("kwargs", [{"lam_schedule": "cosine"}, {"anneal_steps": 0},
+                                    {"anneal_steps": -5}])
+def test_config_refuses_unknown_schedule_and_short_anneal(kwargs):
+    # A negative horizon would make lambda a negative KL weight; 0 would
+    # silently mean one epoch.
+    with pytest.raises(ValueError):
+        training.TrainConfig(**kwargs)
 
 
 def test_degenerate_sample_is_skipped_and_counted(monkeypatch):
@@ -185,7 +195,7 @@ def test_result_holds_best_dev_parameters(monkeypatch, accuracies, best):
 
     def scripted_evaluate(m, instances, infer_cfg):
         seen.append({n: a.copy() for n, a in m.params.items()})
-        return EvalResult(accuracies[len(seen) - 1], {}, len(instances))
+        return EvalResult(accuracies[len(seen) - 1], {})
 
     monkeypatch.setattr(training, "evaluate", scripted_evaluate)
     result = training.train(model, insts, insts[:2], training.TrainConfig(
