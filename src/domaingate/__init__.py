@@ -8,3 +8,12 @@ exploit instances whose domain or label metadata is missing.
 """
 
 __version__ = "0.1.0"
+
+
+class ConfigError(ValueError):
+    """An out-of-range setting, naming the field (``field``) that holds it."""
+
+    def __init__(self, field_name: str, message: str):
+        super().__init__(f"config field {field_name!r}: {message}")
+        self.field = field_name
+        self.detail = message

@@ -6,12 +6,16 @@ its artifacts under an output directory together with a manifest
 (resolved config + seeds + code version) sufficient to reproduce the
 run; the exit status is zero iff all requested artifacts were written.
 A run holds its test split's ``results.tsv``, as ``eval`` writes it, for
-``summarize``. Failures are emitted as one JSON object per error on stderr.
+``summarize``. A run checks its config against its data before it writes
+anything, and a grid checks every cell before the first one trains.
+Failures are emitted as one JSON object per error on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import itertools
 import json
 import sys
@@ -24,92 +28,67 @@ from . import __version__
 from . import data as dio
 from . import probes as probes_mod
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import (ConfigError, RunConfig, file_sha256, parse_kv_file,
-                     synth_spec_from_dict, write_manifest)
-from .encoder import EncoderConfig
-from .inference import STRATEGIES, InferConfig
-from .models import Model, ModelConfig
+from .config import ConfigError, RunConfig, parse_kv_file, read_config
+from .inference import STRATEGIES
+from .models import Model
 from .text import BYTE_VOCAB_SIZE, Vocab
-from .training import TrainConfig, evaluate, train
+from .training import evaluate, train
 
 
-def _fail(message: str, **fields) -> "SystemExit":
-    print(json.dumps({"error": message, **fields}, sort_keys=True),
-          file=sys.stderr)
-    return SystemExit(1)
+def _write_manifest(path, command: str, config: dict, extra: dict) -> None:
+    manifest = {"command": command, "config": config, "version": __version__, **extra}
+    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
 
 
-def _apply_regime(corpus: dio.Corpus, regime: str) -> dio.Corpus:
-    if regime == "semi-supervised":
-        return corpus
-    if regime == "supervised":
-        docs = [d for d in corpus.docs if d.has_domain and d.has_label]
-        if not docs:
-            raise ValueError("supervised regime left no fully-observed instances")
-        return dio.Corpus(docs)
-    return dio.Corpus([replace(d, domain=None) for d in corpus.docs])
-
-
-def _build_vocab(cfg: RunConfig, corpus: dio.Corpus, out_dir: Path):
-    if cfg.mode == "byte":
-        return None, BYTE_VOCAB_SIZE, "byte-fixed"
-    vocab = Vocab.build((d.text for d in corpus.docs), min_count=cfg.min_count)
-    vocab_path = out_dir / "vocab.txt"
-    vocab.save(vocab_path)
-    return vocab, len(vocab), file_sha256(vocab_path)
-
-
-def _resolve_k(cfg: RunConfig, domains: list[str]) -> int:
+def _check_run(cfg: RunConfig, load=dio.load_corpus) -> tuple:
+    """Read a run's corpora with ``load`` and check them against ``cfg``,
+    writing nothing; returns its training and model configs, checkpoint
+    meta, vocabulary (None in byte mode) and train, dev and test corpora."""
+    train_corpus = load(cfg.train_data)
+    if cfg.regime == "supervised":
+        train_corpus = dio.Corpus([d for d in train_corpus.docs
+                                   if d.has_domain and d.has_label])
+    elif cfg.regime == "unsupervised":
+        train_corpus = dio.Corpus([replace(d, domain=None) for d in train_corpus.docs])
+    dev, test = dio.split_dev_test(load(cfg.eval_data), cfg.split_seed)
+    labels, domains = train_corpus.labels, train_corpus.domains
+    if len(labels) < 2:
+        raise ConfigError("train_data", f"needs at least two labels on the instances "
+                                        f"that regime {cfg.regime} keeps")
+    for name, part in (("dev", dev), ("test", test)):
+        if not any(d.label in labels for d in part.docs):
+            raise ConfigError("eval_data", f"its {name} split has no instance "
+                                           f"with a training label")
     k = cfg.k or (1 if cfg.model == "scnn" else len(domains))
     if not k:
         raise ConfigError("k", "set k explicitly when no training domain is observed")
     if cfg.model == "dsda" and cfg.regime != "unsupervised" and domains \
             and k != len(domains):
-        raise ValueError(
-            f"dsda with domain supervision needs k == number of training "
-            f"domains ({len(domains)}), got k={k}")
-    return k
+        raise ConfigError("k", f"dsda with domain supervision needs k == number of "
+                               f"training domains ({len(domains)}), got k={k}")
+    vocab = None if cfg.mode == "byte" else \
+        Vocab.build((d.text for d in train_corpus.docs), min_count=cfg.min_count)
+    meta = {"k": k, "labels": labels, "domains": domains,
+            "vocab_size": BYTE_VOCAB_SIZE if vocab is None else len(vocab)}
+    return (*cfg.library_configs(meta), meta, vocab, (train_corpus, dev, test))
 
 
-def _model_config(cfg: RunConfig, meta: dict) -> ModelConfig:
-    """The model of a run: ``cfg`` plus the data-derived ``k``, labels,
-    domains and vocabulary size that its checkpoint ``meta`` records."""
-    return ModelConfig(
-        kind=cfg.model, n_labels=len(meta["labels"]),
-        n_domains=max(len(meta["domains"]), 1), vocab_size=meta["vocab_size"],
-        k=meta["k"], encoder=EncoderConfig(cfg.embed_dim, cfg.n_filters, cfg.windows),
-        mlp_hidden=cfg.mlp_hidden, dropout=cfg.dropout)
-
-
-def _train_one(cfg: RunConfig, out_dir: Path) -> tuple[float, float]:
-    """Train, checkpoint and test one run in ``out_dir``; returns its best
-    dev accuracy and its test accuracy."""
+def _train_one(cfg: RunConfig, checked: tuple, out_dir: Path) -> tuple[float, float]:
+    """Train, checkpoint and test in ``out_dir`` the run that ``_check_run``
+    checked; returns its best dev accuracy and its test accuracy."""
+    train_cfg, model_cfg, meta, vocab, corpora = checked
+    meta = dict(meta, vocab_hash="byte-fixed")
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_corpus = _apply_regime(dio.load_corpus(cfg.train_data), cfg.regime)
-    eval_corpus = dio.load_corpus(cfg.eval_data)
-    vocab, vocab_size, vocab_hash = _build_vocab(cfg, train_corpus, out_dir)
-
-    labels = train_corpus.labels
-    domains = train_corpus.domains
-    if len(labels) < 2:
-        raise ValueError("training corpus must contain at least two labels")
-    meta = {"k": _resolve_k(cfg, domains), "labels": labels, "domains": domains,
-            "vocab_size": vocab_size, "vocab_hash": vocab_hash}
-    model = Model.init(_model_config(cfg, meta), np.random.default_rng(
+    if vocab is not None:
+        vocab.save(out_dir / "vocab.txt")
+        meta["vocab_hash"] = hashlib.sha256((out_dir / "vocab.txt").read_bytes()).hexdigest()
+    model = Model.init(model_cfg, np.random.default_rng(
         np.random.SeedSequence((cfg.seed, 1))))
-
-    train_insts = dio.prepare(train_corpus, vocab, cfg.mode, labels, domains)
-    dev_corpus, test_corpus = dio.split_dev_test(eval_corpus, cfg.split_seed)
-    dev_insts = dio.prepare(dev_corpus, vocab, cfg.mode, labels, domains)
-    test_insts = dio.prepare(test_corpus, vocab, cfg.mode, labels, domains)
-
-    infer_cfg = InferConfig(cfg.infer_strategy, cfg.infer_m, cfg.seed)
-    tcfg = TrainConfig(lam=cfg.lam, lam_schedule=cfg.lam_schedule,
-                       anneal_steps=cfg.anneal_steps, lr=cfg.lr,
-                       batch_size=cfg.batch_size, max_epochs=cfg.max_epochs,
-                       patience=cfg.patience, seed=cfg.seed, w_dom=cfg.w_dom,
-                       infer=infer_cfg)
-    result = train(model, train_insts, dev_insts, tcfg)
+    train_insts, dev_insts, test_insts = (
+        dio.prepare(corpus, vocab, cfg.mode, meta["labels"], meta["domains"])
+        for corpus in corpora)
+    result = train(model, train_insts, dev_insts, train_cfg)
 
     with open(out_dir / "train_log.jsonl", "w", encoding="utf-8") as fh:
         for entry in result.log:
@@ -118,29 +97,31 @@ def _train_one(cfg: RunConfig, out_dir: Path) -> tuple[float, float]:
     meta["best_dev_accuracy"] = result.best_dev_accuracy
     save_checkpoint(out_dir / "checkpoint.bin", result.model.params, meta)
 
-    test_eval = evaluate(result.model, test_insts, infer_cfg)
+    test_eval = evaluate(result.model, test_insts, train_cfg.infer)
     _write_accuracy_table(out_dir, cfg.model, test_eval.per_domain, test_eval.accuracy)
-    write_manifest(out_dir / "manifest.json", "train", asdict(cfg), {
+    _write_manifest(out_dir / "manifest.json", "train", asdict(cfg), {
         "best_dev_accuracy": result.best_dev_accuracy,
         "test_accuracy": test_eval.accuracy,
     })
     return result.best_dev_accuracy, test_eval.accuracy
 
 
-def _load_run(run_dir: Path, data_path: str, split: str) -> tuple[Model, list, RunConfig]:
-    """A trained run's model and config, and the ``split`` of a corpus
+def _load_run(run_dir: Path, data_path: str, split: str, **infer) -> tuple:
+    """A trained run's model, config and inference config (``infer``
+    overriding its ``strategy`` or ``m``), and the ``split`` of a corpus
     prepared as the run prepared its own."""
     params, meta = load_checkpoint(run_dir / "checkpoint.bin")
     manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
     cfg = RunConfig(**{k: tuple(v) if isinstance(v, list) else v
                        for k, v in manifest["config"].items()})
+    train_cfg, model_cfg = cfg.library_configs(meta, **infer)
     corpus = dio.load_corpus(data_path)
     if split != "all":
         dev, test = dio.split_dev_test(corpus, cfg.split_seed)
         corpus = dev if split == "dev" else test
     vocab = Vocab.load(run_dir / "vocab.txt") if cfg.mode == "word" else None
     insts = dio.prepare(corpus, vocab, cfg.mode, meta["labels"], meta["domains"])
-    return Model(_model_config(cfg, meta), params), insts, cfg
+    return Model(model_cfg, params), insts, cfg, train_cfg.infer
 
 
 def _write_accuracy_table(out_dir: Path, name: str, per_domain: dict[str, float],
@@ -159,25 +140,24 @@ def _write_accuracy_table(out_dir: Path, name: str, per_domain: dict[str, float]
 
 
 def cmd_train(args) -> None:
-    cfg = RunConfig.load(args.config)
+    cfg = read_config(RunConfig, parse_kv_file(args.config))
+    checked = _check_run(cfg)
     out_dir = Path(args.out or cfg.out_dir)
-    dev, test = _train_one(cfg, out_dir)
+    dev, test = _train_one(cfg, checked, out_dir)
     print(f"dev accuracy {dev:.4f}  test accuracy {test:.4f}")
     print(f"artifacts in {out_dir}")
 
 
 def cmd_eval(args) -> None:
-    if args.m is not None and args.m < 1:
-        raise ConfigError("m", f"sample count must be >= 1, got {args.m}")
     run_dir = Path(args.run_dir)
-    model, insts, cfg = _load_run(run_dir, args.data, args.split)
-    infer_cfg = InferConfig(args.strategy or cfg.infer_strategy,
-                            cfg.infer_m if args.m is None else args.m, cfg.seed)
+    model, insts, cfg, infer_cfg = _load_run(
+        run_dir, args.data, args.split,
+        **{k: v for k, v in (("strategy", args.strategy), ("m", args.m)) if v is not None})
     result = evaluate(model, insts, infer_cfg)
     out_dir = Path(args.out or run_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_accuracy_table(out_dir, cfg.model, result.per_domain, result.accuracy)
-    write_manifest(out_dir / "eval_manifest.json", "eval", asdict(cfg), {
+    _write_manifest(out_dir / "eval_manifest.json", "eval", asdict(cfg), {
         "data": args.data, "split": args.split,
         "strategy": infer_cfg.strategy, "m": infer_cfg.m,
         "accuracy": result.accuracy, "per_domain": result.per_domain,
@@ -187,7 +167,9 @@ def cmd_eval(args) -> None:
 
 def _grid_cells(base: dict[str, str], vary: list[str]) -> tuple[dict, list]:
     """The values of each ``key=v1,v2,...`` of ``vary``, and each cell's
-    values and validated config, in Cartesian-product order."""
+    values and config, in Cartesian-product order. A varied key replaces
+    the base config's value under either of its spellings."""
+    name = RunConfig.KEY_ALIASES.get
     axes: dict[str, list[str]] = {}
     for spec in vary:
         key, eq, raw = (part.strip() for part in spec.partition("="))
@@ -195,58 +177,61 @@ def _grid_cells(base: dict[str, str], vary: list[str]) -> tuple[dict, list]:
             raise ConfigError("vary", f"expected key=v1,v2,..., got {spec!r}")
         if key == "windows":
             raise ConfigError(key, "its value holds commas, so it cannot be varied")
-        if key in axes:
+        if name(key, key) in {name(a, a) for a in axes}:
             raise ConfigError(key, "varied twice")
         axes[key] = [v.strip() for v in raw.split(",")]
-    return axes, [(values, RunConfig.from_dict({**base, **dict(zip(axes, values))}))
+    varied = {name(key, key) for key in axes}
+    base = {key: raw for key, raw in base.items() if name(key, key) not in varied}
+    return axes, [(values, read_config(RunConfig, {**base, **dict(zip(axes, values))}))
                   for values in itertools.product(*axes.values())]
 
 
 def cmd_grid(args) -> None:
     base = parse_kv_file(args.config)
     axes, cells = _grid_cells(base, args.vary)
+    load = functools.cache(dio.load_corpus)
+    checked = [_check_run(cfg, load) for _, cfg in cells]
     out_dir = Path(args.out or cells[0][1].out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names, devs = [], []
     with open(out_dir / "grid.tsv", "w", encoding="utf-8") as fh:
         fh.write("\t".join(["cell", *axes, "dev_accuracy", "test_accuracy"]) + "\n")
-        for i, (values, cfg) in enumerate(cells):
+        for i, ((values, cfg), run) in enumerate(zip(cells, checked)):
             names.append(f"cell-{i:03d}")
-            dev, test = _train_one(cfg, out_dir / names[-1])
+            dev, test = _train_one(cfg, run, out_dir / names[-1])
             devs.append(dev)
             fh.write("\t".join([names[-1], *values, f"{dev:.6f}", f"{test:.6f}"]) + "\n")
             fh.flush()
             print(names[-1], *(f"{k}={v}" for k, v in zip(axes, values)),
                   f"dev={dev:.4f}", f"test={test:.4f}", sep="  ")
     best = int(np.argmax(devs))
-    write_manifest(out_dir / "manifest.json", "grid", base, {
+    _write_manifest(out_dir / "manifest.json", "grid", base, {
         "vary": axes, "cells": names, "best_cell": names[best],
         "best": dict(zip(axes, cells[best][0]))})
     print(f"best cell by dev accuracy: {names[best]}")
 
 
 def cmd_probe(args) -> None:
-    if args.runs < 1:
-        raise ConfigError("runs", f"must be >= 1, got {args.runs}")
     run_dir = Path(args.run_dir)
-    model, insts, cfg = _load_run(run_dir, args.data, "all")
+    model, insts, cfg, _ = _load_run(run_dir, args.data, "all")
     observed = [i for i in insts if i.y_id is not None and i.d_id is not None]
     if not observed:
-        raise _fail("probe needs instances with observed label and domain")
+        raise ValueError("probe needs instances with observed label and domain")
+    accs = {target: probes_mod.probe_averaged(model, observed, target,
+                                              seed=cfg.seed, runs=args.runs)
+            for target in ("y", "d")}
     out_dir = Path(args.out or run_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "probe.tsv", "w", encoding="utf-8") as fh:
         fh.write("lambda\ttarget\taccuracy\truns\n")
-        for target in ("y", "d"):
-            acc = probes_mod.probe_averaged(model, observed, target,
-                                            seed=cfg.seed, runs=args.runs)
+        for target, acc in accs.items():
             fh.write(f"{cfg.lam:g}\t{target}\t{acc:.6f}\t{args.runs}\n")
             print(f"{target}-probe accuracy {acc:.4f} (lambda={cfg.lam:g})")
 
 
 def cmd_export(args) -> None:
     run_dir = Path(args.run_dir)
-    model, insts, cfg = _load_run(run_dir, args.data, "all")
+    model, insts, cfg, _ = _load_run(run_dir, args.data, "all")
     rng = np.random.default_rng(cfg.seed) if args.repr == "z" else None
     rows = probes_mod.export_representations(model, insts, args.repr, rng)
     out_path = Path(args.out or (run_dir / "export.tsv"))
@@ -263,7 +248,7 @@ def cmd_export(args) -> None:
 
 
 def cmd_gen_synth(args) -> None:
-    spec = synth_spec_from_dict(parse_kv_file(args.spec)) if args.spec \
+    spec = read_config(dio.SynthSpec, parse_kv_file(args.spec)) if args.spec \
         else dio.SynthSpec()
     corpus = dio.generate_synthetic(spec)
     held_names = [f"dom{d}" for d in spec.held_out]
@@ -272,7 +257,7 @@ def cmd_gen_synth(args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     dio.save_corpus(train_corpus, out_dir / "train.jsonl")
     dio.save_corpus(heldout_corpus, out_dir / "heldout.jsonl")
-    write_manifest(out_dir / "manifest.json", "gen-synth", asdict(spec),
+    _write_manifest(out_dir / "manifest.json", "gen-synth", asdict(spec),
                    {"train_instances": len(train_corpus),
                     "heldout_instances": len(heldout_corpus)})
     print(f"wrote {len(train_corpus)} training and {len(heldout_corpus)} "
@@ -280,18 +265,18 @@ def cmd_gen_synth(args) -> None:
 
 
 def cmd_summarize(args) -> None:
-    tables = []
+    columns, rows = None, []
     for run in args.runs:
-        path = Path(run) / "results.tsv"
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = (Path(run) / "results.tsv").read_text(encoding="utf-8").splitlines()
         header = lines[0].split("\t")[1:]
-        values = [float(v) for v in lines[1].split("\t")[1:]]
-        tables.append(dict(zip(header, values)))
-    columns = list(tables[0])
-    out_lines = ["column\tmean\tstd\tn"]
-    for col in columns:
-        vals = np.array([t[col] for t in tables])
-        out_lines.append(f"{col}\t{vals.mean():.6f}\t{vals.std(ddof=0):.6f}\t{len(vals)}")
+        if columns is not None and header != columns:
+            raise ValueError(f"{run}: result columns {header} differ from "
+                             f"{columns} of {args.runs[0]}")
+        columns = header
+        rows.append([float(v) for v in lines[1].split("\t")[1:]])
+    out_lines = ["column\tmean\tstd\tn"] + [
+        f"{col}\t{vals.mean():.6f}\t{vals.std(ddof=0):.6f}\t{len(vals)}"
+        for col, vals in zip(columns, np.array(rows).T)]
     text = "\n".join(out_lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -358,12 +343,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
-    except SystemExit:
-        raise
-    except ConfigError as exc:
-        raise _fail(str(exc), field=exc.field) from None
     except Exception as exc:  # noqa: BLE001 - single reporting funnel
-        raise _fail(f"{type(exc).__name__}: {exc}") from None
+        error = {"error": f"{type(exc).__name__}: {exc}"}
+        if isinstance(exc, ConfigError):
+            error = {"error": str(exc), "field": exc.field}
+        print(json.dumps(error, sort_keys=True), file=sys.stderr)
+        raise SystemExit(1) from None
     return 0
 
 

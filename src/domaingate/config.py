@@ -1,37 +1,30 @@
-"""Flat key=value config files and run manifests.
+"""Flat key=value config files and the one reader that types them.
 
 Config syntax: one ``key = value`` pair per line, ``#`` starts a
-comment, blank lines ignored. The keys of a run config (``domaingate
-train --config``, and the base config of ``grid``, whose ``--vary``
-flags set keys per cell) are the fields of ``RunConfig``, documented in
-its docstring; the keys of a generator spec (``gen-synth --spec``) are
-the fields of ``data.SynthSpec``.
+comment, blank lines ignored. ``read_config`` reads such pairs into a
+``RunConfig`` (``domaingate train --config``, and the base config of
+``grid``, whose ``--vary`` flags set keys per cell) or a
+``data.SynthSpec`` (``gen-synth --spec``). The keys are the fields of
+that class, each documented, with its default and range, in the class
+that uses it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
-from .data import SynthSpec
-from .inference import STRATEGIES
-from .models import MODEL_KINDS
-from .training import LAMBDA_SCHEDULES
+from . import ConfigError
+from .encoder import EncoderConfig
+from .inference import InferConfig
+from .models import ModelConfig
+from .training import TrainConfig
 
-__all__ = ["ConfigError", "parse_kv_file", "RunConfig", "synth_spec_from_dict",
-           "write_manifest", "file_sha256"]
+__all__ = ["ConfigError", "parse_kv_file", "read_config", "RunConfig"]
 
 REGIMES = ("supervised", "semi-supervised", "unsupervised")
 MODES = ("word", "byte")
-
-
-class ConfigError(ValueError):
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"config field {field_name!r}: {message}")
-        self.field = field_name
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -50,155 +43,129 @@ def parse_kv_file(path) -> dict[str, str]:
     return out
 
 
-def _convert(name, raw, typ):
+def _read_bool(raw: str) -> bool:
+    if raw.lower() in ("1", "true", "yes"):
+        return True
+    if raw.lower() in ("0", "false", "no"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+# How a value of each field type is read. A field of any other type
+# (``SynthSpec.label_names``) is not a key.
+_READERS = {
+    str: str, int: int, float: float, bool: _read_bool,
+    Optional[int]: lambda raw: None if raw.lower() in ("", "none") else int(raw),
+    tuple[int, ...]: lambda raw: tuple(int(part) for part in raw.split(",")),
+}
+
+
+def read_config(cls, kv: dict[str, str]):
+    """A ``cls`` (``RunConfig`` or ``data.SynthSpec``) from key=value
+    strings, each read by its field's type; every check of ``cls`` runs
+    before it returns. A field may be spelled as a key of
+    ``cls.KEY_ALIASES``, but only once, and an error names the key as
+    written."""
+    types = get_type_hints(cls)
+    aliases = getattr(cls, "KEY_ALIASES", {})
+    values, written = {}, {}
+    for key, raw in kv.items():
+        name = aliases.get(key, key)
+        if name in written:
+            raise ConfigError(key, f"already given as {written[name]!r}")
+        read = _READERS.get(types.get(name))
+        if read is None:
+            raise ConfigError(key, "unknown key")
+        try:
+            values[name] = read(raw)
+        except ValueError as exc:
+            raise ConfigError(key, str(exc)) from None
+        written[name] = key
     try:
-        if typ is bool:
-            if raw.lower() in ("1", "true", "yes"):
-                return True
-            if raw.lower() in ("0", "false", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return typ(raw)
-    except ValueError as exc:
-        raise ConfigError(name, str(exc)) from None
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(written.get(exc.field, exc.field), exc.detail) from None
 
 
-@dataclass
+# Library config fields that a run spells differently.
+_RUN_KEYS = {"kind": "model", "strategy": "infer_strategy", "m": "infer_m"}
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Everything a training run needs, resolvable to a manifest.
 
-    Keys (``windows`` is comma-separated, so ``grid --vary`` cannot vary it):
-
-    - ``model``: one of ``MODEL_KINDS``; ``k``: channels, 0 for the
-      number of training domains (1 for scnn).
-    - ``lambda``: KL weight >= 0; ``lambda_schedule``: ``fixed`` or
-      ``linear-anneal`` from 0 over ``anneal_steps`` >= 1 (``none``: one epoch).
+    - ``model``: a ``ModelConfig.kind``; ``k``: channels, 0 (auto) for
+      the number of training domains (1 for scnn).
     - ``regime``: ``supervised`` keeps instances with label and domain,
       ``semi-supervised`` keeps all, ``unsupervised`` drops domains.
     - ``train_data``, ``eval_data``: JSONL corpora, read per ``mode``
       (``word`` or ``byte``); the eval corpus splits 4:6 into dev and
       test by ``split_seed``; ``min_count``: word vocabulary cut-off.
-    - ``lr`` > 0, ``batch_size`` >= 1, ``max_epochs``, ``patience``
-      (dev evaluations without gain), ``w_dom`` (dsda domain-prior
-      weight), ``dropout`` in [0, 1); ``seed`` drives every stream.
-    - ``embed_dim``, ``n_filters``, ``windows``, ``mlp_hidden``: encoder
-      and head sizes, each >= 1.
-    - ``infer_strategy``: one of ``STRATEGIES``, with ``infer_m`` >= 1
-      draws; ``out_dir``: output directory when ``--out`` is not given.
+    - ``out_dir``: output directory when ``--out`` is not given.
+    - Every other key is a field of ``TrainConfig``, ``InferConfig``
+      (prefixed ``infer_``; ``seed`` seeds it too), ``EncoderConfig`` or
+      ``ModelConfig``, with its default and range there. ``lambda`` and
+      ``lambda_schedule`` may be spelled ``lam`` and ``lam_schedule``;
+      ``windows`` is comma-separated, so ``grid --vary`` cannot vary it.
     """
 
     model: str = "csda-dirichlet"
-    k: int = 0                        # 0 = auto (number of training domains)
-    lam: float = 0.1
-    lam_schedule: str = "fixed"
-    anneal_steps: Optional[int] = None
+    k: int = 0
+    lam: float = TrainConfig.lam
+    lam_schedule: str = TrainConfig.lam_schedule
+    anneal_steps: Optional[int] = TrainConfig.anneal_steps
     regime: str = "semi-supervised"
     train_data: str = ""
     eval_data: str = ""
     mode: str = "word"
-    lr: float = 1e-4
-    batch_size: int = 32
-    max_epochs: int = 20
-    patience: int = 5
-    seed: int = 0
-    w_dom: float = 1.0
-    dropout: float = 0.5
-    embed_dim: int = 300
-    n_filters: int = 128
-    windows: tuple[int, ...] = (3, 4, 5)
-    mlp_hidden: int = 300
-    infer_strategy: str = "prior-sample"
-    infer_m: int = 100
+    lr: float = TrainConfig.lr
+    batch_size: int = TrainConfig.batch_size
+    max_epochs: int = TrainConfig.max_epochs
+    patience: int = TrainConfig.patience
+    seed: int = TrainConfig.seed
+    w_dom: float = TrainConfig.w_dom
+    dropout: float = ModelConfig.dropout
+    embed_dim: int = EncoderConfig.embed_dim
+    n_filters: int = EncoderConfig.n_filters
+    windows: tuple[int, ...] = EncoderConfig.windows
+    mlp_hidden: int = ModelConfig.mlp_hidden
+    infer_strategy: str = InferConfig.strategy
+    infer_m: int = InferConfig.m
     split_seed: int = 0
     min_count: int = 1
     out_dir: str = "run"
 
-    _KEY_ALIASES = {"lambda": "lam", "lambda_schedule": "lam_schedule"}
+    KEY_ALIASES = {"lambda": "lam", "lambda_schedule": "lam_schedule"}
 
-    @classmethod
-    def from_dict(cls, kv: dict[str, str]) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        values = {}
-        for key, raw in kv.items():
-            name = cls._KEY_ALIASES.get(key, key)
-            if name not in known:
-                raise ConfigError(key, "unknown key")
-            if name == "windows":
-                values[name] = tuple(_convert(key, part, int)
-                                     for part in raw.split(","))
-            elif name == "anneal_steps":
-                values[name] = None if raw.lower() in ("", "none") \
-                    else _convert(key, raw, int)
-            else:
-                values[name] = _convert(key, raw, type(getattr(cls, name)))
-        cfg = cls(**values)
-        cfg.validate()
-        return cfg
-
-    @classmethod
-    def load(cls, path) -> "RunConfig":
-        return cls.from_dict(parse_kv_file(path))
-
-    def validate(self) -> None:
-        if self.model not in MODEL_KINDS:
-            raise ConfigError("model", f"must be one of {MODEL_KINDS}")
+    def __post_init__(self):
         if self.regime not in REGIMES:
             raise ConfigError("regime", f"must be one of {REGIMES}")
         if self.mode not in MODES:
             raise ConfigError("mode", f"must be one of {MODES}")
-        if self.infer_strategy not in STRATEGIES:
-            raise ConfigError("infer_strategy", f"must be one of {STRATEGIES}")
-        if self.lam < 0:
-            raise ConfigError("lambda", "must be nonnegative")
-        if self.lam_schedule not in LAMBDA_SCHEDULES:
-            raise ConfigError("lambda_schedule", f"must be one of {LAMBDA_SCHEDULES}")
-        if self.anneal_steps is not None and self.anneal_steps < 1:
-            raise ConfigError("anneal_steps", "must be >= 1, or none for an epoch")
-        if not self.lr > 0:
-            raise ConfigError("lr", "must be positive")
-        for name in ("batch_size", "infer_m", "embed_dim", "n_filters", "mlp_hidden"):
-            if getattr(self, name) < 1:
-                raise ConfigError(name, "must be >= 1")
-        if any(w < 1 for w in self.windows):
-            raise ConfigError("windows", "every window must be >= 1")
         if self.k < 0:
             raise ConfigError("k", "must be >= 1, or 0 for auto")
-        if self.model == "scnn" and self.k not in (0, 1):
-            raise ConfigError("k", "scnn is single-channel")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout", "must be in [0, 1)")
+        # Run every check that needs no data, on the smallest data.
+        self.library_configs({"k": self.k or 1, "labels": (0, 1), "domains": (),
+                              "vocab_size": 1})
 
-
-_SYNTH_KEYS = {f.name for f in fields(SynthSpec)} - {"label_names"}
-
-
-def synth_spec_from_dict(kv: dict[str, str]) -> SynthSpec:
-    """Key=value front-end for the synthetic generator: any ``SynthSpec``
-    field but the label names, validated by ``SynthSpec`` itself."""
-    defaults = SynthSpec()
-    values = {}
-    for key, raw in kv.items():
-        if key not in _SYNTH_KEYS:
-            raise ConfigError(key, "unknown key")
-        if key == "held_out":
-            values[key] = tuple(_convert(key, p, int) for p in raw.split(","))
-        else:
-            values[key] = _convert(key, raw, type(getattr(defaults, key)))
-    return SynthSpec(**values)
-
-
-def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def write_manifest(path, command: str, config: dict, extra: dict) -> None:
-    from . import __version__
-
-    manifest = {
-        "command": command,
-        "config": config,
-        "version": __version__,
-    }
-    manifest.update(extra)
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    def library_configs(self, meta: dict, **infer) -> tuple[TrainConfig, ModelConfig]:
+        """This run's training and model configs on the data that a
+        checkpoint ``meta`` describes (its ``k``, ``labels``, ``domains``
+        and ``vocab_size``); ``infer`` overrides ``InferConfig`` fields.
+        An out-of-range value raises ``ConfigError`` naming its run key,
+        or the ``infer`` field that gave it."""
+        try:
+            infer_cfg = InferConfig(**{"strategy": self.infer_strategy, "m": self.infer_m,
+                                       "seed": self.seed, **infer})
+            train_cfg = TrainConfig(infer=infer_cfg, **{
+                f.name: getattr(self, f.name) for f in fields(TrainConfig) if f.name != "infer"})
+            model_cfg = ModelConfig(
+                kind=self.model, n_labels=len(meta["labels"]),
+                n_domains=max(len(meta["domains"]), 1), vocab_size=meta["vocab_size"],
+                k=meta["k"], encoder=EncoderConfig(self.embed_dim, self.n_filters, self.windows),
+                mlp_hidden=self.mlp_hidden, dropout=self.dropout)
+        except ConfigError as exc:
+            key = exc.field if exc.field in infer else _RUN_KEYS.get(exc.field, exc.field)
+            raise ConfigError(key, exc.detail) from None
+        return train_cfg, model_cfg

@@ -17,11 +17,12 @@ sentinels themselves never appear in the inventories.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+
+from . import ConfigError
 
 __all__ = [
     "Document", "Corpus", "CorpusFormatError", "load_corpus", "save_corpus",
@@ -174,11 +175,13 @@ class SynthSpec:
 
     def __post_init__(self):
         if not set(self.held_out) <= set(range(self.n_domains)):
-            raise ValueError("held-out ids must be a subset of the domain ids")
+            raise ConfigError("held_out", "held-out ids must be a subset of the domain ids")
         if not 0.0 <= self.overlap <= 1.0:
-            raise ValueError("overlap fraction must be in [0, 1]")
+            raise ConfigError("overlap", "must be in [0, 1]")
+        if self.n_cues < 2:
+            raise ConfigError("n_cues", "must be >= 2, one cue per label at least")
         if self.cues_per_doc > self.doc_len:
-            raise ValueError("cues_per_doc cannot exceed doc_len")
+            raise ConfigError("cues_per_doc", "cannot exceed doc_len")
 
 
 def _cue_polarity(spec: SynthSpec, domain: int, cue: int) -> int:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ConfigError
 from . import autodiff as ad
 from .autodiff import ParamBinder, Var
 from .text import PAD_ID
@@ -30,9 +31,19 @@ __all__ = ["EncoderConfig", "TokenBatch", "pack", "init_encoder_params", "encode
 
 @dataclass(frozen=True)
 class EncoderConfig:
+    """``embed_dim``-d embeddings and ``n_filters`` filters per window size
+    in ``windows``, each >= 1."""
+
     embed_dim: int = 300
     n_filters: int = 128
     windows: tuple[int, ...] = (3, 4, 5)
+
+    def __post_init__(self):
+        for name in ("embed_dim", "n_filters"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, "must be >= 1")
+        if not self.windows or min(self.windows) < 1:
+            raise ConfigError("windows", "needs windows, each >= 1")
 
     @property
     def out_dim(self) -> int:
@@ -95,12 +106,12 @@ def init_encoder_params(rng: np.random.Generator, vocab_size: int,
 
 
 def encode(binder: ParamBinder, prefix: str, batch: TokenBatch, cfg: EncoderConfig,
-           dropout_u: np.ndarray | None = None, dropout_rate: float = 0.5) -> Var:
+           dropout_u: np.ndarray | None = None, dropout_rate: float = 0.0) -> Var:
     """Encode a packed batch to pooled rows [B, cfg.out_dim].
 
-    Dropout applies to the pooled rows only when uniform noise
-    ``dropout_u`` [B, out_dim] is given (training); without it the
-    encoding is deterministic.
+    Dropout at ``dropout_rate`` applies to the pooled rows only when
+    uniform noise ``dropout_u`` [B, out_dim] is given (training); without
+    it the encoding is deterministic.
     """
     embedded = ad.embedding(binder(f"{prefix}.emb"), batch.ids)
     h = ad.concat([ad.conv_pool(embedded, binder(f"{prefix}.conv{w}.w"),

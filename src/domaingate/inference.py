@@ -33,6 +33,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import ConfigError
 from . import autodiff as ad
 from . import distributions as dist
 from .autodiff import Tape
@@ -52,15 +53,18 @@ CHUNK_SIZE = 16
 
 @dataclass(frozen=True)
 class InferConfig:
+    """How instances are predicted: one of ``STRATEGIES``, with ``m`` >= 1
+    draws for mc-average and importance-sampling, from streams of ``seed``."""
+
     strategy: str = "prior-sample"
     m: int = 100
     seed: int = 0
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown inference strategy {self.strategy!r}")
+            raise ConfigError("strategy", f"must be one of {STRATEGIES}")
         if self.m < 1:
-            raise ValueError("sample count m must be >= 1")
+            raise ConfigError("m", f"sample count must be >= 1, got {self.m}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,7 @@ def predict(model: Model, seqs, cfg: InferConfig, rngs: list
                      "marginalizing exactly", cfg.strategy)
         prior = model.prior_gate(binder, batch)
         weights = np.exp(ad.log_softmax(prior).value)[:, None, :]
-        return _normalized((weights @ np.exp(classify_batch(binder, mcfg, h_mat).value))[:, 0])
+        return _normalized((weights @ np.exp(classify_batch(binder, h_mat).value))[:, 0])
 
     if mcfg.kind in ("scnn", "mcnn"):
         z_rows = np.full((batch.size, 1, mcfg.k), 1.0 / mcfg.k)
@@ -103,7 +107,7 @@ def predict(model: Model, seqs, cfg: InferConfig, rngs: list
         else:
             m = cfg.m if cfg.strategy == "mc-average" else 1
             z_rows = dist.draw_many(prior, rngs, m)
-    logp = classify_batch(binder, mcfg, gate_channels(h_mat, binder.tape.const(z_rows)))
+    logp = classify_batch(binder, gate_channels(h_mat, binder.tape.const(z_rows)))
     return _normalized(np.exp(logp.value).mean(axis=1))
 
 
@@ -120,7 +124,7 @@ def _importance_sampling(model, binder, batch, h_mat, prior, cfg, rngs):
     q = model.posterior_gate(binder, batch, [range(labels)] * n, None)
     z = dist.draw_many(q, rngs, m)                               # [B,L,m,k]
     rows = z.reshape(n, labels * m, mcfg.k)
-    logp = classify_batch(binder, mcfg, gate_channels(h_mat, binder.tape.const(rows)))
+    logp = classify_batch(binder, gate_channels(h_mat, binder.tape.const(rows)))
     logp = logp.value.reshape(n, labels, m, labels)
     loglik = np.stack([logp[:, y, :, y] for y in range(labels)], axis=1)
     log_w = dist.log_pdf_many(prior, rows).reshape(n, labels, m) + loglik \

@@ -44,6 +44,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import ConfigError
 from . import autodiff as ad
 from . import distributions as dist
 from .autodiff import ParamBinder, Tape, Var
@@ -63,6 +64,10 @@ DOMAIN_EMB_DIM = 16
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """One of ``MODEL_KINDS`` with k >= 1 channels (1 for scnn), sized by
+    the data; a head of ``mlp_hidden`` >= 1 units, and channel dropout at
+    rate ``dropout`` in [0, 1) in training."""
+
     kind: str
     n_labels: int
     n_domains: int
@@ -74,11 +79,13 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == "scnn" and self.k != 1:
-            raise ValueError("scnn is single-channel; k must be 1")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise ConfigError("kind", f"must be one of {MODEL_KINDS}")
+        if self.k < 1 or (self.kind == "scnn" and self.k != 1):
+            raise ConfigError("k", "must be >= 1, and 1 for the single-channel scnn")
+        if self.mlp_hidden < 1:
+            raise ConfigError("mlp_hidden", "must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError("dropout", "must be in [0, 1)")
 
     @property
     def family(self) -> Optional[str]:
@@ -162,7 +169,7 @@ def gate_channels(h_mat: Var, z: Var) -> Var:
     return ad.reshape(ad.matmul(ad.reshape(z, (n, 1, k)), h_mat), (n, h_mat.shape[2]))
 
 
-def classify_batch(binder: ParamBinder, cfg: ModelConfig, h: Var) -> Var:
+def classify_batch(binder: ParamBinder, h: Var) -> Var:
     """Label log-probabilities from a gated hidden vector [H], or one
     distribution per row of h [..., H]."""
     hidden = ad.relu(_linear(binder, "theta.head.l1", h))
@@ -269,8 +276,7 @@ class Model:
 
     # -- losses ---------------------------------------------------------------
 
-    def loss(self, seqs, y_ids, d_ids=None, *,
-             lam: float = 0.1, w_dom: float = 1.0,
+    def loss(self, seqs, y_ids, d_ids=None, *, lam: float, w_dom: float,
              rng: Optional[np.random.Generator] = None,
              dropout_rng: Optional[np.random.Generator] = None,
              eps: Optional[np.ndarray] = None) -> LossResult:
@@ -300,7 +306,7 @@ class Model:
 
         if cfg.kind in ("scnn", "mcnn"):
             z = tape.const(np.full((n, cfg.k), 1.0 / cfg.k))
-            logprobs = classify_batch(binder, cfg, gate_channels(h_mat, z))
+            logprobs = classify_batch(binder, gate_channels(h_mat, z))
             rows = ad.neg(ad.gather(logprobs, y))
         elif cfg.kind == "dsda":
             for j, d in enumerate(d_ids):
@@ -308,7 +314,7 @@ class Model:
                     raise ValueError(f"observed domain {d} outside the {cfg.k} "
                                      f"channels (batch position {j})")
             log_prior = ad.log_softmax(self.prior_gate(binder, batch))
-            per_channel = ad.gather(classify_batch(binder, cfg, h_mat),
+            per_channel = ad.gather(classify_batch(binder, h_mat),
                                     np.repeat(y[:, None], cfg.k, axis=1))
             rows = ad.neg(ad.logsumexp(per_channel + log_prior))
             observed = np.array([d is not None for d in d_ids])
@@ -321,7 +327,7 @@ class Model:
             p = self.prior_gate(binder, batch)
             z_var, degenerate = dist.sample(q, rng, eps=eps)
             keep = ~degenerate
-            loglik = ad.gather(classify_batch(binder, cfg, gate_channels(h_mat, z_var)), y)
+            loglik = ad.gather(classify_batch(binder, gate_channels(h_mat, z_var)), y)
             kl = dist.kl_divergence(q, p)
             rows = ad.neg(loglik - lam * kl)
 

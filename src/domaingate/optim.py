@@ -20,7 +20,7 @@ class AdamState:
     match the parameter's shape.
     """
 
-    lr: float = 1e-4
+    lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8

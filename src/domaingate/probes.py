@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import ConfigError
 from . import autodiff as ad
 from . import distributions as dist
 from .autodiff import Tape
@@ -130,7 +131,7 @@ def probe_averaged(model: Model, instances: list[Instance], target: str,
     """Average probe accuracy over ``runs`` collections, each with its own
     gate samples and split."""
     if runs < 1:
-        raise ValueError(f"probe runs must be >= 1, got {runs}")
+        raise ConfigError("runs", f"must be >= 1, got {runs}")
     accs = []
     for r in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, r)))

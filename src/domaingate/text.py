@@ -54,7 +54,9 @@ class Vocab:
         for text in texts:
             for tok in text.lower().split():
                 counts[tok] = counts.get(tok, 0) + 1
-        kept = sorted(t for t, c in counts.items() if c >= min_count)
+        # A reserved word in the text keeps its reserved id.
+        kept = sorted(t for t, c in counts.items()
+                      if c >= min_count and t not in (PAD_TOKEN, OOV_TOKEN))
         return cls([PAD_TOKEN, OOV_TOKEN] + kept)
 
     def save(self, path) -> None:

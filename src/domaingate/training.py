@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import ConfigError
 from .autodiff import RowGrad, backprop
 from .data import Instance
 from .inference import InferConfig, predict_batch
@@ -30,9 +31,16 @@ LAMBDA_SCHEDULES = ("fixed", "linear-anneal")
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The training loop's settings: KL weight ``lam`` >= 0, held
+    (``fixed``) or raised from 0 over ``anneal_steps`` >= 1 steps
+    (``linear-anneal``; None: one epoch); Adam step ``lr`` > 0; at most
+    ``max_epochs`` of ``batch_size`` >= 1 instances per step, stopping
+    after ``patience`` dev evaluations without gain; dsda domain-prior
+    weight ``w_dom``; ``seed`` of every stream; dev prediction by ``infer``."""
+
     lam: float = 0.1
     lam_schedule: str = "fixed"        # one of LAMBDA_SCHEDULES
-    anneal_steps: Optional[int] = None  # >= 1; default: one epoch of steps
+    anneal_steps: Optional[int] = None
     lr: float = 1e-4
     batch_size: int = 32
     max_epochs: int = 20
@@ -43,13 +51,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.lam < 0.0:
-            raise ValueError("lambda must be nonnegative")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
+            raise ConfigError("lam", "must be nonnegative")
         if self.lam_schedule not in LAMBDA_SCHEDULES:
-            raise ValueError(f"unknown lambda schedule {self.lam_schedule!r}")
+            raise ConfigError("lam_schedule", f"must be one of {LAMBDA_SCHEDULES}")
         if self.anneal_steps is not None and self.anneal_steps < 1:
-            raise ValueError("anneal steps must be >= 1")
+            raise ConfigError("anneal_steps", "must be >= 1, or none for an epoch")
+        if not self.lr > 0:
+            raise ConfigError("lr", "must be positive")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size", "must be >= 1")
 
 
 @dataclass

@@ -1,10 +1,13 @@
 """The command line: gen-synth from a spec file; a tiny end-to-end run
 through every command, whose training is byte-reproducible and whose
 grid cells train exactly as ``train`` does; grid cells in product order;
-and a non-zero exit with a JSON error naming the field on a bad spec,
-run config, grid flag or command-line count."""
+and a non-zero exit with a JSON error naming the field, having written
+nothing, on a bad spec, run config, grid flag, command-line count, or a
+run config that does not fit its data."""
 
 import json
+import shutil
+from dataclasses import replace
 
 import pytest
 
@@ -120,13 +123,20 @@ def test_tiny_run_through_every_command(tmp_path, capsys):
         (run / "results.tsv").read_bytes()
 
     # A count of 0 is refused, naming the option, rather than replaced or
-    # averaged over nothing.
+    # averaged over nothing; so is a run whose manifest holds a bad value.
+    edited = tmp_path / "edited"
+    shutil.copytree(run, edited)
+    manifest = json.loads((edited / "manifest.json").read_text())
+    manifest["config"]["lr"] = 0
+    (edited / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     for argv, field in ((["eval", "--run-dir", str(run), "--data", heldout, "--m", "0",
                           "--out", str(tmp_path / "eval_m0")], "m"),
                         (["probe", "--run-dir", str(run), "--data",
                           str(corpus / "train.jsonl"), "--runs", "0",
-                          "--out", str(tmp_path / "probe_r0")], "runs")):
+                          "--out", str(tmp_path / "probe_r0")], "runs"),
+                        (["eval", "--run-dir", str(edited), "--data", heldout,
+                          "--out", str(tmp_path / "eval_lr0")], "lr")):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 1
@@ -191,6 +201,7 @@ def test_tiny_run_through_every_command(tmp_path, capsys):
     ("lambda_schedule = cosine", "lambda_schedule"),
     ("anneal_steps = -5", "anneal_steps"),
     ("anneal_steps = 0", "anneal_steps"),
+    ("lambda = 0.5\nlam = 0.2", "lam"),
 ])
 def test_train_bad_config_exits_nonzero_naming_field(tmp_path, capsys, lines, field):
     cfg = tmp_path / "run.cfg"
@@ -213,12 +224,19 @@ def test_grid_cells_follow_product_order_of_the_vary_flags():
         ("dsda", lr, seed) for lr in (0.1, 0.2) for seed in (1, 2, 3)]
 
 
+@pytest.mark.parametrize("base_key, vary_key", [("lambda", "lam"), ("lam", "lambda")])
+def test_grid_vary_replaces_the_base_value_under_either_spelling(base_key, vary_key):
+    _, cells = cli._grid_cells({"model": "dsda", base_key: "0.5"}, [f"{vary_key}=0.2,0.3"])
+    assert [cfg.lam for _, cfg in cells] == [0.2, 0.3]
+
+
 @pytest.mark.parametrize("vary, field", [
     (["lr=0.1,0"], "lr"),
     (["windows=3,4"], "windows"),
     (["lr=0.1", "lr=0.2"], "lr"),
     (["modle=dsda,mcnn"], "modle"),
     (["lr"], "vary"),
+    (["lam=0.1", "lambda=0.2"], "lambda"),
 ])
 def test_grid_bad_vary_exits_nonzero_naming_field_before_any_run(tmp_path, capsys,
                                                                  vary, field):
@@ -235,3 +253,76 @@ def test_grid_bad_vary_exits_nonzero_naming_field_before_any_run(tmp_path, capsy
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["field"] == field
     assert not (tmp_path / "o").exists()
+
+
+def error_of(argv, capsys) -> dict:
+    """The JSON error of a command that must exit 1."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def default_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("corpus")
+    assert cli.main(["gen-synth", "--out", str(out)]) == 0
+    return out
+
+
+def small_config(tmp_path, train_data, eval_data, extra=""):
+    # Small enough that a run which trained before failing would finish.
+    path = tmp_path / "run.cfg"
+    path.write_text(f"train_data = {train_data}\neval_data = {eval_data}\nembed_dim = 4\n"
+                    f"n_filters = 2\nmlp_hidden = 4\nmax_epochs = 1\nbatch_size = 64\n"
+                    + extra)
+    return path
+
+
+def test_train_checks_k_against_the_training_domains_before_writing(
+        tmp_path, capsys, default_corpus):
+    cfg = small_config(tmp_path, default_corpus / "train.jsonl",
+                       default_corpus / "heldout.jsonl",
+                       "model = dsda\nk = 3\nregime = supervised\n")
+    error = error_of(["train", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+    assert error["field"] == "k" and "4" in error["error"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_grid_checks_every_cell_before_the_first_trains(tmp_path, capsys, default_corpus):
+    cfg = small_config(tmp_path, default_corpus / "train.jsonl",
+                       default_corpus / "heldout.jsonl")
+    error = error_of(["grid", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                      "--vary", "k=4,3", "--vary", "model=mcnn,dsda",
+                      "--vary", "regime=supervised"], capsys)
+    assert error["field"] == "k"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("labeled_side, missing", [(None, "dev"), ("dev", "test")])
+def test_train_needs_labeled_instances_on_both_sides_of_the_eval_split(
+        tmp_path, capsys, default_corpus, labeled_side, missing):
+    heldout = dio.Corpus(dio.load_corpus(default_corpus / "heldout.jsonl").docs[:20])
+    dev, _ = dio.split_dev_test(heldout)
+    keep = {d.id for d in dev.docs} if labeled_side == "dev" else set()
+    eval_path = tmp_path / "eval.jsonl"
+    dio.save_corpus(dio.Corpus([d if d.id in keep else replace(d, label=None)
+                                for d in heldout.docs]), eval_path)
+    cfg = small_config(tmp_path, default_corpus / "train.jsonl", eval_path)
+    error = error_of(["train", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+    assert error["field"] == "eval_data" and missing in error["error"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+def test_summarize_refuses_runs_with_different_columns(tmp_path, capsys, order):
+    # Runs tested on different held-out domains: b's columns are a subset of a's.
+    for name, header, values in (("a", "dom3\tdom4\taverage", "0.5\t0.7\t0.6"),
+                                 ("b", "dom3\taverage", "0.4\t0.4")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "results.tsv").write_text(f"model\t{header}\nmcnn\t{values}\n")
+    error = error_of(["summarize", *(str(tmp_path / n) for n in order),
+                      "--out", str(tmp_path / "summary.tsv")], capsys)
+    assert str(tmp_path / order[1]) in error["error"]
+    assert not (tmp_path / "summary.tsv").exists()

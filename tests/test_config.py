@@ -1,11 +1,50 @@
-"""Config files: the key=value parser, ``RunConfig`` typing, aliases and
-range checks, and the generator-spec front end, each error naming its
-key."""
+"""Config files: the key=value parser, the one reader that types a
+``RunConfig`` or a generator spec, aliases, and the range checks of the
+library configs that a run's settings reach, each error naming its key."""
 
 import pytest
 
-from domaingate.config import ConfigError, RunConfig, parse_kv_file, synth_spec_from_dict
+import domaingate
+from domaingate.config import ConfigError, RunConfig, parse_kv_file, read_config
 from domaingate.data import SynthSpec
+from domaingate.encoder import EncoderConfig
+from domaingate.inference import InferConfig
+from domaingate.models import ModelConfig
+from domaingate.training import TrainConfig
+
+MODEL = {"kind": "mcnn", "n_labels": 2, "n_domains": 1, "vocab_size": 10, "k": 2}
+META = {"k": 2, "labels": ["neg", "pos"], "domains": ["a", "b"], "vocab_size": 9}
+
+
+@pytest.mark.parametrize("cls, kwargs, field", [
+    (TrainConfig, {"lam": -0.1}, "lam"),
+    (TrainConfig, {"lam_schedule": "cosine"}, "lam_schedule"),
+    (TrainConfig, {"anneal_steps": 0}, "anneal_steps"),
+    (TrainConfig, {"lr": 0}, "lr"),
+    (TrainConfig, {"lr": -1e-3}, "lr"),
+    (TrainConfig, {"batch_size": 0}, "batch_size"),
+    (InferConfig, {"strategy": "argmax"}, "strategy"),
+    (InferConfig, {"m": 0}, "m"),
+    (EncoderConfig, {"embed_dim": 0}, "embed_dim"),
+    (EncoderConfig, {"n_filters": 0}, "n_filters"),
+    (EncoderConfig, {"windows": (3, 0)}, "windows"),
+    (EncoderConfig, {"windows": ()}, "windows"),
+    (ModelConfig, {**MODEL, "kind": "cnn"}, "kind"),
+    (ModelConfig, {**MODEL, "k": 0}, "k"),
+    (ModelConfig, {**MODEL, "kind": "scnn"}, "k"),
+    (ModelConfig, {**MODEL, "mlp_hidden": 0}, "mlp_hidden"),
+    (ModelConfig, {**MODEL, "dropout": 1.0}, "dropout"),
+    (ModelConfig, {**MODEL, "dropout": -0.1}, "dropout"),
+    (SynthSpec, {"held_out": (6,)}, "held_out"),
+    (SynthSpec, {"overlap": 1.5}, "overlap"),
+    (SynthSpec, {"n_cues": 1}, "n_cues"),
+    (SynthSpec, {"cues_per_doc": 21}, "cues_per_doc"),
+])
+def test_library_config_refuses_out_of_range_value_naming_field(cls, kwargs, field):
+    with pytest.raises(ConfigError) as exc:
+        cls(**kwargs)
+    assert exc.value.field == field
+    assert isinstance(exc.value, ValueError) and domaingate.ConfigError is ConfigError
 
 
 def write(tmp_path, text):
@@ -35,25 +74,25 @@ class TestParseKvFile:
 
 class TestRunConfig:
     def test_defaults_need_no_keys(self):
-        cfg = RunConfig.from_dict({})
+        cfg = read_config(RunConfig, {})
         assert cfg == RunConfig()
         assert cfg.anneal_steps is None
 
     def test_lambda_aliases(self):
-        cfg = RunConfig.from_dict({"lambda": "0.3", "lambda_schedule": "linear-anneal"})
+        cfg = read_config(RunConfig, {"lambda": "0.3", "lambda_schedule": "linear-anneal"})
         assert cfg.lam == 0.3 and cfg.lam_schedule == "linear-anneal"
 
     @pytest.mark.parametrize("raw, want", [("none", None), ("None", None), ("", None),
                                            ("7", 7)])
     def test_anneal_steps(self, raw, want):
-        assert RunConfig.from_dict({"anneal_steps": raw}).anneal_steps == want
+        assert read_config(RunConfig, {"anneal_steps": raw}).anneal_steps == want
 
     def test_tuples(self):
-        assert RunConfig.from_dict({"windows": "2, 5"}).windows == (2, 5)
-        assert RunConfig.from_dict({"windows": "4"}).windows == (4,)
+        assert read_config(RunConfig, {"windows": "2, 5"}).windows == (2, 5)
+        assert read_config(RunConfig, {"windows": "4"}).windows == (4,)
 
     def test_typed_values(self):
-        cfg = RunConfig.from_dict({"k": "3", "lr": "1e-3", "model": "mcnn"})
+        cfg = read_config(RunConfig, {"k": "3", "lr": "1e-3", "model": "mcnn"})
         assert (cfg.k, cfg.lr, cfg.model) == (3, 1e-3, "mcnn")
 
     @pytest.mark.parametrize("kv, field", [
@@ -76,21 +115,40 @@ class TestRunConfig:
         ({"lambda_schedule": "cosine"}, "lambda_schedule"),
         ({"anneal_steps": "-5"}, "anneal_steps"),
         ({"anneal_steps": "0"}, "anneal_steps"),
+        ({"k": "-1"}, "k"),
+        ({"lam": "-1"}, "lam"),
+        ({"lam_schedule": "cosine"}, "lam_schedule"),
+        ({"lambda": "0.5", "lam": "0.2"}, "lam"),
+        ({"lam": "0.2", "lambda": "0.5"}, "lambda"),
+        ({"lambda_schedule": "fixed", "lam_schedule": "fixed"}, "lam_schedule"),
     ])
     def test_bad_value_names_key(self, kv, field):
         with pytest.raises(ConfigError) as exc:
-            RunConfig.from_dict(kv)
+            read_config(RunConfig, kv)
         assert exc.value.field == field
+
+    def test_defaults_are_the_library_defaults(self):
+        train_cfg, model_cfg = RunConfig().library_configs(META)
+        assert train_cfg == TrainConfig()
+        assert model_cfg == ModelConfig(kind="csda-dirichlet", n_labels=2, n_domains=2,
+                                        vocab_size=9, k=2)
+
+    def test_inference_override_names_its_own_field(self):
+        train_cfg, _ = RunConfig(seed=4).library_configs(META, strategy="mc-average", m=7)
+        assert train_cfg.infer == InferConfig("mc-average", 7, 4)
+        with pytest.raises(ConfigError) as exc:
+            RunConfig().library_configs(META, m=0)
+        assert exc.value.field == "m"
 
     def test_load_reads_file(self, tmp_path):
         path = write(tmp_path, "model = dsda\nk = 4\n")
-        assert RunConfig.load(path) == RunConfig(model="dsda", k=4)
+        assert read_config(RunConfig, parse_kv_file(path)) == RunConfig(model="dsda", k=4)
 
 
 class TestSynthSpecFromDict:
     def test_typed_fields(self):
-        spec = synth_spec_from_dict({"n_domains": "4", "held_out": "1,3",
-                                     "flip_cues": "no", "overlap": "0.25"})
+        spec = read_config(SynthSpec, {"n_domains": "4", "held_out": "1,3",
+                                       "flip_cues": "no", "overlap": "0.25"})
         assert spec == SynthSpec(n_domains=4, held_out=(1, 3), flip_cues=False,
                                  overlap=0.25)
 
@@ -101,9 +159,9 @@ class TestSynthSpecFromDict:
     ])
     def test_bad_key_or_value_names_key(self, kv, field):
         with pytest.raises(ConfigError) as exc:
-            synth_spec_from_dict(kv)
+            read_config(SynthSpec, kv)
         assert exc.value.field == field
 
     def test_spec_rules_apply(self):
         with pytest.raises(ValueError, match="held-out ids"):
-            synth_spec_from_dict({"held_out": "9"})
+            read_config(SynthSpec, {"held_out": "9"})

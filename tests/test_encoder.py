@@ -22,7 +22,8 @@ def run_encode(params, ids, dropout_u=None, batch=None):
     """Encode one instance (a [1, out_dim] row), or a batch of them."""
     tape = Tape()
     binder = ParamBinder(tape, params)
-    return tape, encode(binder, "enc", pack(batch or [ids], TOY), TOY, dropout_u=dropout_u)
+    return tape, encode(binder, "enc", pack(batch or [ids], TOY), TOY, dropout_u=dropout_u,
+                        dropout_rate=0.5)
 
 
 class TestShapes:

@@ -15,6 +15,7 @@ from domaingate.autodiff import NonFiniteError, RowGrad, Tape, backprop
 from domaingate.encoder import EncoderConfig
 from domaingate.inference import InferConfig, predict
 from domaingate.models import Model, ModelConfig, classify_batch, gate_channels
+from domaingate.training import TrainConfig
 
 ENC = EncoderConfig(embed_dim=8, n_filters=4, windows=(2, 3))
 
@@ -27,6 +28,8 @@ def toy_model(kind, k=2, seed=0, n_labels=2, n_domains=2, dropout=0.0):
 
 
 IDS = (3, 7, 1, 12, 5, 9)
+# The loss weights, as TrainConfig sets them by default.
+WEIGHTS = {"lam": TrainConfig.lam, "w_dom": TrainConfig.w_dom}
 
 
 def csda_loglik(model, y_id, d_id, eps):
@@ -37,7 +40,7 @@ def csda_loglik(model, y_id, d_id, eps):
     batch = model.pack([IDS])
     h_mat = model.channel_encodings(binder, batch, None)
     z, _ = dist.sample(model.posterior_gate(binder, batch, [y_id], [d_id]), None, eps=eps)
-    return classify_batch(binder, model.config, gate_channels(h_mat, z)).value[0, y_id]
+    return classify_batch(binder, gate_channels(h_mat, z)).value[0, y_id]
 
 
 def head_gate(tape):
@@ -98,7 +101,7 @@ class TestClassify:
             model.params[name][:] = 0.0
         t = Tape()
         binder = model.binder(t)
-        logp = classify_batch(binder, model.config, t.const(np.ones(ENC.out_dim)))
+        logp = classify_batch(binder, t.const(np.ones(ENC.out_dim)))
         np.testing.assert_allclose(np.exp(logp.value), np.ones(3) / 3, atol=1e-12)
 
     def test_probabilities_sum_to_one(self):
@@ -106,7 +109,7 @@ class TestClassify:
         t = Tape()
         binder = model.binder(t)
         h = t.const(np.random.default_rng(1).normal(size=ENC.out_dim))
-        logp = classify_batch(binder, model.config, h)
+        logp = classify_batch(binder, h)
         assert abs(np.exp(logp.value).sum() - 1.0) <= 1e-12
 
     def test_head_gradient_matches_fd(self):
@@ -115,11 +118,11 @@ class TestClassify:
 
         def loss_value():
             t = Tape()
-            logp = classify_batch(model.binder(t), model.config, t.const(h0))
+            logp = classify_batch(model.binder(t), t.const(h0))
             return -float(logp.value[1])
 
         t = Tape()
-        logp = classify_batch(model.binder(t), model.config, t.const(h0))
+        logp = classify_batch(model.binder(t), t.const(h0))
         grads = backprop(ad.neg(ad.gather(logp, 1)))
         w = model.params["theta.head.l2.w"]
         rng = np.random.default_rng(3)
@@ -142,24 +145,24 @@ class TestClassify:
         rows = np.random.default_rng(4).normal(size=(5, ENC.out_dim))
         t = Tape()
         binder = model.binder(t)
-        batch = classify_batch(binder, model.config, t.const(rows))
+        batch = classify_batch(binder, t.const(rows))
         assert batch.shape == (5, 3)
         for i in range(5):
-            logp = classify_batch(binder, model.config, t.const(rows[i]))
+            logp = classify_batch(binder, t.const(rows[i]))
             np.testing.assert_allclose(batch.value[i], logp.value, rtol=0, atol=1e-12)
-            one = classify_batch(binder, model.config, t.const(rows[i:i + 1]))
+            one = classify_batch(binder, t.const(rows[i:i + 1]))
             np.testing.assert_array_equal(one.value[0], logp.value)
 
     def test_row_head_gradient_sums_row_gradients(self):
         model = toy_model("scnn", k=1, n_labels=3)
         rows = np.random.default_rng(5).normal(size=(4, ENC.out_dim))
         t = Tape()
-        logp = classify_batch(model.binder(t), model.config, t.const(rows))
+        logp = classify_batch(model.binder(t), t.const(rows))
         batch_grads = backprop(ad.neg(ad.reduce_sum(ad.gather(logp, 1))))
         summed = None
         for row in rows:
             t = Tape()
-            logp = classify_batch(model.binder(t), model.config, t.const(row))
+            logp = classify_batch(model.binder(t), t.const(row))
             g = backprop(ad.neg(ad.gather(logp, 1)))
             summed = g if summed is None else {n: summed[n] + g[n] for n in g}
         for name in summed:
@@ -179,19 +182,19 @@ class TestDiscreteLoss:
 
     def test_k1_reduces_to_single_channel_nll(self):
         model = toy_model("dsda", k=1, n_domains=1)
-        res = model.loss([IDS], [1])
+        res = model.loss([IDS], [1], **WEIGHTS)
         single = toy_model("scnn", k=1)
         # same channel parameters -> same conditional likelihood
         for name, val in model.params.items():
             if name.startswith("theta."):
                 single.params[name] = val.copy()
-        res_single = single.loss([IDS], [1])
+        res_single = single.loss([IDS], [1], **WEIGHTS)
         assert res.loss.item() == pytest.approx(res_single.loss.item(), abs=1e-12)
 
     def test_logsumexp_matches_probability_space_enumeration(self):
         for k in (1, 2, 4, 9):
             model = toy_model("dsda", k=k, n_domains=k, seed=k)
-            res = model.loss([IDS], [0])
+            res = model.loss([IDS], [0], **WEIGHTS)
             t = Tape()
             binder = model.binder(t)
             batch = model.pack([IDS])
@@ -200,7 +203,7 @@ class TestDiscreteLoss:
             weights = np.exp(logits - logits.max())
             weights /= weights.sum()
             h_mat = model.channel_encodings(binder, batch, None)
-            logp = classify_batch(binder, model.config, h_mat).value[0]
+            logp = classify_batch(binder, h_mat).value[0]
             total = 0.0
             for i in range(k):
                 total += weights[i] * math.exp(logp[i, 0])
@@ -208,8 +211,8 @@ class TestDiscreteLoss:
 
     def test_domain_supervision_adds_prior_term(self):
         model = toy_model("dsda", k=2, n_domains=2)
-        plain = model.loss([IDS], [1], [None])
-        with_d = model.loss([IDS], [1], [0], w_dom=1.0)
+        plain = model.loss([IDS], [1], [None], **WEIGHTS)
+        with_d = model.loss([IDS], [1], [0], **WEIGHTS)
         t = Tape()
         prior = model.prior_gate(model.binder(t), model.pack([IDS]))
         log_prior = ad.log_softmax(prior).value[0]
@@ -219,7 +222,7 @@ class TestDiscreteLoss:
     def test_observed_domain_beyond_k_rejected(self):
         model = toy_model("dsda", k=2, n_domains=4)
         with pytest.raises(ValueError, match="channels.*batch position 1"):
-            model.loss([IDS, IDS], [0, 0], [1, 3])
+            model.loss([IDS, IDS], [0, 0], [1, 3], **WEIGHTS)
 
 
 class TestContinuousGateParameterization:
@@ -293,14 +296,14 @@ class TestContinuousGateParameterization:
         with pytest.raises(ValueError, match="inventory.*batch position 0"):
             model.posterior_gate(model.binder(t), batch, [None, None], [7, 0])
         with pytest.raises(ValueError, match="inventory.*batch position 1"):
-            model.loss([IDS, IDS], [1, 2])
+            model.loss([IDS, IDS], [1, 2], **WEIGHTS)
 
 
 class TestVariationalObjective:
     def test_lambda_zero_is_pure_loglik(self):
         model = toy_model("csda-beta", k=2)
         eps = np.array([0.4, 0.7])
-        res = model.loss([IDS], [1], [0], lam=0.0, eps=eps)
+        res = model.loss([IDS], [1], [0], lam=0.0, w_dom=1.0, eps=eps)
         assert res.loss.item() == pytest.approx(
             -csda_loglik(model, 1, 0, eps), abs=1e-12)
 
@@ -312,7 +315,7 @@ class TestVariationalObjective:
                 model.params[f"{group}.{head}.w"][:] = 0.0
                 model.params[f"{group}.{head}.b"][:] = 0.0
         eps = np.array([0.2, 0.9])
-        res = model.loss([IDS], [1], [0], lam=1.0, eps=eps)
+        res = model.loss([IDS], [1], [0], lam=1.0, w_dom=1.0, eps=eps)
         assert res.kl == pytest.approx(0.0, abs=1e-12)
         assert res.loss.item() == pytest.approx(
             -csda_loglik(model, 1, 0, eps), abs=1e-12)
@@ -321,17 +324,19 @@ class TestVariationalObjective:
         model = toy_model("csda-dirichlet", k=3)
         eps = np.array([0.3, 0.5, 0.8])
         lam = 0.7
-        res = model.loss([IDS], [0], [1], lam=lam, eps=eps)
+        res = model.loss([IDS], [0], [1], lam=lam, w_dom=1.0, eps=eps)
         assert res.loss.item() == pytest.approx(
             -csda_loglik(model, 0, 1, eps) + lam * res.kl, abs=1e-12)
 
     def test_gate_sample_recorded(self):
         # the Dirichlet gate lies on the simplex, the Beta gate in the box
-        res = toy_model("csda-dirichlet", k=3).loss([IDS], [0], rng=np.random.default_rng(0))
+        res = toy_model("csda-dirichlet", k=3).loss([IDS], [0], rng=np.random.default_rng(0),
+                                                   **WEIGHTS)
         [z] = head_gate(res.tape)
         assert z.shape == (3,) and np.all(z >= 0.0)
         assert abs(z.sum() - 1.0) <= 1e-10
-        res = toy_model("csda-beta", k=3).loss([IDS], [0], rng=np.random.default_rng(0))
+        res = toy_model("csda-beta", k=3).loss([IDS], [0], rng=np.random.default_rng(0),
+                                              **WEIGHTS)
         [z] = head_gate(res.tape)
         assert z.shape == (3,) and np.all((z >= 0.0) & (z <= 1.0))
 
@@ -342,9 +347,9 @@ class TestVariationalObjective:
         lam = 0.4
 
         def loss_value():
-            return model.loss([IDS], [1], [0], lam=lam, eps=eps).loss.item()
+            return model.loss([IDS], [1], [0], lam=lam, w_dom=1.0, eps=eps).loss.item()
 
-        res = model.loss([IDS], [1], [0], lam=lam, eps=eps)
+        res = model.loss([IDS], [1], [0], lam=lam, w_dom=1.0, eps=eps)
         grads = backprop(res.loss)
         rng = np.random.default_rng(9)
         worst = 0.0
@@ -366,7 +371,7 @@ class TestVariationalObjective:
 
     def test_dirichlet_k1_gate_is_constant_one(self):
         model = toy_model("csda-dirichlet", k=1, n_domains=1)
-        res = model.loss([IDS], [1], rng=np.random.default_rng(0))
+        res = model.loss([IDS], [1], rng=np.random.default_rng(0), **WEIGHTS)
         np.testing.assert_allclose(head_gate(res.tape), [[1.0]], atol=1e-12)
 
 
@@ -388,7 +393,7 @@ class TestMiniBatch:
 
         def run(idx):
             return model.loss([self.SEQS[i] for i in idx], [self.Y[i] for i in idx],
-                              [self.D[i] for i in idx], lam=0.3, rng=rngs[0],
+                              [self.D[i] for i in idx], lam=0.3, w_dom=1.0, rng=rngs[0],
                               dropout_rng=rngs[1])
 
         rngs = [np.random.default_rng(1), np.random.default_rng(2)]
@@ -411,7 +416,7 @@ class TestMiniBatch:
         model = toy_model("csda-beta", k=1, n_domains=2)
         model.params["sigma.alpha.b"][:] = 4.0
         model.params["sigma.beta.b"][:] = np.log(0.02)
-        res = model.loss(self.SEQS[:2], [0, 1], eps=np.array([[0.7], [0.7]]))
+        res = model.loss(self.SEQS[:2], [0, 1], eps=np.array([[0.7], [0.7]]), **WEIGHTS)
         assert res.loss is None and res.kl is None and res.degenerate == 2
 
 
@@ -428,7 +433,7 @@ class TestNonFiniteParameters:
 
     def test_loss_names_embedding(self, model):
         with pytest.raises(NonFiniteError, match="'embedding'"):
-            model.loss([IDS], [0], [1], rng=np.random.default_rng(0))
+            model.loss([IDS], [0], [1], rng=np.random.default_rng(0), **WEIGHTS)
 
     def test_predict_names_embedding(self, model):
         with pytest.raises(NonFiniteError, match="'embedding'"):
@@ -437,5 +442,6 @@ class TestNonFiniteParameters:
     def test_row_not_looked_up_is_not_read(self, model):
         clean = toy_model("csda-dirichlet")
         other = tuple(i for i in IDS if i != IDS[2])
-        want = clean.loss([other], [0], [1], rng=np.random.default_rng(0)).loss.item()
-        assert model.loss([other], [0], [1], rng=np.random.default_rng(0)).loss.item() == want
+        want = clean.loss([other], [0], [1], rng=np.random.default_rng(0), **WEIGHTS).loss.item()
+        got = model.loss([other], [0], [1], rng=np.random.default_rng(0), **WEIGHTS).loss.item()
+        assert got == want

@@ -101,7 +101,7 @@ def test_mixed_dense_and_row_steps_keep_dense_result(first_dense):
 
 def test_moments_are_created_once():
     params = {"w": np.ones((3, 2)), "emb": np.ones((4, 2))}
-    state = AdamState()
+    state = AdamState(lr=1e-4)
     grads = {"w": np.full((3, 2), 0.5),
              "emb": RowGrad(np.array([1]), np.ones((1, 2)), 4)}
     adam_step(params, grads, state)
@@ -116,4 +116,4 @@ def test_non_finite_step_raises_naming_parameter():
     grads = {"w": np.full((3, 2), 0.5),
              "emb": RowGrad(np.array([2]), np.array([[np.nan, 1.0]]), 4)}
     with pytest.raises(NonFiniteError, match="'emb'"):
-        adam_step(params, grads, AdamState())
+        adam_step(params, grads, AdamState(lr=1e-4))

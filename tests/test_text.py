@@ -72,6 +72,15 @@ class TestVocab:
         assert "a" in v.index
         assert "b" not in v.index
 
+    @pytest.mark.parametrize("word, reserved", [("<pad>", PAD_ID), ("<OOV>", OOV_ID)])
+    def test_reserved_words_keep_their_ids(self, word, reserved, tmp_path):
+        # Counting a reserved word would list it twice.
+        v = Vocab.build([f"hello {word} world", word])
+        assert v.tokens == ["<pad>", "<oov>", "hello", "world"]
+        assert tokenize(f"Hello {word}", "word", v) == [v.index["hello"], reserved]
+        v.save(tmp_path / "vocab.txt")
+        assert Vocab.load(tmp_path / "vocab.txt").tokens == v.tokens
+
     def test_invalid_mode_rejected(self, vocab):
         with pytest.raises(ValueError):
             tokenize("x", "subword", vocab)

@@ -80,8 +80,8 @@ def test_degenerate_sample_is_skipped_and_counted(monkeypatch):
 
     monkeypatch.setattr(training, "backprop", recording_backprop)
     monkeypatch.setattr(training, "adam_step", recording_adam)
-    result = training.train(model, insts, insts[:2], training.TrainConfig(
-        batch_size=2, max_epochs=1, lr=1e-3, seed=3))
+    tcfg = training.TrainConfig(batch_size=2, max_epochs=1, lr=1e-3, seed=3)
+    result = training.train(model, insts, insts[:2], tcfg)
 
     # The degenerate rows are flagged at draw time: only the batch that
     # keeps a row reaches backprop, and no error is raised.
@@ -95,7 +95,7 @@ def test_degenerate_sample_is_skipped_and_counted(monkeypatch):
     [node] = [n for n in loss._tape.nodes if n.kind == "beta_sample"]
     [row] = np.flatnonzero((node.value < 1.0).all(axis=1))
     alone = initial.loss([insts[2].ids], [insts[2].y_id], [insts[2].d_id],
-                         eps=node.aux[row:row + 1])
+                         lam=tcfg.lam, w_dom=tcfg.w_dom, eps=node.aux[row:row + 1])
     assert one["loss"] == loss.item() == pytest.approx(alone.loss.item(), rel=1e-12)
     assert one["kl"] == pytest.approx(alone.kl, rel=1e-12)
     for name, g in real_backprop(alone.loss).items():
