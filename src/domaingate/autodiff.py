@@ -129,13 +129,10 @@ class RowGrad:
 
 
 def _accumulate(acc, g):
-    """``acc + g`` for two gradients of one parameter, reusing ``acc``'s
-    storage when it is a dense array. A row gradient that meets any other
-    gradient becomes dense."""
-    if isinstance(acc, RowGrad):
-        acc = acc.dense()
-    acc += g.dense() if isinstance(g, RowGrad) else g
-    return acc
+    """A new array ``acc + g`` for two gradients of one node; neither is
+    written. A row gradient that meets any other gradient becomes dense."""
+    return ((acc.dense() if isinstance(acc, RowGrad) else acc)
+            + (g.dense() if isinstance(g, RowGrad) else g))
 
 
 class Var:
@@ -370,7 +367,7 @@ def _reduce_sum_bwd(node, grad, tape):
     axis, keepdims = node.aux
     if axis is not None and not keepdims:
         grad = np.expand_dims(grad, axis)
-    return (np.broadcast_to(grad, x.shape).copy(),)
+    return (np.broadcast_to(grad, x.shape),)
 
 
 def log_softmax(a: Var) -> Var:
@@ -522,16 +519,6 @@ def _embedding_bwd(node, grad, tape):
     return (RowGrad(ids, values, tape.nodes[node.inputs[0]].value.shape[0]),)
 
 
-def _blocks(starts: np.ndarray):
-    """(first, last + 1) instance ranges of about ``kernels.BLOCK_ROWS``
-    rows each; a longer instance is a block of its own."""
-    first = 0
-    for j in range(1, starts.size):
-        if j == starts.size - 1 or starts[j + 1] - starts[first] > kernels.BLOCK_ROWS:
-            yield first, j
-            first = j
-
-
 def conv_pool(x: Var, w: Var, b: Var, starts: np.ndarray) -> Var:
     """relu(max over each instance's windows of the valid convolution of
     x [N,E] with w [win,E,F] plus b [F]) -> [B,F].
@@ -557,15 +544,8 @@ def conv_pool(x: Var, w: Var, b: Var, starts: np.ndarray) -> Var:
     if lengths.min() < win:
         raise ShapeError(
             f"conv_pool input length {lengths.min()} shorter than window {win}")
-    xv, wv = np.ascontiguousarray(xv), np.ascontiguousarray(wv)
-    peak = np.empty((lengths.size, wv.shape[2]))
-    idx = np.empty(peak.shape, dtype=np.intp)
-    for j0, j1 in _blocks(starts):
-        r0 = starts[j0]
-        out = kernels.conv1d_forward(xv[r0:starts[j1]], wv, bv)
-        lo = starts[j0:j1] - r0
-        peak[j0:j1], idx[j0:j1] = kernels.maxpool_forward(out, lo, lo + lengths[j0:j1] - win + 1)
-        idx[j0:j1] += r0
+    out = kernels.conv1d_forward(np.ascontiguousarray(xv), np.ascontiguousarray(wv), bv)
+    peak, idx = kernels.maxpool_forward(out, starts[:-1], starts[1:] - win + 1)
     # The relu would hide a non-finite maximum, so check it first.
     if not np.all(np.isfinite(peak)):
         raise NonFiniteError("primitive 'conv_pool' produced non-finite values")
@@ -609,6 +589,13 @@ def backprop(loss: Var) -> dict[str, np.ndarray | RowGrad]:
     A table reached through one ``embedding`` only gets a ``RowGrad``,
     every other parameter a dense array. Parameters the loss does not depend
     on get zero gradients; non-parameter leaves get none.
+
+    Gradients are stored as their backward rules return them, never
+    copied, so nothing may write into one, a returned gradient included:
+    one array may be the gradient of two inputs (``add`` returns ``grad``
+    for both), and ``reduce_sum`` returns a read-only broadcast view. The
+    backward rules, ``adam_step`` and the training log only read them; a
+    second gradient of a node makes a new sum.
     """
     tape = loss._tape
     if loss.value.shape != ():
@@ -631,11 +618,7 @@ def backprop(loss: Var) -> dict[str, np.ndarray | RowGrad]:
         for j, ig in zip(node.inputs, input_grads):
             if ig is None:
                 continue
-            if grads[j] is None:
-                # A private copy, so that ``_accumulate`` may add in place.
-                grads[j] = ig if isinstance(ig, RowGrad) else np.array(ig, dtype=np.float64)
-            else:
-                grads[j] = _accumulate(grads[j], ig)
+            grads[j] = ig if grads[j] is None else _accumulate(grads[j], ig)
     out: dict = {}
     for i, node in enumerate(tape.nodes):
         if node.kind == "param":

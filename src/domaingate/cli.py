@@ -44,14 +44,27 @@ def _write_manifest(path, command: str, config: dict, extra: dict) -> None:
 def _check_run(cfg: RunConfig, load=dio.load_corpus) -> tuple:
     """Read a run's corpora with ``load`` and check them against ``cfg``,
     writing nothing; returns its training and model configs, checkpoint
-    meta, vocabulary (None in byte mode) and train, dev and test corpora."""
-    train_corpus = load(cfg.train_data)
+    meta, vocabulary (None in byte mode) and train, dev and test corpora.
+    A corpus that cannot be read, or an eval corpus too small to split,
+    raises naming its key."""
+    def read(key):
+        path = getattr(cfg, key)
+        try:
+            return load(path)
+        except (OSError, UnicodeDecodeError, dio.CorpusFormatError) as exc:
+            raise ConfigError(key, f"cannot read corpus {path!r}: {exc}") from exc
+
+    train_corpus = read("train_data")
     if cfg.regime == "supervised":
         train_corpus = dio.Corpus([d for d in train_corpus.docs
                                    if d.has_domain and d.has_label])
     elif cfg.regime == "unsupervised":
         train_corpus = dio.Corpus([replace(d, domain=None) for d in train_corpus.docs])
-    dev, test = dio.split_dev_test(load(cfg.eval_data), cfg.split_seed)
+    eval_corpus = read("eval_data")
+    try:
+        dev, test = dio.split_dev_test(eval_corpus, cfg.split_seed)
+    except ValueError as exc:
+        raise ConfigError("eval_data", f"{cfg.eval_data!r}: {exc}") from exc
     labels, domains = train_corpus.labels, train_corpus.domains
     if len(labels) < 2:
         raise ConfigError("train_data", f"needs at least two labels on the instances "

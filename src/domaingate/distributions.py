@@ -226,8 +226,7 @@ def _quantiles(params, u: np.ndarray) -> np.ndarray:
     return inv_reg_inc_gamma(u, *thetas)
 
 
-def sample(params, rng: Optional[np.random.Generator],
-           eps: Optional[np.ndarray] = None) -> tuple[Var, np.ndarray]:
+def sample(params, rng: np.random.Generator) -> tuple[Var, np.ndarray]:
     """Draw one gate per parameter vector ([k], or rows [B,k]); the gate
     Var carries pathwise gradients back into the distribution parameters.
     The noise u of the draw is the ``aux`` of its sampling node (for a
@@ -236,13 +235,9 @@ def sample(params, rng: Optional[np.random.Generator],
 
     Also returns the rows whose draw has no pathwise gradient (an entry
     on the edge of the support, or an underflowing density), so that a
-    loss can leave them out. Passing ``eps`` (uniform noise in (0,1))
-    replays a draw with frozen noise, which is what gradient checks
-    against finite differences need.
+    loss can leave them out.
     """
-    shape = _values(params)[0].shape
-    u = (_uniform(rng, *shape) if eps is None
-         else np.asarray(eps, dtype=np.float64).reshape(shape))
+    u = _uniform(rng, *_values(params)[0].shape)
     draws = _quantiles(params, u)
     if isinstance(params, BetaParams):
         z = params.alpha._tape.record("beta_sample", draws,

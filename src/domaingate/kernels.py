@@ -3,10 +3,10 @@ max-pool over each instance's windows, and embedding-gradient scatter.
 
 A batch of B token sequences is one ragged sequence: the instances'
 rows are concatenated into x [N,E], and instance j owns rows
-``starts[j]:starts[j+1]``. The convolution runs over a block of whole
-instances at a time, so a window that starts near the end of one
-instance reaches into the next; such a window is computed but never
-pooled. ``maxpool_forward`` pools each instance's own windows only.
+``starts[j]:starts[j+1]``. The convolution runs once over the whole
+packed batch, so a window that starts near the end of one instance
+reaches into the next; such a window is computed but never pooled.
+``maxpool_forward`` pools each instance's own windows only.
 
 The convolution makes one GEMM per window offset i: the forward is
 ``out = sum_i x[i:i+To] @ w[i] + b``, each a contiguous [To,E] slice of
@@ -31,7 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "BLOCK_ROWS",
     "conv1d_forward",
     "conv1d_backward",
     "maxpool_forward",
@@ -41,11 +40,6 @@ __all__ = [
 
 # Read by the benchmark's environment block; there is no compiled backend.
 NUMBA_ENABLED = False
-
-# The forward convolution runs over blocks of whole instances of about
-# this many rows: one GEMM set over a long concatenation runs slower than
-# blocks that stay in cache.
-BLOCK_ROWS = 512
 
 
 def conv1d_forward(x, w, b):

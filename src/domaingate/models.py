@@ -278,18 +278,17 @@ class Model:
 
     def loss(self, seqs, y_ids, d_ids=None, *, lam: float, w_dom: float,
              rng: Optional[np.random.Generator] = None,
-             dropout_rng: Optional[np.random.Generator] = None,
-             eps: Optional[np.ndarray] = None) -> LossResult:
+             dropout_rng: Optional[np.random.Generator] = None) -> LossResult:
         """Training loss (negative objective) of a mini-batch on one tape:
         the mean over its instances of each one's loss.
 
         ``seqs`` are the B token-id sequences, ``y_ids`` their labels and
         ``d_ids`` their domains (None entries, or None for all, where
-        unobserved). ``rng`` drives gate sampling (variational models);
-        ``dropout_rng`` enables channel dropout; ``eps`` [B,k] freezes the
-        sampling noise. A row whose gate draw has no pathwise gradient is
-        left out of the mean and counted in ``degenerate``. An invalid id
-        raises ``ValueError`` naming its batch position.
+        unobserved). ``rng`` drives gate sampling and is required by the
+        variational models; ``dropout_rng`` enables channel dropout. A row
+        whose gate draw has no pathwise gradient is left out of the mean
+        and counted in ``degenerate``. An invalid id raises ``ValueError``
+        naming its batch position.
         """
         cfg = self.config
         n = len(seqs)
@@ -323,9 +322,11 @@ class Model:
                 rows = rows + tape.const(np.where(observed, w_dom, 0.0)) \
                     * ad.neg(ad.gather(log_prior, d))
         else:
+            if rng is None:
+                raise ValueError(f"{cfg.kind} samples its gate: loss needs a generator rng")
             q = self.posterior_gate(binder, batch, y_ids, d_ids)
             p = self.prior_gate(binder, batch)
-            z_var, degenerate = dist.sample(q, rng, eps=eps)
+            z_var, degenerate = dist.sample(q, rng)
             keep = ~degenerate
             loglik = ad.gather(classify_batch(binder, gate_channels(h_mat, z_var)), y)
             kl = dist.kl_divergence(q, p)

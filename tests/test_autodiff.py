@@ -434,6 +434,18 @@ class TestInvariants:
         np.testing.assert_array_equal(grads["unused"], np.zeros(3))
         assert set(grads) == {"x", "unused"}
 
+    def test_gradient_shared_by_two_inputs_is_summed_out_of_place(self):
+        # ``add`` hands one array to both a and b; b's second gradient,
+        # from t1 (recorded first, so reached last), must not reach a.
+        t = Tape()
+        a = t.param(np.zeros(3), "a")
+        b = t.param(np.zeros(3), "b")
+        t1 = b * 3.0
+        y = a + b
+        grads = backprop(ad.reduce_sum(y) + ad.reduce_sum(t1))
+        np.testing.assert_array_equal(grads["a"], np.ones(3))
+        np.testing.assert_array_equal(grads["b"], np.full(3, 4.0))
+
 
 class TestErrors:
     def test_shape_mismatch_names_shapes(self):

@@ -202,10 +202,18 @@ def test_tiny_run_through_every_command(tmp_path, capsys):
     ("anneal_steps = -5", "anneal_steps"),
     ("anneal_steps = 0", "anneal_steps"),
     ("lambda = 0.5\nlam = 0.2", "lam"),
+    ("model = dsda", "train_data"),
+    ("train_data = {tmp}/missing.jsonl", "train_data"),
+    ("train_data = {tmp}/bad.jsonl", "train_data"),
+    ("train_data = {tmp}/one.jsonl\neval_data = {tmp}/missing.jsonl", "eval_data"),
+    ("train_data = {tmp}/one.jsonl\neval_data = {tmp}/one.jsonl", "eval_data"),
 ])
 def test_train_bad_config_exits_nonzero_naming_field(tmp_path, capsys, lines, field):
+    # {tmp} holds a one-instance corpus, too small to split, and a malformed one.
+    (tmp_path / "one.jsonl").write_text('{"text": "a b c", "label": "pos"}\n')
+    (tmp_path / "bad.jsonl").write_text("not json\n")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(lines + "\n")
+    cfg.write_text(lines.format(tmp=tmp_path) + "\n")
     with pytest.raises(SystemExit) as exc:
         cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert exc.value.code == 1

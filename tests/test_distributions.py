@@ -14,6 +14,8 @@ from domaingate import distributions as dist
 from domaingate import special as sp
 from domaingate.autodiff import Tape, backprop
 
+from conftest import FixedNoise
+
 GRID = (0.5, 1.0, 2.0, 5.0)
 EPS_GRID = (0.1, 0.5, 0.9)
 
@@ -42,7 +44,7 @@ class TestSampling:
 
     def test_beta_uniform_case_returns_noise(self):
         p = beta_params([1.0], [1.0])
-        var, _ = dist.sample(p, None, eps=np.array([0.73]))
+        var, _ = dist.sample(p, FixedNoise(np.array([0.73])))
         assert var.value[0] == pytest.approx(0.73, abs=1e-12)
         assert var._tape.nodes[var._i].aux[0] == 0.73
 
@@ -63,11 +65,10 @@ class TestSampling:
         assert abs(draws.mean() - true_mean) <= 3 * se
 
     def test_frozen_noise_reproduces(self):
-        eps = np.array([0.3, 0.6])
         p1 = beta_params([2.0, 3.0], [1.5, 0.7])
-        v1, _ = dist.sample(p1, None, eps=eps)
+        v1, _ = dist.sample(p1, np.random.default_rng(5))
         p2 = beta_params([2.0, 3.0], [1.5, 0.7])
-        v2, _ = dist.sample(p2, None, eps=eps)
+        v2, _ = dist.sample(p2, np.random.default_rng(5))
         np.testing.assert_array_equal(v1.value, v2.value)
 
 
@@ -225,7 +226,7 @@ def _beta_sample_grads(a, b, u):
     t = Tape()
     av = t.param(np.array([a]), "a")
     bv = t.param(np.array([b]), "b")
-    z_var, _ = dist.sample(dist.BetaParams(av, bv), None, eps=np.array([u]))
+    z_var, _ = dist.sample(dist.BetaParams(av, bv), FixedNoise(np.array([u])))
     grads = backprop(ad.reduce_sum(z_var))
     return grads["a"][0], grads["b"][0]
 
@@ -289,7 +290,7 @@ class TestImplicitGradients:
             for j in range(3):
                 t = Tape()
                 conc = ad.mul(t.param(np.asarray(a0), "a0"), t.param(ahat, "ahat"))
-                z_var, _ = dist.sample(dist.DirichletParams(conc), None, eps=u)
+                z_var, _ = dist.sample(dist.DirichletParams(conc), FixedNoise(u))
                 grads = backprop(ad.gather(z_var, j))
                 assert grads["a0"] == pytest.approx(fd0[j], rel=1e-3, abs=1e-8)
                 np.testing.assert_allclose(grads["ahat"], fd_hat[j],
@@ -311,7 +312,7 @@ class TestImplicitGradients:
         t = Tape()
         a = t.param(np.array([1.8]), "a")
         b = t.param(np.array([2.2]), "b")
-        z_var, _ = dist.sample(dist.BetaParams(a, b), None, eps=eps)
+        z_var, _ = dist.sample(dist.BetaParams(a, b), FixedNoise(eps))
         grads = backprop(ad.reduce_sum(z_var))
         da, db = _fd_beta_quantile(0.4, 1.8, 2.2)
         assert grads["a"][0] == pytest.approx(da, rel=1e-3)
@@ -324,7 +325,7 @@ class TestDegenerateDraws:
         t = Tape()
         params = dist.BetaParams(t.param(np.array([5.0]), "a"),
                                  t.param(np.array([0.02]), "b"))
-        z_var, degenerate = dist.sample(params, None, eps=[0.7])
+        z_var, degenerate = dist.sample(params, FixedNoise([0.7]))
         assert z_var.value[0] == 1.0
         assert degenerate  # flagged at draw time ...
         with pytest.raises(dist.DegenerateSampleError,
@@ -338,7 +339,7 @@ class TestDegenerateDraws:
         t = Tape()
         params = dist.BetaParams(t.param(np.array([[5.0], [2.0]]), "a"),
                                  t.param(np.array([[0.001], [3.0]]), "b"))
-        z_var, degenerate = dist.sample(params, None, eps=[[0.5173416925822343], [0.5]])
+        z_var, degenerate = dist.sample(params, FixedNoise([[0.5173416925822343], [0.5]]))
         assert z_var.value[0, 0] == 1.0
         np.testing.assert_array_equal(degenerate, [True, False])
 
@@ -350,7 +351,7 @@ class TestDegenerateDraws:
         a = t.param(np.array([[1.8, 2.0], [5.0, 5.0], [0.9, 3.0]]), "a")
         b = t.param(np.array([[2.2, 1.0], [0.02, 0.02], [1.5, 0.7]]), "b")
         eps = np.array([[0.4, 0.6], [0.7, 0.7], [0.3, 0.5]])
-        z_var, degenerate = dist.sample(dist.BetaParams(a, b), None, eps=eps)
+        z_var, degenerate = dist.sample(dist.BetaParams(a, b), FixedNoise(eps))
         np.testing.assert_array_equal(degenerate, [False, True, False])
         keep = t.const((~degenerate).astype(float)[:, None])
         grads = backprop(ad.reduce_sum(ad.mul(z_var, keep)))
@@ -365,7 +366,7 @@ class TestDegenerateDraws:
         t = Tape()
         conc = ad.mul(t.param(np.asarray(1.0), "a0"),
                       t.param(np.array([0.0031, 0.5]), "ahat"))
-        z_var, degenerate = dist.sample(dist.DirichletParams(conc), None, eps=[0.102, 0.5])
+        z_var, degenerate = dist.sample(dist.DirichletParams(conc), FixedNoise([0.102, 0.5]))
         assert 0.0 < z_var.value[0] < 1e-300 and not degenerate
         grads = backprop(ad.gather(z_var, 1))
         assert np.isfinite(grads["a0"]) and np.all(np.isfinite(grads["ahat"]))

@@ -17,6 +17,8 @@ from domaingate.inference import InferConfig, predict
 from domaingate.models import Model, ModelConfig, classify_batch, gate_channels
 from domaingate.training import TrainConfig
 
+from conftest import FixedNoise
+
 ENC = EncoderConfig(embed_dim=8, n_filters=4, windows=(2, 3))
 
 
@@ -39,7 +41,7 @@ def csda_loglik(model, y_id, d_id, eps):
     binder = model.binder(t)
     batch = model.pack([IDS])
     h_mat = model.channel_encodings(binder, batch, None)
-    z, _ = dist.sample(model.posterior_gate(binder, batch, [y_id], [d_id]), None, eps=eps)
+    z, _ = dist.sample(model.posterior_gate(binder, batch, [y_id], [d_id]), FixedNoise(eps))
     return classify_batch(binder, gate_channels(h_mat, z)).value[0, y_id]
 
 
@@ -303,7 +305,7 @@ class TestVariationalObjective:
     def test_lambda_zero_is_pure_loglik(self):
         model = toy_model("csda-beta", k=2)
         eps = np.array([0.4, 0.7])
-        res = model.loss([IDS], [1], [0], lam=0.0, w_dom=1.0, eps=eps)
+        res = model.loss([IDS], [1], [0], lam=0.0, w_dom=1.0, rng=FixedNoise(eps))
         assert res.loss.item() == pytest.approx(
             -csda_loglik(model, 1, 0, eps), abs=1e-12)
 
@@ -315,7 +317,7 @@ class TestVariationalObjective:
                 model.params[f"{group}.{head}.w"][:] = 0.0
                 model.params[f"{group}.{head}.b"][:] = 0.0
         eps = np.array([0.2, 0.9])
-        res = model.loss([IDS], [1], [0], lam=1.0, w_dom=1.0, eps=eps)
+        res = model.loss([IDS], [1], [0], lam=1.0, w_dom=1.0, rng=FixedNoise(eps))
         assert res.kl == pytest.approx(0.0, abs=1e-12)
         assert res.loss.item() == pytest.approx(
             -csda_loglik(model, 1, 0, eps), abs=1e-12)
@@ -324,9 +326,14 @@ class TestVariationalObjective:
         model = toy_model("csda-dirichlet", k=3)
         eps = np.array([0.3, 0.5, 0.8])
         lam = 0.7
-        res = model.loss([IDS], [0], [1], lam=lam, w_dom=1.0, eps=eps)
+        res = model.loss([IDS], [0], [1], lam=lam, w_dom=1.0, rng=FixedNoise(eps))
         assert res.loss.item() == pytest.approx(
             -csda_loglik(model, 0, 1, eps) + lam * res.kl, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["csda-beta", "csda-dirichlet"])
+    def test_loss_without_a_generator_names_rng(self, kind):
+        with pytest.raises(ValueError, match="rng"):
+            toy_model(kind).loss([IDS], [1], [0], **WEIGHTS)
 
     def test_gate_sample_recorded(self):
         # the Dirichlet gate lies on the simplex, the Beta gate in the box
@@ -343,13 +350,13 @@ class TestVariationalObjective:
     @pytest.mark.parametrize("kind", ["csda-beta", "csda-dirichlet", "dsda"])
     def test_full_gradient_matches_fd(self, kind):
         model = toy_model(kind, k=2)
-        eps = np.array([0.35, 0.65]) if kind.startswith("csda") else None
+        noise = FixedNoise([0.35, 0.65]) if kind.startswith("csda") else None
         lam = 0.4
 
         def loss_value():
-            return model.loss([IDS], [1], [0], lam=lam, w_dom=1.0, eps=eps).loss.item()
+            return model.loss([IDS], [1], [0], lam=lam, w_dom=1.0, rng=noise).loss.item()
 
-        res = model.loss([IDS], [1], [0], lam=lam, w_dom=1.0, eps=eps)
+        res = model.loss([IDS], [1], [0], lam=lam, w_dom=1.0, rng=noise)
         grads = backprop(res.loss)
         rng = np.random.default_rng(9)
         worst = 0.0
@@ -416,7 +423,7 @@ class TestMiniBatch:
         model = toy_model("csda-beta", k=1, n_domains=2)
         model.params["sigma.alpha.b"][:] = 4.0
         model.params["sigma.beta.b"][:] = np.log(0.02)
-        res = model.loss(self.SEQS[:2], [0, 1], eps=np.array([[0.7], [0.7]]), **WEIGHTS)
+        res = model.loss(self.SEQS[:2], [0, 1], rng=FixedNoise([[0.7], [0.7]]), **WEIGHTS)
         assert res.loss is None and res.kl is None and res.degenerate == 2
 
 
