@@ -19,7 +19,7 @@ import hashlib
 import itertools
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,10 @@ def _write_manifest(path, command: str, config: dict, extra: dict) -> None:
     manifest = {"command": command, "config": config, "version": __version__, **extra}
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _check_run(cfg: RunConfig, load=dio.load_corpus) -> tuple:
@@ -62,7 +66,7 @@ def _check_run(cfg: RunConfig, load=dio.load_corpus) -> tuple:
         train_corpus = dio.Corpus([replace(d, domain=None) for d in train_corpus.docs])
     eval_corpus = read("eval_data")
     try:
-        dev, test = dio.split_dev_test(eval_corpus, cfg.split_seed)
+        dev, test = dio.split_dev_test(eval_corpus)
     except ValueError as exc:
         raise ConfigError("eval_data", f"{cfg.eval_data!r}: {exc}") from exc
     labels, domains = train_corpus.labels, train_corpus.domains
@@ -80,8 +84,7 @@ def _check_run(cfg: RunConfig, load=dio.load_corpus) -> tuple:
             and k != len(domains):
         raise ConfigError("k", f"dsda with domain supervision needs k == number of "
                                f"training domains ({len(domains)}), got k={k}")
-    vocab = None if cfg.mode == "byte" else \
-        Vocab.build((d.text for d in train_corpus.docs), min_count=cfg.min_count)
+    vocab = None if cfg.mode == "byte" else Vocab.build(d.text for d in train_corpus.docs)
     meta = {"k": k, "labels": labels, "domains": domains,
             "vocab_size": BYTE_VOCAB_SIZE if vocab is None else len(vocab)}
     return (*cfg.library_configs(meta), meta, vocab, (train_corpus, dev, test))
@@ -95,7 +98,7 @@ def _train_one(cfg: RunConfig, checked: tuple, out_dir: Path) -> tuple[float, fl
     out_dir.mkdir(parents=True, exist_ok=True)
     if vocab is not None:
         vocab.save(out_dir / "vocab.txt")
-        meta["vocab_hash"] = hashlib.sha256((out_dir / "vocab.txt").read_bytes()).hexdigest()
+        meta["vocab_hash"] = _sha256(out_dir / "vocab.txt")
     model = Model.init(model_cfg, np.random.default_rng(
         np.random.SeedSequence((cfg.seed, 1))))
     train_insts, dev_insts, test_insts = (
@@ -119,20 +122,29 @@ def _train_one(cfg: RunConfig, checked: tuple, out_dir: Path) -> tuple[float, fl
     return result.best_dev_accuracy, test_eval.accuracy
 
 
-def _load_run(run_dir: Path, data_path: str, split: str, **infer) -> tuple:
-    """A trained run's model, config and inference config (``infer``
-    overriding its ``strategy`` or ``m``), and the ``split`` of a corpus
-    prepared as the run prepared its own."""
+def _load_run(run_dir: Path, data_path: str, split: str) -> tuple:
+    """A trained run's model, config and inference config, and the ``split``
+    of a corpus prepared as the run prepared its own. A manifest key that
+    is no run key, or a ``vocab.txt`` that is not the one the run trained
+    with, raises ``ConfigError`` naming it."""
     params, meta = load_checkpoint(run_dir / "checkpoint.bin")
-    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-    cfg = RunConfig(**{k: tuple(v) if isinstance(v, list) else v
-                       for k, v in manifest["config"].items()})
-    train_cfg, model_cfg = cfg.library_configs(meta, **infer)
+    manifest = run_dir / "manifest.json"
+    config = json.loads(manifest.read_text(encoding="utf-8"))["config"]
+    unknown = sorted(config.keys() - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise ConfigError(unknown[0], f"unknown key in {manifest}")
+    cfg = RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in config.items()})
+    train_cfg, model_cfg = cfg.library_configs(meta)
+    vocab, vocab_path = None, run_dir / "vocab.txt"
+    if cfg.mode == "word":
+        if _sha256(vocab_path) != meta["vocab_hash"]:
+            raise ConfigError("vocab.txt", f"{vocab_path} differs from the vocabulary "
+                                           f"the run trained with")
+        vocab = Vocab.load(vocab_path)
     corpus = dio.load_corpus(data_path)
     if split != "all":
-        dev, test = dio.split_dev_test(corpus, cfg.split_seed)
+        dev, test = dio.split_dev_test(corpus)
         corpus = dev if split == "dev" else test
-    vocab = Vocab.load(run_dir / "vocab.txt") if cfg.mode == "word" else None
     insts = dio.prepare(corpus, vocab, cfg.mode, meta["labels"], meta["domains"])
     return Model(model_cfg, params), insts, cfg, train_cfg.infer
 
@@ -163,9 +175,9 @@ def cmd_train(args) -> None:
 
 def cmd_eval(args) -> None:
     run_dir = Path(args.run_dir)
-    model, insts, cfg, infer_cfg = _load_run(
-        run_dir, args.data, args.split,
-        **{k: v for k, v in (("strategy", args.strategy), ("m", args.m)) if v is not None})
+    model, insts, cfg, infer_cfg = _load_run(run_dir, args.data, args.split)
+    infer_cfg = replace(infer_cfg, **{k: v for k, v in (("strategy", args.strategy),
+                                                         ("m", args.m)) if v is not None})
     result = evaluate(model, insts, infer_cfg)
     out_dir = Path(args.out or run_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -181,8 +193,7 @@ def cmd_eval(args) -> None:
 def _grid_cells(base: dict[str, str], vary: list[str]) -> tuple[dict, list]:
     """The values of each ``key=v1,v2,...`` of ``vary``, and each cell's
     values and config, in Cartesian-product order. A varied key replaces
-    the base config's value under either of its spellings."""
-    name = RunConfig.KEY_ALIASES.get
+    the base config's value."""
     axes: dict[str, list[str]] = {}
     for spec in vary:
         key, eq, raw = (part.strip() for part in spec.partition("="))
@@ -190,11 +201,9 @@ def _grid_cells(base: dict[str, str], vary: list[str]) -> tuple[dict, list]:
             raise ConfigError("vary", f"expected key=v1,v2,..., got {spec!r}")
         if key == "windows":
             raise ConfigError(key, "its value holds commas, so it cannot be varied")
-        if name(key, key) in {name(a, a) for a in axes}:
+        if key in axes:
             raise ConfigError(key, "varied twice")
         axes[key] = [v.strip() for v in raw.split(",")]
-    varied = {name(key, key) for key in axes}
-    base = {key: raw for key, raw in base.items() if name(key, key) not in varied}
     return axes, [(values, read_config(RunConfig, {**base, **dict(zip(axes, values))}))
                   for values in itertools.product(*axes.values())]
 

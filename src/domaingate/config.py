@@ -51,8 +51,7 @@ def _read_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-# How a value of each field type is read. A field of any other type
-# (``SynthSpec.label_names``) is not a key.
+# How a value of each field type is read.
 _READERS = {
     str: str, int: int, float: float, bool: _read_bool,
     Optional[int]: lambda raw: None if raw.lower() in ("", "none") else int(raw),
@@ -63,28 +62,18 @@ _READERS = {
 def read_config(cls, kv: dict[str, str]):
     """A ``cls`` (``RunConfig`` or ``data.SynthSpec``) from key=value
     strings, each read by its field's type; every check of ``cls`` runs
-    before it returns. A field may be spelled as a key of
-    ``cls.KEY_ALIASES``, but only once, and an error names the key as
-    written."""
+    before it returns. A key is exactly a field name."""
     types = get_type_hints(cls)
-    aliases = getattr(cls, "KEY_ALIASES", {})
-    values, written = {}, {}
+    values = {}
     for key, raw in kv.items():
-        name = aliases.get(key, key)
-        if name in written:
-            raise ConfigError(key, f"already given as {written[name]!r}")
-        read = _READERS.get(types.get(name))
+        read = _READERS.get(types.get(key))
         if read is None:
             raise ConfigError(key, "unknown key")
         try:
-            values[name] = read(raw)
+            values[key] = read(raw)
         except ValueError as exc:
             raise ConfigError(key, str(exc)) from None
-        written[name] = key
-    try:
-        return cls(**values)
-    except ConfigError as exc:
-        raise ConfigError(written.get(exc.field, exc.field), exc.detail) from None
+    return cls(**values)
 
 
 # Library config fields that a run spells differently.
@@ -100,14 +89,13 @@ class RunConfig:
     - ``regime``: ``supervised`` keeps instances with label and domain,
       ``semi-supervised`` keeps all, ``unsupervised`` drops domains.
     - ``train_data``, ``eval_data``: JSONL corpora, read per ``mode``
-      (``word`` or ``byte``); the eval corpus splits 4:6 into dev and
-      test by ``split_seed``; ``min_count``: word vocabulary cut-off.
+      (``word`` or ``byte``); the eval corpus splits into dev and test
+      by ``data.split_dev_test``.
     - ``out_dir``: output directory when ``--out`` is not given.
     - Every other key is a field of ``TrainConfig``, ``InferConfig``
       (prefixed ``infer_``; ``seed`` seeds it too), ``EncoderConfig`` or
-      ``ModelConfig``, with its default and range there. ``lambda`` and
-      ``lambda_schedule`` may be spelled ``lam`` and ``lam_schedule``;
-      ``windows`` is comma-separated, so ``grid --vary`` cannot vary it.
+      ``ModelConfig``, with its default and range there; ``windows`` is
+      comma-separated, so ``grid --vary`` cannot vary it.
     """
 
     model: str = "csda-dirichlet"
@@ -124,7 +112,6 @@ class RunConfig:
     max_epochs: int = TrainConfig.max_epochs
     patience: int = TrainConfig.patience
     seed: int = TrainConfig.seed
-    w_dom: float = TrainConfig.w_dom
     dropout: float = ModelConfig.dropout
     embed_dim: int = EncoderConfig.embed_dim
     n_filters: int = EncoderConfig.n_filters
@@ -132,11 +119,7 @@ class RunConfig:
     mlp_hidden: int = ModelConfig.mlp_hidden
     infer_strategy: str = InferConfig.strategy
     infer_m: int = InferConfig.m
-    split_seed: int = 0
-    min_count: int = 1
     out_dir: str = "run"
-
-    KEY_ALIASES = {"lambda": "lam", "lambda_schedule": "lam_schedule"}
 
     def __post_init__(self):
         if self.regime not in REGIMES:
@@ -149,15 +132,13 @@ class RunConfig:
         self.library_configs({"k": self.k or 1, "labels": (0, 1), "domains": (),
                               "vocab_size": 1})
 
-    def library_configs(self, meta: dict, **infer) -> tuple[TrainConfig, ModelConfig]:
+    def library_configs(self, meta: dict) -> tuple[TrainConfig, ModelConfig]:
         """This run's training and model configs on the data that a
         checkpoint ``meta`` describes (its ``k``, ``labels``, ``domains``
-        and ``vocab_size``); ``infer`` overrides ``InferConfig`` fields.
-        An out-of-range value raises ``ConfigError`` naming its run key,
-        or the ``infer`` field that gave it."""
+        and ``vocab_size``). An out-of-range value raises ``ConfigError``
+        naming its run key."""
         try:
-            infer_cfg = InferConfig(**{"strategy": self.infer_strategy, "m": self.infer_m,
-                                       "seed": self.seed, **infer})
+            infer_cfg = InferConfig(self.infer_strategy, self.infer_m, self.seed)
             train_cfg = TrainConfig(infer=infer_cfg, **{
                 f.name: getattr(self, f.name) for f in fields(TrainConfig) if f.name != "infer"})
             model_cfg = ModelConfig(
@@ -166,6 +147,5 @@ class RunConfig:
                 k=meta["k"], encoder=EncoderConfig(self.embed_dim, self.n_filters, self.windows),
                 mlp_hidden=self.mlp_hidden, dropout=self.dropout)
         except ConfigError as exc:
-            key = exc.field if exc.field in infer else _RUN_KEYS.get(exc.field, exc.field)
-            raise ConfigError(key, exc.detail) from None
+            raise ConfigError(_RUN_KEYS.get(exc.field, exc.field), exc.detail) from None
         return train_cfg, model_cfg

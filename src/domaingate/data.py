@@ -122,19 +122,20 @@ def save_corpus(corpus: Corpus, path) -> None:
             fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
 
 
-# Dev and test parts of an evaluation corpus.
+# Dev and test parts of an evaluation corpus, and the seed of its shuffle.
 DEV_TEST_RATIO = (4, 6)
+DEV_TEST_SEED = 0
 
 
-def split_dev_test(corpus: Corpus, seed: int = 0) -> tuple[Corpus, Corpus]:
-    """Seeded shuffle then a ``DEV_TEST_RATIO`` split; the two sides are
-    disjoint and exhaustive."""
+def split_dev_test(corpus: Corpus) -> tuple[Corpus, Corpus]:
+    """A shuffle seeded by ``DEV_TEST_SEED``, then a ``DEV_TEST_RATIO``
+    split; the two sides are disjoint and exhaustive."""
     n = len(corpus.docs)
     dev_part, test_part = DEV_TEST_RATIO
     n_dev = round(n * dev_part / (dev_part + test_part))
     if n_dev == 0 or n_dev == n:
         raise ValueError(f"split of {n} instances at {DEV_TEST_RATIO} leaves one side empty")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = np.random.default_rng(DEV_TEST_SEED).permutation(n)
     dev = [corpus.docs[i] for i in perm[:n_dev]]
     test = [corpus.docs[i] for i in perm[n_dev:]]
     return (Corpus(dev, list(corpus.labels), list(corpus.domains)),
@@ -143,43 +144,47 @@ def split_dev_test(corpus: Corpus, seed: int = 0) -> tuple[Corpus, Corpus]:
 
 # -- synthetic corpus ---------------------------------------------------------
 
+# The synthetic vocabulary: unique filler words per domain, shared filler
+# words per domain group, and cue words, half of them per label.
+UNIQUE_TOKENS = 30
+SHARED_TOKENS = 30
+N_CUES = 8
+# Chance that a filler word is a group-shared one, and that a label flips.
+OVERLAP = 0.5
+LABEL_NOISE = 0.05
+LABEL_NAMES = ("neg", "pos")
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Generator for a multi-domain corpus with domain-dependent cue words.
 
-    Domains fall into two groups (even/odd index). Documents mix filler
-    tokens (domain-unique, or group-shared with probability ``overlap``)
-    with cue tokens that determine the class. With ``flip_cues`` the cue
-    polarity inverts between the groups, so a cue is uninformative when
-    pooled across domains and a classifier must route by domain to use
-    it; without flipping the corpus is separable by cue frequency alone.
-    Held-out domains share only the group vocabulary, never their unique
-    fillers, with the training domains.
+    Domains fall into two groups (even/odd index). Documents of
+    ``doc_len`` words mix filler words (domain-unique, or group-shared
+    with probability ``OVERLAP``) with ``cues_per_doc`` cue words that
+    determine the class; a label flips with probability ``LABEL_NOISE``.
+    With ``flip_cues`` the cue polarity inverts between the groups, so a
+    cue is uninformative when pooled across domains and a classifier must
+    route by domain to use it; without flipping the corpus is separable by
+    cue frequency alone. Of ``n_domains``, those in ``held_out`` emit
+    ``heldout_per_domain`` documents for evaluation, and share only the
+    group vocabulary, never their unique fillers, with the training
+    domains; ``seed`` makes it deterministic.
     """
 
     n_domains: int = 6
     held_out: tuple[int, ...] = (4, 5)
-    unique_tokens: int = 30
-    shared_tokens: int = 30
-    overlap: float = 0.5
-    n_cues: int = 8
     flip_cues: bool = True
     doc_len: int = 20
     cues_per_doc: int = 3
     instances_per_domain: int = 150
     unlabeled_per_domain: int = 0
     heldout_per_domain: int = 150
-    noise: float = 0.05
-    label_names: tuple[str, str] = ("neg", "pos")
     seed: int = 0
 
     def __post_init__(self):
         if not set(self.held_out) <= set(range(self.n_domains)):
             raise ConfigError("held_out", "held-out ids must be a subset of the domain ids")
-        if not 0.0 <= self.overlap <= 1.0:
-            raise ConfigError("overlap", "must be in [0, 1]")
-        if self.n_cues < 2:
-            raise ConfigError("n_cues", "must be >= 2, one cue per label at least")
         if self.cues_per_doc > self.doc_len:
             raise ConfigError("cues_per_doc", "cannot exceed doc_len")
 
@@ -194,25 +199,24 @@ def _cue_polarity(spec: SynthSpec, domain: int, cue: int) -> int:
 def _make_doc(spec: SynthSpec, rng: np.random.Generator, domain: int,
               doc_id: str, hide_domain: bool) -> Document:
     y = int(rng.integers(2))
-    cue_pool = [c for c in range(spec.n_cues)
-                if _cue_polarity(spec, domain, c) == y]
+    cue_pool = [c for c in range(N_CUES) if _cue_polarity(spec, domain, c) == y]
     group = domain % 2
     tokens = []
     for _ in range(spec.cues_per_doc):
         tokens.append(f"cue{rng.choice(cue_pool)}")
     for _ in range(spec.doc_len - spec.cues_per_doc):
-        if rng.random() < spec.overlap:
-            tokens.append(f"g{group}_s{rng.integers(spec.shared_tokens)}")
+        if rng.random() < OVERLAP:
+            tokens.append(f"g{group}_s{rng.integers(SHARED_TOKENS)}")
         else:
-            tokens.append(f"d{domain}_t{rng.integers(spec.unique_tokens)}")
+            tokens.append(f"d{domain}_t{rng.integers(UNIQUE_TOKENS)}")
     rng.shuffle(tokens)
     label = y
-    if spec.noise > 0.0 and rng.random() < spec.noise:
+    if rng.random() < LABEL_NOISE:
         label = 1 - label
     return Document(
         id=doc_id,
         text=" ".join(tokens),
-        label=spec.label_names[label],
+        label=LABEL_NAMES[label],
         domain=None if hide_domain else f"dom{domain}",
     )
 

@@ -105,18 +105,9 @@ def init_encoder_params(rng: np.random.Generator, vocab_size: int,
     return params
 
 
-def encode(binder: ParamBinder, prefix: str, batch: TokenBatch, cfg: EncoderConfig,
-           dropout_u: np.ndarray | None = None, dropout_rate: float = 0.0) -> Var:
-    """Encode a packed batch to pooled rows [B, cfg.out_dim].
-
-    Dropout at ``dropout_rate`` applies to the pooled rows only when
-    uniform noise ``dropout_u`` [B, out_dim] is given (training); without
-    it the encoding is deterministic.
-    """
+def encode(binder: ParamBinder, prefix: str, batch: TokenBatch, cfg: EncoderConfig) -> Var:
+    """Encode a packed batch to pooled rows [B, cfg.out_dim]."""
     embedded = ad.embedding(binder(f"{prefix}.emb"), batch.ids)
-    h = ad.concat([ad.conv_pool(embedded, binder(f"{prefix}.conv{w}.w"),
-                                binder(f"{prefix}.conv{w}.b"), batch.starts)
-                   for w in cfg.windows])
-    if dropout_u is not None and dropout_rate > 0.0:
-        h = ad.dropout(h, dropout_rate, dropout_u)
-    return h
+    return ad.concat([ad.conv_pool(embedded, binder(f"{prefix}.conv{w}.w"),
+                                   binder(f"{prefix}.conv{w}.b"), batch.starts)
+                      for w in cfg.windows])

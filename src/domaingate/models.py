@@ -61,6 +61,9 @@ UNK = None  # sentinel spelling for an unobserved label/domain id
 LABEL_EMB_DIM = 4
 DOMAIN_EMB_DIM = 16
 
+# Weight of the dsda domain-prior term on rows whose domain is observed.
+DOMAIN_PRIOR_WEIGHT = 1.0
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -224,16 +227,14 @@ class Model:
     def channel_encodings(self, binder, batch: TokenBatch,
                           dropout_rng: Optional[np.random.Generator]) -> Var:
         """The k channel encodings of each instance, stacked into [B,k,H].
-        The dropout noise of all channels is one draw [B,k,H]: instance by
-        instance, channel by channel."""
+        With ``dropout_rng``, channel dropout applies to the stack from
+        one noise draw [B,k,H]: instance by instance, channel by channel."""
         cfg = self.config
-        u = None
+        h_mat = ad.stack([encode(binder, f"theta.ch{i}", batch, cfg.encoder)
+                          for i in range(cfg.k)], axis=1)
         if dropout_rng is not None and cfg.dropout > 0.0:
-            u = dropout_rng.random((batch.size, cfg.k, cfg.encoder.out_dim))
-        return ad.stack([encode(binder, f"theta.ch{i}", batch, cfg.encoder,
-                                dropout_u=None if u is None else u[:, i],
-                                dropout_rate=cfg.dropout)
-                         for i in range(cfg.k)], axis=1)
+            h_mat = ad.dropout(h_mat, cfg.dropout, dropout_rng.random(h_mat.shape))
+        return h_mat
 
     def _continuous_heads(self, binder, feats: Var, group: str):
         if self.config.family == "beta":
@@ -276,7 +277,7 @@ class Model:
 
     # -- losses ---------------------------------------------------------------
 
-    def loss(self, seqs, y_ids, d_ids=None, *, lam: float, w_dom: float,
+    def loss(self, seqs, y_ids, d_ids=None, *, lam: float,
              rng: Optional[np.random.Generator] = None,
              dropout_rng: Optional[np.random.Generator] = None) -> LossResult:
         """Training loss (negative objective) of a mini-batch on one tape:
@@ -284,11 +285,13 @@ class Model:
 
         ``seqs`` are the B token-id sequences, ``y_ids`` their labels and
         ``d_ids`` their domains (None entries, or None for all, where
-        unobserved). ``rng`` drives gate sampling and is required by the
-        variational models; ``dropout_rng`` enables channel dropout. A row
-        whose gate draw has no pathwise gradient is left out of the mean
-        and counted in ``degenerate``. An invalid id raises ``ValueError``
-        naming its batch position.
+        unobserved). ``lam`` weighs the KL term of the variational models,
+        and dsda adds ``-log p(d | x)`` at ``DOMAIN_PRIOR_WEIGHT`` on each
+        row whose domain is observed. ``rng`` drives gate sampling and is
+        required by the variational models; ``dropout_rng`` enables
+        channel dropout. A row whose gate draw has no pathwise gradient is
+        left out of the mean and counted in ``degenerate``. An invalid id
+        raises ``ValueError`` naming its batch position.
         """
         cfg = self.config
         n = len(seqs)
@@ -319,7 +322,7 @@ class Model:
             observed = np.array([d is not None for d in d_ids])
             if observed.any():
                 d = np.array([0 if d is None else d for d in d_ids])
-                rows = rows + tape.const(np.where(observed, w_dom, 0.0)) \
+                rows = rows + tape.const(np.where(observed, DOMAIN_PRIOR_WEIGHT, 0.0)) \
                     * ad.neg(ad.gather(log_prior, d))
         else:
             if rng is None:

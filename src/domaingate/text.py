@@ -49,15 +49,11 @@ class Vocab:
         return len(self.tokens)
 
     @classmethod
-    def build(cls, texts, min_count: int = 1) -> "Vocab":
-        counts: dict[str, int] = {}
-        for text in texts:
-            for tok in text.lower().split():
-                counts[tok] = counts.get(tok, 0) + 1
-        # A reserved word in the text keeps its reserved id.
-        kept = sorted(t for t, c in counts.items()
-                      if c >= min_count and t not in (PAD_TOKEN, OOV_TOKEN))
-        return cls([PAD_TOKEN, OOV_TOKEN] + kept)
+    def build(cls, texts) -> "Vocab":
+        """Every lower-cased word of ``texts``, sorted, after the reserved
+        ones; a reserved word in the text keeps its reserved id."""
+        words = {tok for text in texts for tok in text.lower().split()}
+        return cls([PAD_TOKEN, OOV_TOKEN] + sorted(words - {PAD_TOKEN, OOV_TOKEN}))
 
     def save(self, path) -> None:
         Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")

@@ -35,8 +35,8 @@ class TrainConfig:
     (``fixed``) or raised from 0 over ``anneal_steps`` >= 1 steps
     (``linear-anneal``; None: one epoch); Adam step ``lr`` > 0; at most
     ``max_epochs`` of ``batch_size`` >= 1 instances per step, stopping
-    after ``patience`` dev evaluations without gain; dsda domain-prior
-    weight ``w_dom``; ``seed`` of every stream; dev prediction by ``infer``."""
+    after ``patience`` dev evaluations without gain; ``seed`` of every
+    stream; dev prediction by ``infer``."""
 
     lam: float = 0.1
     lam_schedule: str = "fixed"        # one of LAMBDA_SCHEDULES
@@ -46,7 +46,6 @@ class TrainConfig:
     max_epochs: int = 20
     patience: int = 5
     seed: int = 0
-    w_dom: float = 1.0
     infer: InferConfig = field(default_factory=InferConfig)
 
     def __post_init__(self):
@@ -168,7 +167,7 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
                 continue
             lam_t = _lambda_at(cfg, step, steps_per_epoch)
             res = model.loss([inst.ids for inst in batch], [inst.y_id for inst in batch],
-                             [inst.d_id for inst in batch], lam=lam_t, w_dom=cfg.w_dom,
+                             [inst.d_id for inst in batch], lam=lam_t,
                              rng=sample_rng, dropout_rng=dropout_rng)
             step += 1
             entry = {"step": step, "epoch": epoch, "loss": None, "kl": None,

@@ -2,8 +2,9 @@
 through every command, whose training is byte-reproducible and whose
 grid cells train exactly as ``train`` does; grid cells in product order;
 and a non-zero exit with a JSON error naming the field, having written
-nothing, on a bad spec, run config, grid flag, command-line count, or a
-run config that does not fit its data."""
+nothing, on a bad spec, run config, grid flag, command-line count, a
+run config that does not fit its data, a removed key, or a trained run
+whose manifest or vocabulary was edited."""
 
 import json
 import shutil
@@ -146,13 +147,13 @@ def test_tiny_run_through_every_command(tmp_path, capsys):
 
     # Each grid cell is the run that train makes of that cell's config.
     grid = tmp_path / "grid"
-    assert cli.main(["grid", "--config", str(cfg), "--vary", "lambda=0.1,1",
+    assert cli.main(["grid", "--config", str(cfg), "--vary", "lam=0.1,1",
                      "--out", str(grid)]) == 0
     header, *rows = [r.split("\t") for r in (grid / "grid.tsv").read_text().splitlines()]
-    assert header == ["cell", "lambda", "dev_accuracy", "test_accuracy"]
+    assert header == ["cell", "lam", "dev_accuracy", "test_accuracy"]
     assert [r[:2] for r in rows] == [["cell-000", "0.1"], ["cell-001", "1"]]
     lam1_cfg = tmp_path / "lam1.cfg"
-    lam1_cfg.write_text(tiny_run_config(corpus) + "lambda = 1\n")
+    lam1_cfg.write_text(tiny_run_config(corpus) + "lam = 1\n")
     assert cli.main(["train", "--config", str(lam1_cfg), "--out", str(tmp_path / "lam1")]) == 0
     for cell, single in (("cell-000", run), ("cell-001", tmp_path / "lam1")):
         for name in ("checkpoint.bin", "train_log.jsonl", "results.tsv"):
@@ -160,7 +161,7 @@ def test_tiny_run_through_every_command(tmp_path, capsys):
     manifest = json.loads((grid / "manifest.json").read_text())
     devs = [float(r[2]) for r in rows]
     assert manifest["best_cell"] == rows[devs.index(max(devs))][0]
-    assert manifest["vary"] == {"lambda": ["0.1", "1"]}
+    assert manifest["vary"] == {"lam": ["0.1", "1"]}
 
     assert cli.main(["probe", "--run-dir", str(run), "--data",
                      str(corpus / "train.jsonl"), "--runs", "1"]) == 0
@@ -201,7 +202,6 @@ def test_tiny_run_through_every_command(tmp_path, capsys):
     ("lambda_schedule = cosine", "lambda_schedule"),
     ("anneal_steps = -5", "anneal_steps"),
     ("anneal_steps = 0", "anneal_steps"),
-    ("lambda = 0.5\nlam = 0.2", "lam"),
     ("model = dsda", "train_data"),
     ("train_data = {tmp}/missing.jsonl", "train_data"),
     ("train_data = {tmp}/bad.jsonl", "train_data"),
@@ -232,9 +232,8 @@ def test_grid_cells_follow_product_order_of_the_vary_flags():
         ("dsda", lr, seed) for lr in (0.1, 0.2) for seed in (1, 2, 3)]
 
 
-@pytest.mark.parametrize("base_key, vary_key", [("lambda", "lam"), ("lam", "lambda")])
-def test_grid_vary_replaces_the_base_value_under_either_spelling(base_key, vary_key):
-    _, cells = cli._grid_cells({"model": "dsda", base_key: "0.5"}, [f"{vary_key}=0.2,0.3"])
+def test_grid_vary_replaces_the_base_value():
+    _, cells = cli._grid_cells({"model": "dsda", "lam": "0.5"}, ["lam=0.2,0.3"])
     assert [cfg.lam for _, cfg in cells] == [0.2, 0.3]
 
 
@@ -334,3 +333,68 @@ def test_summarize_refuses_runs_with_different_columns(tmp_path, capsys, order):
                       "--out", str(tmp_path / "summary.tsv")], capsys)
     assert str(tmp_path / order[1]) in error["error"]
     assert not (tmp_path / "summary.tsv").exists()
+
+
+# Each key that a run config or a generator spec no longer has, with the
+# value it used to default to.
+@pytest.mark.parametrize("command, key, old_default", [
+    ("train", "lambda", "0.1"), ("train", "lambda_schedule", "fixed"),
+    ("train", "w_dom", "1.0"), ("train", "split_seed", "0"), ("train", "min_count", "1"),
+    ("gen-synth", "overlap", "0.5"), ("gen-synth", "noise", "0.05"),
+    ("gen-synth", "n_cues", "8"), ("gen-synth", "unique_tokens", "30"),
+    ("gen-synth", "shared_tokens", "30"),
+    ("grid", "lambda", "0.1"),
+])
+def test_removed_key_is_refused_as_unknown(tmp_path, capsys, command, key, old_default):
+    path, out = tmp_path / "in.cfg", tmp_path / "o"
+    if command == "grid":
+        path.write_text("model = dsda\n")
+        argv = ["grid", "--config", str(path), "--vary", f"{key}={old_default},1"]
+    else:
+        path.write_text(f"{key} = {old_default}\n")
+        argv = [command, "--spec" if command == "gen-synth" else "--config", str(path)]
+    error = error_of(argv + ["--out", str(out)], capsys)
+    assert error["field"] == key and "unknown key" in error["error"]
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A trained tiny run, and its held-out corpus."""
+    root = tmp_path_factory.mktemp("tiny")
+    (root / "synth.cfg").write_text(TINY_SPEC)
+    assert cli.main(["gen-synth", "--spec", str(root / "synth.cfg"),
+                     "--out", str(root / "corpus")]) == 0
+    (root / "run.cfg").write_text(tiny_run_config(root / "corpus"))
+    assert cli.main(["train", "--config", str(root / "run.cfg"),
+                     "--out", str(root / "run")]) == 0
+    return root / "run", str(root / "corpus" / "heldout.jsonl")
+
+
+def test_eval_refuses_a_vocabulary_the_run_did_not_train_with(tmp_path, capsys, tiny_run):
+    run, heldout = tiny_run
+    edited = tmp_path / "run"
+    shutil.copytree(run, edited)
+    tokens = (edited / "vocab.txt").read_text().splitlines()
+    tokens[2], tokens[3] = tokens[3], tokens[2]  # two words trade ids
+    (edited / "vocab.txt").write_text("\n".join(tokens) + "\n")
+    error = error_of(["eval", "--run-dir", str(edited), "--data", heldout,
+                      "--out", str(tmp_path / "o")], capsys)
+    assert error["field"] == "vocab.txt"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [("w_dom", 1.0), ("lambda_grid", "0.1,1")])
+def test_eval_names_a_manifest_key_that_is_no_run_key(tmp_path, capsys, tiny_run,
+                                                       key, value):
+    # A run trained before the key was removed.
+    run, heldout = tiny_run
+    edited = tmp_path / "run"
+    shutil.copytree(run, edited)
+    manifest = json.loads((edited / "manifest.json").read_text())
+    manifest["config"][key] = value
+    (edited / "manifest.json").write_text(json.dumps(manifest))
+    error = error_of(["eval", "--run-dir", str(edited), "--data", heldout,
+                      "--out", str(tmp_path / "o")], capsys)
+    assert error["field"] == key and "manifest.json" in error["error"]
+    assert not (tmp_path / "o").exists()

@@ -1,6 +1,8 @@
 """Config files: the key=value parser, the one reader that types a
-``RunConfig`` or a generator spec, aliases, and the range checks of the
-library configs that a run's settings reach, each error naming its key."""
+``RunConfig`` or a generator spec, and the range checks of the library
+configs that a run's settings reach, each error naming its key."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -36,8 +38,6 @@ META = {"k": 2, "labels": ["neg", "pos"], "domains": ["a", "b"], "vocab_size": 9
     (ModelConfig, {**MODEL, "dropout": 1.0}, "dropout"),
     (ModelConfig, {**MODEL, "dropout": -0.1}, "dropout"),
     (SynthSpec, {"held_out": (6,)}, "held_out"),
-    (SynthSpec, {"overlap": 1.5}, "overlap"),
-    (SynthSpec, {"n_cues": 1}, "n_cues"),
     (SynthSpec, {"cues_per_doc": 21}, "cues_per_doc"),
 ])
 def test_library_config_refuses_out_of_range_value_naming_field(cls, kwargs, field):
@@ -78,10 +78,6 @@ class TestRunConfig:
         assert cfg == RunConfig()
         assert cfg.anneal_steps is None
 
-    def test_lambda_aliases(self):
-        cfg = read_config(RunConfig, {"lambda": "0.3", "lambda_schedule": "linear-anneal"})
-        assert cfg.lam == 0.3 and cfg.lam_schedule == "linear-anneal"
-
     @pytest.mark.parametrize("raw, want", [("none", None), ("None", None), ("", None),
                                            ("7", 7)])
     def test_anneal_steps(self, raw, want):
@@ -118,9 +114,6 @@ class TestRunConfig:
         ({"k": "-1"}, "k"),
         ({"lam": "-1"}, "lam"),
         ({"lam_schedule": "cosine"}, "lam_schedule"),
-        ({"lambda": "0.5", "lam": "0.2"}, "lam"),
-        ({"lam": "0.2", "lambda": "0.5"}, "lambda"),
-        ({"lambda_schedule": "fixed", "lam_schedule": "fixed"}, "lam_schedule"),
     ])
     def test_bad_value_names_key(self, kv, field):
         with pytest.raises(ConfigError) as exc:
@@ -134,10 +127,13 @@ class TestRunConfig:
                                         vocab_size=9, k=2)
 
     def test_inference_override_names_its_own_field(self):
-        train_cfg, _ = RunConfig(seed=4).library_configs(META, strategy="mc-average", m=7)
-        assert train_cfg.infer == InferConfig("mc-average", 7, 4)
+        # ``eval --strategy/--m`` replace fields of the run's InferConfig.
+        train_cfg, _ = RunConfig(seed=4, infer_m=3).library_configs(META)
+        assert train_cfg.infer == InferConfig("prior-sample", 3, 4)
+        assert replace(train_cfg.infer, strategy="mc-average", m=7) == \
+            InferConfig("mc-average", 7, 4)
         with pytest.raises(ConfigError) as exc:
-            RunConfig().library_configs(META, m=0)
+            replace(train_cfg.infer, m=0)
         assert exc.value.field == "m"
 
     def test_load_reads_file(self, tmp_path):
@@ -148,9 +144,9 @@ class TestRunConfig:
 class TestSynthSpecFromDict:
     def test_typed_fields(self):
         spec = read_config(SynthSpec, {"n_domains": "4", "held_out": "1,3",
-                                       "flip_cues": "no", "overlap": "0.25"})
+                                       "flip_cues": "no", "doc_len": "12"})
         assert spec == SynthSpec(n_domains=4, held_out=(1, 3), flip_cues=False,
-                                 overlap=0.25)
+                                 doc_len=12)
 
     @pytest.mark.parametrize("kv, field", [
         ({"label_names": "a,b"}, "label_names"),

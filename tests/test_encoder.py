@@ -18,12 +18,11 @@ def params():
     return init_encoder_params(np.random.default_rng(0), 10, TOY, "enc")
 
 
-def run_encode(params, ids, dropout_u=None, batch=None):
+def run_encode(params, ids, batch=None):
     """Encode one instance (a [1, out_dim] row), or a batch of them."""
     tape = Tape()
     binder = ParamBinder(tape, params)
-    return tape, encode(binder, "enc", pack(batch or [ids], TOY), TOY, dropout_u=dropout_u,
-                        dropout_rate=0.5)
+    return tape, encode(binder, "enc", pack(batch or [ids], TOY), TOY)
 
 
 class TestShapes:
@@ -113,13 +112,6 @@ class TestValues:
         _, h1 = run_encode(params, ids)
         _, h2 = run_encode(params, ids)
         np.testing.assert_array_equal(h1.value, h2.value)
-
-    def test_dropout_only_with_rng(self, params):
-        ids = [1, 5, 3, 2]
-        _, clean = run_encode(params, ids)
-        _, dropped = run_encode(params, ids,
-                                dropout_u=np.random.default_rng(0).random((1, 8)))
-        assert not np.array_equal(clean.value, dropped.value)
 
     def test_batch_rows_match_instances_encoded_alone(self, params):
         # A 1-token instance, one exactly as long as the widest window, a

@@ -1,8 +1,8 @@
-"""Model-level contracts: gating arithmetic, classifier head, discrete
-marginalization, the continuous gate parameterizations, the
-single-sample variational objective, a mini-batch loss against the mean
-of its instances' losses, and non-finite parameters named at the first
-primitive that reads them."""
+"""Model-level contracts: gating arithmetic, channel dropout, classifier
+head, discrete marginalization, the continuous gate parameterizations,
+the single-sample variational objective, a mini-batch loss against the
+mean of its instances' losses, and non-finite parameters named at the
+first primitive that reads them."""
 
 import math
 
@@ -30,8 +30,8 @@ def toy_model(kind, k=2, seed=0, n_labels=2, n_domains=2, dropout=0.0):
 
 
 IDS = (3, 7, 1, 12, 5, 9)
-# The loss weights, as TrainConfig sets them by default.
-WEIGHTS = {"lam": TrainConfig.lam, "w_dom": TrainConfig.w_dom}
+# The KL weight, as TrainConfig sets it by default.
+WEIGHTS = {"lam": TrainConfig.lam}
 
 
 def csda_loglik(model, y_id, d_id, eps):
@@ -93,6 +93,23 @@ class TestGating:
             gate_channels(h_mat, t.const(np.ones((1, 4, 2))))
         with pytest.raises(ad.ShapeError):  # one gate row per instance
             gate_channels(h_mat, t.const(np.ones((2, 1))))
+
+    def test_channel_dropout_only_with_rng(self):
+        # One dropout over the stacked channels, from one draw [B,k,H].
+        model = toy_model("mcnn", k=3, dropout=0.5)
+        batch = model.pack([IDS, (4, 2)])
+
+        def encodings(rng):
+            t = Tape()
+            h_mat = model.channel_encodings(model.binder(t), batch, rng)
+            return h_mat.value, sum(n.kind == "dropout" for n in t.nodes)
+
+        clean, n_clean = encodings(None)
+        dropped, n_dropped = encodings(np.random.default_rng(0))
+        u = np.random.default_rng(0).random((2, 3, ENC.out_dim))
+        assert (n_clean, n_dropped) == (0, 1)
+        np.testing.assert_array_equal(dropped, clean * ((u >= 0.5) / 0.5))
+        assert not np.array_equal(clean, dropped)
 
 
 class TestClassify:
@@ -305,7 +322,7 @@ class TestVariationalObjective:
     def test_lambda_zero_is_pure_loglik(self):
         model = toy_model("csda-beta", k=2)
         eps = np.array([0.4, 0.7])
-        res = model.loss([IDS], [1], [0], lam=0.0, w_dom=1.0, rng=FixedNoise(eps))
+        res = model.loss([IDS], [1], [0], lam=0.0, rng=FixedNoise(eps))
         assert res.loss.item() == pytest.approx(
             -csda_loglik(model, 1, 0, eps), abs=1e-12)
 
@@ -317,7 +334,7 @@ class TestVariationalObjective:
                 model.params[f"{group}.{head}.w"][:] = 0.0
                 model.params[f"{group}.{head}.b"][:] = 0.0
         eps = np.array([0.2, 0.9])
-        res = model.loss([IDS], [1], [0], lam=1.0, w_dom=1.0, rng=FixedNoise(eps))
+        res = model.loss([IDS], [1], [0], lam=1.0, rng=FixedNoise(eps))
         assert res.kl == pytest.approx(0.0, abs=1e-12)
         assert res.loss.item() == pytest.approx(
             -csda_loglik(model, 1, 0, eps), abs=1e-12)
@@ -326,7 +343,7 @@ class TestVariationalObjective:
         model = toy_model("csda-dirichlet", k=3)
         eps = np.array([0.3, 0.5, 0.8])
         lam = 0.7
-        res = model.loss([IDS], [0], [1], lam=lam, w_dom=1.0, rng=FixedNoise(eps))
+        res = model.loss([IDS], [0], [1], lam=lam, rng=FixedNoise(eps))
         assert res.loss.item() == pytest.approx(
             -csda_loglik(model, 0, 1, eps) + lam * res.kl, abs=1e-12)
 
@@ -354,9 +371,9 @@ class TestVariationalObjective:
         lam = 0.4
 
         def loss_value():
-            return model.loss([IDS], [1], [0], lam=lam, w_dom=1.0, rng=noise).loss.item()
+            return model.loss([IDS], [1], [0], lam=lam, rng=noise).loss.item()
 
-        res = model.loss([IDS], [1], [0], lam=lam, w_dom=1.0, rng=noise)
+        res = model.loss([IDS], [1], [0], lam=lam, rng=noise)
         grads = backprop(res.loss)
         rng = np.random.default_rng(9)
         worst = 0.0
@@ -400,7 +417,7 @@ class TestMiniBatch:
 
         def run(idx):
             return model.loss([self.SEQS[i] for i in idx], [self.Y[i] for i in idx],
-                              [self.D[i] for i in idx], lam=0.3, w_dom=1.0, rng=rngs[0],
+                              [self.D[i] for i in idx], lam=0.3, rng=rngs[0],
                               dropout_rng=rngs[1])
 
         rngs = [np.random.default_rng(1), np.random.default_rng(2)]

@@ -96,7 +96,7 @@ def test_degenerate_sample_is_skipped_and_counted(monkeypatch):
     [node] = [n for n in loss._tape.nodes if n.kind == "beta_sample"]
     [row] = np.flatnonzero((node.value < 1.0).all(axis=1))
     alone = initial.loss([insts[2].ids], [insts[2].y_id], [insts[2].d_id],
-                         lam=tcfg.lam, w_dom=tcfg.w_dom, rng=FixedNoise(node.aux[row:row + 1]))
+                         lam=tcfg.lam, rng=FixedNoise(node.aux[row:row + 1]))
     assert one["loss"] == loss.item() == pytest.approx(alone.loss.item(), rel=1e-12)
     assert one["kl"] == pytest.approx(alone.kl, rel=1e-12)
     for name, g in real_backprop(alone.loss).items():
