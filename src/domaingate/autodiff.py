@@ -1,9 +1,9 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 A ``Tape`` records every primitive application as a node (kind, input
-node ids, output array, cached intermediates); ``backprop`` walks the
-tape once in reverse and returns a gradient for every named parameter
-leaf. Tapes are cheap, single-use, and never shared across threads.
+node ids, output array, backward rule); ``backprop`` walks the tape once
+in reverse and returns a gradient for every named parameter leaf. Tapes
+are cheap, single-use, and never shared across threads.
 
 ``embedding`` is the one row gather, ``table[ids]`` for ids of any shape.
 The gradient of a parameter table that reaches the loss through one
@@ -17,16 +17,19 @@ matrix, stacked matrix products), and the encoder's ``conv_pool``
 convolves a ragged batch of token rows and max-pools each instance over
 its own windows.
 
-Extension primitives (e.g. distribution sampling nodes) register a
-backward rule with ``register_backward`` and append their own node with
-``Tape.record``.
+A primitive computes its output and records it with ``Tape.record``,
+together with its backward rule: a closure from the output's gradient to
+one gradient (or None) per input. The closure keeps only arrays, shapes
+and ints (never a ``Var``, the tape or a node), so a tape is freed by
+reference counting as soon as its last ``Var`` goes. Extension
+primitives (e.g. distribution sampling nodes) record theirs the same way.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,7 +42,6 @@ __all__ = [
     "ShapeError",
     "NonFiniteError",
     "backprop",
-    "register_backward",
 ]
 
 
@@ -56,7 +58,7 @@ class Node:
     kind: str
     inputs: tuple[int, ...]
     value: np.ndarray
-    aux: Any = None
+    backward: Optional[Callable] = None  # None only on leaves
     name: Optional[str] = None  # set only on parameter leaves
 
 
@@ -87,15 +89,17 @@ class Tape:
                                  name=name))
 
     def record(self, kind: str, value: np.ndarray, inputs: tuple["Var", ...],
-               aux: Any = None) -> "Var":
-        """Record one primitive application. ``value`` is its precomputed output."""
+               backward: Callable) -> "Var":
+        """Record one primitive application. ``value`` is its precomputed
+        output; ``backward(grad)`` returns one gradient (or None) per input
+        for the gradient ``grad`` of the output."""
         for v in inputs:
             if v._tape is not self:
                 raise ValueError(f"input of {kind} lives on a different tape")
         value = np.asarray(value, dtype=np.float64)
         if not np.all(np.isfinite(value)):
             raise NonFiniteError(f"primitive {kind!r} produced non-finite values")
-        return self._append(Node(kind, tuple(v._i for v in inputs), value, aux=aux))
+        return self._append(Node(kind, tuple(v._i for v in inputs), value, backward))
 
 
 @dataclass
@@ -194,17 +198,6 @@ def _coerce(tape: Tape, x) -> Var:
     raise TypeError(f"cannot place {type(x).__name__} on the tape")
 
 
-_BACKWARD: dict[str, Callable] = {}
-
-
-def register_backward(kind: str):
-    """Register ``fn(node, grad, tape) -> per-input gradients`` for a primitive."""
-    def deco(fn):
-        _BACKWARD[kind] = fn
-        return fn
-    return deco
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     # Sum the gradient of a broadcast operand back to its own shape.
     if grad.shape == shape:
@@ -228,129 +221,81 @@ def _check_binary(kind: str, a: Var, b: Var):
 
 def add(a: Var, b: Var) -> Var:
     _check_binary("add", a, b)
-    return a._tape.record("add", a.value + b.value, (a, b))
-
-
-@register_backward("add")
-def _add_bwd(node, grad, tape):
-    sa = tape.nodes[node.inputs[0]].value.shape
-    sb = tape.nodes[node.inputs[1]].value.shape
-    return _unbroadcast(grad, sa), _unbroadcast(grad, sb)
+    sa, sb = a.shape, b.shape
+    return a._tape.record("add", a.value + b.value, (a, b),
+                          lambda grad: (_unbroadcast(grad, sa), _unbroadcast(grad, sb)))
 
 
 def sub(a: Var, b: Var) -> Var:
     _check_binary("sub", a, b)
-    return a._tape.record("sub", a.value - b.value, (a, b))
-
-
-@register_backward("sub")
-def _sub_bwd(node, grad, tape):
-    sa = tape.nodes[node.inputs[0]].value.shape
-    sb = tape.nodes[node.inputs[1]].value.shape
-    return _unbroadcast(grad, sa), _unbroadcast(-grad, sb)
+    sa, sb = a.shape, b.shape
+    return a._tape.record("sub", a.value - b.value, (a, b),
+                          lambda grad: (_unbroadcast(grad, sa), _unbroadcast(-grad, sb)))
 
 
 def mul(a: Var, b: Var) -> Var:
     _check_binary("mul", a, b)
-    return a._tape.record("mul", a.value * b.value, (a, b))
-
-
-@register_backward("mul")
-def _mul_bwd(node, grad, tape):
-    av = tape.nodes[node.inputs[0]].value
-    bv = tape.nodes[node.inputs[1]].value
-    return _unbroadcast(grad * bv, av.shape), _unbroadcast(grad * av, bv.shape)
+    av, bv = a.value, b.value
+    return a._tape.record(
+        "mul", av * bv, (a, b),
+        lambda grad: (_unbroadcast(grad * bv, av.shape), _unbroadcast(grad * av, bv.shape)))
 
 
 def div(a: Var, b: Var) -> Var:
     _check_binary("div", a, b)
-    return a._tape.record("div", a.value / b.value, (a, b))
-
-
-@register_backward("div")
-def _div_bwd(node, grad, tape):
-    av = tape.nodes[node.inputs[0]].value
-    bv = tape.nodes[node.inputs[1]].value
-    return (_unbroadcast(grad / bv, av.shape),
-            _unbroadcast(-grad * av / (bv * bv), bv.shape))
+    av, bv = a.value, b.value
+    return a._tape.record(
+        "div", av / bv, (a, b),
+        lambda grad: (_unbroadcast(grad / bv, av.shape),
+                      _unbroadcast(-grad * av / (bv * bv), bv.shape)))
 
 
 def neg(a: Var) -> Var:
-    return a._tape.record("neg", -a.value, (a,))
-
-
-@register_backward("neg")
-def _neg_bwd(node, grad, tape):
-    return (-grad,)
+    return a._tape.record("neg", -a.value, (a,), lambda grad: (-grad,))
 
 
 # -- elementwise unary -----------------------------------------------------
 
 def relu(a: Var) -> Var:
-    return a._tape.record("relu", np.maximum(a.value, 0.0), (a,))
-
-
-@register_backward("relu")
-def _relu_bwd(node, grad, tape):
-    x = tape.nodes[node.inputs[0]].value
-    return (grad * (x > 0.0),)
+    x = a.value
+    return a._tape.record("relu", np.maximum(x, 0.0), (a,),
+                          lambda grad: (grad * (x > 0.0),))
 
 
 def elu(a: Var) -> Var:
     x = a.value
-    return a._tape.record("elu", np.where(x > 0.0, x, np.expm1(x)), (a,))
-
-
-@register_backward("elu")
-def _elu_bwd(node, grad, tape):
-    x = tape.nodes[node.inputs[0]].value
+    out = np.where(x > 0.0, x, np.expm1(x))
     # d/dx elu = 1 for x > 0, exp(x) = elu(x) + 1 otherwise.
-    return (grad * np.where(x > 0.0, 1.0, node.value + 1.0),)
+    return a._tape.record("elu", out, (a,),
+                          lambda grad: (grad * np.where(x > 0.0, 1.0, out + 1.0),))
 
 
 def sigmoid(a: Var) -> Var:
     x = a.value
-    out = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    return a._tape.record("sigmoid", out, (a,))
-
-
-@register_backward("sigmoid")
-def _sigmoid_bwd(node, grad, tape):
-    s = node.value
-    return (grad * s * (1.0 - s),)
+    s = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    return a._tape.record("sigmoid", s, (a,), lambda grad: (grad * s * (1.0 - s),))
 
 
 def exp(a: Var) -> Var:
     # An overflow becomes inf, which ``Tape.record`` rejects by name.
     with np.errstate(over="ignore"):
         out = np.exp(a.value)
-    return a._tape.record("exp", out, (a,))
-
-
-@register_backward("exp")
-def _exp_bwd(node, grad, tape):
-    return (grad * node.value,)
+    return a._tape.record("exp", out, (a,), lambda grad: (grad * out,))
 
 
 def lgamma(a: Var) -> Var:
     """Elementwise log-gamma; differentiable (derivative is digamma)."""
-    return a._tape.record("lgamma", special.lgamma(a.value), (a,))
-
-
-@register_backward("lgamma")
-def _lgamma_bwd(node, grad, tape):
-    return (grad * special.digamma(tape.nodes[node.inputs[0]].value),)
+    x = a.value
+    return a._tape.record("lgamma", special.lgamma(x), (a,),
+                          lambda grad: (grad * special.digamma(x),))
 
 
 def digamma(a: Var) -> Var:
     """Elementwise digamma; differentiable (derivative is trigamma)."""
-    return a._tape.record("digamma", special.digamma(a.value), (a,))
-
-
-@register_backward("digamma")
-def _digamma_bwd(node, grad, tape):
-    return (grad * special.trigamma(tape.nodes[node.inputs[0]].value),)
+    x = a.value
+    return a._tape.record("digamma", special.digamma(x), (a,),
+                          lambda grad: (grad * special.trigamma(x),))
 
 
 # -- reductions and shape ops -------------------------------------------------
@@ -358,16 +303,13 @@ def _digamma_bwd(node, grad, tape):
 def reduce_sum(a: Var, axis: Optional[int] = None, keepdims: bool = False) -> Var:
     """Sum of all entries, or along one axis."""
     out = np.asarray(a.value.sum(axis=axis, keepdims=keepdims))
-    return a._tape.record("reduce_sum", out, (a,), aux=(axis, keepdims))
+    shape = a.shape
 
-
-@register_backward("reduce_sum")
-def _reduce_sum_bwd(node, grad, tape):
-    x = tape.nodes[node.inputs[0]].value
-    axis, keepdims = node.aux
-    if axis is not None and not keepdims:
-        grad = np.expand_dims(grad, axis)
-    return (np.broadcast_to(grad, x.shape),)
+    def backward(grad):
+        if axis is not None and not keepdims:
+            grad = np.expand_dims(grad, axis)
+        return (np.broadcast_to(grad, shape),)
+    return a._tape.record("reduce_sum", out, (a,), backward)
 
 
 def log_softmax(a: Var) -> Var:
@@ -377,12 +319,9 @@ def log_softmax(a: Var) -> Var:
     x = a.value
     shifted = x - x.max(axis=-1, keepdims=True)
     out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return a._tape.record("log_softmax", out, (a,))
-
-
-@register_backward("log_softmax")
-def _log_softmax_bwd(node, grad, tape):
-    return (grad - np.exp(node.value) * grad.sum(axis=-1, keepdims=True),)
+    return a._tape.record(
+        "log_softmax", out, (a,),
+        lambda grad: (grad - np.exp(out) * grad.sum(axis=-1, keepdims=True),))
 
 
 def logsumexp(a: Var) -> Var:
@@ -392,13 +331,8 @@ def logsumexp(a: Var) -> Var:
     x = a.value
     m = x.max(axis=-1, keepdims=True)
     out = (m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True)))[..., 0]
-    return a._tape.record("logsumexp", out, (a,))
-
-
-@register_backward("logsumexp")
-def _logsumexp_bwd(node, grad, tape):
-    x = tape.nodes[node.inputs[0]].value
-    return (grad[..., None] * np.exp(x - node.value[..., None]),)
+    return a._tape.record("logsumexp", out, (a,),
+                          lambda grad: (grad[..., None] * np.exp(x - out[..., None]),))
 
 
 def gather(a: Var, index) -> Var:
@@ -411,27 +345,22 @@ def gather(a: Var, index) -> Var:
         raise ShapeError(f"gather index shape {index.shape} does not match {a.shape}")
     if index.size and not (0 <= index.min() and index.max() < a.shape[-1]):
         raise ShapeError(f"gather index {index} out of range for shape {a.shape}")
-    out = np.take_along_axis(a.value, np.broadcast_to(index, a.shape[:-1])[..., None],
+    x = a.value
+    out = np.take_along_axis(x, np.broadcast_to(index, x.shape[:-1])[..., None],
                              axis=-1)[..., 0]
-    return a._tape.record("gather", out, (a,), aux=index)
 
-
-@register_backward("gather")
-def _gather_bwd(node, grad, tape):
-    x = tape.nodes[node.inputs[0]].value
-    out = np.zeros_like(x)
-    np.put_along_axis(out, np.broadcast_to(node.aux, x.shape[:-1])[..., None],
-                      grad[..., None], axis=-1)
-    return (out,)
+    def backward(grad):
+        dx = np.zeros_like(x)
+        np.put_along_axis(dx, np.broadcast_to(index, x.shape[:-1])[..., None],
+                          grad[..., None], axis=-1)
+        return (dx,)
+    return a._tape.record("gather", out, (a,), backward)
 
 
 def reshape(a: Var, shape: tuple[int, ...]) -> Var:
-    return a._tape.record("reshape", a.value.reshape(shape), (a,))
-
-
-@register_backward("reshape")
-def _reshape_bwd(node, grad, tape):
-    return (grad.reshape(tape.nodes[node.inputs[0]].value.shape),)
+    old = a.shape
+    return a._tape.record("reshape", a.value.reshape(shape), (a,),
+                          lambda grad: (grad.reshape(old),))
 
 
 def concat(parts: list[Var]) -> Var:
@@ -445,12 +374,8 @@ def concat(parts: list[Var]) -> Var:
             raise ShapeError(f"concat expects one leading shape {lead}, got {p.shape}")
     sizes = [p.value.shape[-1] for p in parts]
     out = np.concatenate([p.value for p in parts], axis=-1)
-    return tape.record("concat", out, tuple(parts), aux=sizes)
-
-
-@register_backward("concat")
-def _concat_bwd(node, grad, tape):
-    return tuple(np.split(grad, np.cumsum(node.aux)[:-1], axis=-1))
+    return tape.record("concat", out, tuple(parts),
+                       lambda grad: tuple(np.split(grad, np.cumsum(sizes)[:-1], axis=-1)))
 
 
 def stack(parts: list[Var], axis: int = 0) -> Var:
@@ -463,12 +388,8 @@ def stack(parts: list[Var], axis: int = 0) -> Var:
         if p.shape != shape0:
             raise ShapeError(f"stack shape mismatch: {p.shape} vs {shape0}")
     out = np.stack([p.value for p in parts], axis=axis)
-    return tape.record("stack", out, tuple(parts), aux=axis)
-
-
-@register_backward("stack")
-def _stack_bwd(node, grad, tape):
-    return tuple(np.moveaxis(grad, node.aux, 0))
+    return tape.record("stack", out, tuple(parts),
+                       lambda grad: tuple(np.moveaxis(grad, axis, 0)))
 
 
 def matmul(a: Var, b: Var) -> Var:
@@ -481,16 +402,12 @@ def matmul(a: Var, b: Var) -> Var:
                          f"got {av.shape} @ {bv.shape}")
     if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {av.shape} @ {bv.shape}")
-    return a._tape.record("matmul", np.matmul(av, bv), (a, b))
 
-
-@register_backward("matmul")
-def _matmul_bwd(node, grad, tape):
-    av = tape.nodes[node.inputs[0]].value
-    bv = tape.nodes[node.inputs[1]].value
-    if bv.ndim == 3:
-        return grad @ bv.swapaxes(1, 2), av.swapaxes(1, 2) @ grad
-    return grad @ bv.T, av.reshape(-1, av.shape[-1]).T @ grad.reshape(-1, bv.shape[1])
+    def backward(grad):
+        if bv.ndim == 3:
+            return grad @ bv.swapaxes(1, 2), av.swapaxes(1, 2) @ grad
+        return grad @ bv.T, av.reshape(-1, av.shape[-1]).T @ grad.reshape(-1, bv.shape[1])
+    return a._tape.record("matmul", np.matmul(av, bv), (a, b), backward)
 
 
 # -- encoder primitives ------------------------------------------------------
@@ -508,15 +425,14 @@ def embedding(table: Var, ids) -> Var:
         raise ShapeError(
             f"embedding ids out of range [0, {table.value.shape[0]}): "
             f"min={ids.min()}, max={ids.max()}")
-    return table._tape.record("embedding", table.value[ids], (table,), aux=ids)
+    rows = table.value.shape[0]
 
-
-@register_backward("embedding")
-def _embedding_bwd(node, grad, tape):
-    ids, inverse = np.unique(node.aux.ravel(), return_inverse=True)
-    values = kernels.embedding_backward(
-        np.ascontiguousarray(grad.reshape(inverse.size, -1)), inverse, ids.size)
-    return (RowGrad(ids, values, tape.nodes[node.inputs[0]].value.shape[0]),)
+    def backward(grad):
+        unique, inverse = np.unique(ids.ravel(), return_inverse=True)
+        values = kernels.embedding_backward(
+            np.ascontiguousarray(grad.reshape(inverse.size, -1)), inverse, unique.size)
+        return (RowGrad(unique, values, rows),)
+    return table._tape.record("embedding", table.value[ids], (table,), backward)
 
 
 def conv_pool(x: Var, w: Var, b: Var, starts: np.ndarray) -> Var:
@@ -550,18 +466,12 @@ def conv_pool(x: Var, w: Var, b: Var, starts: np.ndarray) -> Var:
     if not np.all(np.isfinite(peak)):
         raise NonFiniteError("primitive 'conv_pool' produced non-finite values")
     live = peak > 0.0
-    return x._tape.record("conv_pool", np.where(live, peak, 0.0), (x, w, b),
-                          aux=(idx, live))
 
-
-@register_backward("conv_pool")
-def _conv_pool_bwd(node, grad, tape):
-    xv = tape.nodes[node.inputs[0]].value
-    wv = tape.nodes[node.inputs[1]].value
-    idx, live = node.aux
-    u, s = kernels.maxpool_backward(grad, idx, live)
-    return kernels.conv1d_backward(np.ascontiguousarray(xv), np.ascontiguousarray(wv),
-                                   u, s)
+    def backward(grad):
+        u, s = kernels.maxpool_backward(grad, idx, live)
+        return kernels.conv1d_backward(np.ascontiguousarray(xv), np.ascontiguousarray(wv),
+                                       u, s)
+    return x._tape.record("conv_pool", np.where(live, peak, 0.0), (x, w, b), backward)
 
 
 def dropout(x: Var, rate: float, u: np.ndarray) -> Var:
@@ -573,12 +483,7 @@ def dropout(x: Var, rate: float, u: np.ndarray) -> Var:
     if u.shape != x.shape:
         raise ShapeError(f"dropout noise shape {u.shape} does not match {x.shape}")
     mask = (u >= rate) / (1.0 - rate)
-    return x._tape.record("dropout", x.value * mask, (x,), aux=mask)
-
-
-@register_backward("dropout")
-def _dropout_bwd(node, grad, tape):
-    return (grad * node.aux,)
+    return x._tape.record("dropout", x.value * mask, (x,), lambda grad: (grad * mask,))
 
 
 # -- reverse pass -------------------------------------------------------------
@@ -590,12 +495,13 @@ def backprop(loss: Var) -> dict[str, np.ndarray | RowGrad]:
     every other parameter a dense array. Parameters the loss does not depend
     on get zero gradients; non-parameter leaves get none.
 
-    Gradients are stored as their backward rules return them, never
-    copied, so nothing may write into one, a returned gradient included:
-    one array may be the gradient of two inputs (``add`` returns ``grad``
-    for both), and ``reduce_sum`` returns a read-only broadcast view. The
-    backward rules, ``adam_step`` and the training log only read them; a
-    second gradient of a node makes a new sum.
+    Each node's ``backward`` closure maps its output gradient to its
+    inputs' gradients. Gradients are stored as the closures return them,
+    never copied, so nothing may write into one, a returned gradient
+    included: one array may be the gradient of two inputs (``add``
+    returns ``grad`` for both), and ``reduce_sum`` returns a read-only
+    broadcast view. The closures, ``adam_step`` and the training log only
+    read them; a second gradient of a node makes a new sum.
     """
     tape = loss._tape
     if loss.value.shape != ():
@@ -609,13 +515,9 @@ def backprop(loss: Var) -> dict[str, np.ndarray | RowGrad]:
         node = tape.nodes[i]
         if not node.inputs:
             continue
-        fn = _BACKWARD.get(node.kind)
-        if fn is None:
-            raise KeyError(f"no backward rule registered for primitive {node.kind!r}")
         if isinstance(g, RowGrad):  # a table computed on the tape
             g = g.dense()
-        input_grads = fn(node, g, tape)
-        for j, ig in zip(node.inputs, input_grads):
+        for j, ig in zip(node.inputs, node.backward(g)):
             if ig is None:
                 continue
             grads[j] = ig if grads[j] is None else _accumulate(grads[j], ig)

@@ -4,12 +4,14 @@ Provides sampling by CDF inversion, log-densities, means, closed-form
 same-family KL divergences (differentiable on the tape through the
 lgamma/digamma primitives), and pathwise gradients through samples.
 
-Sampling uses the CDF as a standardization map: a sample z with noise
-record u satisfies F(z; theta) = u, so differentiating implicitly in the
+Sampling uses the CDF as a standardization map: a sample z drawn at
+noise u satisfies F(z; theta) = u, so differentiating implicitly in the
 parameters gives dz/dtheta = -(dF/dtheta) / pdf(z). The Dirichlet is
 sampled as normalized Gammas (rate 1), so backprop composes the Gamma
 pathwise partials with the normalization node. A draw inverts the CDF
-over its whole noise array in one call.
+over its whole noise array in one call. Its sampling node
+(``beta_sample`` or ``gamma_sample``) carries this pathwise rule as its
+backward closure, over the draws and the parameter arrays.
 
 Parameters come as rows [B,k], one per instance of a mini-batch (or
 [B,C,k], one per candidate label); ``sample`` draws one gate per row
@@ -42,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var, register_backward
+from .autodiff import Var
 from .special import (inv_reg_inc_beta, inv_reg_inc_gamma, lgamma, ln_inv_beta, reg_inc_beta,
                       reg_inc_gamma)
 
@@ -196,23 +198,6 @@ def _pathwise(cdf, log_density, z: np.ndarray, grad: np.ndarray, *thetas: np.nda
     return tuple(o.reshape(z.shape) for o in out)
 
 
-@register_backward("beta_sample")
-def _beta_sample_bwd(node, grad, tape):
-    alpha = tape.nodes[node.inputs[0]].value
-    beta = tape.nodes[node.inputs[1]].value
-    z = node.value
-    return _pathwise(reg_inc_beta, _beta_log_density, z, grad,
-                     np.broadcast_to(alpha, z.shape), np.broadcast_to(beta, z.shape))
-
-
-@register_backward("gamma_sample")
-def _gamma_sample_bwd(node, grad, tape):
-    conc = tape.nodes[node.inputs[0]].value
-    g = node.value
-    return _pathwise(lambda x, a: reg_inc_gamma(a, x), _gamma_log_density, g, grad,
-                     np.broadcast_to(conc, g.shape))
-
-
 # -- sampling ----------------------------------------------------------------
 
 def _quantiles(params, u: np.ndarray) -> np.ndarray:
@@ -229,24 +214,31 @@ def _quantiles(params, u: np.ndarray) -> np.ndarray:
 def sample(params, rng: np.random.Generator) -> tuple[Var, np.ndarray]:
     """Draw one gate per parameter vector ([k], or rows [B,k]); the gate
     Var carries pathwise gradients back into the distribution parameters.
-    The noise u of the draw is the ``aux`` of its sampling node (for a
-    Dirichlet, the Gamma node that the gate normalizes); rows [B,k] of
-    noise are the B per-row draws of one generator in turn.
+    The noise u of the draw is one ``rng.random`` call of the parameters'
+    shape, so rows [B,k] of noise are the B per-row draws of one
+    generator in turn; for a Dirichlet, the gate normalizes the Gamma
+    draws at u.
 
     Also returns the rows whose draw has no pathwise gradient (an entry
     on the edge of the support, or an underflowing density), so that a
     loss can leave them out.
     """
-    u = _uniform(rng, *_values(params)[0].shape)
-    draws = _quantiles(params, u)
+    draws = _quantiles(params, _uniform(rng, *_values(params)[0].shape))
     if isinstance(params, BetaParams):
-        z = params.alpha._tape.record("beta_sample", draws,
-                                      (params.alpha, params.beta), aux=u)
-        return z, _degenerate_rows(_beta_log_density, _beta_edge, draws,
-                                   *_values(params))
-    g_var = params.conc._tape.record("gamma_sample", draws, (params.conc,), aux=u)
+        alpha, beta = _values(params)
+        z = params.alpha._tape.record(
+            "beta_sample", draws, (params.alpha, params.beta),
+            lambda grad: _pathwise(reg_inc_beta, _beta_log_density, draws, grad,
+                                   np.broadcast_to(alpha, draws.shape),
+                                   np.broadcast_to(beta, draws.shape)))
+        return z, _degenerate_rows(_beta_log_density, _beta_edge, draws, alpha, beta)
+    conc = params.conc.value
+    g_var = params.conc._tape.record(
+        "gamma_sample", draws, (params.conc,),
+        lambda grad: _pathwise(lambda x, a: reg_inc_gamma(a, x), _gamma_log_density,
+                               draws, grad, np.broadcast_to(conc, draws.shape)))
     return (ad.div(g_var, ad.reduce_sum(g_var, axis=-1, keepdims=True)),
-            _degenerate_rows(_gamma_log_density, _gamma_edge, draws, params.conc.value))
+            _degenerate_rows(_gamma_log_density, _gamma_edge, draws, conc))
 
 
 def draw_many(params, rngs, m: int) -> np.ndarray:

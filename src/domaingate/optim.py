@@ -11,19 +11,21 @@ from .autodiff import NonFiniteError, RowGrad
 
 __all__ = ["AdamState", "adam_step"]
 
+# The moment decay rates and the denominator guard of Kingma & Ba.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators plus hyperparameters.
+    """The learning rate plus first/second-moment accumulators.
 
     Accumulators are created on a parameter's first step and always
     match the parameter's shape.
     """
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -35,14 +37,14 @@ def _update(p, m, v, g, state: AdamState, bc1: float, bc2: float) -> None:
     # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), with two scratch buffers.
     a = np.empty_like(p)
     b = np.empty_like(p)
-    m *= state.beta1
-    m += np.multiply(1.0 - state.beta1, g, out=a)
-    v *= state.beta2
-    np.multiply(1.0 - state.beta2, g, out=a)
+    m *= BETA1
+    m += np.multiply(1.0 - BETA1, g, out=a)
+    v *= BETA2
+    np.multiply(1.0 - BETA2, g, out=a)
     v += np.multiply(a, g, out=a)
     np.divide(v, bc2, out=a)
     np.sqrt(a, out=a)
-    a += state.eps
+    a += EPS
     np.divide(m, bc1, out=b)
     np.multiply(state.lr, b, out=b)
     p -= np.divide(b, a, out=b)
@@ -74,8 +76,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | RowGr
     a non-finite value raises ``NonFiniteError`` naming the parameter.
     """
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
     for name, g in grads.items():
         p = params[name]
         if g.shape != p.shape:

@@ -12,3 +12,18 @@ class FixedNoise:
 
     def random(self, shape):
         return self.u.reshape(shape)
+
+
+class RecordingNoise:
+    """A generator stand-in that passes ``random(shape)`` on to ``rng``
+    and keeps each array it returns in ``draws``, so that a gate draw's
+    noise can be replayed with ``FixedNoise``."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = []
+
+    def random(self, shape):
+        u = self.rng.random(shape)
+        self.draws.append(u)
+        return u

@@ -14,7 +14,7 @@ from domaingate import distributions as dist
 from domaingate import special as sp
 from domaingate.autodiff import Tape, backprop
 
-from conftest import FixedNoise
+from conftest import FixedNoise, RecordingNoise
 
 GRID = (0.5, 1.0, 2.0, 5.0)
 EPS_GRID = (0.1, 0.5, 0.9)
@@ -44,9 +44,11 @@ class TestSampling:
 
     def test_beta_uniform_case_returns_noise(self):
         p = beta_params([1.0], [1.0])
-        var, _ = dist.sample(p, FixedNoise(np.array([0.73])))
+        noise = RecordingNoise(FixedNoise(np.array([0.73])))
+        var, _ = dist.sample(p, noise)
         assert var.value[0] == pytest.approx(0.73, abs=1e-12)
-        assert var._tape.nodes[var._i].aux[0] == 0.73
+        [u] = noise.draws
+        assert u.shape == (1,) and u[0] == 0.73
 
     def test_beta_samples_in_box(self):
         rng = np.random.default_rng(1)
@@ -245,15 +247,22 @@ class TestImplicitGradients:
         assert worst < 1e-3
 
     def test_gamma_shape_gradient_at_two(self):
-        u, a = 0.5, 2.0
-        # the Gamma node of a Dirichlet draw, recorded alone
+        # z_0 = g_0 / (g_0 + g_1) of a 2-channel Dirichlet draw through the
+        # Gamma quantiles g_j at frozen noise, by backprop and by central
+        # differences in each concentration
+        u, conc = np.array([0.5, 0.3]), np.array([2.0, 3.0])
         t = Tape()
-        g = t.record("gamma_sample", np.array([sp.inv_reg_inc_gamma(u, a)]),
-                     (t.param(np.array([a]), "a"),), aux=np.array([u]))
-        got = backprop(ad.reduce_sum(g))["a"][0]
+        z, _ = dist.sample(dist.DirichletParams(t.param(conc, "c")), FixedNoise(u))
+        got = backprop(ad.gather(z, 0))["c"]
+
+        def z0(c):
+            g = np.array([sp.inv_reg_inc_gamma(u[j], c[j]) for j in range(2)])
+            return g[0] / g.sum()
         h = 1e-5
-        fd = (sp.inv_reg_inc_gamma(u, a + h) - sp.inv_reg_inc_gamma(u, a - h)) / (2 * h)
-        assert got == pytest.approx(fd, rel=1e-4)
+        for j in range(2):
+            step = h * np.eye(2)[j]
+            fd = (z0(conc + step) - z0(conc - step)) / (2 * h)
+            assert got[j] == pytest.approx(fd, rel=1e-4)
 
     def test_beta_alpha_beta_gradients_have_opposite_signs(self):
         # raising alpha shifts mass right, raising beta shifts it left

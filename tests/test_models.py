@@ -1,20 +1,24 @@
 """Model-level contracts: gating arithmetic, channel dropout, classifier
 head, discrete marginalization, the continuous gate parameterizations,
 the single-sample variational objective, a mini-batch loss against the
-mean of its instances' losses, and non-finite parameters named at the
-first primitive that reads them."""
+mean of its instances' losses, non-finite parameters named at the
+first primitive that reads them, and training and prediction tapes that
+reference counting frees."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from domaingate import autodiff as ad
 from domaingate import distributions as dist
+from domaingate import inference
 from domaingate.autodiff import NonFiniteError, RowGrad, Tape, backprop
 from domaingate.encoder import EncoderConfig
 from domaingate.inference import InferConfig, predict
-from domaingate.models import Model, ModelConfig, classify_batch, gate_channels
+from domaingate.models import MODEL_KINDS, Model, ModelConfig, classify_batch, gate_channels
 from domaingate.training import TrainConfig
 
 from conftest import FixedNoise
@@ -469,3 +473,33 @@ class TestNonFiniteParameters:
         want = clean.loss([other], [0], [1], rng=np.random.default_rng(0), **WEIGHTS).loss.item()
         got = model.loss([other], [0], [1], rng=np.random.default_rng(0), **WEIGHTS).loss.item()
         assert got == want
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_tapes_are_freed_by_reference_counting(kind, monkeypatch):
+    # No backward rule may hold a Var, the tape or a node, or a tape would
+    # be a reference cycle that outlives its step until the cyclic
+    # collector runs.
+    model = toy_model(kind, k=1 if kind == "scnn" else 2)
+    tapes = []
+
+    def recording_tape():
+        tape = Tape()
+        tapes.append(weakref.ref(tape))
+        return tape
+    monkeypatch.setattr(inference, "Tape", recording_tape)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        res = model.loss([IDS, IDS[:4]], [1, 0], [0, None], rng=np.random.default_rng(0),
+                         **WEIGHTS)
+        tapes.append(weakref.ref(res.tape))
+        backprop(res.loss)
+        del res
+        predict(model, [IDS, IDS[:4]], InferConfig(m=3),
+                [np.random.default_rng(i) for i in range(2)])
+        assert len(tapes) == 2
+        assert [ref() for ref in tapes] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()

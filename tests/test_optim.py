@@ -17,19 +17,19 @@ BLOCKS = [1, 16, optim._BLOCK]
 def dense_adam_step(params, grads, state):
     """Reference: the dense update with full-size temporaries."""
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - optim.BETA1 ** state.step
+    bc2 = 1.0 - optim.BETA2 ** state.step
     for name, g in grads.items():
         p = params[name]
         m = state.m.setdefault(name, np.zeros_like(p))
         v = state.v.setdefault(name, np.zeros_like(p))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        m *= optim.BETA1
+        m += (1.0 - optim.BETA1) * g
+        v *= optim.BETA2
+        v += (1.0 - optim.BETA2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + optim.EPS)
 
 
 def assert_same_state(params, state, ref_params, ref_state):

@@ -17,7 +17,7 @@ from domaingate.encoder import EncoderConfig
 from domaingate.inference import InferConfig, PredictionRecord
 from domaingate.training import EvalResult
 from domaingate.models import Model, ModelConfig
-from conftest import FixedNoise
+from conftest import FixedNoise, RecordingNoise
 from test_optim import dense_adam_step
 
 
@@ -67,18 +67,24 @@ def test_degenerate_sample_is_skipped_and_counted(monkeypatch):
     initial = model.copy()
     insts = [Instance(f"doc{i}", (3, 7, 1, 12, 5 + i, 9), i % 2, int(i == 2),
                       f"l{i % 2}", f"d{int(i == 2)}") for i in range(4)]
-    real_backprop, real_adam = training.backprop, training.adam_step
-    kept, applied = [], []
+    real_loss, real_backprop, real_adam = Model.loss, training.backprop, training.adam_step
+    noise, kept, applied = [], [], []
+
+    def recording_loss(self, *args, rng, **kwargs):
+        noise.append(RecordingNoise(rng))
+        return real_loss(self, *args, rng=noise[-1], **kwargs)
 
     def recording_backprop(loss):
         grads = real_backprop(loss)
-        kept.append((loss, copy.deepcopy(grads)))
+        [u] = noise[-1].draws
+        kept.append((loss, copy.deepcopy(grads), u))
         return grads
 
     def recording_adam(params, grads, opt):
         applied.append(copy.deepcopy(grads))
         return real_adam(params, grads, opt)
 
+    monkeypatch.setattr(Model, "loss", recording_loss)
     monkeypatch.setattr(training, "backprop", recording_backprop)
     monkeypatch.setattr(training, "adam_step", recording_adam)
     tcfg = training.TrainConfig(batch_size=2, max_epochs=1, lr=1e-3, seed=3)
@@ -92,11 +98,11 @@ def test_degenerate_sample_is_skipped_and_counted(monkeypatch):
     none = next(e for e in result.log if e["degenerate"] == 2)
     # The step averages over the one instance it kept: its loss and
     # gradients are those of that instance alone under its own draw ...
-    loss, grads = kept[0]
+    loss, grads, u = kept[0]
     [node] = [n for n in loss._tape.nodes if n.kind == "beta_sample"]
     [row] = np.flatnonzero((node.value < 1.0).all(axis=1))
     alone = initial.loss([insts[2].ids], [insts[2].y_id], [insts[2].d_id],
-                         lam=tcfg.lam, rng=FixedNoise(node.aux[row:row + 1]))
+                         lam=tcfg.lam, rng=FixedNoise(u[row:row + 1]))
     assert one["loss"] == loss.item() == pytest.approx(alone.loss.item(), rel=1e-12)
     assert one["kl"] == pytest.approx(alone.kl, rel=1e-12)
     for name, g in real_backprop(alone.loss).items():
