@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 tensors.
+"""Reverse-mode automatic differentiation over dense float tensors.
 
 A ``Tape`` records every primitive application as a node (kind, input
 node ids, output array, backward rule); ``backprop`` walks the tape once
@@ -23,6 +23,12 @@ one gradient (or None) per input. The closure keeps only arrays, shapes
 and ints (never a ``Var``, the tape or a node), so a tape is freed by
 reference counting as soon as its last ``Var`` goes. Extension
 primitives (e.g. distribution sampling nodes) record theirs the same way.
+
+Values are float64, except that a float32 parameter stays float32 and
+every primitive follows the dtype of its inputs: the ``embedding`` of a
+float32 table and the convolution in ``conv_pool`` run in float32, and
+so do their gradients. ``conv_pool`` returns its pooled rows in float64.
+``const`` leaves are float64.
 """
 
 from __future__ import annotations
@@ -62,6 +68,11 @@ class Node:
     name: Optional[str] = None  # set only on parameter leaves
 
 
+def _floating(value) -> np.ndarray:
+    value = np.asarray(value)
+    return value if value.dtype == np.float32 else value.astype(np.float64, copy=False)
+
+
 @dataclass
 class Tape:
     nodes: list[Node] = field(default_factory=list)
@@ -79,24 +90,25 @@ class Tape:
 
     def param(self, value: np.ndarray, name: str) -> "Var":
         """Record a parameter leaf; backprop reports its gradient under ``name``.
+        A float32 array stays float32, any other becomes float64.
 
         The array is not scanned here: parameters are checked where they
         get their values (``Model.init``, ``adam_step``,
         ``load_checkpoint``). A non-finite entry placed by hand raises at
         the first primitive whose output it reaches.
         """
-        return self._append(Node("param", (), np.asarray(value, dtype=np.float64),
-                                 name=name))
+        return self._append(Node("param", (), _floating(value), name=name))
 
     def record(self, kind: str, value: np.ndarray, inputs: tuple["Var", ...],
                backward: Callable) -> "Var":
         """Record one primitive application. ``value`` is its precomputed
         output; ``backward(grad)`` returns one gradient (or None) per input
-        for the gradient ``grad`` of the output."""
+        for the gradient ``grad`` of the output. A float32 value stays
+        float32, any other becomes float64."""
         for v in inputs:
             if v._tape is not self:
                 raise ValueError(f"input of {kind} lives on a different tape")
-        value = np.asarray(value, dtype=np.float64)
+        value = _floating(value)
         if not np.all(np.isfinite(value)):
             raise NonFiniteError(f"primitive {kind!r} produced non-finite values")
         return self._append(Node(kind, tuple(v._i for v in inputs), value, backward))
@@ -127,7 +139,7 @@ class RowGrad:
         """Dense rows ``start:stop`` of the gradient (all rows by default)."""
         stop = self.rows if stop is None else min(stop, self.rows)
         lo, hi = np.searchsorted(self.ids, (start, stop))
-        out = np.zeros((stop - start, self.values.shape[1]))
+        out = np.zeros((stop - start, self.values.shape[1]), dtype=self.values.dtype)
         out[self.ids[lo:hi] - start] = self.values[lo:hi]
         return out
 
@@ -443,7 +455,11 @@ def conv_pool(x: Var, w: Var, b: Var, starts: np.ndarray) -> Var:
     starts in one instance and ends in the next is never pooled. Ties
     take the lowest window; relu after the max equals the max after relu
     exactly. Only the argmax windows and the relu mask are kept for the
-    backward pass."""
+    backward pass.
+
+    The convolution and max-pool run in the dtype of x, w and b; the
+    pooled rows are float64, and the backward pass casts their gradient
+    back to w's dtype."""
     xv, wv, bv = x.value, w.value, b.value
     if xv.ndim != 2 or wv.ndim != 3 or bv.ndim != 1:
         raise ShapeError(
@@ -468,10 +484,11 @@ def conv_pool(x: Var, w: Var, b: Var, starts: np.ndarray) -> Var:
     live = peak > 0.0
 
     def backward(grad):
-        u, s = kernels.maxpool_backward(grad, idx, live)
+        u, s = kernels.maxpool_backward(grad.astype(wv.dtype, copy=False), idx, live)
         return kernels.conv1d_backward(np.ascontiguousarray(xv), np.ascontiguousarray(wv),
                                        u, s)
-    return x._tape.record("conv_pool", np.where(live, peak, 0.0), (x, w, b), backward)
+    pooled = np.where(live, peak, 0.0).astype(np.float64, copy=False)
+    return x._tape.record("conv_pool", pooled, (x, w, b), backward)
 
 
 def dropout(x: Var, rate: float, u: np.ndarray) -> Var:

@@ -14,6 +14,11 @@ payload region, plus a ``meta`` object (for a CLI run, what its data
 decide: k, labels, domains, vocabulary size and hash; and its best dev
 accuracy). Writing is canonical (sorted names, sorted JSON keys) so
 identical states serialize to identical bytes.
+
+Every parameter is stored and loaded as float64. A float32 encoder
+parameter survives the round trip exactly once ``encoder.to_param_dtype``
+casts it back; a checkpoint written while the encoder ran in float64
+loads rounded to float32.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from . import data as dio
 from . import probes as probes_mod
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, parse_kv_file, read_config
+from .encoder import to_param_dtype
 from .inference import STRATEGIES
 from .models import Model
 from .text import BYTE_VOCAB_SIZE, Vocab
@@ -146,7 +147,7 @@ def _load_run(run_dir: Path, data_path: str, split: str) -> tuple:
         dev, test = dio.split_dev_test(corpus)
         corpus = dev if split == "dev" else test
     insts = dio.prepare(corpus, vocab, cfg.mode, meta["labels"], meta["domains"])
-    return Model(model_cfg, params), insts, cfg, train_cfg.infer
+    return Model(model_cfg, to_param_dtype(params)), insts, cfg, train_cfg.infer
 
 
 def _write_accuracy_table(out_dir: Path, name: str, per_domain: dict[str, float],

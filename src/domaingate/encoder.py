@@ -13,10 +13,17 @@ concatenates the instances into ``TokenBatch.ids`` [N], with instance j
 at ``starts[j]:starts[j+1]``. ``encode`` then makes one embedding lookup
 per batch and one fused ``conv_pool`` per window size, which pools each
 instance over its own windows only, and returns rows [B, out_dim].
+
+Encoder parameters are ``PARAM_DTYPE`` (float32), and so are the gather,
+the convolution, the max-pool, their gradients and Adam moments;
+``conv_pool`` returns float64 rows to the heads. Cast to float64, the
+parameters run the same code in float64.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +33,15 @@ from . import autodiff as ad
 from .autodiff import ParamBinder, Var
 from .text import PAD_ID
 
-__all__ = ["EncoderConfig", "TokenBatch", "pack", "init_encoder_params", "encode"]
+__all__ = ["PARAM_DTYPE", "EncoderConfig", "TokenBatch", "pack", "init_encoder_params",
+           "to_param_dtype", "encode"]
+
+# Float32 halves the arithmetic and memory traffic of the encoder, which
+# sets the pace at the paper's dimensions; no caller needs float64.
+PARAM_DTYPE = np.float32
+
+# The names ``init_encoder_params`` gives under any prefix.
+_PARAM_NAME = re.compile(r"\.(emb|conv\d+\.[wb])$")
 
 
 @dataclass(frozen=True)
@@ -92,17 +107,27 @@ def pack(seqs, cfg: EncoderConfig) -> TokenBatch:
 
 def init_encoder_params(rng: np.random.Generator, vocab_size: int,
                         cfg: EncoderConfig, prefix: str) -> dict[str, np.ndarray]:
-    """Fresh encoder parameters under ``prefix``. Embeddings are uniform
-    in (-0.05, 0.05); convolution weights are He-scaled normals."""
-    params = {
-        f"{prefix}.emb": rng.uniform(-0.05, 0.05, size=(vocab_size, cfg.embed_dim)),
-    }
+    """Fresh encoder parameters under ``prefix``, drawn in ``PARAM_DTYPE``.
+    Embeddings are uniform in [-0.05, 0.05); convolution weights are
+    He-scaled normals."""
+    emb = rng.random((vocab_size, cfg.embed_dim), dtype=PARAM_DTYPE)
+    emb -= 0.5
+    emb *= 0.1
+    params = {f"{prefix}.emb": emb}
     for w in cfg.windows:
-        scale = np.sqrt(2.0 / (w * cfg.embed_dim))
-        params[f"{prefix}.conv{w}.w"] = rng.normal(
-            0.0, scale, size=(w, cfg.embed_dim, cfg.n_filters))
-        params[f"{prefix}.conv{w}.b"] = np.zeros(cfg.n_filters)
+        conv = rng.standard_normal((w, cfg.embed_dim, cfg.n_filters), dtype=PARAM_DTYPE)
+        conv *= math.sqrt(2.0 / (w * cfg.embed_dim))
+        params[f"{prefix}.conv{w}.w"] = conv
+        params[f"{prefix}.conv{w}.b"] = np.zeros(cfg.n_filters, dtype=PARAM_DTYPE)
     return params
+
+
+def to_param_dtype(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``params`` with every encoder parameter (any prefix) cast to
+    ``PARAM_DTYPE``, e.g. after ``load_checkpoint``'s float64; the other
+    parameters are passed on as they are."""
+    return {name: arr.astype(PARAM_DTYPE) if _PARAM_NAME.search(name) else arr
+            for name, arr in params.items()}
 
 
 def encode(binder: ParamBinder, prefix: str, batch: TokenBatch, cfg: EncoderConfig) -> Var:

@@ -23,7 +23,8 @@ indices of ``np.unique`` and U, never the vocabulary size, so the
 scatter's cost and output follow the text length.
 
 The kernels are plain numpy; ``perfbench/run.py`` times them per layer
-in its traced run. All arrays are C-contiguous float64.
+in its traced run. Arrays are C-contiguous, and every result has the
+floating dtype of its inputs (float32 for the encoder's parameters).
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def maxpool_backward(grad, idx, live):
     # For one filter the instances' rows differ, so no two entries of one
     # column of s collide.
     u, inverse = np.unique(idx[live], return_inverse=True)
-    s = np.zeros((u.size, grad.shape[1]))
+    s = np.zeros((u.size, grad.shape[1]), dtype=grad.dtype)
     s[inverse, np.nonzero(live)[1]] = grad[live]
     return u, s
 
@@ -92,6 +93,6 @@ def maxpool_backward(grad, idx, live):
 def embedding_backward(grad, ids, rows):
     # grad: [N, E] for row indices ids in [0, rows) -> [rows, E] scatter-add,
     # each row summed onto +0 in the order of ids.
-    dtable = np.zeros((rows, grad.shape[1]))
+    dtable = np.zeros((rows, grad.shape[1]), dtype=grad.dtype)
     np.add.at(dtable, ids, grad)
     return dtable

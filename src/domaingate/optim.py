@@ -22,7 +22,7 @@ class AdamState:
     """The learning rate plus first/second-moment accumulators.
 
     Accumulators are created on a parameter's first step and always
-    match the parameter's shape.
+    match the parameter's shape and dtype.
     """
 
     lr: float
@@ -85,8 +85,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | RowGr
                 f"gradient shape {g.shape} does not match parameter "
                 f"{name!r} shape {p.shape}")
         if name not in state.m:
-            state.m[name] = np.zeros(p.shape)
-            state.v[name] = np.zeros(p.shape)
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
         m, v = state.m[name], state.v[name]
         for rows in _row_blocks(p.shape):
             g_rows = (g.dense(rows.start, rows.stop) if isinstance(g, RowGrad)

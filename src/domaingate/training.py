@@ -82,10 +82,11 @@ def _lambda_at(cfg: TrainConfig, step: int, steps_per_epoch: int) -> float:
 
 
 def _global_norm(grads: dict) -> float:
-    """L2 norm over every gradient entry; a ``RowGrad`` counts its rows only."""
+    """L2 norm over every gradient entry; a ``RowGrad`` counts its rows only.
+    Squares are summed in float64 for every gradient dtype."""
     total = 0.0
     for g in grads.values():
-        x = (g.values if isinstance(g, RowGrad) else g).ravel()
+        x = (g.values if isinstance(g, RowGrad) else g).astype(np.float64, copy=False).ravel()
         total += float(np.dot(x, x))
     return math.sqrt(total)
 

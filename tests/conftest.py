@@ -27,3 +27,12 @@ class RecordingNoise:
         u = self.rng.random(shape)
         self.draws.append(u)
         return u
+
+
+def to_float64(params):
+    """Cast every array of a parameter store to float64 in place and return
+    the store, so that a model's (float32) encoder runs the same code in
+    float64, at the precision a finite-difference oracle needs."""
+    for name, arr in params.items():
+        params[name] = arr.astype(np.float64)
+    return params

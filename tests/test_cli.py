@@ -10,10 +10,12 @@ import json
 import shutil
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from domaingate import cli
 from domaingate import data as dio
+from domaingate.inference import predict_batch
 
 SPEC = """\
 # tiny generator spec
@@ -369,6 +371,38 @@ def tiny_run(tmp_path_factory):
     assert cli.main(["train", "--config", str(root / "run.cfg"),
                      "--out", str(root / "run")]) == 0
     return root / "run", str(root / "corpus" / "heldout.jsonl")
+
+
+def test_eval_predicts_bitwise_as_the_trained_model(tmp_path, monkeypatch):
+    # The checkpoint holds float64; eval casts the encoders back to
+    # float32, so it runs the path that training ran, bit for bit.
+    (tmp_path / "synth.cfg").write_text(TINY_SPEC)
+    corpus = tmp_path / "corpus"
+    assert cli.main(["gen-synth", "--spec", str(tmp_path / "synth.cfg"),
+                     "--out", str(corpus)]) == 0
+    (tmp_path / "run.cfg").write_text(tiny_run_config(corpus))
+    evaluated = []
+
+    def recording_evaluate(model, insts, infer_cfg):
+        evaluated.append((model, insts, infer_cfg))
+        return real_evaluate(model, insts, infer_cfg)
+    real_evaluate = cli.evaluate
+    monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", str(tmp_path / "run.cfg"), "--out", str(run)]) == 0
+    assert cli.main(["eval", "--run-dir", str(run), "--data", str(corpus / "heldout.jsonl"),
+                     "--out", str(tmp_path / "eval")]) == 0
+
+    (trained, insts, infer_cfg), (loaded, loaded_insts, _) = evaluated
+    assert [i.ids for i in loaded_insts] == [i.ids for i in insts]
+    for name, arr in loaded.params.items():
+        assert arr.dtype == trained.params[name].dtype, name
+        np.testing.assert_array_equal(arr, trained.params[name])
+    assert loaded.params["theta.ch0.emb"].dtype == np.float32
+    assert loaded.params["theta.ch0.conv3.w"].dtype == np.float32
+    want = predict_batch(trained, insts, infer_cfg)
+    for got, rec in zip(predict_batch(loaded, insts, infer_cfg), want, strict=True):
+        assert got.probs.tobytes() == rec.probs.tobytes()
 
 
 def test_eval_refuses_a_vocabulary_the_run_did_not_train_with(tmp_path, capsys, tiny_run):

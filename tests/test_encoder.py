@@ -10,6 +10,8 @@ from domaingate.autodiff import ParamBinder, RowGrad, Tape, backprop
 from domaingate.encoder import EncoderConfig, encode, init_encoder_params, pack
 from domaingate.text import BYTE_LEN, BYTE_VOCAB_SIZE, PAD_ID, tokenize
 
+from conftest import to_float64
+
 TOY = EncoderConfig(embed_dim=5, n_filters=4, windows=(2, 3))
 
 
@@ -131,6 +133,11 @@ BATCH = [[1, 5, 3, 2, 9, 9], [4], [7, 8, 6]]
 
 
 class TestGradients:
+    # The oracles run the encoder in float64, at today's tolerances.
+    @pytest.fixture
+    def params(self, params):
+        return to_float64(params)
+
     def _check_fd(self, params, name, grad, n=20, seed=2):
         probe = np.random.default_rng(1).normal(size=(len(BATCH), TOY.out_dim))
 

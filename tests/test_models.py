@@ -19,9 +19,10 @@ from domaingate.autodiff import NonFiniteError, RowGrad, Tape, backprop
 from domaingate.encoder import EncoderConfig
 from domaingate.inference import InferConfig, predict
 from domaingate.models import MODEL_KINDS, Model, ModelConfig, classify_batch, gate_channels
+from domaingate.optim import AdamState, adam_step
 from domaingate.training import TrainConfig
 
-from conftest import FixedNoise
+from conftest import FixedNoise, to_float64
 
 ENC = EncoderConfig(embed_dim=8, n_filters=4, windows=(2, 3))
 
@@ -371,6 +372,7 @@ class TestVariationalObjective:
     @pytest.mark.parametrize("kind", ["csda-beta", "csda-dirichlet", "dsda"])
     def test_full_gradient_matches_fd(self, kind):
         model = toy_model(kind, k=2)
+        to_float64(model.params)
         noise = FixedNoise([0.35, 0.65]) if kind.startswith("csda") else None
         lam = 0.4
 
@@ -418,6 +420,7 @@ class TestMiniBatch:
         # One tape for B instances equals B one-instance tapes under the
         # same generators, for the loss, the KL and every gradient.
         model = toy_model(kind, k=1 if kind == "scnn" else 2, dropout=0.5)
+        to_float64(model.params)
 
         def run(idx):
             return model.loss([self.SEQS[i] for i in idx], [self.Y[i] for i in idx],
@@ -473,6 +476,70 @@ class TestNonFiniteParameters:
         want = clean.loss([other], [0], [1], rng=np.random.default_rng(0), **WEIGHTS).loss.item()
         got = model.loss([other], [0], [1], rng=np.random.default_rng(0), **WEIGHTS).loss.item()
         assert got == want
+
+
+def encoder_names(model):
+    """The names ``init_encoder_params`` gives each encoder of ``model``."""
+    cfg = model.config
+    prefixes = [f"theta.ch{i}" for i in range(cfg.k)]
+    prefixes += ["phi.enc"] * cfg.is_latent + ["sigma.enc"] * cfg.is_variational
+    return {f"{p}.{leaf}" for p in prefixes
+            for leaf in ["emb"] + [f"conv{w}.{x}" for w in ENC.windows for x in "wb"]}
+
+
+class TestEncoderDtype:
+    @pytest.mark.parametrize("kind", ["csda-dirichlet", "dsda"])
+    def test_encoder_path_is_float32_and_the_rest_float64(self, kind):
+        # Parameters, gradients and Adam moments of the encoders are
+        # float32, everything else float64: a silent upcast (e.g. from a
+        # numpy float64 scalar) or downcast anywhere on the path fails.
+        model = toy_model(kind)
+        encoder = encoder_names(model)
+        res = model.loss(TestMiniBatch.SEQS, TestMiniBatch.Y, TestMiniBatch.D, lam=0.3,
+                         rng=np.random.default_rng(0))
+        grads = backprop(res.loss)
+        opt = AdamState(lr=1e-3)
+        adam_step(model.params, grads, opt)
+        assert encoder < model.params.keys() == grads.keys()
+        for name, p in model.params.items():
+            want = np.float32 if name in encoder else np.float64
+            g = grads[name]
+            assert p.dtype == dense(g).dtype == want, name
+            assert not isinstance(g, RowGrad) or g.values.dtype == want, name
+            assert opt.m[name].dtype == opt.v[name].dtype == want, name
+        nodes = res.tape.nodes
+        tables = {nodes[n.inputs[0]].name: n.value.dtype
+                  for n in nodes if n.kind == "embedding"}
+        embs = {n for n in encoder if n.endswith(".emb")}
+        assert embs <= tables.keys()
+        for name, dtype in tables.items():
+            assert dtype == (np.float32 if name in embs else np.float64), name
+        pooled = [n.value.dtype for n in nodes if n.kind == "conv_pool"]
+        assert len(pooled) == len(embs) * len(ENC.windows)
+        assert set(pooled) == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_float32_agrees_with_the_model_cast_to_float64(self, kind):
+        # float32 rounds at 6e-8 relative. At these sizes the loss agrees
+        # to about 1e-10 relative and each gradient to about 2e-7 of its
+        # largest entry, so the tolerances, 1e-8 and 1e-5, leave a margin
+        # of 50 or more.
+        model = toy_model(kind, k=1 if kind == "scnn" else 2, dropout=0.5)
+        wide = Model(model.config, to_float64(dict(model.params)))
+
+        def run(m):
+            res = m.loss(TestMiniBatch.SEQS, TestMiniBatch.Y, TestMiniBatch.D, lam=0.3,
+                         rng=np.random.default_rng(1), dropout_rng=np.random.default_rng(2))
+            return res.loss.item(), backprop(res.loss)
+
+        loss32, grads32 = run(model)
+        loss64, grads64 = run(wide)
+        assert loss32 == pytest.approx(loss64, rel=1e-8)
+        assert grads32.keys() == grads64.keys()
+        for name, g in grads64.items():
+            g = dense(g)
+            np.testing.assert_allclose(dense(grads32[name]), g, rtol=0,
+                                       atol=1e-5 * np.abs(g).max(), err_msg=name)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

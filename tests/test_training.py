@@ -17,7 +17,7 @@ from domaingate.encoder import EncoderConfig
 from domaingate.inference import InferConfig, PredictionRecord
 from domaingate.training import EvalResult
 from domaingate.models import Model, ModelConfig
-from conftest import FixedNoise, RecordingNoise
+from conftest import FixedNoise, RecordingNoise, to_float64
 from test_optim import dense_adam_step
 
 
@@ -36,6 +36,19 @@ def test_evaluate_names_instance_with_non_finite_probs(monkeypatch):
     monkeypatch.setattr(training, "predict_batch", stub_predict_batch)
     with pytest.raises(FloatingPointError, match="doc1"):
         training.evaluate(None, insts, InferConfig())
+
+
+def test_grad_norm_sums_float32_gradients_in_float64():
+    # Float32 encoder gradients of a paper-size table and a convolution:
+    # summed in float32, the squares would lose digits across their
+    # 1.3 million entries.
+    rng = np.random.default_rng(0)
+    rows = rng.normal(size=(4000, 300)).astype(np.float32)
+    grads = {"emb": RowGrad(np.arange(0, 20000, 5), rows, 20000),
+             "conv": rng.normal(size=(3, 300, 128)).astype(np.float32)}
+    want = np.sqrt(sum(np.sum(np.square(x, dtype=np.float64))
+                       for x in (grads["emb"].values, grads["conv"])))
+    assert training._global_norm(grads) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("kwargs", [{"lam_schedule": "cosine"}, {"anneal_steps": 0},
@@ -121,6 +134,7 @@ def test_row_gradients_train_like_dense_gradients(monkeypatch):
                       vocab_size=30, k=2, encoder=EncoderConfig(6, 3, (2, 3)),
                       mlp_hidden=5, dropout=0.5)
     model = Model.init(cfg, np.random.default_rng(0))
+    to_float64(model.params)
     rng = np.random.default_rng(1)
     insts = [Instance(f"doc{i}", tuple(int(t) for t in rng.integers(1, 30, 4 + i)),
                       i % 2, i % 2, f"l{i % 2}", f"d{i % 2}") for i in range(7)]
