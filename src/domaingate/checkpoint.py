@@ -1,29 +1,28 @@
 """Parameter checkpoint container.
 
-Layout (version 1):
+Layout (version 2):
 
     bytes 0-5   magic ``DGCKPT``
-    byte  6     format version (currently 1)
+    byte  6     format version (currently 2)
     byte  7     reserved, zero
     bytes 8-11  uint32 little-endian header length H
     bytes 12-(12+H)  UTF-8 JSON header
-    remainder   concatenated little-endian float64 payloads, C order
+    remainder   concatenated little-endian payloads, C order
 
-The header maps each parameter name to its shape and byte offset into the
-payload region, plus a ``meta`` object (for a CLI run, what its data
-decide: k, labels, domains, vocabulary size and hash; and its best dev
-accuracy). Writing is canonical (sorted names, sorted JSON keys) so
-identical states serialize to identical bytes.
-
-Every parameter is stored and loaded as float64. A float32 encoder
-parameter survives the round trip exactly once ``encoder.to_param_dtype``
-casts it back; a checkpoint written while the encoder ran in float64
-loads rounded to float32.
+The header maps each parameter name to its ``dtype`` (``"<f4"`` or
+``"<f8"``), shape and byte offset into the payload region, plus a
+``meta`` object (for a CLI run, what its data decide: k, labels, domains
+and, in word mode, the vocabulary's tokens in id order). A float32
+parameter is stored and loaded as float32, any other as float64, so a
+model round-trips bit for bit in its own dtypes. Writing is canonical
+(sorted names, sorted JSON keys) so identical states serialize to
+identical bytes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -32,7 +31,8 @@ import numpy as np
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError"]
 
 _MAGIC = b"DGCKPT"
-_VERSION = 1
+_VERSION = 2
+_DTYPES = {"<f4": np.float32, "<f8": np.float64}
 
 
 class CheckpointError(ValueError):
@@ -40,12 +40,13 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict) -> None:
-    entries = {}
+    entries, arrays = {}, []
     offset = 0
-    names = sorted(params)
-    for name in names:
-        arr = np.asarray(params[name], dtype=np.float64, order="C")
-        entries[name] = {"shape": list(arr.shape), "offset": offset}
+    for name in sorted(params):
+        arr = np.asarray(params[name])
+        arr = arr.astype("<f4" if arr.dtype == np.float32 else "<f8", copy=False)
+        entries[name] = {"dtype": arr.dtype.str, "shape": list(arr.shape), "offset": offset}
+        arrays.append(arr)
         offset += arr.nbytes
     header = json.dumps({"params": entries, "meta": meta},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -54,9 +55,8 @@ def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict) -> None:
         fh.write(bytes([_VERSION, 0]))
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for name in names:
-            arr = np.asarray(params[name], dtype=np.float64, order="C")
-            fh.write(arr.astype("<f8", copy=False).tobytes())
+        for arr in arrays:
+            fh.write(arr.tobytes())
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -81,17 +81,19 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     payload = raw[12 + header_len:]
     params = {}
     for name, entry in header["params"].items():
-        shape = entry.get("shape") if isinstance(entry, dict) else None
-        start = entry.get("offset") if isinstance(entry, dict) else None
+        entry = entry if isinstance(entry, dict) else {}
+        shape, start, dtype = entry.get("shape"), entry.get("offset"), entry.get("dtype")
         if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
             raise CheckpointError(f"{path}: parameter {name!r} has bad shape {shape!r}")
         if not (type(start) is int and start >= 0):
             raise CheckpointError(f"{path}: parameter {name!r} has bad offset {start!r}")
-        count = int(np.prod(shape)) if shape else 1
-        if start + 8 * count > len(payload):
+        if not (isinstance(dtype, str) and dtype in _DTYPES):
+            raise CheckpointError(f"{path}: parameter {name!r} has bad dtype {dtype!r}")
+        count = math.prod(shape)
+        if start + np.dtype(dtype).itemsize * count > len(payload):
             raise CheckpointError(f"{path}: truncated payload at {name!r}")
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
+        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=start)
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: parameter {name!r} has non-finite values")
-        params[name] = arr.astype(np.float64).reshape(shape).copy()
+        params[name] = arr.astype(_DTYPES[dtype]).reshape(shape)
     return params, header["meta"]

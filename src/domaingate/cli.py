@@ -5,7 +5,10 @@ config values), probe, export, gen-synth, summarize. Each command writes
 its artifacts under an output directory together with a manifest
 (resolved config + seeds + code version) sufficient to reproduce the
 run; the exit status is zero iff all requested artifacts were written.
-A run holds its test split's ``results.tsv``, as ``eval`` writes it, for
+A trained run is its ``checkpoint.bin`` (parameters, and what the data
+decide, the vocabulary included) and ``manifest.json`` (its config);
+``eval``, ``probe`` and ``export`` read only these two. A run also holds
+its test split's ``results.tsv``, as ``eval`` writes it, for
 ``summarize``. A run checks its config against its data before it writes
 anything, and a grid checks every cell before the first one trains.
 Failures are emitted as one JSON object per error on stderr.
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import itertools
 import json
 import sys
@@ -29,10 +31,9 @@ from . import data as dio
 from . import probes as probes_mod
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, parse_kv_file, read_config
-from .encoder import to_param_dtype
 from .inference import STRATEGIES
 from .models import Model
-from .text import BYTE_VOCAB_SIZE, Vocab
+from .text import Vocab
 from .training import evaluate, train
 
 
@@ -40,10 +41,6 @@ def _write_manifest(path, command: str, config: dict, extra: dict) -> None:
     manifest = {"command": command, "config": config, "version": __version__, **extra}
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _check_run(cfg: RunConfig, load=dio.load_corpus) -> tuple:
@@ -87,7 +84,7 @@ def _check_run(cfg: RunConfig, load=dio.load_corpus) -> tuple:
                                f"training domains ({len(domains)}), got k={k}")
     vocab = None if cfg.mode == "byte" else Vocab.build(d.text for d in train_corpus.docs)
     meta = {"k": k, "labels": labels, "domains": domains,
-            "vocab_size": BYTE_VOCAB_SIZE if vocab is None else len(vocab)}
+            "vocab": None if vocab is None else vocab.tokens}
     return (*cfg.library_configs(meta), meta, vocab, (train_corpus, dev, test))
 
 
@@ -95,11 +92,7 @@ def _train_one(cfg: RunConfig, checked: tuple, out_dir: Path) -> tuple[float, fl
     """Train, checkpoint and test in ``out_dir`` the run that ``_check_run``
     checked; returns its best dev accuracy and its test accuracy."""
     train_cfg, model_cfg, meta, vocab, corpora = checked
-    meta = dict(meta, vocab_hash="byte-fixed")
     out_dir.mkdir(parents=True, exist_ok=True)
-    if vocab is not None:
-        vocab.save(out_dir / "vocab.txt")
-        meta["vocab_hash"] = _sha256(out_dir / "vocab.txt")
     model = Model.init(model_cfg, np.random.default_rng(
         np.random.SeedSequence((cfg.seed, 1))))
     train_insts, dev_insts, test_insts = (
@@ -111,7 +104,6 @@ def _train_one(cfg: RunConfig, checked: tuple, out_dir: Path) -> tuple[float, fl
         for entry in result.log:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
-    meta["best_dev_accuracy"] = result.best_dev_accuracy
     save_checkpoint(out_dir / "checkpoint.bin", result.model.params, meta)
 
     test_eval = evaluate(result.model, test_insts, train_cfg.infer)
@@ -124,10 +116,11 @@ def _train_one(cfg: RunConfig, checked: tuple, out_dir: Path) -> tuple[float, fl
 
 
 def _load_run(run_dir: Path, data_path: str, split: str) -> tuple:
-    """A trained run's model, config and inference config, and the ``split``
-    of a corpus prepared as the run prepared its own. A manifest key that
-    is no run key, or a ``vocab.txt`` that is not the one the run trained
-    with, raises ``ConfigError`` naming it."""
+    """A trained run's model, in the dtypes it trained in, config and
+    inference config, and the ``split`` of a corpus prepared as the run
+    prepared its own. A manifest key that is no run key raises
+    ``ConfigError`` naming it; so does a checkpoint ``vocab`` that is no
+    vocabulary, in word mode."""
     params, meta = load_checkpoint(run_dir / "checkpoint.bin")
     manifest = run_dir / "manifest.json"
     config = json.loads(manifest.read_text(encoding="utf-8"))["config"]
@@ -135,19 +128,19 @@ def _load_run(run_dir: Path, data_path: str, split: str) -> tuple:
     if unknown:
         raise ConfigError(unknown[0], f"unknown key in {manifest}")
     cfg = RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in config.items()})
-    train_cfg, model_cfg = cfg.library_configs(meta)
-    vocab, vocab_path = None, run_dir / "vocab.txt"
+    vocab = None
     if cfg.mode == "word":
-        if _sha256(vocab_path) != meta["vocab_hash"]:
-            raise ConfigError("vocab.txt", f"{vocab_path} differs from the vocabulary "
-                                           f"the run trained with")
-        vocab = Vocab.load(vocab_path)
+        try:
+            vocab = Vocab(meta.get("vocab"))
+        except ValueError as exc:
+            raise ConfigError("vocab", f"checkpoint meta: {exc}") from None
+    train_cfg, model_cfg = cfg.library_configs(meta)
     corpus = dio.load_corpus(data_path)
     if split != "all":
         dev, test = dio.split_dev_test(corpus)
         corpus = dev if split == "dev" else test
     insts = dio.prepare(corpus, vocab, cfg.mode, meta["labels"], meta["domains"])
-    return Model(model_cfg, to_param_dtype(params)), insts, cfg, train_cfg.infer
+    return Model(model_cfg, params), insts, cfg, train_cfg.infer
 
 
 def _write_accuracy_table(out_dir: Path, name: str, per_domain: dict[str, float],

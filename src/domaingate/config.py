@@ -19,6 +19,7 @@ from . import ConfigError
 from .encoder import EncoderConfig
 from .inference import InferConfig
 from .models import ModelConfig
+from .text import BYTE_VOCAB_SIZE
 from .training import TrainConfig
 
 __all__ = ["ConfigError", "parse_kv_file", "read_config", "RunConfig"]
@@ -130,20 +131,21 @@ class RunConfig:
             raise ConfigError("k", "must be >= 1, or 0 for auto")
         # Run every check that needs no data, on the smallest data.
         self.library_configs({"k": self.k or 1, "labels": (0, 1), "domains": (),
-                              "vocab_size": 1})
+                              "vocab": ()})
 
     def library_configs(self, meta: dict) -> tuple[TrainConfig, ModelConfig]:
         """This run's training and model configs on the data that a
         checkpoint ``meta`` describes (its ``k``, ``labels``, ``domains``
-        and ``vocab_size``). An out-of-range value raises ``ConfigError``
-        naming its run key."""
+        and, in word mode, ``vocab`` tokens). An out-of-range value raises
+        ``ConfigError`` naming its run key."""
         try:
             infer_cfg = InferConfig(self.infer_strategy, self.infer_m, self.seed)
             train_cfg = TrainConfig(infer=infer_cfg, **{
                 f.name: getattr(self, f.name) for f in fields(TrainConfig) if f.name != "infer"})
             model_cfg = ModelConfig(
                 kind=self.model, n_labels=len(meta["labels"]),
-                n_domains=max(len(meta["domains"]), 1), vocab_size=meta["vocab_size"],
+                n_domains=max(len(meta["domains"]), 1),
+                vocab_size=BYTE_VOCAB_SIZE if self.mode == "byte" else len(meta["vocab"]),
                 k=meta["k"], encoder=EncoderConfig(self.embed_dim, self.n_filters, self.windows),
                 mlp_hidden=self.mlp_hidden, dropout=self.dropout)
         except ConfigError as exc:

@@ -23,7 +23,6 @@ parameters run the same code in float64.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,15 +32,11 @@ from . import autodiff as ad
 from .autodiff import ParamBinder, Var
 from .text import PAD_ID
 
-__all__ = ["PARAM_DTYPE", "EncoderConfig", "TokenBatch", "pack", "init_encoder_params",
-           "to_param_dtype", "encode"]
+__all__ = ["PARAM_DTYPE", "EncoderConfig", "TokenBatch", "pack", "init_encoder_params", "encode"]
 
 # Float32 halves the arithmetic and memory traffic of the encoder, which
 # sets the pace at the paper's dimensions; no caller needs float64.
 PARAM_DTYPE = np.float32
-
-# The names ``init_encoder_params`` gives under any prefix.
-_PARAM_NAME = re.compile(r"\.(emb|conv\d+\.[wb])$")
 
 
 @dataclass(frozen=True)
@@ -120,14 +115,6 @@ def init_encoder_params(rng: np.random.Generator, vocab_size: int,
         params[f"{prefix}.conv{w}.w"] = conv
         params[f"{prefix}.conv{w}.b"] = np.zeros(cfg.n_filters, dtype=PARAM_DTYPE)
     return params
-
-
-def to_param_dtype(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """``params`` with every encoder parameter (any prefix) cast to
-    ``PARAM_DTYPE``, e.g. after ``load_checkpoint``'s float64; the other
-    parameters are passed on as they are."""
-    return {name: arr.astype(PARAM_DTYPE) if _PARAM_NAME.search(name) else arr
-            for name, arr in params.items()}
 
 
 def encode(binder: ParamBinder, prefix: str, batch: TokenBatch, cfg: EncoderConfig) -> Var:

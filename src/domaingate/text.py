@@ -6,14 +6,13 @@ UTF-8 bytes shifted past the reserved ids and truncates to 1000. Neither
 mode pads: ``encoder.pack`` left-pads a sequence shorter than the widest
 window, and only there.
 
-Vocabulary file format: one token per line, the line number (0-based) is
-the id. Line 0 must be the PAD token and line 1 the OOV token.
+A vocabulary is its list of tokens: the position is the id, and the PAD
+and OOV tokens come first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 __all__ = [
     "PAD_ID", "OOV_ID", "PAD_TOKEN", "OOV_TOKEN",
@@ -38,6 +37,8 @@ class Vocab:
     index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not (isinstance(self.tokens, list) and all(isinstance(t, str) for t in self.tokens)):
+            raise ValueError("vocab must be a list of strings")
         if self.tokens[:2] != [PAD_TOKEN, OOV_TOKEN]:
             raise ValueError(
                 f"vocab must start with {PAD_TOKEN!r}, {OOV_TOKEN!r}")
@@ -54,14 +55,6 @@ class Vocab:
         ones; a reserved word in the text keeps its reserved id."""
         words = {tok for text in texts for tok in text.lower().split()}
         return cls([PAD_TOKEN, OOV_TOKEN] + sorted(words - {PAD_TOKEN, OOV_TOKEN}))
-
-    def save(self, path) -> None:
-        Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "Vocab":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(lines)
 
 
 def tokenize(text: str, mode: str, vocab: Vocab | None = None) -> list[int]:

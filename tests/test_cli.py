@@ -4,7 +4,7 @@ grid cells train exactly as ``train`` does; grid cells in product order;
 and a non-zero exit with a JSON error naming the field, having written
 nothing, on a bad spec, run config, grid flag, command-line count, a
 run config that does not fit its data, a removed key, or a trained run
-whose manifest or vocabulary was edited."""
+whose manifest or checkpoint vocabulary was edited."""
 
 import json
 import shutil
@@ -15,6 +15,7 @@ import pytest
 
 from domaingate import cli
 from domaingate import data as dio
+from domaingate.checkpoint import load_checkpoint, save_checkpoint
 from domaingate.inference import predict_batch
 
 SPEC = """\
@@ -104,9 +105,10 @@ def test_tiny_run_through_every_command(tmp_path, capsys):
 
     run = tmp_path / "run"
     assert cli.main(["train", "--config", str(cfg), "--out", str(run)]) == 0
-    for name in ("checkpoint.bin", "train_log.jsonl", "manifest.json", "vocab.txt",
+    for name in ("checkpoint.bin", "train_log.jsonl", "manifest.json",
                  "results.tsv", "results.txt"):
         assert (run / name).is_file(), name
+    assert not (run / "vocab.txt").exists()
     log = [json.loads(line) for line in (run / "train_log.jsonl").read_text().splitlines()]
     assert len(log) == 6 and all(e["degenerate"] == 0 for e in log)
 
@@ -374,8 +376,8 @@ def tiny_run(tmp_path_factory):
 
 
 def test_eval_predicts_bitwise_as_the_trained_model(tmp_path, monkeypatch):
-    # The checkpoint holds float64; eval casts the encoders back to
-    # float32, so it runs the path that training ran, bit for bit.
+    # The checkpoint keeps each parameter's dtype, so eval runs the
+    # float32 encoders that training ran, bit for bit.
     (tmp_path / "synth.cfg").write_text(TINY_SPEC)
     corpus = tmp_path / "corpus"
     assert cli.main(["gen-synth", "--spec", str(tmp_path / "synth.cfg"),
@@ -405,16 +407,24 @@ def test_eval_predicts_bitwise_as_the_trained_model(tmp_path, monkeypatch):
         assert got.probs.tobytes() == rec.probs.tobytes()
 
 
-def test_eval_refuses_a_vocabulary_the_run_did_not_train_with(tmp_path, capsys, tiny_run):
+@pytest.mark.parametrize("edit", [
+    lambda tokens: None,
+    lambda tokens: "<pad> <oov> a",
+    lambda tokens: tokens[:2] + [7] + tokens[3:],
+    lambda tokens: tokens[1:],
+    lambda tokens: [tokens[1], tokens[0]] + tokens[2:],
+    lambda tokens: tokens + [tokens[2]],
+], ids=["null", "string", "not-a-string", "no-pad", "swapped", "repeated"])
+def test_eval_refuses_a_checkpoint_vocab_that_is_no_vocabulary(tmp_path, capsys, tiny_run,
+                                                                edit):
     run, heldout = tiny_run
     edited = tmp_path / "run"
     shutil.copytree(run, edited)
-    tokens = (edited / "vocab.txt").read_text().splitlines()
-    tokens[2], tokens[3] = tokens[3], tokens[2]  # two words trade ids
-    (edited / "vocab.txt").write_text("\n".join(tokens) + "\n")
+    params, meta = load_checkpoint(edited / "checkpoint.bin")
+    save_checkpoint(edited / "checkpoint.bin", params, dict(meta, vocab=edit(meta["vocab"])))
     error = error_of(["eval", "--run-dir", str(edited), "--data", heldout,
                       "--out", str(tmp_path / "o")], capsys)
-    assert error["field"] == "vocab.txt"
+    assert error["field"] == "vocab"
     assert not (tmp_path / "o").exists()
 
 

@@ -12,10 +12,12 @@ from domaingate.data import SynthSpec
 from domaingate.encoder import EncoderConfig
 from domaingate.inference import InferConfig
 from domaingate.models import ModelConfig
+from domaingate.text import BYTE_VOCAB_SIZE
 from domaingate.training import TrainConfig
 
 MODEL = {"kind": "mcnn", "n_labels": 2, "n_domains": 1, "vocab_size": 10, "k": 2}
-META = {"k": 2, "labels": ["neg", "pos"], "domains": ["a", "b"], "vocab_size": 9}
+META = {"k": 2, "labels": ["neg", "pos"], "domains": ["a", "b"],
+        "vocab": ["<pad>", "<oov>", *"abcdefg"]}
 
 
 @pytest.mark.parametrize("cls, kwargs, field", [
@@ -125,6 +127,11 @@ class TestRunConfig:
         assert train_cfg == TrainConfig()
         assert model_cfg == ModelConfig(kind="csda-dirichlet", n_labels=2, n_domains=2,
                                         vocab_size=9, k=2)
+
+    def test_vocab_size_follows_the_vocabulary(self):
+        _, word_cfg = RunConfig().library_configs(META)
+        _, byte_cfg = RunConfig(mode="byte").library_configs(dict(META, vocab=None))
+        assert (word_cfg.vocab_size, byte_cfg.vocab_size) == (9, BYTE_VOCAB_SIZE)
 
     def test_inference_override_names_its_own_field(self):
         # ``eval --strategy/--m`` replace fields of the run's InferConfig.

@@ -53,28 +53,23 @@ class TestVocab:
     def test_ids_dense(self, vocab):
         assert sorted(vocab.index.values()) == list(range(len(vocab)))
 
-    def test_save_load_round_trip(self, vocab, tmp_path):
-        path = tmp_path / "vocab.txt"
-        vocab.save(path)
-        loaded = Vocab.load(path)
-        assert loaded.tokens == vocab.tokens
-        assert loaded.index == vocab.index
-
-    def test_file_format_line_number_is_id(self, vocab, tmp_path):
-        path = tmp_path / "vocab.txt"
-        vocab.save(path)
-        lines = path.read_text().splitlines()
-        for tok, idx in vocab.index.items():
-            assert lines[idx] == tok
-
     @pytest.mark.parametrize("word, reserved", [("<pad>", PAD_ID), ("<OOV>", OOV_ID)])
-    def test_reserved_words_keep_their_ids(self, word, reserved, tmp_path):
+    def test_reserved_words_keep_their_ids(self, word, reserved):
         # A reserved word taken from the text would be listed twice.
         v = Vocab.build([f"hello {word} world", word])
         assert v.tokens == ["<pad>", "<oov>", "hello", "world"]
         assert tokenize(f"Hello {word}", "word", v) == [v.index["hello"], reserved]
-        v.save(tmp_path / "vocab.txt")
-        assert Vocab.load(tmp_path / "vocab.txt").tokens == v.tokens
+
+    @pytest.mark.parametrize("tokens, message", [
+        (None, "list of strings"),
+        (("<pad>", "<oov>"), "list of strings"),
+        (["<pad>", "<oov>", 3], "list of strings"),
+        (["<oov>", "<pad>", "a"], "must start with"),
+        (["<pad>", "<oov>", "a", "a"], "duplicate"),
+    ])
+    def test_malformed_tokens_rejected(self, tokens, message):
+        with pytest.raises(ValueError, match=message):
+            Vocab(tokens)
 
     def test_invalid_mode_rejected(self, vocab):
         with pytest.raises(ValueError):
