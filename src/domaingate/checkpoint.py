@@ -11,12 +11,13 @@ Layout (version 2):
 
 The header maps each parameter name to its ``dtype`` (``"<f4"`` or
 ``"<f8"``), shape and byte offset into the payload region, plus a
-``meta`` object (for a CLI run, what its data decide: k, labels, domains
-and, in word mode, the vocabulary's tokens in id order). A float32
-parameter is stored and loaded as float32, any other as float64, so a
-model round-trips bit for bit in its own dtypes. Writing is canonical
-(sorted names, sorted JSON keys) so identical states serialize to
-identical bytes.
+``meta`` object (for a CLI run, all else that describes it: its resolved
+run ``config`` and what its data decide, k, labels, domains and, in word
+mode, the vocabulary's tokens in id order). A float32 parameter is
+stored and loaded as float32, any other as float64, so a model
+round-trips bit for bit in its own dtypes. Writing is canonical (sorted
+names, sorted JSON keys) so identical states serialize to identical
+bytes.
 """
 
 from __future__ import annotations

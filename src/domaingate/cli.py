@@ -5,12 +5,13 @@ config values), probe, export, gen-synth, summarize. Each command writes
 its artifacts under an output directory together with a manifest
 (resolved config + seeds + code version) sufficient to reproduce the
 run; the exit status is zero iff all requested artifacts were written.
-A trained run is its ``checkpoint.bin`` (parameters, and what the data
-decide, the vocabulary included) and ``manifest.json`` (its config);
-``eval``, ``probe`` and ``export`` read only these two. A run also holds
-its test split's ``results.tsv``, as ``eval`` writes it, for
-``summarize``. A run checks its config against its data before it writes
-anything, and a grid checks every cell before the first one trains.
+A trained run is its ``checkpoint.bin``: parameters, the resolved run
+config and what the data decide, the vocabulary included. ``eval``,
+``probe`` and ``export`` read only this file; a run's ``manifest.json``
+is a record that nothing reads back. A run also holds its test split's
+``results.tsv``, as ``eval`` writes it, for ``summarize``. A run checks
+its config against its data before it writes anything, and a grid
+checks every cell before the first one trains.
 Failures are emitted as one JSON object per error on stderr.
 """
 
@@ -21,7 +22,7 @@ import functools
 import itertools
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +105,8 @@ def _train_one(cfg: RunConfig, checked: tuple, out_dir: Path) -> tuple[float, fl
         for entry in result.log:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
-    save_checkpoint(out_dir / "checkpoint.bin", result.model.params, meta)
+    save_checkpoint(out_dir / "checkpoint.bin", result.model.params,
+                    {**meta, "config": asdict(cfg)})
 
     test_eval = evaluate(result.model, test_insts, train_cfg.infer)
     _write_accuracy_table(out_dir, cfg.model, test_eval.per_domain, test_eval.accuracy)
@@ -116,18 +118,29 @@ def _train_one(cfg: RunConfig, checked: tuple, out_dir: Path) -> tuple[float, fl
 
 
 def _load_run(run_dir: Path, data_path: str, split: str) -> tuple:
-    """A trained run's model, in the dtypes it trained in, config and
-    inference config, and the ``split`` of a corpus prepared as the run
-    prepared its own. A manifest key that is no run key raises
-    ``ConfigError`` naming it; so does a checkpoint ``vocab`` that is no
-    vocabulary, in word mode."""
+    """A trained run's model, in the dtypes it trained in, run config and
+    inference config, all read from its checkpoint, and the ``split`` of
+    a corpus prepared as the run prepared its own. Meta that a run does
+    not write (``k`` no int >= 1, ``labels`` or ``domains`` no distinct
+    strings, ``config`` no object of run keys and values, ``vocab`` no
+    vocabulary in word mode) raises ``ConfigError`` naming its key, and a
+    store that is not the config's layout names the parameter."""
     params, meta = load_checkpoint(run_dir / "checkpoint.bin")
-    manifest = run_dir / "manifest.json"
-    config = json.loads(manifest.read_text(encoding="utf-8"))["config"]
-    unknown = sorted(config.keys() - {f.name for f in fields(RunConfig)})
-    if unknown:
-        raise ConfigError(unknown[0], f"unknown key in {manifest}")
-    cfg = RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in config.items()})
+    k, config = meta.get("k"), meta.get("config")
+    if type(k) is not int or k < 1:
+        raise ConfigError("k", f"checkpoint meta: must be an int >= 1, got {k!r}")
+    for key in ("labels", "domains"):
+        names = meta.get(key)
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+                and len(set(names)) == len(names)):
+            raise ConfigError(key, f"checkpoint meta: must be distinct strings, got {names!r}")
+    if not isinstance(config, dict):
+        raise ConfigError("config", "checkpoint meta: must be the run config object")
+    try:  # the one config reader types each value, spelled as in a config file
+        cfg = read_config(RunConfig, {key: ",".join(map(str, v)) if isinstance(v, list)
+                                      else str(v) for key, v in config.items()})
+    except ConfigError as exc:
+        raise ConfigError(exc.field, f"checkpoint config: {exc.detail}") from None
     vocab = None
     if cfg.mode == "word":
         try:
@@ -135,12 +148,13 @@ def _load_run(run_dir: Path, data_path: str, split: str) -> tuple:
         except ValueError as exc:
             raise ConfigError("vocab", f"checkpoint meta: {exc}") from None
     train_cfg, model_cfg = cfg.library_configs(meta)
+    model = Model(model_cfg, params)
     corpus = dio.load_corpus(data_path)
     if split != "all":
         dev, test = dio.split_dev_test(corpus)
         corpus = dev if split == "dev" else test
     insts = dio.prepare(corpus, vocab, cfg.mode, meta["labels"], meta["domains"])
-    return Model(model_cfg, params), insts, cfg, train_cfg.infer
+    return model, insts, cfg, train_cfg.infer
 
 
 def _write_accuracy_table(out_dir: Path, name: str, per_domain: dict[str, float],

@@ -83,7 +83,7 @@ _RUN_KEYS = {"kind": "model", "strategy": "infer_strategy", "m": "infer_m"}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a training run needs, resolvable to a manifest.
+    """Everything a training run needs, held in its checkpoint's meta.
 
     - ``model``: a ``ModelConfig.kind``; ``k``: channels, 0 (auto) for
       the number of training domains (1 for scnn).

@@ -16,13 +16,13 @@ instance over its own windows only, and returns rows [B, out_dim].
 
 Encoder parameters are ``PARAM_DTYPE`` (float32), and so are the gather,
 the convolution, the max-pool, their gradients and Adam moments;
-``conv_pool`` returns float64 rows to the heads. Cast to float64, the
-parameters run the same code in float64.
+``conv_pool`` returns float64 rows to the heads. ``Model(...)`` refuses
+float64 encoder parameters, but a built model's store cast to float64 in
+place runs the same code in float64.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +32,7 @@ from . import autodiff as ad
 from .autodiff import ParamBinder, Var
 from .text import PAD_ID
 
-__all__ = ["PARAM_DTYPE", "EncoderConfig", "TokenBatch", "pack", "init_encoder_params", "encode"]
+__all__ = ["PARAM_DTYPE", "EncoderConfig", "TokenBatch", "pack", "layout", "encode"]
 
 # Float32 halves the arithmetic and memory traffic of the encoder, which
 # sets the pace at the paper's dimensions; no caller needs float64.
@@ -100,20 +100,16 @@ def pack(seqs, cfg: EncoderConfig) -> TokenBatch:
     return TokenBatch(np.concatenate(parts), starts)
 
 
-def init_encoder_params(rng: np.random.Generator, vocab_size: int,
-                        cfg: EncoderConfig, prefix: str) -> dict[str, np.ndarray]:
-    """Fresh encoder parameters under ``prefix``, drawn in ``PARAM_DTYPE``.
-    Embeddings are uniform in [-0.05, 0.05); convolution weights are
-    He-scaled normals."""
-    emb = rng.random((vocab_size, cfg.embed_dim), dtype=PARAM_DTYPE)
-    emb -= 0.5
-    emb *= 0.1
-    params = {f"{prefix}.emb": emb}
+def layout(vocab_size: int, cfg: EncoderConfig, prefix: str, draw) -> dict:
+    """The encoder's share of a model's parameter layout (see ``models``):
+    its parameters under ``prefix``, each ``draw(rule, shape)`` in
+    ``PARAM_DTYPE``. Embeddings are uniform in [-0.05, 0.05); convolution
+    weights are He-scaled normals; biases are zeros."""
+    params = {f"{prefix}.emb": draw(("uniform", PARAM_DTYPE), (vocab_size, cfg.embed_dim))}
     for w in cfg.windows:
-        conv = rng.standard_normal((w, cfg.embed_dim, cfg.n_filters), dtype=PARAM_DTYPE)
-        conv *= math.sqrt(2.0 / (w * cfg.embed_dim))
-        params[f"{prefix}.conv{w}.w"] = conv
-        params[f"{prefix}.conv{w}.b"] = np.zeros(cfg.n_filters, dtype=PARAM_DTYPE)
+        params[f"{prefix}.conv{w}.w"] = draw(("he", PARAM_DTYPE),
+                                             (w, cfg.embed_dim, cfg.n_filters))
+        params[f"{prefix}.conv{w}.b"] = draw(("zeros", PARAM_DTYPE), (cfg.n_filters,))
     return params
 
 

@@ -72,8 +72,6 @@ class PredictionRecord:
     doc_id: str
     label_id: int
     probs: np.ndarray
-    strategy: str
-    seed: int
     ess: Optional[float] = None
 
 
@@ -165,6 +163,5 @@ def predict_batch(model: Model, instances: list[Instance],
             if ess is not None and ess < cfg.m / 10:
                 log.warning("%s: importance-sampling effective sample size %.3g "
                             "of m=%d", inst.doc_id, ess, cfg.m)
-            records.append(PredictionRecord(inst.doc_id, label_id, probs,
-                                            cfg.strategy, cfg.seed, ess))
+            records.append(PredictionRecord(inst.doc_id, label_id, probs, ess))
     return records

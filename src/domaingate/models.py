@@ -39,6 +39,7 @@ itself.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -49,7 +50,7 @@ from . import autodiff as ad
 from . import distributions as dist
 from .autodiff import ParamBinder, Tape, Var
 from .distributions import BetaParams, DirichletParams
-from .encoder import EncoderConfig, TokenBatch, encode, init_encoder_params, pack
+from .encoder import EncoderConfig, TokenBatch, encode, layout as encoder_layout, pack
 
 __all__ = ["MODEL_KINDS", "ModelConfig", "Model", "gate_channels", "classify_batch"]
 
@@ -116,26 +117,38 @@ class LossResult:
     degenerate: int = 0
 
 
-def _init_linear(rng, n_in, n_out, prefix, he=False):
-    if he:
-        w = rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_in, n_out))
-    else:
-        w = rng.uniform(-0.05, 0.05, size=(n_in, n_out))
-    return {f"{prefix}.w": w, f"{prefix}.b": np.zeros(n_out)}
+def _layout(config: ModelConfig, draw) -> dict:
+    """Every parameter of a model of ``config``, each ``draw(rule, shape)``
+    in draw order. A rule is (init, dtype), init one of "uniform" (in
+    [-0.05, 0.05)), "he" (normal of variance 2 / fan-in) or "zeros"."""
+    def linear(n_in, n_out, prefix, init="uniform"):
+        return {f"{prefix}.w": draw((init, np.float64), (n_in, n_out)),
+                f"{prefix}.b": draw(("zeros", np.float64), (n_out,))}
 
+    def gate_heads(n_in, group):
+        # dsda logits, Beta alpha and beta, or a Dirichlet's overall
+        # concentration and channel affinities
+        heads = {"categorical": {"logits": k}, "beta": {"alpha": k, "beta": k},
+                 "dirichlet": {"conc": 1, "base": k}}[config.family]
+        return {name: arr for head, n_out in heads.items()
+                for name, arr in linear(n_in, n_out, f"{group}.{head}").items()}
 
-def _init_gate_heads(rng, family: str, n_in: int, k: int, group: str) -> dict:
-    """The output heads of a gate network: dsda logits, Beta alpha and
-    beta, or a Dirichlet's overall concentration and channel affinities."""
-    if family == "categorical":
-        return _init_linear(rng, n_in, k, f"{group}.logits")
-    if family == "beta":
-        heads = _init_linear(rng, n_in, k, f"{group}.alpha")
-        heads.update(_init_linear(rng, n_in, k, f"{group}.beta"))
-    else:
-        heads = _init_linear(rng, n_in, 1, f"{group}.conc")
-        heads.update(_init_linear(rng, n_in, k, f"{group}.base"))
-    return heads
+    enc, k = config.encoder, config.k
+    p = {}
+    for i in range(k):
+        p.update(encoder_layout(config.vocab_size, enc, f"theta.ch{i}", draw))
+    p.update(linear(enc.out_dim, config.mlp_hidden, "theta.head.l1", "he"))
+    p.update(linear(config.mlp_hidden, config.n_labels, "theta.head.l2"))
+    if config.is_latent:
+        p.update(encoder_layout(config.vocab_size, enc, "phi.enc", draw))
+        p.update(gate_heads(enc.out_dim, "phi"))
+    if config.is_variational:
+        p.update(encoder_layout(config.vocab_size, enc, "sigma.enc", draw))
+        # +1 rows hold the UNK sentinel embedding (last row).
+        p["sigma.y_emb"] = draw(("uniform", np.float64), (config.n_labels + 1, LABEL_EMB_DIM))
+        p["sigma.d_emb"] = draw(("uniform", np.float64), (config.n_domains + 1, DOMAIN_EMB_DIM))
+        p.update(gate_heads(enc.out_dim + LABEL_EMB_DIM + DOMAIN_EMB_DIM, "sigma"))
+    return p
 
 
 def _linear(binder, prefix, x: Var) -> Var:
@@ -180,9 +193,19 @@ def classify_batch(binder: ParamBinder, h: Var) -> Var:
 
 
 class Model:
-    """A parameterized model: config plus a flat {name: array} store."""
+    """A parameterized model: config plus a flat {name: array} store, which
+    must hold the names, shapes and dtypes that the config's layout makes:
+    ``Model(...)`` raises ``ConfigError`` naming the first parameter that
+    differs. A built model's store may be cast in place (to float64)."""
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
+        want = _layout(config, lambda rule, shape: (shape, np.dtype(rule[1])))
+        for name in [*want, *sorted(params.keys() - want.keys())]:
+            got = (params[name].shape, params[name].dtype) if name in params else None
+            if got != want.get(name):
+                held, made = (f"{s[1]} {s[0]}" if s else "nothing"
+                              for s in (got, want.get(name)))
+                raise ConfigError(name, f"the store holds {held}, the config makes {made}")
         self.config = config
         self.params = params
 
@@ -190,30 +213,19 @@ class Model:
 
     @classmethod
     def init(cls, config: ModelConfig, rng: np.random.Generator) -> "Model":
-        p: dict[str, np.ndarray] = {}
-        enc = config.encoder
-        for i in range(config.k):
-            p.update(init_encoder_params(rng, config.vocab_size, enc, f"theta.ch{i}"))
-        p.update(_init_linear(rng, enc.out_dim, config.mlp_hidden,
-                              "theta.head.l1", he=True))
-        p.update(_init_linear(rng, config.mlp_hidden, config.n_labels,
-                              "theta.head.l2"))
-        if config.is_latent:
-            p.update(init_encoder_params(rng, config.vocab_size, enc, "phi.enc"))
-            p.update(_init_gate_heads(rng, config.family, enc.out_dim, config.k, "phi"))
-        if config.is_variational:
-            p.update(init_encoder_params(rng, config.vocab_size, enc, "sigma.enc"))
-            # +1 rows hold the UNK sentinel embedding (last row).
-            p["sigma.y_emb"] = rng.uniform(
-                -0.05, 0.05, size=(config.n_labels + 1, LABEL_EMB_DIM))
-            p["sigma.d_emb"] = rng.uniform(
-                -0.05, 0.05, size=(config.n_domains + 1, DOMAIN_EMB_DIM))
-            q_in = enc.out_dim + LABEL_EMB_DIM + DOMAIN_EMB_DIM
-            p.update(_init_gate_heads(rng, config.family, q_in, config.k, "sigma"))
-        return cls(config, p)
+        """A fresh model, each parameter drawn from ``rng`` by its rule."""
+        def draw(rule, shape):
+            init, dtype = rule
+            if init == "he":
+                return rng.standard_normal(shape, dtype) * math.sqrt(2.0 / math.prod(shape[:-1]))
+            if init == "uniform":
+                return rng.uniform(-0.05, 0.05, shape) if dtype == np.float64 \
+                    else (rng.random(shape, dtype) - 0.5) * 0.1
+            return np.zeros(shape, dtype)
+        return cls(config, _layout(config, draw))
 
     def copy(self) -> "Model":
-        return Model(self.config, copy.deepcopy(self.params))
+        return copy.deepcopy(self)
 
     def binder(self, tape: Tape) -> ParamBinder:
         return ParamBinder(tape, self.params)

@@ -10,6 +10,7 @@ dev entries) that serializes to the documented JSONL schema.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -204,5 +205,6 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
     if best_acc == -math.inf:
         best_acc = evaluate(model, dev_set, cfg.infer).accuracy
         best_is_current = True
-    params = model.params if best_is_current else best_params
-    return TrainResult(Model(model.config, params), log_records, best_acc, step)
+    best = copy.copy(model)  # a store of model's own layout: no second check
+    best.params = model.params if best_is_current else best_params
+    return TrainResult(best, log_records, best_acc, step)

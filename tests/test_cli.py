@@ -1,14 +1,16 @@
 """The command line: gen-synth from a spec file; a tiny end-to-end run
 through every command, whose training is byte-reproducible and whose
 grid cells train exactly as ``train`` does; grid cells in product order;
-and a non-zero exit with a JSON error naming the field, having written
-nothing, on a bad spec, run config, grid flag, command-line count, a
-run config that does not fit its data, a removed key, or a trained run
-whose manifest or checkpoint vocabulary was edited."""
+a trained run read from its checkpoint alone, unmoved by an edited
+manifest; and a non-zero exit with a JSON error naming the field, having
+written nothing, on a bad spec, run config, grid flag, command-line
+count, a run config that does not fit its data, a removed key, or a
+trained run whose checkpoint meta or store was edited."""
 
 import json
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,12 +130,10 @@ def test_tiny_run_through_every_command(tmp_path, capsys):
         (run / "results.tsv").read_bytes()
 
     # A count of 0 is refused, naming the option, rather than replaced or
-    # averaged over nothing; so is a run whose manifest holds a bad value.
-    edited = tmp_path / "edited"
-    shutil.copytree(run, edited)
-    manifest = json.loads((edited / "manifest.json").read_text())
-    manifest["config"]["lr"] = 0
-    (edited / "manifest.json").write_text(json.dumps(manifest))
+    # averaged over nothing; so is a run whose checkpoint config holds a
+    # bad value.
+    edited = edited_run(tmp_path / "edited", run,
+                        lambda meta: {**meta, "config": {**meta["config"], "lr": 0}})
     capsys.readouterr()
     for argv, field in ((["eval", "--run-dir", str(run), "--data", heldout, "--m", "0",
                           "--out", str(tmp_path / "eval_m0")], "m"),
@@ -362,6 +362,14 @@ def test_removed_key_is_refused_as_unknown(tmp_path, capsys, command, key, old_d
     assert not out.exists()
 
 
+def edited_run(path, run, edit):
+    """A copy of ``run`` at ``path`` whose checkpoint meta is ``edit(meta)``."""
+    shutil.copytree(run, path)
+    params, meta = load_checkpoint(path / "checkpoint.bin")
+    save_checkpoint(path / "checkpoint.bin", params, edit(meta))
+    return path
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     """A trained tiny run, and its held-out corpus."""
@@ -418,10 +426,7 @@ def test_eval_predicts_bitwise_as_the_trained_model(tmp_path, monkeypatch):
 def test_eval_refuses_a_checkpoint_vocab_that_is_no_vocabulary(tmp_path, capsys, tiny_run,
                                                                 edit):
     run, heldout = tiny_run
-    edited = tmp_path / "run"
-    shutil.copytree(run, edited)
-    params, meta = load_checkpoint(edited / "checkpoint.bin")
-    save_checkpoint(edited / "checkpoint.bin", params, dict(meta, vocab=edit(meta["vocab"])))
+    edited = edited_run(tmp_path / "run", run, lambda meta: dict(meta, vocab=edit(meta["vocab"])))
     error = error_of(["eval", "--run-dir", str(edited), "--data", heldout,
                       "--out", str(tmp_path / "o")], capsys)
     assert error["field"] == "vocab"
@@ -429,16 +434,100 @@ def test_eval_refuses_a_checkpoint_vocab_that_is_no_vocabulary(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("key, value", [("w_dom", 1.0), ("lambda_grid", "0.1,1")])
-def test_eval_names_a_manifest_key_that_is_no_run_key(tmp_path, capsys, tiny_run,
-                                                       key, value):
+def test_eval_names_a_checkpoint_config_key_that_is_no_run_key(tmp_path, capsys, tiny_run,
+                                                                key, value):
     # A run trained before the key was removed.
+    run, heldout = tiny_run
+    edited = edited_run(tmp_path / "run", run,
+                        lambda meta: {**meta, "config": {**meta["config"], key: value}})
+    error = error_of(["eval", "--run-dir", str(edited), "--data", heldout,
+                      "--out", str(tmp_path / "o")], capsys)
+    assert error["field"] == key and "checkpoint config: unknown key" in error["error"]
+    assert not (tmp_path / "o").exists()
+
+
+def run_every_reader(run, heldout, out):
+    """``eval``, ``probe`` (on the training corpus beside ``heldout``) and
+    ``export`` of ``run``, each writing under ``out``."""
+    train = str(Path(heldout).with_name("train.jsonl"))
+    for argv in (["eval", "--data", heldout, "--out", str(out / "eval")],
+                 ["probe", "--data", train, "--runs", "1", "--out", str(out / "probe")],
+                 ["export", "--data", heldout, "--repr", "z", "--out", str(out / "export.tsv")]):
+        assert cli.main(argv + ["--run-dir", str(run)]) == 0
+
+
+def test_a_run_is_its_checkpoint_alone(tmp_path, tiny_run):
+    # The manifest and every other file of the run are records only.
+    run, heldout = tiny_run
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    shutil.copy(run / "checkpoint.bin", alone)
+    run_every_reader(run, heldout, tmp_path / "intact")
+    run_every_reader(alone, heldout, tmp_path / "alone_out")
+    for name in ("eval/results.tsv", "eval/results.txt", "eval/eval_manifest.json",
+                 "probe/probe.tsv", "export.tsv"):
+        assert (tmp_path / "intact" / name).read_bytes() == \
+            (tmp_path / "alone_out" / name).read_bytes(), name
+
+
+def test_an_edited_manifest_changes_nothing(tmp_path, tiny_run):
     run, heldout = tiny_run
     edited = tmp_path / "run"
     shutil.copytree(run, edited)
     manifest = json.loads((edited / "manifest.json").read_text())
-    manifest["config"][key] = value
+    manifest["config"]["n_filters"] = 2
     (edited / "manifest.json").write_text(json.dumps(manifest))
-    error = error_of(["eval", "--run-dir", str(edited), "--data", heldout,
-                      "--out", str(tmp_path / "o")], capsys)
-    assert error["field"] == key and "manifest.json" in error["error"]
-    assert not (tmp_path / "o").exists()
+    for where, run_dir in (("intact", run), ("edited", edited)):
+        assert cli.main(["eval", "--run-dir", str(run_dir), "--data", heldout,
+                         "--out", str(tmp_path / where)]) == 0
+    # eval records the config the run trained with, read back unchanged.
+    recorded = json.loads((tmp_path / "edited" / "eval_manifest.json").read_text())["config"]
+    assert recorded == json.loads((run / "manifest.json").read_text())["config"]
+    assert recorded["n_filters"] == 4
+    for name in ("results.tsv", "eval_manifest.json"):
+        assert (tmp_path / "intact" / name).read_bytes() == \
+            (tmp_path / "edited" / name).read_bytes(), name
+
+
+def set_key(key, value):
+    return lambda meta: {**meta, key: value}
+
+
+def set_config(key, value):
+    return lambda meta: {**meta, "config": {**meta["config"], key: value}}
+
+
+def drop(key):
+    return lambda meta: {k: v for k, v in meta.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, field", [
+    (set_config("n_filters", 2), "theta.ch0.conv3.w"),
+    (set_config("n_filters", "four"), "n_filters"),
+    (set_config("windows", [3, 0]), "windows"),
+    (lambda meta: {**meta, "domains": meta["domains"][1:]}, "sigma.d_emb"),
+    (lambda meta: {**meta, "labels": meta["labels"] + ["extra"]}, "theta.head.l2.w"),
+    (set_key("k", 2), "phi.base.w"),
+    (drop("labels"), "labels"),
+    (set_key("labels", ["neg", "neg"]), "labels"),
+    (set_key("labels", "neg pos"), "labels"),
+    (set_key("domains", [0, 1, 2]), "domains"),
+    (set_key("k", "3"), "k"),
+    (set_key("k", 0), "k"),
+    (set_key("k", True), "k"),
+    (drop("config"), "config"),
+    (set_key("config", ["model", "csda-dirichlet"]), "config"),
+], ids=["n_filters", "n_filters-string", "windows-zero", "dropped-domain", "added-label", "fewer-channels", "no-labels",
+        "repeated-label", "labels-string", "domain-ids", "k-string", "k-zero", "k-bool",
+        "no-config", "config-list"])
+def test_eval_refuses_checkpoint_meta_that_is_not_the_run(tmp_path, capsys, tiny_run,
+                                                          edit, field):
+    # Every reader checks the meta and the store before it writes anything.
+    run, heldout = tiny_run
+    edited = edited_run(tmp_path / "run", run, edit)
+    for command in ("eval", "probe", "export"):
+        error = error_of([command, "--run-dir", str(edited), "--data", heldout,
+                          "--out", str(tmp_path / "o")], capsys)
+        assert error["field"] == field, command
+        assert not (tmp_path / "o").exists()
+    assert sorted(p.name for p in edited.iterdir()) == sorted(p.name for p in run.iterdir())

@@ -7,7 +7,8 @@ import pytest
 
 from domaingate import autodiff as ad
 from domaingate.autodiff import ParamBinder, RowGrad, Tape, backprop
-from domaingate.encoder import EncoderConfig, encode, init_encoder_params, pack
+from domaingate.encoder import EncoderConfig, encode, pack
+from domaingate.models import Model, ModelConfig
 from domaingate.text import BYTE_LEN, BYTE_VOCAB_SIZE, PAD_ID, tokenize
 
 from conftest import to_float64
@@ -15,9 +16,18 @@ from conftest import to_float64
 TOY = EncoderConfig(embed_dim=5, n_filters=4, windows=(2, 3))
 
 
+def encoder_params(rng, vocab_size, cfg):
+    """A fresh encoder's parameters under the prefix "enc": the channel of
+    a single-channel model, which ``Model.init`` draws first."""
+    model = Model.init(ModelConfig("scnn", n_labels=2, n_domains=1, vocab_size=vocab_size,
+                                   encoder=cfg), rng)
+    return {"enc" + name[len("theta.ch0"):]: arr for name, arr in model.params.items()
+            if name.startswith("theta.ch0.")}
+
+
 @pytest.fixture
 def params():
-    return init_encoder_params(np.random.default_rng(0), 10, TOY, "enc")
+    return encoder_params(np.random.default_rng(0), 10, TOY)
 
 
 def run_encode(params, ids, batch=None):
@@ -78,7 +88,7 @@ class TestValues:
 
     def test_byte_text_encodes_as_with_the_old_padding(self):
         # Byte tokenization used to pad every text to BYTE_LEN ids.
-        params = init_encoder_params(np.random.default_rng(0), BYTE_VOCAB_SIZE, TOY, "enc")
+        params = encoder_params(np.random.default_rng(0), BYTE_VOCAB_SIZE, TOY)
         ids = tokenize("a short byte text", "byte")
         padded = ids + [PAD_ID] * (BYTE_LEN - len(ids))
         np.testing.assert_array_equal(pack([ids], TOY).ids, pack([padded], TOY).ids)
@@ -90,7 +100,7 @@ class TestValues:
         # the max over window dot products, so reordering windows (by
         # permuting blocks farther apart than any window) cannot change it
         cfg = EncoderConfig(embed_dim=3, n_filters=2, windows=(2,))
-        p = init_encoder_params(np.random.default_rng(5), 8, cfg, "enc")
+        p = encoder_params(np.random.default_rng(5), 8, cfg)
         block1, block2 = [1, 2, 3], [4, 5, 6]
         # wrapping every block in separators makes the multiset of
         # windows identical under block permutation

@@ -2,8 +2,9 @@
 head, discrete marginalization, the continuous gate parameterizations,
 the single-sample variational objective, a mini-batch loss against the
 mean of its instances' losses, non-finite parameters named at the
-first primitive that reads them, and training and prediction tapes that
-reference counting frees."""
+first primitive that reads them, training and prediction tapes that
+reference counting frees, and a store checked against the config's
+parameter layout."""
 
 import gc
 import math
@@ -12,6 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
+from domaingate import ConfigError
 from domaingate import autodiff as ad
 from domaingate import distributions as dist
 from domaingate import inference
@@ -479,7 +481,7 @@ class TestNonFiniteParameters:
 
 
 def encoder_names(model):
-    """The names ``init_encoder_params`` gives each encoder of ``model``."""
+    """The names of the parameters of each encoder of ``model``."""
     cfg = model.config
     prefixes = [f"theta.ch{i}" for i in range(cfg.k)]
     prefixes += ["phi.enc"] * cfg.is_latent + ["sigma.enc"] * cfg.is_variational
@@ -525,7 +527,8 @@ class TestEncoderDtype:
         # largest entry, so the tolerances, 1e-8 and 1e-5, leave a margin
         # of 50 or more.
         model = toy_model(kind, k=1 if kind == "scnn" else 2, dropout=0.5)
-        wide = Model(model.config, to_float64(dict(model.params)))
+        wide = model.copy()
+        to_float64(wide.params)
 
         def run(m):
             res = m.loss(TestMiniBatch.SEQS, TestMiniBatch.Y, TestMiniBatch.D, lam=0.3,
@@ -540,6 +543,60 @@ class TestEncoderDtype:
             g = dense(g)
             np.testing.assert_allclose(dense(grads32[name]), g, rtol=0,
                                        atol=1e-5 * np.abs(g).max(), err_msg=name)
+
+
+class TestStoreCheck:
+    """``Model(config, params)`` takes only the store the config's layout
+    makes, and names the first parameter that differs."""
+
+    @staticmethod
+    def refusal(model, store):
+        with pytest.raises(ConfigError) as exc:
+            Model(model.config, store)
+        return exc.value
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_init_store_passes(self, kind):
+        model = toy_model(kind, k=1 if kind == "scnn" else 2)
+        assert Model(model.config, model.params).params is model.params
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_missing_parameter_is_named(self, kind):
+        model = toy_model(kind, k=1 if kind == "scnn" else 2)
+        store = dict(model.params)
+        del store["theta.head.l2.b"]
+        err = self.refusal(model, store)
+        assert err.field == "theta.head.l2.b"
+        assert "holds nothing" in str(err) and "makes float64 (2,)" in str(err)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_extra_parameter_is_named(self, kind):
+        model = toy_model(kind, k=1 if kind == "scnn" else 2)
+        err = self.refusal(model, dict(model.params, **{"theta.ch9.emb": np.zeros((20, 8))}))
+        assert err.field == "theta.ch9.emb" and "the config makes nothing" in str(err)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_reshaped_parameter_is_named(self, kind):
+        model = toy_model(kind, k=1 if kind == "scnn" else 2)
+        store = dict(model.params, **{"theta.ch0.conv3.w": np.zeros((3, 8, 2), np.float32)})
+        err = self.refusal(model, store)
+        assert err.field == "theta.ch0.conv3.w"
+        assert "holds float32 (3, 8, 2)" in str(err) and "makes float32 (3, 8, 4)" in str(err)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_float64_encoder_parameter_is_named(self, kind):
+        model = toy_model(kind, k=1 if kind == "scnn" else 2)
+        last = "sigma.enc" if kind.startswith("csda") else "phi.enc" if kind == "dsda" \
+            else "theta.ch0"
+        store = dict(model.params)
+        store[f"{last}.emb"] = store[f"{last}.emb"].astype(np.float64)
+        err = self.refusal(model, store)
+        assert err.field == f"{last}.emb" and "holds float64 (20, 8)" in str(err)
+
+    def test_first_difference_in_layout_order_is_named(self):
+        # Every encoder cast to float64: the first channel's table is named.
+        model = toy_model("csda-beta")
+        assert self.refusal(model, to_float64(dict(model.params))).field == "theta.ch0.emb"
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

@@ -30,7 +30,7 @@ def test_evaluate_names_instance_with_non_finite_probs(monkeypatch):
 
     def stub_predict_batch(model, instances, cfg):
         probs = [np.array([0.9, 0.1]), np.array([np.nan, np.nan])]
-        return [PredictionRecord(inst.doc_id, 0, p, cfg.strategy, cfg.seed)
+        return [PredictionRecord(inst.doc_id, 0, p)
                 for inst, p in zip(instances, probs)]
 
     monkeypatch.setattr(training, "predict_batch", stub_predict_batch)
