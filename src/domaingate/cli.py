@@ -2,9 +2,11 @@
 
 Commands: train, eval, grid (a ``train`` run per cell of a product of
 config values), probe, export, gen-synth, summarize. Each command writes
-its artifacts under an output directory together with a manifest
-(resolved config + seeds + code version) sufficient to reproduce the
-run; the exit status is zero iff all requested artifacts were written.
+its artifacts under an output directory; the exit status is zero iff
+all requested artifacts were written. ``train``, ``grid``, ``gen-synth``
+(``manifest.json``) and ``eval`` (``eval_manifest.json``) also write a
+manifest: the resolved config, seeds and code version, sufficient to
+reproduce the run. ``probe``, ``export`` and ``summarize`` write none.
 A trained run is its ``checkpoint.bin``: parameters, the resolved run
 config and what the data decide, the vocabulary included. ``eval``,
 ``probe`` and ``export`` read only this file; a run's ``manifest.json``
@@ -247,9 +249,7 @@ def cmd_probe(args) -> None:
     observed = [i for i in insts if i.y_id is not None and i.d_id is not None]
     if not observed:
         raise ValueError("probe needs instances with observed label and domain")
-    accs = {target: probes_mod.probe_averaged(model, observed, target,
-                                              seed=cfg.seed, runs=args.runs)
-            for target in ("y", "d")}
+    accs = probes_mod.probe_averaged(model, observed, seed=cfg.seed, runs=args.runs)
     out_dir = Path(args.out or run_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "probe.tsv", "w", encoding="utf-8") as fh:
@@ -262,8 +262,7 @@ def cmd_probe(args) -> None:
 def cmd_export(args) -> None:
     run_dir = Path(args.run_dir)
     model, insts, cfg, _ = _load_run(run_dir, args.data, "all")
-    rng = np.random.default_rng(cfg.seed) if args.repr == "z" else None
-    rows = probes_mod.export_representations(model, insts, args.repr, rng)
+    rows = probes_mod.export_representations(model, insts, args.repr, cfg.seed)
     out_path = Path(args.out or (run_dir / "export.tsv"))
     out_path.parent.mkdir(parents=True, exist_ok=True)
     width = len(rows[0]["vector"]) if rows else 0

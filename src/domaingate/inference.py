@@ -10,19 +10,20 @@ Strategies for the variational models:
   ``ess`` is the smallest effective sample size over the labels, and
   ``predict_batch`` warns when it is below m/10
 
-The discrete mixture marginalizes its k states exactly, so sampling
-strategies degrade to that exact computation (with a log note). The
-plain baselines are deterministic forwards.
+``gates`` is the one source of a trained model's prior gate, here and
+in ``probes``: r gate rows per instance with mixture weights. The plain
+baselines have the uniform gate; the discrete mixture has its k
+indicator rows weighted by p(d|x), which marginalizes d exactly under
+every strategy (an indicator row gates its channel bitwise); csda has
+its prior mean, one draw, or m draws at weight 1/m.
 
-``predict_batch`` cuts the instances into chunks of ``CHUNK_SIZE``, which
-bounds the memory of one tape, and ``predict`` runs one chunk on one
-``Tape`` through the training graph of ``models``: every encoder runs
-once over the chunk's ragged batch, the gate draws (or the uniform
-gate, or for dsda the channel rows themselves) enter as constant rows
-[B,r,k], and one ``classify_batch`` call gives a label distribution per
-row. Instance i draws its noise from its own generator, seeded with
-(seed, i), so records do not depend on how the chunks are cut.
-Prediction never calls ``backprop``.
+``chunks`` cuts the instances into slices of ``CHUNK_SIZE``, which bounds
+the memory of one tape, with one generator per instance seeded with
+(seed, i), so draws do not depend on the cut. ``predict`` runs one chunk
+on one ``Tape`` through the training graph of ``models``: every encoder
+runs once over the chunk's ragged batch, one ``classify_batch`` call
+over the gate rows [B,r,k] gives a label distribution per row, and the
+weights mix them. Prediction never calls ``backprop``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from .autodiff import Tape
 from .data import Instance
 from .models import Model, classify_batch, gate_channels
 
-__all__ = ["InferConfig", "PredictionRecord", "predict", "predict_batch"]
+__all__ = ["InferConfig", "PredictionRecord", "chunks", "gates", "predict",
+           "predict_batch"]
 
 log = logging.getLogger(__name__)
 
@@ -75,49 +77,58 @@ class PredictionRecord:
     ess: Optional[float] = None
 
 
+def chunks(instances: list, seed: int):
+    """Each ``CHUNK_SIZE`` slice of ``instances`` with one generator per
+    instance, seeded with (seed, its position in ``instances``)."""
+    for start in range(0, len(instances), CHUNK_SIZE):
+        chunk = instances[start:start + CHUNK_SIZE]
+        yield chunk, [np.random.default_rng(np.random.SeedSequence((seed, start + j)))
+                      for j in range(len(chunk))]
+
+
+def gates(model: Model, binder, batch, strategy: str, rngs: list,
+          m: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The gate rows [B,r,k] of each instance of ``batch`` under
+    ``strategy`` (any but importance-sampling) and their mixture weights
+    [B,r]: the uniform gate, dsda's k indicator rows weighted by
+    p(d|x), or csda's prior mean, one draw, or (mc-average) ``m`` draws
+    at weight 1/m, instance i drawing from ``rngs[i]``."""
+    cfg = model.config
+    n, k = batch.size, cfg.k
+    if cfg.family == "categorical":
+        weights = np.exp(ad.log_softmax(model.prior_gate(binder, batch)).value)
+        return np.broadcast_to(np.eye(k), (n, k, k)), weights
+    if not cfg.is_variational:
+        return np.full((n, 1, k), 1.0 / k), np.ones((n, 1))
+    prior = model.prior_gate(binder, batch)
+    if strategy == "prior-mean":
+        return dist.mean(prior)[:, None, :], np.ones((n, 1))
+    r = m if strategy == "mc-average" else 1
+    return dist.draw_many(prior, rngs, r), np.full((n, r), 1.0 / r)
+
+
 def predict(model: Model, seqs, cfg: InferConfig, rngs: list
-            ) -> list[tuple[int, np.ndarray, Optional[float]]]:
+            ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Predict one chunk of instances on one tape, instance i drawing from
-    ``rngs[i]``; returns (label id, label distribution, ess) per
-    instance. ``ess`` is the importance-sampling effective sample size,
-    None for the other strategies."""
-    mcfg = model.config
+    ``rngs[i]``; returns the label distributions [B,L] and, for
+    importance sampling of a csda model, the effective sample sizes [B]
+    (else None)."""
     binder = model.binder(Tape())
     batch = model.pack(seqs)
     h_mat = model.channel_encodings(binder, batch, dropout_rng=None)
-
-    if mcfg.family == "categorical":
-        if cfg.strategy != "prior-sample":
-            log.info("strategy %s is redundant for the discrete mixture; "
-                     "marginalizing exactly", cfg.strategy)
-        prior = model.prior_gate(binder, batch)
-        weights = np.exp(ad.log_softmax(prior).value)[:, None, :]
-        return _normalized((weights @ np.exp(classify_batch(binder, h_mat).value))[:, 0])
-
-    if mcfg.kind in ("scnn", "mcnn"):
-        z_rows = np.full((batch.size, 1, mcfg.k), 1.0 / mcfg.k)
+    if cfg.strategy == "importance-sampling" and model.config.is_variational:
+        probs, ess = _importance_sampling(model, binder, batch, h_mat, cfg, rngs)
     else:
-        prior = model.prior_gate(binder, batch)
-        if cfg.strategy == "importance-sampling":
-            return _importance_sampling(model, binder, batch, h_mat, prior, cfg, rngs)
-        if cfg.strategy == "prior-mean":
-            z_rows = dist.mean(prior)[:, None, :]
-        else:
-            m = cfg.m if cfg.strategy == "mc-average" else 1
-            z_rows = dist.draw_many(prior, rngs, m)
-    logp = classify_batch(binder, gate_channels(h_mat, binder.tape.const(z_rows)))
-    return _normalized(np.exp(logp.value).mean(axis=1))
+        rows, weights = gates(model, binder, batch, cfg.strategy, rngs, cfg.m)
+        logp = classify_batch(binder, gate_channels(h_mat, binder.tape.const(rows)))
+        probs, ess = (weights[:, None, :] @ np.exp(logp.value))[:, 0], None
+    return probs / probs.sum(axis=1, keepdims=True), ess
 
 
-def _normalized(probs: np.ndarray, ess: Optional[np.ndarray] = None):
-    probs /= probs.sum(axis=1, keepdims=True)
-    return [(int(p.argmax()), p, None if ess is None else float(ess[i]))
-            for i, p in enumerate(probs)]
-
-
-def _importance_sampling(model, binder, batch, h_mat, prior, cfg, rngs):
+def _importance_sampling(model, binder, batch, h_mat, cfg, rngs):
     mcfg = model.config
     n, labels, m = batch.size, mcfg.n_labels, cfg.m
+    prior = model.prior_gate(binder, batch)
     # One encoding of x serves q for every candidate label: rows [B,L,k].
     q = model.posterior_gate(binder, batch, [range(labels)] * n, None)
     z = dist.draw_many(q, rngs, m)                               # [B,L,m,k]
@@ -135,33 +146,28 @@ def _importance_sampling(model, binder, batch, h_mat, prior, cfg, rngs):
     w = np.exp(log_w - top)
     log_est = top[..., 0] + np.log(w.mean(axis=2))
     ess = w.sum(axis=2) ** 2 / (w * w).sum(axis=2)
-    return _normalized(np.exp(log_est - log_est.max(axis=1, keepdims=True)),
-                       ess.min(axis=1))
+    return np.exp(log_est - log_est.max(axis=1, keepdims=True)), ess.min(axis=1)
 
 
 def predict_batch(model: Model, instances: list[Instance],
                   cfg: InferConfig) -> list[PredictionRecord]:
-    """Predict instances chunk by chunk, with per-instance RNG streams
-    derived from (seed, instance position), so records are order-stable
-    and reproducible regardless of how the chunks are cut. An
-    importance-sampling estimate carried by fewer than m/10 effective
+    """Predict instances chunk by chunk (``chunks``), so records are
+    order-stable and reproducible regardless of how the chunks are cut.
+    An importance-sampling estimate carried by fewer than m/10 effective
     draws is logged as a warning naming the instance; a draw on the edge
     of the support raises ``DegenerateSampleError`` naming it too."""
     records = []
-    for start in range(0, len(instances), CHUNK_SIZE):
-        chunk = instances[start:start + CHUNK_SIZE]
-        rngs = [np.random.default_rng(np.random.SeedSequence((cfg.seed, start + j)))
-                for j in range(len(chunk))]
+    for chunk, rngs in chunks(instances, cfg.seed):
         try:
-            results = predict(model, [inst.ids for inst in chunk], cfg, rngs)
+            probs, ess = predict(model, [inst.ids for inst in chunk], cfg, rngs)
         except dist.DegenerateSampleError as exc:
             if exc.index is None:
                 raise
             raise dist.DegenerateSampleError(
                 f"{chunk[exc.index[0]].doc_id}: {exc}", exc.index) from None
-        for inst, (label_id, probs, ess) in zip(chunk, results):
-            if ess is not None and ess < cfg.m / 10:
+        for inst, p, e in zip(chunk, probs, [None] * len(chunk) if ess is None else ess.tolist()):
+            if e is not None and e < cfg.m / 10:
                 log.warning("%s: importance-sampling effective sample size %.3g "
-                            "of m=%d", inst.doc_id, ess, cfg.m)
-            records.append(PredictionRecord(inst.doc_id, label_id, probs, ess))
+                            "of m=%d", inst.doc_id, e, cfg.m)
+            records.append(PredictionRecord(inst.doc_id, int(p.argmax()), p, e))
     return records

@@ -6,23 +6,28 @@ Gate samples come from the variational network on training instances
 (label and domain observed). The probe is a multinomial logistic
 regression with L2 regularization 1e-3, fit by full-batch gradient
 descent to gradient norm < 1e-6, trained on 70% of the records and
-scored on the remaining 30%; reported accuracies average three runs
-with freshly drawn gate samples.
+scored on the remaining 30%; reported accuracies average three runs,
+each scoring both targets on one collection of freshly drawn gate
+samples.
+
+Collection and export run on ``inference.chunks``: instance i draws
+from its own stream, seeded with (seed, i), whatever the chunk size.
+Export reads the prior gate from ``inference.gates``, the one gate
+source that prediction uses too, so dsda marginalizes p(d|x) here as
+it does under every prediction strategy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import ConfigError
-from . import autodiff as ad
 from . import distributions as dist
 from .autodiff import Tape
 from .data import Instance
-from .inference import CHUNK_SIZE
+from .inference import chunks, gates
 from .models import Model, gate_channels
 
 __all__ = ["ProbeRecord", "collect", "probe", "probe_averaged",
@@ -39,16 +44,10 @@ class ProbeRecord:
     d_id: int
 
 
-def _chunks(instances: list[Instance]):
-    for start in range(0, len(instances), CHUNK_SIZE):
-        yield instances[start:start + CHUNK_SIZE]
-
-
-def collect(model: Model, instances: list[Instance],
-            rng: np.random.Generator) -> list[ProbeRecord]:
-    """One gate sample per instance from q(z|x, y, d), drawn from ``rng``
-    instance by instance. Instances must carry observed labels and
-    domains."""
+def collect(model: Model, instances: list[Instance], seed: int) -> list[ProbeRecord]:
+    """One gate sample per instance from q(z|x, y, d), instance i drawing
+    from its stream of (``seed``, i). Instances must carry observed labels
+    and domains."""
     if not model.config.is_variational:
         raise ValueError("probe collection needs a variational (csda) model")
     for inst in instances:
@@ -56,10 +55,10 @@ def collect(model: Model, instances: list[Instance],
             raise ValueError(
                 f"instance {inst.doc_id} lacks an observed label or domain")
     records = []
-    for chunk in _chunks(instances):
+    for chunk, rngs in chunks(instances, seed):
         q = model.posterior_gate(model.binder(Tape()), model.pack([i.ids for i in chunk]),
                                  [i.y_id for i in chunk], [i.d_id for i in chunk])
-        z = dist.draw_many(q, [rng] * len(chunk), 1)[:, 0]
+        z = dist.draw_many(q, rngs, 1)[:, 0]
         records.extend(ProbeRecord(row, inst.y_id, inst.d_id)
                        for row, inst in zip(z, chunk))
     return records
@@ -126,54 +125,46 @@ def probe(records: list[ProbeRecord], target: str, split_seed: int) -> float:
     return float((pred == y[te]).mean())
 
 
-def probe_averaged(model: Model, instances: list[Instance], target: str,
-                   seed: int, runs: int = 3) -> float:
-    """Average probe accuracy over ``runs`` collections, each with its own
-    gate samples and split."""
+def probe_averaged(model: Model, instances: list[Instance], seed: int,
+                   runs: int = 3) -> dict[str, float]:
+    """The label ("y") and domain ("d") probe accuracies, each averaged
+    over ``runs`` runs. Run r collects its own gate samples, from streams
+    of seed + r, and scores both targets on them with split seed seed + r."""
     if runs < 1:
         raise ConfigError("runs", f"must be >= 1, got {runs}")
-    accs = []
+    accs = {"y": [], "d": []}
     for r in range(runs):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, r)))
-        records = collect(model, instances, rng)
-        accs.append(probe(records, target, split_seed=seed + r))
-    return float(np.mean(accs))
+        records = collect(model, instances, seed + r)
+        for target, got in accs.items():
+            got.append(probe(records, target, split_seed=seed + r))
+    return {target: float(np.mean(got)) for target, got in accs.items()}
 
 
-def export_representations(model: Model, instances: list[Instance],
-                           kind: str, rng: Optional[np.random.Generator] = None
-                           ) -> list[dict]:
-    """One row per instance: the gated hidden vector (kind='h', gated by
-    the prior mean: csda's mean gate, dsda's prior probabilities) or a
-    gate sample from the prior drawn with ``rng`` (kind='z': a csda draw,
-    or a one-hot dsda draw), with the raw label/domain strings for
-    plotting. The plain baselines use the uniform gate for both."""
+def export_representations(model: Model, instances: list[Instance], kind: str,
+                           seed: int) -> list[dict]:
+    """One row per instance, with the raw label/domain strings for
+    plotting: the hidden vector (kind='h') gated by the weighted average
+    of the instance's prior-mean gate rows (csda's mean gate, dsda's
+    prior probabilities, the baselines' uniform gate), or one of its
+    prior-sample gate rows (kind='z': a csda draw, a dsda indicator, the
+    uniform gate), picked by the inverse CDF of the rows' weights at one
+    uniform from the instance's stream of (``seed``, i)."""
     if kind not in ("h", "z"):
         raise ValueError(f"export kind must be 'h' or 'z', got {kind!r}")
-    if kind == "z" and rng is None:
-        raise ValueError("export kind 'z' draws gate samples and needs an rng")
-    cfg = model.config
-    rows = []
-    for chunk in _chunks(instances):
-        tape = Tape()
-        binder = model.binder(tape)
+    out = []
+    for chunk, rngs in chunks(instances, seed):
+        binder = model.binder(Tape())
         batch = model.pack([inst.ids for inst in chunk])
-        if cfg.is_variational:
-            prior = model.prior_gate(binder, batch)
-            gates = (dist.draw_many(prior, [rng] * batch.size, 1)[:, 0] if kind == "z"
-                     else dist.mean(prior))
-        elif cfg.family == "categorical":
-            gates = np.exp(ad.log_softmax(model.prior_gate(binder, batch)).value)
-            if kind == "z":
-                # Inverse CDF of each row's categorical at one uniform.
-                u = rng.random(batch.size)[:, None]
-                picks = np.minimum((u >= np.cumsum(gates, axis=1)).sum(axis=1), cfg.k - 1)
-                gates = np.eye(cfg.k)[picks]
-        else:
-            gates = np.full((batch.size, cfg.k), 1.0 / cfg.k)
+        rows, weights = gates(model, binder, batch,
+                              "prior-mean" if kind == "h" else "prior-sample", rngs)
         if kind == "h":
             h_mat = model.channel_encodings(binder, batch, dropout_rng=None)
-            gates = gate_channels(h_mat, tape.const(gates)).value
-        rows.extend({"id": inst.doc_id, "vector": vec, "label": inst.label,
-                     "domain": inst.domain} for inst, vec in zip(chunk, gates))
-    return rows
+            gate = binder.tape.const(weights[:, None, :] @ rows)
+            vectors = gate_channels(h_mat, gate).value[:, 0]
+        else:
+            u = np.array([rng.random() for rng in rngs])[:, None]
+            picks = np.minimum((u >= np.cumsum(weights, axis=1)).sum(axis=1), rows.shape[1] - 1)
+            vectors = rows[np.arange(batch.size), picks]
+        out.extend({"id": inst.doc_id, "vector": vec, "label": inst.label,
+                    "domain": inst.domain} for inst, vec in zip(chunk, vectors))
+    return out

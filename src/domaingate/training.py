@@ -165,8 +165,6 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
         order = shuffle_rng.permutation(n)
         for b in range(steps_per_epoch):
             batch = [usable[i] for i in order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
-            if not batch:
-                continue
             lam_t = _lambda_at(cfg, step, steps_per_epoch)
             res = model.loss([inst.ids for inst in batch], [inst.y_id for inst in batch],
                              [inst.d_id for inst in batch], lam=lam_t,

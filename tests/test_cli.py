@@ -17,6 +17,7 @@ import pytest
 
 from domaingate import cli
 from domaingate import data as dio
+from domaingate import probes
 from domaingate.checkpoint import load_checkpoint, save_checkpoint
 from domaingate.inference import predict_batch
 
@@ -454,6 +455,30 @@ def run_every_reader(run, heldout, out):
                  ["probe", "--data", train, "--runs", "1", "--out", str(out / "probe")],
                  ["export", "--data", heldout, "--repr", "z", "--out", str(out / "export.tsv")]):
         assert cli.main(argv + ["--run-dir", str(run)]) == 0
+
+
+def test_probe_collects_once_per_run_for_both_targets(tmp_path, tiny_run, monkeypatch):
+    # Both targets score one collection per run; the table is the one that
+    # collecting anew for each target gives, since both draw the same.
+    run, heldout = tiny_run
+    train = str(Path(heldout).with_name("train.jsonl"))
+    real_collect = probes.collect
+    calls = []
+
+    def counting_collect(*args):
+        calls.append(args[2])
+        return real_collect(*args)
+    monkeypatch.setattr(probes, "collect", counting_collect)
+    assert cli.main(["probe", "--run-dir", str(run), "--data", train, "--runs", "2",
+                     "--out", str(tmp_path)]) == 0
+    model, insts, cfg, _ = cli._load_run(run, train, "all")
+    assert calls == [cfg.seed, cfg.seed + 1]
+    want = ["lambda\ttarget\taccuracy\truns"] + [
+        f"{cfg.lam:g}\t{target}\t{acc:.6f}\t2"
+        for target in ("y", "d")
+        for acc in [np.mean([probes.probe(real_collect(model, insts, cfg.seed + r), target,
+                                          split_seed=cfg.seed + r) for r in range(2)])]]
+    assert (tmp_path / "probe.tsv").read_text().splitlines() == want
 
 
 def test_a_run_is_its_checkpoint_alone(tmp_path, tiny_run):

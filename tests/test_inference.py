@@ -1,8 +1,10 @@
 """Prediction: records that do not depend on how the instances are cut
-into chunks; importance sampling's log-space estimator against the
-linear-space average it replaces, the peaked-prior case where every
-linear-space weight underflows, the effective sample size that flags an
-estimate carried by one draw, and draws on the edge of the support."""
+into chunks; one gate source, under which dsda marginalizes exactly
+whatever the strategy and one mc-average draw is the prior sample;
+importance sampling's log-space estimator against the linear-space
+average it replaces, the peaked-prior case where every linear-space
+weight underflows, the effective sample size that flags an estimate
+carried by one draw, and draws on the edge of the support."""
 
 import logging
 import warnings
@@ -10,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from domaingate import autodiff as ad
 from domaingate import distributions as dist
 from domaingate.autodiff import Tape
 from domaingate.data import Instance
@@ -68,10 +71,10 @@ def test_matches_linear_space_average_without_underflow():
     model = dirichlet_model()
     want = linear_space_estimates(model, 100, 0)
     assert np.all(want > 0.0)
-    [(label, probs, _)] = predict(model, [IDS], InferConfig("importance-sampling", 100),
-                                  [np.random.default_rng(0)])
+    [probs], _ = predict(model, [IDS], InferConfig("importance-sampling", 100),
+                         [np.random.default_rng(0)])
     np.testing.assert_allclose(probs, want / want.sum(), rtol=1e-12)
-    assert label == int(want.argmax())
+    assert int(probs.argmax()) == int(want.argmax())
 
 
 def test_peaked_prior_gives_finite_probabilities():
@@ -79,12 +82,12 @@ def test_peaked_prior_gives_finite_probabilities():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert np.all(linear_space_estimates(model, 10, 0) == 0.0)
-    [(label, probs, _)] = predict(model, [IDS], InferConfig("importance-sampling", 10),
-                                  [np.random.default_rng(0)])
+    [probs], _ = predict(model, [IDS], InferConfig("importance-sampling", 10),
+                         [np.random.default_rng(0)])
     assert np.all(np.isfinite(probs))
     assert abs(probs.sum() - 1.0) <= 1e-12
     # label 1's largest log-weight beats all of label 0's by over 1000 nats
-    assert label == 1 == int(probs.argmax())
+    assert int(probs.argmax()) == 1
 
 
 def test_effective_sample_size_flags_a_dominated_estimate(caplog):
@@ -117,15 +120,22 @@ def test_draws_on_the_edge_of_the_support_raise():
         predict_batch(model, insts, InferConfig("importance-sampling", 20))
 
 
+def chunk_model(kind):
+    cfg = ModelConfig(kind=kind, n_labels=3, n_domains=2, vocab_size=20, k=2,
+                      encoder=EncoderConfig(8, 4, (2, 3)), mlp_hidden=6, dropout=0.5)
+    return Model.init(cfg, np.random.default_rng(4))
+
+
+def ragged_instances(n=5):
+    rng = np.random.default_rng(5)
+    return [Instance(f"doc{i}", tuple(int(t) for t in rng.integers(0, 20, 1 + 3 * i)),
+                     None, None, None, None) for i in range(n)]
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("kind", ["dsda", "csda-beta", "csda-dirichlet"])
 def test_records_do_not_depend_on_the_chunks(monkeypatch, kind, strategy):
-    cfg = ModelConfig(kind=kind, n_labels=3, n_domains=2, vocab_size=20, k=2,
-                      encoder=EncoderConfig(8, 4, (2, 3)), mlp_hidden=6, dropout=0.5)
-    model = Model.init(cfg, np.random.default_rng(4))
-    rng = np.random.default_rng(5)
-    insts = [Instance(f"doc{i}", tuple(int(t) for t in rng.integers(0, 20, 1 + 3 * i)),
-                      None, None, None, None) for i in range(5)]
+    model, insts = chunk_model(kind), ragged_instances()
     infer = InferConfig(strategy, m=7, seed=3)
     monkeypatch.setattr(inference, "CHUNK_SIZE", 1)
     one_by_one = predict_batch(model, insts, infer)
@@ -137,3 +147,30 @@ def test_records_do_not_depend_on_the_chunks(monkeypatch, kind, strategy):
         assert (a.ess is None) == (b.ess is None)
         if a.ess is not None:
             assert a.ess == pytest.approx(b.ess, rel=1e-12)
+
+
+def test_dsda_marginalizes_exactly_under_every_strategy():
+    model, insts = chunk_model("dsda"), ragged_instances(20)
+    records = [predict_batch(model, insts, InferConfig(s, m=5, seed=2)) for s in STRATEGIES]
+    for rec in records[1:]:
+        assert [(r.doc_id, r.label_id, r.ess) for r in rec] == \
+            [(r.doc_id, r.label_id, r.ess) for r in records[0]]
+        assert all(np.array_equal(a.probs, b.probs) for a, b in zip(rec, records[0]))
+    # the exact mixture: p(y|x) = sum_d p(d|x) p(y|x,d)
+    binder = model.binder(Tape())
+    batch = model.pack([inst.ids for inst in insts])
+    weights = np.exp(ad.log_softmax(model.prior_gate(binder, batch)).value)
+    per_channel = np.exp(classify_batch(
+        binder, model.channel_encodings(binder, batch, dropout_rng=None)).value)
+    want = np.einsum("bd,bdl->bl", weights, per_channel)
+    np.testing.assert_allclose([r.probs for r in records[0]], want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["csda-beta", "csda-dirichlet"])
+def test_one_mc_average_draw_is_the_prior_sample(kind):
+    model, insts = chunk_model(kind), ragged_instances(20)
+    sample, average = (predict_batch(model, insts, InferConfig(s, m=1, seed=9))
+                       for s in ("prior-sample", "mc-average"))
+    for a, b in zip(sample, average):
+        assert (a.doc_id, a.label_id) == (b.doc_id, b.label_id)
+        assert np.array_equal(a.probs, b.probs)

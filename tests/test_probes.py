@@ -1,12 +1,13 @@
 """Diagnostic probes: the logistic-regression fit, the 70/30 probe split,
 gate-sample collection and its input checks, and representation
-export."""
+export; collection and export draw from per-instance streams, so their
+rows do not depend on how the instances are cut into chunks."""
 
 import numpy as np
 import pytest
 
 from domaingate import distributions as dist
-from domaingate import probes
+from domaingate import inference, probes
 from domaingate.autodiff import Tape
 from domaingate.data import Instance
 from domaingate.encoder import EncoderConfig
@@ -92,33 +93,35 @@ class TestCollect:
     def test_one_gate_sample_per_instance_from_q(self):
         model = toy_model("csda-dirichlet")
         insts = instances()
-        recs = probes.collect(model, insts, np.random.default_rng(0))
+        recs = probes.collect(model, insts, 0)
         assert [(r.y_id, r.d_id) for r in recs] == [(i.y_id, i.d_id) for i in insts]
         for r in recs:
             assert r.z.shape == (3,) and np.all(r.z >= 0.0)
             assert abs(r.z.sum() - 1.0) <= 1e-10
-        # the same stream replays the same draws
-        again = probes.collect(model, insts, np.random.default_rng(0))
+        # the same seed replays the same draws, another seed draws afresh
+        again = probes.collect(model, insts, 0)
         assert all(np.array_equal(a.z, b.z) for a, b in zip(recs, again))
+        other = probes.collect(model, insts, 1)
+        assert not any(np.array_equal(a.z, b.z) for a, b in zip(recs, other))
 
     @pytest.mark.parametrize("kind", ["scnn", "mcnn", "dsda"])
     def test_rejects_non_variational_models(self, kind):
         model = toy_model(kind, k=1 if kind == "scnn" else 3)
         with pytest.raises(ValueError, match="variational"):
-            probes.collect(model, instances(), np.random.default_rng(0))
+            probes.collect(model, instances(), 0)
 
     @pytest.mark.parametrize("y_id, d_id", [(None, 0), (0, None)])
     def test_rejects_unobserved_label_or_domain(self, y_id, d_id):
         insts = instances(2) + [Instance("partial", (3, 4, 5), y_id, d_id, None, None)]
         with pytest.raises(ValueError, match="partial"):
-            probes.collect(toy_model("csda-beta"), insts, np.random.default_rng(0))
+            probes.collect(toy_model("csda-beta"), insts, 0)
 
 
 class TestExport:
     def test_h_rows_gate_channels_with_prior_mean(self):
         model = toy_model("csda-dirichlet")
         insts = instances(2)
-        rows = probes.export_representations(model, insts, "h")
+        rows = probes.export_representations(model, insts, "h", 0)
         assert [(r["id"], r["label"], r["domain"]) for r in rows] == [
             (i.doc_id, i.label, i.domain) for i in insts]
         tape = Tape()
@@ -133,9 +136,9 @@ class TestExport:
     def test_z_rows_are_prior_draws(self):
         model = toy_model("csda-beta")
         insts = instances(3)
-        rows = probes.export_representations(model, insts, "z", np.random.default_rng(5))
-        rng = np.random.default_rng(5)
-        for inst, row in zip(insts, rows):
+        rows = probes.export_representations(model, insts, "z", 5)
+        for i, (inst, row) in enumerate(zip(insts, rows)):
+            rng = np.random.default_rng(np.random.SeedSequence((5, i)))
             prior = model.prior_gate(model.binder(Tape()), model.pack([inst.ids]))
             np.testing.assert_allclose(row["vector"], dist.draw_many(prior, [rng], 1)[0, 0],
                                        rtol=1e-12)
@@ -148,29 +151,41 @@ class TestExport:
         model.params["phi.logits.b"][:] = (5.0, -5.0)
         insts = instances(3)
         probs = np.exp([5.0, -5.0]) / np.exp([5.0, -5.0]).sum()
-        z_rows = probes.export_representations(model, insts, "z", np.random.default_rng(0))
+        z_rows = probes.export_representations(model, insts, "z", 0)
         for row in z_rows:
             np.testing.assert_array_equal(row["vector"], [1.0, 0.0])
         model.params["phi.logits.b"][:] = (-5.0, 5.0)
-        flipped = probes.export_representations(model, insts, "z", np.random.default_rng(0))
+        flipped = probes.export_representations(model, insts, "z", 0)
         assert all(list(r["vector"]) == [0.0, 1.0] for r in flipped)
         tape = Tape()
         binder = model.binder(tape)
         batch = model.pack([i.ids for i in insts])
         h_mat = model.channel_encodings(binder, batch, dropout_rng=None)
         want = gate_channels(h_mat, tape.const(np.tile(probs[::-1], (3, 1)))).value
-        h_rows = probes.export_representations(model, insts, "h")
+        h_rows = probes.export_representations(model, insts, "h", 0)
         np.testing.assert_allclose([r["vector"] for r in h_rows], want, rtol=1e-12)
 
-    def test_z_without_rng_rejected(self):
-        with pytest.raises(ValueError, match="rng"):
-            probes.export_representations(toy_model("csda-beta"), instances(1), "z")
-
     def test_non_variational_rows_use_uniform_gate(self):
-        rows = probes.export_representations(toy_model("mcnn"), instances(1), "z",
-                                             np.random.default_rng(0))
+        rows = probes.export_representations(toy_model("mcnn"), instances(1), "z", 0)
         np.testing.assert_array_equal(rows[0]["vector"], np.full(3, 1.0 / 3))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="'h' or 'z'"):
-            probes.export_representations(toy_model("mcnn"), instances(1), "x")
+            probes.export_representations(toy_model("mcnn"), instances(1), "x", 0)
+
+
+@pytest.mark.parametrize("kind", ["mcnn", "dsda", "csda-beta", "csda-dirichlet"])
+def test_rows_do_not_depend_on_the_chunks(monkeypatch, kind):
+    model, insts = toy_model(kind), instances(5)
+
+    def rows():
+        out = [[r["vector"] for r in probes.export_representations(model, insts, repr_, 3)]
+               for repr_ in ("h", "z")]
+        if model.config.is_variational:
+            out.append([r.z for r in probes.collect(model, insts, 3)])
+        return out
+    monkeypatch.setattr(inference, "CHUNK_SIZE", 1)
+    one_by_one = rows()
+    monkeypatch.setattr(inference, "CHUNK_SIZE", 100)
+    for got, want in zip(rows(), one_by_one):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
