@@ -177,29 +177,14 @@ class Var:
     def __add__(self, other):
         return add(self, _coerce(self._tape, other))
 
-    def __radd__(self, other):
-        return add(_coerce(self._tape, other), self)
-
     def __sub__(self, other):
         return sub(self, _coerce(self._tape, other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(self._tape, other), self)
 
     def __mul__(self, other):
         return mul(self, _coerce(self._tape, other))
 
     def __rmul__(self, other):
         return mul(_coerce(self._tape, other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(self._tape, other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(self._tape, other), self)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def _coerce(tape: Tape, x) -> Var:
@@ -405,8 +390,10 @@ def stack(parts: list[Var], axis: int = 0) -> Var:
 
 
 def matmul(a: Var, b: Var) -> Var:
-    """Matrix product: rows of any leading shape [..., n] @ [n, m], or a
-    stack of matrices [B, r, n] @ [B, n, m]."""
+    """Matrix product: rows of any leading shape [..., n] @ [n, m], run as
+    one product of the flattened rows [N, n] @ [n, m] (so the bits of a
+    row do not depend on the leading shape), or a stack of matrices
+    [B, r, n] @ [B, n, m]."""
     av, bv = a.value, b.value
     if not ((av.ndim >= 1 and bv.ndim == 2)
             or (av.ndim == bv.ndim == 3 and av.shape[0] == bv.shape[0])):
@@ -414,12 +401,16 @@ def matmul(a: Var, b: Var) -> Var:
                          f"got {av.shape} @ {bv.shape}")
     if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {av.shape} @ {bv.shape}")
+    if bv.ndim == 3:
+        return a._tape.record("matmul", np.matmul(av, bv), (a, b),
+                              lambda grad: (grad @ bv.swapaxes(1, 2), av.swapaxes(1, 2) @ grad))
+    rows = av.reshape(-1, av.shape[-1])
 
     def backward(grad):
-        if bv.ndim == 3:
-            return grad @ bv.swapaxes(1, 2), av.swapaxes(1, 2) @ grad
-        return grad @ bv.T, av.reshape(-1, av.shape[-1]).T @ grad.reshape(-1, bv.shape[1])
-    return a._tape.record("matmul", np.matmul(av, bv), (a, b), backward)
+        grad = grad.reshape(-1, bv.shape[1])
+        return (grad @ bv.T).reshape(av.shape), rows.T @ grad
+    return a._tape.record("matmul", (rows @ bv).reshape(av.shape[:-1] + bv.shape[1:]),
+                          (a, b), backward)
 
 
 # -- encoder primitives ------------------------------------------------------

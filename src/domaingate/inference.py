@@ -11,11 +11,12 @@ Strategies for the variational models:
   ``predict_batch`` warns when it is below m/10
 
 ``gates`` is the one source of a trained model's prior gate, here and
-in ``probes``: r gate rows per instance with mixture weights. The plain
-baselines have the uniform gate; the discrete mixture has its k
+in ``probes``: r gate rows per instance with mixture weights. A kind
+whose gate is not drawn has the rows and weights that training scores
+too, from ``Model.mixture``: the baselines' uniform gate, or dsda's k
 indicator rows weighted by p(d|x), which marginalizes d exactly under
-every strategy (an indicator row gates its channel bitwise); csda has
-its prior mean, one draw, or m draws at weight 1/m.
+every strategy. csda has its prior mean, one draw, or m draws at
+weight 1/m.
 
 ``chunks`` cuts the instances into slices of ``CHUNK_SIZE``, which bounds
 the memory of one tape, with one generator per instance seeded with
@@ -35,7 +36,6 @@ from typing import Optional
 import numpy as np
 
 from . import ConfigError
-from . import autodiff as ad
 from . import distributions as dist
 from .autodiff import Tape
 from .data import Instance
@@ -90,17 +90,13 @@ def gates(model: Model, binder, batch, strategy: str, rngs: list,
           m: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The gate rows [B,r,k] of each instance of ``batch`` under
     ``strategy`` (any but importance-sampling) and their mixture weights
-    [B,r]: the uniform gate, dsda's k indicator rows weighted by
-    p(d|x), or csda's prior mean, one draw, or (mc-average) ``m`` draws
-    at weight 1/m, instance i drawing from ``rngs[i]``."""
-    cfg = model.config
-    n, k = batch.size, cfg.k
-    if cfg.family == "categorical":
-        weights = np.exp(ad.log_softmax(model.prior_gate(binder, batch)).value)
-        return np.broadcast_to(np.eye(k), (n, k, k)), weights
-    if not cfg.is_variational:
-        return np.full((n, 1, k), 1.0 / k), np.ones((n, 1))
-    prior = model.prior_gate(binder, batch)
+    [B,r]: those of ``Model.mixture`` where the gate is not drawn, or
+    csda's prior mean, one draw, or (mc-average) ``m`` draws at weight
+    1/m, instance i drawing from ``rngs[i]``."""
+    if not model.config.is_variational:
+        rows, log_w = model.mixture(binder, batch)
+        return rows, np.exp(log_w.value)
+    n, prior = batch.size, model.prior_gate(binder, batch)
     if strategy == "prior-mean":
         return dist.mean(prior)[:, None, :], np.ones((n, 1))
     r = m if strategy == "mc-average" else 1

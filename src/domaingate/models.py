@@ -2,30 +2,31 @@
 latent-domain mixture (dsda), and the continuous Beta/Dirichlet gated
 models (csda).
 
-All of them share the same likelihood shape: k channel encoders produce
-hidden vectors h_1..h_k, stacked into a [k,H] matrix; a gate vector z
-mixes them into h = sum_i z_i h_i, and a one-hidden-layer MLP with a
-softmax head (``classify_batch``) predicts the label. They differ in
-where z comes from:
+All of them share one likelihood, a mixture over gate rows: k channel
+encoders produce hidden vectors h_1..h_k, stacked into a [k,H] matrix;
+a gate row z mixes them into h = sum_i z_i h_i, and a one-hidden-layer
+MLP with a softmax head (``classify_batch``) gives p(y | x, z). An
+instance's rows z_r at weights w_r give p(y|x) = sum_r w_r p(y | x, z_r).
+The kinds differ in the rows (``Model.mixture`` gives them to training
+and prediction alike where the gate is not drawn):
 
-- scnn:  k = 1, z = (1,)
-- mcnn:  fixed uniform gate z = (1/k, ..., 1/k)
-- dsda:  z is a latent categorical; training marginalizes it exactly
-  (one head call over the channel rows gives the per-channel
-  likelihoods, summed in probability space via log-sum-exp), optionally
-  adding a supervised prior term when the domain is observed
+- scnn:  k = 1, one row z = (1,)
+- mcnn:  one fixed uniform row z = (1/k, ..., 1/k)
+- dsda:  z is a latent categorical, marginalized exactly by its k
+  indicator rows at weights p(d|x); training adds a supervised prior
+  term when the domain is observed
 - csda:  z ~ Beta or Dirichlet, parameterized by a prior network from x
   alone and, during training, a variational network that additionally
   conditions on the label and domain (with UNK sentinels); trained on a
-  single-sample bound with a lambda-weighted closed-form KL
+  single-sample bound (one row drawn from q) with a lambda-weighted
+  closed-form KL
 
 Everything works on rows: a batch of B instances is packed once
 (``encoder.pack``) and every graph piece returns one row per instance:
-channel encodings [B,k,H], gate parameters [B,k], gates [B,k] (or r
-gates per instance [B,r,k] in prediction), label log-probabilities
-[B,L] (or [B,r,L]). ``Model.loss`` builds one tape for a whole
-mini-batch and returns the mean over its rows; training and prediction
-build the same graph, and prediction never calls ``backprop``.
+channel encodings [B,k,H], gate parameters [B,k], gate rows [B,r,k] and
+label log-probabilities [B,r,L]. ``Model.loss`` builds one tape for a
+whole mini-batch and returns the mean over its rows; prediction builds
+the same graph and never calls ``backprop``.
 
 The gate networks return the distribution parameters themselves: the
 dsda prior's logits ``Var``, or ``BetaParams``/``DirichletParams``. A
@@ -171,18 +172,14 @@ def _table_rows(ids, n: int, what: str) -> np.ndarray:
 
 def gate_channels(h_mat: Var, z: Var) -> Var:
     """h = sum_i z_i h_i for each instance's stacked channels h_mat
-    [B,k,H], with gate rows z [B,k] (giving [B,H]) or r gates per
-    instance [B,r,k] (giving [B,r,H]). An indicator gate reproduces the
-    selected channel bitwise (multiplying by exact 0/1 and summing zeros
-    is lossless)."""
-    if h_mat.value.ndim != 3 or z.value.ndim not in (2, 3) \
+    [B,k,H] and each of its r gate rows z [B,r,k], giving [B,r,H]. An
+    indicator gate reproduces the selected channel bitwise (multiplying
+    by exact 0/1 and summing zeros is lossless)."""
+    if h_mat.value.ndim != 3 or z.value.ndim != 3 \
             or z.shape[0] != h_mat.shape[0] or z.shape[-1] != h_mat.shape[1]:
         raise ad.ShapeError(
             f"gate shape {z.shape} does not match channels {h_mat.shape}")
-    if z.value.ndim == 3:
-        return ad.matmul(z, h_mat)
-    n, k = z.shape
-    return ad.reshape(ad.matmul(ad.reshape(z, (n, 1, k)), h_mat), (n, h_mat.shape[2]))
+    return ad.matmul(z, h_mat)
 
 
 def classify_batch(binder: ParamBinder, h: Var) -> Var:
@@ -287,23 +284,37 @@ class Model:
                            ad.embedding(binder("sigma.d_emb"), d_rows)])
         return self._continuous_heads(binder, feats, "sigma")
 
+    def mixture(self, binder, batch: TokenBatch) -> tuple[np.ndarray, Var]:
+        """The gate rows [B,r,k] of a kind whose gate is not drawn, and
+        their log mixture weights [B,r]: the uniform row at log weight 0
+        (scnn, mcnn), or dsda's k indicator rows at log p(d|x)."""
+        cfg = self.config
+        n, k = batch.size, cfg.k
+        if cfg.is_variational:
+            raise ValueError(f"{cfg.kind} draws its gate: it has no fixed mixture")
+        if cfg.family == "categorical":
+            return (np.broadcast_to(np.eye(k), (n, k, k)),
+                    ad.log_softmax(self.prior_gate(binder, batch)))
+        return np.full((n, 1, k), 1.0 / k), binder.tape.const(np.zeros((n, 1)))
+
     # -- losses ---------------------------------------------------------------
 
     def loss(self, seqs, y_ids, d_ids=None, *, lam: float,
              rng: Optional[np.random.Generator] = None,
              dropout_rng: Optional[np.random.Generator] = None) -> LossResult:
         """Training loss (negative objective) of a mini-batch on one tape:
-        the mean over its instances of each one's loss.
+        the mean over its instances of -log sum_r w_r p(y | x, z_r), over
+        the rows of ``mixture`` or, for the variational models, one draw
+        from q plus ``lam`` times its KL to the prior.
 
         ``seqs`` are the B token-id sequences, ``y_ids`` their labels and
         ``d_ids`` their domains (None entries, or None for all, where
-        unobserved). ``lam`` weighs the KL term of the variational models,
-        and dsda adds ``-log p(d | x)`` at ``DOMAIN_PRIOR_WEIGHT`` on each
-        row whose domain is observed. ``rng`` drives gate sampling and is
-        required by the variational models; ``dropout_rng`` enables
-        channel dropout. A row whose gate draw has no pathwise gradient is
-        left out of the mean and counted in ``degenerate``. An invalid id
-        raises ``ValueError`` naming its batch position.
+        unobserved). dsda adds ``-log p(d | x)`` at ``DOMAIN_PRIOR_WEIGHT``
+        on each row whose domain is observed. ``rng`` drives gate sampling
+        and is required by the variational models; ``dropout_rng``
+        enables channel dropout. A row whose gate draw has no pathwise
+        gradient is left out of the mean and counted in ``degenerate``.
+        An invalid id raises ``ValueError`` naming its batch position.
         """
         cfg = self.config
         n = len(seqs)
@@ -315,37 +326,35 @@ class Model:
         binder = self.binder(tape)
         batch = self.pack(seqs)
         h_mat = self.channel_encodings(binder, batch, dropout_rng)
-        keep = np.ones(n, dtype=bool)
-        kl = None
+        keep, kl, extra = np.ones(n, dtype=bool), None, None
 
-        if cfg.kind in ("scnn", "mcnn"):
-            z = tape.const(np.full((n, cfg.k), 1.0 / cfg.k))
-            logprobs = classify_batch(binder, gate_channels(h_mat, z))
-            rows = ad.neg(ad.gather(logprobs, y))
-        elif cfg.kind == "dsda":
-            for j, d in enumerate(d_ids):
-                if d is not None and not 0 <= d < cfg.k:
-                    raise ValueError(f"observed domain {d} outside the {cfg.k} "
-                                     f"channels (batch position {j})")
-            log_prior = ad.log_softmax(self.prior_gate(binder, batch))
-            per_channel = ad.gather(classify_batch(binder, h_mat),
-                                    np.repeat(y[:, None], cfg.k, axis=1))
-            rows = ad.neg(ad.logsumexp(per_channel + log_prior))
-            observed = np.array([d is not None for d in d_ids])
-            if observed.any():
-                d = np.array([0 if d is None else d for d in d_ids])
-                rows = rows + tape.const(np.where(observed, DOMAIN_PRIOR_WEIGHT, 0.0)) \
-                    * ad.neg(ad.gather(log_prior, d))
-        else:
+        if cfg.is_variational:
             if rng is None:
                 raise ValueError(f"{cfg.kind} samples its gate: loss needs a generator rng")
             q = self.posterior_gate(binder, batch, y_ids, d_ids)
             p = self.prior_gate(binder, batch)
             z_var, degenerate = dist.sample(q, rng)
             keep = ~degenerate
-            loglik = ad.gather(classify_batch(binder, gate_channels(h_mat, z_var)), y)
+            z, log_w = ad.reshape(z_var, (n, 1, cfg.k)), tape.const(np.zeros((n, 1)))
             kl = dist.kl_divergence(q, p)
-            rows = ad.neg(loglik - lam * kl)
+            extra = lam * kl
+        else:
+            z_rows, log_w = self.mixture(binder, batch)
+            z = tape.const(z_rows)
+            observed = np.array([d is not None for d in d_ids])
+            if cfg.kind == "dsda" and observed.any():
+                for j, d in enumerate(d_ids):
+                    if d is not None and not 0 <= d < cfg.k:
+                        raise ValueError(f"observed domain {d} outside the {cfg.k} "
+                                         f"channels (batch position {j})")
+                d = np.array([0 if d is None else d for d in d_ids])
+                extra = tape.const(np.where(observed, DOMAIN_PRIOR_WEIGHT, 0.0)) \
+                    * ad.neg(ad.gather(log_w, d))
+        loglik = ad.gather(classify_batch(binder, gate_channels(h_mat, z)),
+                           np.broadcast_to(y[:, None], log_w.shape))
+        rows = ad.neg(ad.logsumexp(log_w + loglik))
+        if extra is not None:
+            rows = rows + extra
 
         kept = int(keep.sum())
         if kept == 0:

@@ -151,6 +151,27 @@ class TestBackwardRulesMatchFiniteDifferences:
         np.testing.assert_allclose(grads["b"], fd_gradient(scalar_b, b0.copy()),
                                    rtol=1e-4, atol=1e-8)
 
+    # Rows [B,r,n] @ [n,m] run as the 2-d product of their flattened rows,
+    # so a row's bits do not depend on its leading shape: training's
+    # [B,1,H] head rows give the bits that [B,H] rows give.
+    @pytest.mark.parametrize("shape_a,m", [((12, 1, 48), 300), ((4, 1, 384), 300),
+                                           ((12, 3, 48), 300), ((4, 3, 384), 300)])
+    def test_matmul_rows_equal_the_flat_product_bitwise(self, shape_a, m):
+        rng = np.random.default_rng(9)
+        a0, b0 = rng.normal(size=shape_a), rng.normal(size=(shape_a[-1], m))
+        probe = rng.normal(size=shape_a[:-1] + (m,))
+
+        def run(a, p):
+            t = Tape()
+            out = ad.matmul(t.param(a, "a"), t.param(b0, "b"))
+            grads = backprop(ad.reduce_sum(ad.mul(out, t.const(p))))
+            return out.value.reshape(probe.shape), grads["a"].reshape(shape_a), grads["b"]
+
+        rows = run(a0, probe)
+        flat = run(a0.reshape(-1, shape_a[-1]), probe.reshape(-1, m))
+        for got, want in zip(rows, flat):
+            np.testing.assert_array_equal(got, want)
+
     def test_binary_elementwise_and_scalar_broadcast(self):
         rng = np.random.default_rng(8)
         for op, ref in [(ad.add, np.add), (ad.sub, np.subtract),

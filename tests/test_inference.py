@@ -59,8 +59,8 @@ def linear_space_estimates(model, m, seed):
         q = model.posterior_gate(binder, batch, [y], None)
         z = dist.draw_many(q, [rng], m)
         loglik = np.array([
-            classify_batch(binder, gate_channels(h_mat, tape.const(row[None]))).value[0, y]
-            for row in z[0]])
+            classify_batch(binder, gate_channels(h_mat, tape.const(row[None, None])))
+            .value[0, 0, y] for row in z[0]])
         log_w = dist.log_pdf_many(prior, z)[0] + loglik \
             - dist.log_pdf_many(q, z)[0]
         out.append(np.exp(log_w).mean())

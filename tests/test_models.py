@@ -49,11 +49,12 @@ def csda_loglik(model, y_id, d_id, eps):
     batch = model.pack([IDS])
     h_mat = model.channel_encodings(binder, batch, None)
     z, _ = dist.sample(model.posterior_gate(binder, batch, [y_id], [d_id]), FixedNoise(eps))
-    return classify_batch(binder, gate_channels(h_mat, z)).value[0, y_id]
+    z = ad.reshape(z, (1, 1, model.config.k))
+    return classify_batch(binder, gate_channels(h_mat, z)).value[0, 0, y_id]
 
 
 def head_gate(tape):
-    """The gate rows [B,k] that ``gate_channels`` mixed the channels with."""
+    """The first gate row [B,k] that ``gate_channels`` mixed the channels with."""
     [node] = [n for n in tape.nodes
               if n.kind == "matmul" and tape.nodes[n.inputs[1]].kind == "stack"]
     return tape.nodes[node.inputs[0]].value[:, 0, :]
@@ -63,21 +64,21 @@ class TestGating:
     def test_indicator_gate_selects_channel_bitwise(self):
         t = Tape()
         h_mat = t.const(np.random.default_rng(0).normal(size=(2, 4, 5)))
-        out = gate_channels(h_mat, t.const(np.eye(4)[[2, 0]]))
-        np.testing.assert_array_equal(out.value, h_mat.value[[0, 1], [2, 0]])
+        out = gate_channels(h_mat, t.const(np.eye(4)[[2, 0]][:, None]))
+        np.testing.assert_array_equal(out.value[:, 0], h_mat.value[[0, 1], [2, 0]])
         rows = gate_channels(h_mat, t.const(np.stack([np.eye(4)] * 2)))
         np.testing.assert_array_equal(rows.value, h_mat.value)
 
     def test_half_half_averages(self):
         t = Tape()
         h_mat = t.const(np.array([[[2.0, 4.0], [0.0, 2.0]]]))
-        out = gate_channels(h_mat, t.const(np.array([[0.5, 0.5]])))
-        np.testing.assert_allclose(out.value, [[1.0, 3.0]], atol=1e-15)
+        out = gate_channels(h_mat, t.const(np.array([[[0.5, 0.5]]])))
+        np.testing.assert_allclose(out.value, [[[1.0, 3.0]]], atol=1e-15)
 
     def test_zero_gate_gives_zero_vector(self):
         t = Tape()
-        out = gate_channels(t.const(np.ones((1, 2, 3))), t.const(np.zeros((1, 2))))
-        np.testing.assert_array_equal(out.value, np.zeros((1, 3)))
+        out = gate_channels(t.const(np.ones((1, 2, 3))), t.const(np.zeros((1, 1, 2))))
+        np.testing.assert_array_equal(out.value, np.zeros((1, 1, 3)))
 
     def test_gate_rows_match_vector_gates(self):
         t = Tape()
@@ -88,18 +89,20 @@ class TestGating:
         assert out.shape == (2, 4, 5)
         for i in range(4):
             np.testing.assert_allclose(
-                out.value[:, i], gate_channels(h_mat, t.const(z_rows[:, i])).value,
+                out.value[:, i], gate_channels(h_mat, t.const(z_rows[:, i:i + 1])).value[:, 0],
                 rtol=0, atol=1e-12)
 
     def test_length_mismatch_rejected(self):
         t = Tape()
         h_mat = t.const(np.ones((1, 1, 3)))
         with pytest.raises(ad.ShapeError):
-            gate_channels(h_mat, t.const(np.ones((1, 2))))
+            gate_channels(h_mat, t.const(np.ones((1, 1, 2))))
         with pytest.raises(ad.ShapeError):
             gate_channels(h_mat, t.const(np.ones((1, 4, 2))))
-        with pytest.raises(ad.ShapeError):  # one gate row per instance
-            gate_channels(h_mat, t.const(np.ones((2, 1))))
+        with pytest.raises(ad.ShapeError):  # gate rows of each instance
+            gate_channels(h_mat, t.const(np.ones((2, 1, 1))))
+        with pytest.raises(ad.ShapeError):  # gates are rows [B,r,k], never [B,k]
+            gate_channels(h_mat, t.const(np.ones((1, 1))))
 
     def test_channel_dropout_only_with_rng(self):
         # One dropout over the stacked channels, from one draw [B,k,H].
@@ -323,6 +326,34 @@ class TestContinuousGateParameterization:
             model.posterior_gate(model.binder(t), batch, [None, None], [7, 0])
         with pytest.raises(ValueError, match="inventory.*batch position 1"):
             model.loss([IDS, IDS], [1, 2], **WEIGHTS)
+
+
+class TestSharedMixture:
+    # Training and prediction score one mixture: without dropout and with
+    # no domain observed, the loss of a kind whose gate is not drawn is the
+    # mean of -log p(y | x) that prediction gives.
+    @pytest.mark.parametrize("kind", ["scnn", "mcnn", "dsda"])
+    def test_loss_is_mean_neg_log_predicted_probability(self, kind):
+        model = toy_model(kind, k=1 if kind == "scnn" else 3, n_labels=3)
+        seqs, y = [IDS, (4, 2, 9), (11, 3, 3, 8, 0)], [2, 0, 1]
+        res = model.loss(seqs, y, **WEIGHTS)
+        probs, _ = predict(model, seqs, InferConfig(),
+                           [np.random.default_rng(i) for i in range(3)])
+        assert res.loss.item() == pytest.approx(
+            -np.mean(np.log(probs[np.arange(3), y])), abs=1e-12)
+
+    def test_mixture_rows_and_log_weights(self):
+        model = toy_model("dsda", k=3)
+        binder = model.binder(Tape())
+        batch = model.pack([IDS, (4, 2, 9)])
+        rows, log_w = model.mixture(binder, batch)
+        np.testing.assert_array_equal(rows, np.broadcast_to(np.eye(3), (2, 3, 3)))
+        np.testing.assert_allclose(np.exp(log_w.value).sum(axis=1), 1.0, rtol=1e-13)
+        rows, log_w = toy_model("mcnn", k=3).mixture(binder, batch)
+        np.testing.assert_array_equal(rows, np.full((2, 1, 3), 1.0 / 3))
+        np.testing.assert_array_equal(log_w.value, np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="draws its gate"):
+            toy_model("csda-beta").mixture(binder, batch)
 
 
 class TestVariationalObjective:

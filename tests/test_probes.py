@@ -129,7 +129,7 @@ class TestExport:
         batch = model.pack([insts[0].ids])
         gate = dist.mean(model.prior_gate(binder, batch))
         h_mat = model.channel_encodings(binder, batch, dropout_rng=None)
-        want = gate_channels(h_mat, tape.const(gate)).value[0]
+        want = gate_channels(h_mat, tape.const(gate[:, None])).value[0, 0]
         assert rows[0]["vector"].shape == (ENC.out_dim,)
         np.testing.assert_allclose(rows[0]["vector"], want, rtol=1e-13, atol=1e-15)
 
@@ -161,7 +161,7 @@ class TestExport:
         binder = model.binder(tape)
         batch = model.pack([i.ids for i in insts])
         h_mat = model.channel_encodings(binder, batch, dropout_rng=None)
-        want = gate_channels(h_mat, tape.const(np.tile(probs[::-1], (3, 1)))).value
+        want = gate_channels(h_mat, tape.const(np.tile(probs[::-1], (3, 1, 1)))).value[:, 0]
         h_rows = probes.export_representations(model, insts, "h", 0)
         np.testing.assert_allclose([r["vector"] for r in h_rows], want, rtol=1e-12)
 
