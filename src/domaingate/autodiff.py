@@ -14,8 +14,8 @@ A row gradient that meets any other gradient is made dense.
 A tape holds a whole mini-batch: the primitives work on rows [B,...]
 (numpy broadcasting, reductions and gathers along an axis, rows times a
 matrix, stacked matrix products), and the encoder's ``conv_pool``
-convolves a ragged batch of token rows and max-pools each instance over
-its own windows.
+convolves a ragged batch of N positions over U distinct rows [U,E],
+never forming [N,E], and max-pools each instance over its own windows.
 
 A primitive computes its output and records it with ``Tape.record``,
 together with its backward rule: a closure from the output's gradient to
@@ -438,15 +438,16 @@ def embedding(table: Var, ids) -> Var:
     return table._tape.record("embedding", table.value[ids], (table,), backward)
 
 
-def conv_pool(x: Var, w: Var, b: Var, starts: np.ndarray) -> Var:
+def conv_pool(x: Var, w: Var, b: Var, index: np.ndarray, starts: np.ndarray) -> Var:
     """relu(max over each instance's windows of the valid convolution of
-    x [N,E] with w [win,E,F] plus b [F]) -> [B,F].
+    the rows ``x[index]`` [N,E] with w [win,E,F] plus b [F]) -> [B,F].
 
-    Instance j owns rows ``starts[j]:starts[j+1]`` of x. A window that
-    starts in one instance and ends in the next is never pooled. Ties
-    take the lowest window; relu after the max equals the max after relu
-    exactly. Only the argmax windows and the relu mask are kept for the
-    backward pass.
+    x [U,E] holds one row per distinct id and ``index`` [N] the row at each
+    position; instance j owns positions ``starts[j]:starts[j+1]``. The
+    gradient of x is [U,E] (see ``kernels``). A window that starts in one
+    instance and ends in the next is never pooled. Ties take the lowest
+    window; relu after the max equals the max after relu exactly. Only the
+    argmax windows and the relu mask are kept for the backward pass.
 
     The convolution and max-pool run in the dtype of x, w and b; the
     pooled rows are float64, and the backward pass casts their gradient
@@ -454,20 +455,27 @@ def conv_pool(x: Var, w: Var, b: Var, starts: np.ndarray) -> Var:
     xv, wv, bv = x.value, w.value, b.value
     if xv.ndim != 2 or wv.ndim != 3 or bv.ndim != 1:
         raise ShapeError(
-            f"conv_pool expects x:[N,E], w:[win,E,F], b:[F]; got {xv.shape}, "
+            f"conv_pool expects x:[U,E], w:[win,E,F], b:[F]; got {xv.shape}, "
             f"{wv.shape}, {bv.shape}")
     if wv.shape[1] != xv.shape[1] or wv.shape[2] != bv.shape[0]:
         raise ShapeError(
             f"conv_pool dimension mismatch: x {xv.shape}, w {wv.shape}, b {bv.shape}")
+    index = np.asarray(index, dtype=np.intp)
+    if index.ndim != 1:
+        raise ShapeError(f"conv_pool index must be 1-d, got shape {index.shape}")
     starts = np.asarray(starts, dtype=np.intp)
     win = wv.shape[0]
     lengths = np.diff(starts)
-    if starts[0] != 0 or starts[-1] != xv.shape[0] or lengths.size == 0:
-        raise ShapeError(f"conv_pool starts {starts} do not cover {xv.shape[0]} rows")
+    if starts[0] != 0 or starts[-1] != index.size or lengths.size == 0:
+        raise ShapeError(f"conv_pool starts {starts} do not cover {index.size} positions")
     if lengths.min() < win:
         raise ShapeError(
             f"conv_pool input length {lengths.min()} shorter than window {win}")
-    out = kernels.conv1d_forward(np.ascontiguousarray(xv), np.ascontiguousarray(wv), bv)
+    if index.min() < 0 or index.max() >= xv.shape[0]:
+        raise ShapeError(f"conv_pool index out of range [0, {xv.shape[0]}): "
+                         f"min={index.min()}, max={index.max()}")
+    xv, wv = np.ascontiguousarray(xv), np.ascontiguousarray(wv)
+    out = kernels.conv1d_forward(xv, wv, bv, index)
     peak, idx = kernels.maxpool_forward(out, starts[:-1], starts[1:] - win + 1)
     # The relu would hide a non-finite maximum, so check it first.
     if not np.all(np.isfinite(peak)):
@@ -475,9 +483,8 @@ def conv_pool(x: Var, w: Var, b: Var, starts: np.ndarray) -> Var:
     live = peak > 0.0
 
     def backward(grad):
-        u, s = kernels.maxpool_backward(grad.astype(wv.dtype, copy=False), idx, live)
-        return kernels.conv1d_backward(np.ascontiguousarray(xv), np.ascontiguousarray(wv),
-                                       u, s)
+        s = kernels.maxpool_backward(grad.astype(wv.dtype, copy=False), live)
+        return kernels.conv1d_backward(xv, wv, index, idx, s)
     pooled = np.where(live, peak, 0.0).astype(np.float64, copy=False)
     return x._tape.record("conv_pool", pooled, (x, w, b), backward)
 

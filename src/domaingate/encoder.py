@@ -9,10 +9,13 @@ of the window sizes {3,4,5}, giving a 384-d output; tests shrink them.
 
 A batch is encoded on one tape as one ragged sequence: ``pack`` strips
 each instance's trailing PAD, left-pads it to the widest window and
-concatenates the instances into ``TokenBatch.ids`` [N], with instance j
-at ``starts[j]:starts[j+1]``. ``encode`` then makes one embedding lookup
-per batch and one fused ``conv_pool`` per window size, which pools each
-instance over its own windows only, and returns rows [B, out_dim].
+concatenates the instances into N positions, instance j at
+``starts[j]:starts[j+1]``, each holding the row of its id among the
+batch's sorted distinct ids (``TokenBatch.index`` into ``.ids``).
+``encode`` then gathers U embedding rows, not N (a byte batch has
+thousands of positions over at most 258 ids), and makes one fused
+``conv_pool`` per window size, which pools each instance over its own
+windows only, and returns rows [B, out_dim].
 
 Encoder parameters are ``PARAM_DTYPE`` (float32), and so are the gather,
 the convolution, the max-pool, their gradients and Adam moments;
@@ -62,10 +65,11 @@ class EncoderConfig:
 
 @dataclass(frozen=True)
 class TokenBatch:
-    """B token sequences concatenated into ``ids`` [N]; instance j is
-    ``ids[starts[j]:starts[j+1]]``."""
+    """B token sequences concatenated into N positions over the sorted
+    distinct ``ids`` [U]: instance j is ``ids[index[starts[j]:starts[j+1]]]``."""
 
     ids: np.ndarray
+    index: np.ndarray
     starts: np.ndarray
 
     @property
@@ -97,7 +101,8 @@ def pack(seqs, cfg: EncoderConfig) -> TokenBatch:
         raise ValueError("cannot encode an empty batch")
     starts = np.zeros(len(parts) + 1, dtype=np.intp)
     np.cumsum([p.size for p in parts], out=starts[1:])
-    return TokenBatch(np.concatenate(parts), starts)
+    ids, index = np.unique(np.concatenate(parts), return_inverse=True)
+    return TokenBatch(ids, index, starts)
 
 
 def layout(vocab_size: int, cfg: EncoderConfig, prefix: str, draw) -> dict:
@@ -115,7 +120,7 @@ def layout(vocab_size: int, cfg: EncoderConfig, prefix: str, draw) -> dict:
 
 def encode(binder: ParamBinder, prefix: str, batch: TokenBatch, cfg: EncoderConfig) -> Var:
     """Encode a packed batch to pooled rows [B, cfg.out_dim]."""
-    embedded = ad.embedding(binder(f"{prefix}.emb"), batch.ids)
-    return ad.concat([ad.conv_pool(embedded, binder(f"{prefix}.conv{w}.w"),
-                                   binder(f"{prefix}.conv{w}.b"), batch.starts)
+    rows = ad.embedding(binder(f"{prefix}.emb"), batch.ids)
+    return ad.concat([ad.conv_pool(rows, binder(f"{prefix}.conv{w}.w"),
+                                   binder(f"{prefix}.conv{w}.b"), batch.index, batch.starts)
                       for w in cfg.windows])

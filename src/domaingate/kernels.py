@@ -1,26 +1,26 @@
 """Hot numeric kernels for the encoder: 1-d convolution over time,
 max-pool over each instance's windows, and embedding-gradient scatter.
 
-A batch of B token sequences is one ragged sequence: the instances'
-rows are concatenated into x [N,E], and instance j owns rows
-``starts[j]:starts[j+1]``. The convolution runs once over the whole
-packed batch, so a window that starts near the end of one instance
-reaches into the next; such a window is computed but never pooled.
-``maxpool_forward`` pools each instance's own windows only.
+A batch of B token sequences is one ragged sequence of N positions over
+U distinct ids: x [U,E] holds one embedding row per distinct id, and
+``index`` [N] gives the row of x at each packed position. Instance j
+owns positions ``starts[j]:starts[j+1]``. The convolution runs once over
+the whole packed batch, so a window that starts near the end of one
+instance reaches into the next; such a window is computed but never
+pooled. ``maxpool_forward`` pools each instance's own windows only.
 
-The convolution makes one GEMM per window offset i: the forward is
-``out = sum_i x[i:i+To] @ w[i] + b``, each a contiguous [To,E] slice of
-x against one [E,F] slab of w, stored filter-major so that the max-pool
-scans contiguous memory. After the max-pool, the gradient of the
-convolution output has at most one nonzero per (instance, filter), at
-the argmax window. The backward therefore works on the U unique argmax
-rows u only: with S [U,F] the pooled gradient placed on them,
-``dx[u+i] += S @ w[i].T`` and ``dw[i] = x[u+i].T @ S``.
+The convolution projects the vocabulary, not the text: one stacked
+product ``p[i] = x @ w[i]`` [win,U,F] scores every distinct row at every
+window offset, and position t's output is ``sum_i p[i, index[t+i]] + b``.
+After the max-pool, the convolution output's gradient has at most one
+nonzero per (instance, filter), at the argmax window; one ``np.bincount``
+scatters these into dp [win,U,F], then ``dx = sum_i dp[i] @ w[i].T``
+[U,E] and ``dw[i] = x.T @ dp[i]``. No [N,E] array exists in either
+direction, so the products' cost follows U (at most 258 in byte mode).
 
-``embedding_backward`` adds the gradient of the N looked-up rows into
-[U,E], one row per unique id: the backward pass passes the inverse
-indices of ``np.unique`` and U, never the vocabulary size, so the
-scatter's cost and output follow the text length.
+``embedding_backward`` adds the gradient of looked-up rows into [U,E],
+one row per unique id: the backward pass passes the inverse indices of
+``np.unique`` and U, never the vocabulary size.
 
 The kernels are plain numpy; ``perfbench/run.py`` times them per layer
 in its traced run. Arrays are C-contiguous, and every result has the
@@ -43,28 +43,40 @@ __all__ = [
 NUMBA_ENABLED = False
 
 
-def conv1d_forward(x, w, b):
-    # x: [N, E], w: [win, E, F], b: [F] -> [N - win + 1, F], valid padding.
-    # The result is the transpose of a C-contiguous [F, N - win + 1], so that
-    # pooling reads each filter's outputs over time as one contiguous row.
-    win = w.shape[0]
-    t_out = x.shape[0] - win + 1
-    out = w[0].T @ x[:t_out].T
-    for i in range(1, win):
-        out += w[i].T @ x[i:i + t_out].T
+def conv1d_forward(x, w, b, index):
+    # x: [U, E] rows at the positions index [N], w: [win, E, F], b: [F]
+    # -> [N - win + 1, F], valid padding. The result is the transpose of a
+    # C-contiguous [F, N - win + 1], so that pooling reads each filter's
+    # outputs over time as one contiguous row. Positions are summed in
+    # blocks of 32 Ki values (256 positions at F = 128), whose transposing
+    # copy stays in cache.
+    win, _, nf = w.shape
+    t_out = index.size - win + 1
+    block = max(1, 32768 // nf)
+    p = np.matmul(x, w)
+    out = np.empty((nf, t_out), dtype=p.dtype)
+    for lo in range(0, t_out, block):
+        hi = min(lo + block, t_out)
+        rows = p[0].take(index[lo:hi], axis=0)
+        for i in range(1, win):
+            rows += p[i].take(index[lo + i:hi + i], axis=0)
+        out[:, lo:hi] = rows.T
     out += b[:, None]
     return out.T
 
 
-def conv1d_backward(x, w, u, s):
-    # x: [N, E], w: [win, E, F]; s: [U, F] is the gradient of the conv
-    # output at the unique rows u [U] and zero elsewhere.
-    dw = np.empty_like(w)
-    dx = np.zeros_like(x)
-    for i in range(w.shape[0]):
-        np.matmul(x[u + i].T, s, out=dw[i])
-        dx[u + i] += s @ w[i].T
-    return dx, dw, s.sum(axis=0)
+def conv1d_backward(x, w, index, u, s):
+    # x: [U, E], w: [win, E, F], index: [N]; s: [B, F] is the gradient of
+    # the conv output at the rows u [B, F] (entry (j, f) at row u[j, f] and
+    # filter f) and zero elsewhere. Bin (i, r, f) of dp sums the entries
+    # whose window reads distinct row r at offset i.
+    win, _, nf = w.shape
+    offsets = np.arange(win)[:, None, None]
+    keys = (offsets * x.shape[0] + index[u + offsets]) * nf + np.arange(nf)
+    dp = np.bincount(keys.ravel(), np.broadcast_to(s, keys.shape).ravel(),
+                     minlength=win * x.shape[0] * nf).astype(w.dtype).reshape(win, -1, nf)
+    dx = np.matmul(dp, w.transpose(0, 2, 1)).sum(axis=0)
+    return dx, np.matmul(x.T, dp), s.sum(axis=0)
 
 
 def maxpool_forward(x, lo, hi):
@@ -79,15 +91,10 @@ def maxpool_forward(x, lo, hi):
     return np.take_along_axis(xt, idx.T, axis=1).T, idx
 
 
-def maxpool_backward(grad, idx, live):
-    # grad: [B, F] at the pooled maxima, idx: their rows [B, F], live: the
-    # entries that pass the relu -> (unique rows u [U], gradient s [U, F]).
-    # For one filter the instances' rows differ, so no two entries of one
-    # column of s collide.
-    u, inverse = np.unique(idx[live], return_inverse=True)
-    s = np.zeros((u.size, grad.shape[1]), dtype=grad.dtype)
-    s[inverse, np.nonzero(live)[1]] = grad[live]
-    return u, s
+def maxpool_backward(grad, live):
+    # grad: [B, F] at the pooled maxima, live: the entries that pass the
+    # relu -> the gradient [B, F] at the argmax rows, zero where not live.
+    return np.where(live, grad, 0)
 
 
 def embedding_backward(grad, ids, rows):

@@ -263,7 +263,7 @@ class TestBackwardRulesMatchFiniteDifferences:
 
         t = Tape()
         xv, wv, bv = t.param(x0, "x"), t.param(w0, "w"), t.param(b0, "b")
-        pooled = ad.conv_pool(xv, wv, bv, starts)
+        pooled = ad.conv_pool(xv, wv, bv, np.arange(starts[-1]), starts)
         assert pooled.value[1, 0] > 0.0
         assert pooled.value[0, 0] == pooled.value[2, 0] == 0.0
         grads = backprop(ad.reduce_sum(ad.mul(pooled, t.const(probe))))
@@ -287,7 +287,8 @@ class TestBackwardRulesMatchFiniteDifferences:
         starts = np.array([0, 2, 5])
         t = Tape()
         xv = t.param(x0, "x")
-        pooled = ad.conv_pool(xv, t.param(w0, "w"), t.param(np.zeros(1), "b"), starts)
+        pooled = ad.conv_pool(xv, t.param(w0, "w"), t.param(np.zeros(1), "b"),
+                              np.arange(5), starts)
         # instance 0 has the window (1, 2); instance 1 the windows (50, 60), (60, 3)
         np.testing.assert_array_equal(pooled.value, [[3.0], [110.0]])
         grads = backprop(ad.reduce_sum(pooled))
@@ -433,7 +434,7 @@ class TestInvariants:
         x = t.param(np.array([[2.0, 1.0], [2.0, 3.0], [0.0, 3.0],
                               [4.0, 5.0], [4.0, 5.0], [1.0, 5.0]]), "x")
         out = ad.conv_pool(x, t.const(np.eye(2)[None]), t.const(np.zeros(2)),
-                           np.array([0, 3, 6]))
+                           np.arange(6), np.array([0, 3, 6]))
         np.testing.assert_array_equal(out.value, [[2.0, 3.0], [4.0, 5.0]])
         grads = backprop(ad.reduce_sum(out))
         np.testing.assert_array_equal(
@@ -498,7 +499,7 @@ class TestErrors:
             w[0, 0, 1] = bad
             with pytest.raises(NonFiniteError, match="conv_pool"):
                 ad.conv_pool(t.const(np.ones((4, 3))), t.param(w, "w"),
-                             t.const(np.zeros(2)), np.array([0, 2, 4]))
+                             t.const(np.zeros(2)), np.arange(4), np.array([0, 2, 4]))
 
     def test_non_scalar_loss_rejected(self):
         t = Tape()
@@ -510,7 +511,20 @@ class TestErrors:
         t = Tape()
         with pytest.raises(ShapeError, match="shorter"):
             ad.conv_pool(t.const(np.zeros((5, 3))), t.const(np.zeros((3, 3, 1))),
-                         t.const(np.zeros(1)), np.array([0, 3, 5]))
+                         t.const(np.zeros(1)), np.arange(5), np.array([0, 3, 5]))
+
+    @pytest.mark.parametrize("index, starts, cause", [
+        (np.zeros((2, 3), dtype=int), [0, 3, 6], "must be 1-d"),
+        (np.array([0, 1, 2, 3, 1, 0]), [0, 3, 6], r"out of range \[0, 3\).*max=3"),
+        (np.array([0, 1, 2, -1, 1, 0]), [0, 3, 6], r"out of range \[0, 3\).*min=-1"),
+        (np.array([0, 1, 2, 2, 1, 0]), [0, 3, 5], "do not cover 6 positions"),
+    ])
+    def test_conv_pool_index_rejected(self, index, starts, cause):
+        # x holds U = 3 distinct rows; index names one per position.
+        t = Tape()
+        with pytest.raises(ShapeError, match=cause):
+            ad.conv_pool(t.const(np.zeros((3, 2))), t.const(np.zeros((2, 2, 1))),
+                         t.const(np.zeros(1)), index, np.array(starts))
 
     def test_embedding_out_of_range(self):
         t = Tape()

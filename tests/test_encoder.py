@@ -61,10 +61,17 @@ class TestShapes:
         np.testing.assert_array_equal(h.value, padded.value)
 
     def test_pack_strips_trailing_pad_and_left_pads(self):
-        batch = pack([[5, 6, 0, 0], [4], [0, 0], [1, 2, 3, 0]], TOY)
-        np.testing.assert_array_equal(batch.ids, [0, 5, 6, 0, 0, 4, 0, 0, 0, 1, 2, 3])
+        # The positions hold the rows of the sorted distinct ids.
+        seqs = [[5, 6, 0, 0], [4], [0, 0], [1, 2, 3, 0]]
+        batch = pack(seqs, TOY)
+        np.testing.assert_array_equal(batch.ids[batch.index],
+                                      [0, 5, 6, 0, 0, 4, 0, 0, 0, 1, 2, 3])
+        np.testing.assert_array_equal(batch.ids, np.unique(batch.ids))
         np.testing.assert_array_equal(batch.starts, [0, 3, 6, 9, 12])
         assert batch.size == 4
+        padded = pack([s + [0] * 3 for s in seqs], TOY)
+        for field in ("ids", "index", "starts"):
+            np.testing.assert_array_equal(getattr(padded, field), getattr(batch, field))
 
     def test_empty_rejected(self, params):
         with pytest.raises(ValueError, match="batch position 1"):
@@ -91,7 +98,8 @@ class TestValues:
         params = encoder_params(np.random.default_rng(0), BYTE_VOCAB_SIZE, TOY)
         ids = tokenize("a short byte text", "byte")
         padded = ids + [PAD_ID] * (BYTE_LEN - len(ids))
-        np.testing.assert_array_equal(pack([ids], TOY).ids, pack([padded], TOY).ids)
+        short, long = pack([ids], TOY), pack([padded], TOY)
+        np.testing.assert_array_equal(short.ids[short.index], long.ids[long.index])
         np.testing.assert_array_equal(run_encode(params, ids)[1].value,
                                       run_encode(params, padded)[1].value)
 

@@ -53,6 +53,40 @@ def csda_loglik(model, y_id, d_id, eps):
     return classify_batch(binder, gate_channels(h_mat, z)).value[0, 0, y_id]
 
 
+def worst_fd_error(model, seqs, y_ids, d_ids):
+    """The largest relative error of the float64 backprop gradient of the
+    loss against central differences, over three entries of every
+    parameter (of the looked-up rows, for a table)."""
+    to_float64(model.params)
+    noise = FixedNoise([0.35, 0.65] * len(seqs)) if model.config.kind.startswith("csda") \
+        else None
+
+    def loss():
+        return model.loss(seqs, y_ids, d_ids, lam=0.4, rng=noise)
+
+    grads = backprop(loss().loss)
+    rng = np.random.default_rng(9)
+    worst = 0.0
+    for name, g in grads.items():
+        flat = model.params[name].reshape(-1)
+        entries = np.arange(flat.size)
+        if isinstance(g, RowGrad):
+            entries = entries.reshape(g.shape)[g.ids].ravel()
+        gf = (g.dense() if isinstance(g, RowGrad) else g).reshape(-1)
+        for i in rng.choice(entries, size=min(3, entries.size), replace=False):
+            old = flat[i]
+            h = 1e-5 * max(1.0, abs(old))
+            flat[i] = old + h
+            up = loss().loss.item()
+            flat[i] = old - h
+            down = loss().loss.item()
+            flat[i] = old
+            fd = (up - down) / (2 * h)
+            denom = max(1e-6, abs(fd), abs(gf[i]))
+            worst = max(worst, abs(gf[i] - fd) / denom)
+    return worst
+
+
 def head_gate(tape):
     """The first gate row [B,k] that ``gate_channels`` mixed the channels with."""
     [node] = [n for n in tape.nodes
@@ -404,33 +438,16 @@ class TestVariationalObjective:
 
     @pytest.mark.parametrize("kind", ["csda-beta", "csda-dirichlet", "dsda"])
     def test_full_gradient_matches_fd(self, kind):
-        model = toy_model(kind, k=2)
-        to_float64(model.params)
-        noise = FixedNoise([0.35, 0.65]) if kind.startswith("csda") else None
-        lam = 0.4
+        assert worst_fd_error(toy_model(kind, k=2), [IDS], [1], [0]) < 1e-3
 
-        def loss_value():
-            return model.loss([IDS], [1], [0], lam=lam, rng=noise).loss.item()
-
-        res = model.loss([IDS], [1], [0], lam=lam, rng=noise)
-        grads = backprop(res.loss)
-        rng = np.random.default_rng(9)
-        worst = 0.0
-        for name, g in grads.items():
-            flat = model.params[name].reshape(-1)
-            gf = (g.dense() if isinstance(g, RowGrad) else g).reshape(-1)
-            for i in rng.choice(flat.size, size=min(3, flat.size), replace=False):
-                old = flat[i]
-                h = 1e-5 * max(1.0, abs(old))
-                flat[i] = old + h
-                up = loss_value()
-                flat[i] = old - h
-                down = loss_value()
-                flat[i] = old
-                fd = (up - down) / (2 * h)
-                denom = max(1e-6, abs(fd), abs(gf[i]))
-                worst = max(worst, abs(gf[i] - fd) / denom)
-        assert worst < 1e-3
+    @pytest.mark.parametrize("kind", ["csda-dirichlet", "dsda"])
+    def test_gradient_matches_fd_when_few_ids_repeat(self, kind):
+        # 36 positions over 4 distinct ids: many argmax windows of one
+        # filter read one distinct row at one offset, and the encoder's
+        # gradients sum them.
+        rng = np.random.default_rng(4)
+        seqs = [tuple(rng.choice([3, 7, 1, 12], size=n)) for n in (20, 16)]
+        assert worst_fd_error(toy_model(kind, k=2), seqs, [1, 0], [0, 1]) < 1e-3
 
     def test_dirichlet_k1_gate_is_constant_one(self):
         model = toy_model("csda-dirichlet", k=1, n_domains=1)
