@@ -14,8 +14,9 @@ A row gradient that meets any other gradient is made dense.
 A tape holds a whole mini-batch: the primitives work on rows [B,...]
 (numpy broadcasting, reductions and gathers along an axis, rows times a
 matrix, stacked matrix products), and the encoder's ``conv_pool``
-convolves a ragged batch of N positions over U distinct rows [U,E],
-never forming [N,E], and max-pools each instance over its own windows.
+convolves a ragged batch of N positions over U distinct rows [U,k*E]
+of a group of k channels, never forming [N,E], and max-pools each
+instance over its own windows.
 
 A primitive computes its output and records it with ``Tape.record``,
 together with its backward rule: a closure from the output's gradient to
@@ -375,20 +376,6 @@ def concat(parts: list[Var]) -> Var:
                        lambda grad: tuple(np.split(grad, np.cumsum(sizes)[:-1], axis=-1)))
 
 
-def stack(parts: list[Var], axis: int = 0) -> Var:
-    """Stack same-shape tensors along a new axis."""
-    if not parts:
-        raise ShapeError("stack of zero parts")
-    tape = parts[0]._tape
-    shape0 = parts[0].shape
-    for p in parts:
-        if p.shape != shape0:
-            raise ShapeError(f"stack shape mismatch: {p.shape} vs {shape0}")
-    out = np.stack([p.value for p in parts], axis=axis)
-    return tape.record("stack", out, tuple(parts),
-                       lambda grad: tuple(np.moveaxis(grad, axis, 0)))
-
-
 def matmul(a: Var, b: Var) -> Var:
     """Matrix product: rows of any leading shape [..., n] @ [n, m], run as
     one product of the flattened rows [N, n] @ [n, m] (so the bits of a
@@ -440,14 +427,19 @@ def embedding(table: Var, ids) -> Var:
 
 def conv_pool(x: Var, w: Var, b: Var, index: np.ndarray, starts: np.ndarray) -> Var:
     """relu(max over each instance's windows of the valid convolution of
-    the rows ``x[index]`` [N,E] with w [win,E,F] plus b [F]) -> [B,F].
+    the rows ``x[index]`` with w plus b), for a group of k channels:
+    x [U,k*E], w [win,E,k*F] and b [k*F] hold channel c at slice c of
+    their last axis, and so does the result [B,k*F].
 
-    x [U,E] holds one row per distinct id and ``index`` [N] the row at each
+    x holds one row per distinct id and ``index`` [N] the row at each
     position; instance j owns positions ``starts[j]:starts[j+1]``. The
-    gradient of x is [U,E] (see ``kernels``). A window that starts in one
-    instance and ends in the next is never pooled. Ties take the lowest
-    window; relu after the max equals the max after relu exactly. Only the
-    argmax windows and the relu mask are kept for the backward pass.
+    gradient of x is [U,k*E] (see ``kernels``). A window that starts in
+    one instance and ends in the next is never pooled. Ties take the
+    lowest window; relu after the max equals the max after relu exactly.
+    Only the argmax windows and the relu mask are kept for the backward
+    pass. The kernels run once per channel on its own slices, so a
+    channel's values and gradients are those of a one-channel group, and
+    each convolution output stays cache-sized.
 
     The convolution and max-pool run in the dtype of x, w and b; the
     pooled rows are float64, and the backward pass casts their gradient
@@ -455,16 +447,17 @@ def conv_pool(x: Var, w: Var, b: Var, index: np.ndarray, starts: np.ndarray) -> 
     xv, wv, bv = x.value, w.value, b.value
     if xv.ndim != 2 or wv.ndim != 3 or bv.ndim != 1:
         raise ShapeError(
-            f"conv_pool expects x:[U,E], w:[win,E,F], b:[F]; got {xv.shape}, "
+            f"conv_pool expects x:[U,k*E], w:[win,E,k*F], b:[k*F]; got {xv.shape}, "
             f"{wv.shape}, {bv.shape}")
-    if wv.shape[1] != xv.shape[1] or wv.shape[2] != bv.shape[0]:
+    win, emb, width = wv.shape
+    k = xv.shape[1] // emb
+    if xv.shape[1] != k * emb or k == 0 or width % k or bv.shape[0] != width:
         raise ShapeError(
             f"conv_pool dimension mismatch: x {xv.shape}, w {wv.shape}, b {bv.shape}")
     index = np.asarray(index, dtype=np.intp)
     if index.ndim != 1:
         raise ShapeError(f"conv_pool index must be 1-d, got shape {index.shape}")
     starts = np.asarray(starts, dtype=np.intp)
-    win = wv.shape[0]
     lengths = np.diff(starts)
     if starts[0] != 0 or starts[-1] != index.size or lengths.size == 0:
         raise ShapeError(f"conv_pool starts {starts} do not cover {index.size} positions")
@@ -474,9 +467,18 @@ def conv_pool(x: Var, w: Var, b: Var, index: np.ndarray, starts: np.ndarray) -> 
     if index.min() < 0 or index.max() >= xv.shape[0]:
         raise ShapeError(f"conv_pool index out of range [0, {xv.shape[0]}): "
                          f"min={index.min()}, max={index.max()}")
-    xv, wv = np.ascontiguousarray(xv), np.ascontiguousarray(wv)
-    out = kernels.conv1d_forward(xv, wv, bv, index)
-    peak, idx = kernels.maxpool_forward(out, starts[:-1], starts[1:] - win + 1)
+    # Channel c's slices are views: the products read them in place, with
+    # the bits of contiguous copies and without copying w at every call.
+    nf = width // k
+    xs = [xv[:, c * emb:(c + 1) * emb] for c in range(k)]
+    ws = [wv[..., c * nf:(c + 1) * nf] for c in range(k)]
+    peaks, idxs = [], []
+    for c in range(k):
+        out = kernels.conv1d_forward(xs[c], ws[c], bv[c * nf:(c + 1) * nf], index)
+        peak, idx = kernels.maxpool_forward(out, starts[:-1], starts[1:] - win + 1)
+        peaks.append(peak)
+        idxs.append(idx)
+    peak = np.concatenate(peaks, axis=1)
     # The relu would hide a non-finite maximum, so check it first.
     if not np.all(np.isfinite(peak)):
         raise NonFiniteError("primitive 'conv_pool' produced non-finite values")
@@ -484,7 +486,10 @@ def conv_pool(x: Var, w: Var, b: Var, index: np.ndarray, starts: np.ndarray) -> 
 
     def backward(grad):
         s = kernels.maxpool_backward(grad.astype(wv.dtype, copy=False), live)
-        return kernels.conv1d_backward(xv, wv, index, idx, s)
+        parts = [kernels.conv1d_backward(xs[c], ws[c], index, idxs[c],
+                                         np.ascontiguousarray(s[:, c * nf:(c + 1) * nf]))
+                 for c in range(k)]
+        return tuple(np.concatenate(d, axis=-1) for d in zip(*parts))
     pooled = np.where(live, peak, 0.0).astype(np.float64, copy=False)
     return x._tape.record("conv_pool", pooled, (x, w, b), backward)
 

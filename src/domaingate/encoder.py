@@ -2,20 +2,23 @@
 over time with several window sizes, max-pool over time, ReLU,
 concatenate.
 
-One encoder instance (a parameter prefix inside a flat store) is used
-per channel, and separate ones for the prior and inference networks. At
-full scale the dimensions are 300-d embeddings and 128 filters for each
-of the window sizes {3,4,5}, giving a 384-d output; tests shrink them.
+An encoder is a group of k channels under one parameter prefix inside
+a flat store: channel c is slice c of the last axis of each parameter
+(the table [V, k*E], each window's weights [w, E, k*F] and bias [k*F]).
+A model's k gated channels are one group, and the prior and inference
+networks each have a group of one. At full scale a channel has 300-d
+embeddings and 128 filters for each of the window sizes {3,4,5}, giving
+a 384-d output; tests shrink them.
 
 A batch is encoded on one tape as one ragged sequence: ``pack`` strips
 each instance's trailing PAD, left-pads it to the widest window and
 concatenates the instances into N positions, instance j at
 ``starts[j]:starts[j+1]``, each holding the row of its id among the
 batch's sorted distinct ids (``TokenBatch.index`` into ``.ids``).
-``encode`` then gathers U embedding rows, not N (a byte batch has
-thousands of positions over at most 258 ids), and makes one fused
-``conv_pool`` per window size, which pools each instance over its own
-windows only, and returns rows [B, out_dim].
+``encode`` then gathers U embedding rows [U, k*E], not N (a byte batch
+has thousands of positions over at most 258 ids), and makes one fused
+``conv_pool`` per window size for all k channels, which pools each
+instance over its own windows only, and returns rows [B, k, out_dim].
 
 Encoder parameters are ``PARAM_DTYPE`` (float32), and so are the gather,
 the convolution, the max-pool, their gradients and Adam moments;
@@ -105,22 +108,26 @@ def pack(seqs, cfg: EncoderConfig) -> TokenBatch:
     return TokenBatch(ids, index, starts)
 
 
-def layout(vocab_size: int, cfg: EncoderConfig, prefix: str, draw) -> dict:
-    """The encoder's share of a model's parameter layout (see ``models``):
-    its parameters under ``prefix``, each ``draw(rule, shape)`` in
-    ``PARAM_DTYPE``. Embeddings are uniform in [-0.05, 0.05); convolution
-    weights are He-scaled normals; biases are zeros."""
-    params = {f"{prefix}.emb": draw(("uniform", PARAM_DTYPE), (vocab_size, cfg.embed_dim))}
+def layout(vocab_size: int, cfg: EncoderConfig, prefix: str) -> dict:
+    """One channel's share of a model's parameter layout (see ``models``):
+    {name: (rule, shape)} under ``prefix``, each in ``PARAM_DTYPE``.
+    Embeddings are uniform in [-0.05, 0.05); convolution weights are
+    He-scaled normals; biases are zeros. A group of k channels joins k
+    such channels along the last axis of each parameter."""
+    params = {f"{prefix}.emb": (("uniform", PARAM_DTYPE), (vocab_size, cfg.embed_dim))}
     for w in cfg.windows:
-        params[f"{prefix}.conv{w}.w"] = draw(("he", PARAM_DTYPE),
-                                             (w, cfg.embed_dim, cfg.n_filters))
-        params[f"{prefix}.conv{w}.b"] = draw(("zeros", PARAM_DTYPE), (cfg.n_filters,))
+        params[f"{prefix}.conv{w}.w"] = (("he", PARAM_DTYPE), (w, cfg.embed_dim, cfg.n_filters))
+        params[f"{prefix}.conv{w}.b"] = (("zeros", PARAM_DTYPE), (cfg.n_filters,))
     return params
 
 
 def encode(binder: ParamBinder, prefix: str, batch: TokenBatch, cfg: EncoderConfig) -> Var:
-    """Encode a packed batch to pooled rows [B, cfg.out_dim]."""
+    """Encode a packed batch with the group of channels under ``prefix``
+    to pooled rows [B, k, cfg.out_dim]: one gather and one ``conv_pool``
+    per window for all k channels."""
     rows = ad.embedding(binder(f"{prefix}.emb"), batch.ids)
-    return ad.concat([ad.conv_pool(rows, binder(f"{prefix}.conv{w}.w"),
-                                   binder(f"{prefix}.conv{w}.b"), batch.index, batch.starts)
+    shape = (batch.size, rows.shape[1] // cfg.embed_dim, cfg.n_filters)
+    return ad.concat([ad.reshape(ad.conv_pool(rows, binder(f"{prefix}.conv{w}.w"),
+                                              binder(f"{prefix}.conv{w}.b"),
+                                              batch.index, batch.starts), shape)
                       for w in cfg.windows])

@@ -22,9 +22,15 @@ direction, so the products' cost follows U (at most 258 in byte mode).
 one row per unique id: the backward pass passes the inverse indices of
 ``np.unique`` and U, never the vocabulary size.
 
+The kernels see one channel at a time: ``autodiff.conv_pool`` calls them
+once per channel of a group, on that channel's slices of x, w and b, so
+one convolution output [To, F] stays cache-sized.
+
 The kernels are plain numpy; ``perfbench/run.py`` times them per layer
-in its traced run. Arrays are C-contiguous, and every result has the
-floating dtype of its inputs (float32 for the encoder's parameters).
+in its traced run. x and w may be views whose last axis is contiguous
+(a channel's columns of a group); every result is a new C-contiguous
+array with the floating dtype of its inputs (float32 for the encoder's
+parameters).
 """
 
 from __future__ import annotations
@@ -92,8 +98,9 @@ def maxpool_forward(x, lo, hi):
 
 
 def maxpool_backward(grad, live):
-    # grad: [B, F] at the pooled maxima, live: the entries that pass the
-    # relu -> the gradient [B, F] at the argmax rows, zero where not live.
+    # grad: [B, F] at the pooled maxima (all k channels [B, k*F] at once),
+    # live: the entries that pass the relu -> the gradient at the argmax
+    # rows, zero where not live.
     return np.where(live, grad, 0)
 
 

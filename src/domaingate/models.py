@@ -3,8 +3,9 @@ latent-domain mixture (dsda), and the continuous Beta/Dirichlet gated
 models (csda).
 
 All of them share one likelihood, a mixture over gate rows: k channel
-encoders produce hidden vectors h_1..h_k, stacked into a [k,H] matrix;
-a gate row z mixes them into h = sum_i z_i h_i, and a one-hidden-layer
+encoders, held as one channel group ``theta.ch`` (see ``encoder``),
+produce hidden vectors h_1..h_k as the rows of a [k,H] matrix; a gate
+row z mixes them into h = sum_i z_i h_i, and a one-hidden-layer
 MLP with a softmax head (``classify_batch``) gives p(y | x, z). An
 instance's rows z_r at weights w_r give p(y|x) = sum_r w_r p(y | x, z_r).
 The kinds differ in the rows (``Model.mixture`` gives them to training
@@ -118,38 +119,42 @@ class LossResult:
     degenerate: int = 0
 
 
-def _layout(config: ModelConfig, draw) -> dict:
-    """Every parameter of a model of ``config``, each ``draw(rule, shape)``
-    in draw order. A rule is (init, dtype), init one of "uniform" (in
-    [-0.05, 0.05)), "he" (normal of variance 2 / fan-in) or "zeros"."""
+def _layout(config: ModelConfig) -> list[tuple[int, dict]]:
+    """Every parameter of a model of ``config`` in draw order, as blocks
+    (k, {name: (rule, shape)}). A block of k channels holds each of its
+    parameters as k parameters of ``shape`` joined along the last axis,
+    drawn channel by channel: all of channel 0's, then channel 1's. A
+    rule is (init, dtype), init one of "uniform" (in [-0.05, 0.05)),
+    "he" (normal of variance 2 / fan-in) or "zeros"."""
     def linear(n_in, n_out, prefix, init="uniform"):
-        return {f"{prefix}.w": draw((init, np.float64), (n_in, n_out)),
-                f"{prefix}.b": draw(("zeros", np.float64), (n_out,))}
+        return {f"{prefix}.w": ((init, np.float64), (n_in, n_out)),
+                f"{prefix}.b": (("zeros", np.float64), (n_out,))}
 
     def gate_heads(n_in, group):
         # dsda logits, Beta alpha and beta, or a Dirichlet's overall
         # concentration and channel affinities
         heads = {"categorical": {"logits": k}, "beta": {"alpha": k, "beta": k},
                  "dirichlet": {"conc": 1, "base": k}}[config.family]
-        return {name: arr for head, n_out in heads.items()
-                for name, arr in linear(n_in, n_out, f"{group}.{head}").items()}
+        return {name: spec for head, n_out in heads.items()
+                for name, spec in linear(n_in, n_out, f"{group}.{head}").items()}
 
-    enc, k = config.encoder, config.k
-    p = {}
-    for i in range(k):
-        p.update(encoder_layout(config.vocab_size, enc, f"theta.ch{i}", draw))
-    p.update(linear(enc.out_dim, config.mlp_hidden, "theta.head.l1", "he"))
-    p.update(linear(config.mlp_hidden, config.n_labels, "theta.head.l2"))
+    enc, k, vocab = config.encoder, config.k, config.vocab_size
+    blocks = [(k, encoder_layout(vocab, enc, "theta.ch")),
+              (1, {**linear(enc.out_dim, config.mlp_hidden, "theta.head.l1", "he"),
+                   **linear(config.mlp_hidden, config.n_labels, "theta.head.l2")})]
     if config.is_latent:
-        p.update(encoder_layout(config.vocab_size, enc, "phi.enc", draw))
-        p.update(gate_heads(enc.out_dim, "phi"))
+        blocks += [(1, encoder_layout(vocab, enc, "phi.enc")),
+                   (1, gate_heads(enc.out_dim, "phi"))]
     if config.is_variational:
-        p.update(encoder_layout(config.vocab_size, enc, "sigma.enc", draw))
         # +1 rows hold the UNK sentinel embedding (last row).
-        p["sigma.y_emb"] = draw(("uniform", np.float64), (config.n_labels + 1, LABEL_EMB_DIM))
-        p["sigma.d_emb"] = draw(("uniform", np.float64), (config.n_domains + 1, DOMAIN_EMB_DIM))
-        p.update(gate_heads(enc.out_dim + LABEL_EMB_DIM + DOMAIN_EMB_DIM, "sigma"))
-    return p
+        blocks += [(1, encoder_layout(vocab, enc, "sigma.enc")),
+                   (1, {"sigma.y_emb": (("uniform", np.float64),
+                                        (config.n_labels + 1, LABEL_EMB_DIM)),
+                        "sigma.d_emb": (("uniform", np.float64),
+                                        (config.n_domains + 1, DOMAIN_EMB_DIM)),
+                        **gate_heads(enc.out_dim + LABEL_EMB_DIM + DOMAIN_EMB_DIM,
+                                     "sigma")})]
+    return blocks
 
 
 def _linear(binder, prefix, x: Var) -> Var:
@@ -196,7 +201,8 @@ class Model:
     differs. A built model's store may be cast in place (to float64)."""
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
-        want = _layout(config, lambda rule, shape: (shape, np.dtype(rule[1])))
+        want = {name: ((*shape[:-1], k * shape[-1]), np.dtype(rule[1]))
+                for k, block in _layout(config) for name, (rule, shape) in block.items()}
         for name in [*want, *sorted(params.keys() - want.keys())]:
             got = (params[name].shape, params[name].dtype) if name in params else None
             if got != want.get(name):
@@ -210,16 +216,37 @@ class Model:
 
     @classmethod
     def init(cls, config: ModelConfig, rng: np.random.Generator) -> "Model":
-        """A fresh model, each parameter drawn from ``rng`` by its rule."""
-        def draw(rule, shape):
+        """A fresh model, each parameter drawn from ``rng`` by its rule,
+        a group's channel by channel into its slices."""
+        def draw(rule, shape, out=None):
+            # A new array drawn by rule, or the draw's last operation
+            # written into out (a channel's slice of a group).
             init, dtype = rule
             if init == "he":
-                return rng.standard_normal(shape, dtype) * math.sqrt(2.0 / math.prod(shape[:-1]))
-            if init == "uniform":
-                return rng.uniform(-0.05, 0.05, shape) if dtype == np.float64 \
-                    else (rng.random(shape, dtype) - 0.5) * 0.1
-            return np.zeros(shape, dtype)
-        return cls(config, _layout(config, draw))
+                x = rng.standard_normal(shape, dtype)
+                return np.multiply(x, math.sqrt(2.0 / math.prod(shape[:-1])),
+                                   out=x if out is None else out)
+            if init == "uniform" and dtype == np.float32:
+                x = rng.random(shape, dtype)
+                x -= 0.5
+                return np.multiply(x, 0.1, out=x if out is None else out)
+            x = rng.uniform(-0.05, 0.05, shape) if init == "uniform" else np.zeros(shape, dtype)
+            if out is not None:
+                out[...] = x
+            return x
+
+        params = {}
+        for k, block in _layout(config):
+            if k == 1:
+                params.update({name: draw(*spec) for name, spec in block.items()})
+                continue
+            for name, (rule, shape) in block.items():
+                params[name] = np.empty((*shape[:-1], k * shape[-1]), rule[1])
+            for c in range(k):
+                for name, (rule, shape) in block.items():
+                    n = shape[-1]
+                    draw(rule, shape, params[name][..., c * n:(c + 1) * n])
+        return cls(config, params)
 
     def copy(self) -> "Model":
         return copy.deepcopy(self)
@@ -235,12 +262,12 @@ class Model:
 
     def channel_encodings(self, binder, batch: TokenBatch,
                           dropout_rng: Optional[np.random.Generator]) -> Var:
-        """The k channel encodings of each instance, stacked into [B,k,H].
-        With ``dropout_rng``, channel dropout applies to the stack from
-        one noise draw [B,k,H]: instance by instance, channel by channel."""
+        """The k channel encodings of each instance [B,k,H], from the one
+        channel group. With ``dropout_rng``, channel dropout applies to
+        them from one noise draw [B,k,H]: instance by instance, channel by
+        channel."""
         cfg = self.config
-        h_mat = ad.stack([encode(binder, f"theta.ch{i}", batch, cfg.encoder)
-                          for i in range(cfg.k)], axis=1)
+        h_mat = encode(binder, "theta.ch", batch, cfg.encoder)
         if dropout_rng is not None and cfg.dropout > 0.0:
             h_mat = ad.dropout(h_mat, cfg.dropout, dropout_rng.random(h_mat.shape))
         return h_mat
@@ -259,7 +286,8 @@ class Model:
         heads. Returns the dsda logits ``Var`` [B,k], or the
         ``BetaParams``/``DirichletParams`` rows."""
         cfg = self.config
-        feats = encode(binder, "phi.enc", batch, cfg.encoder)
+        feats = ad.reshape(encode(binder, "phi.enc", batch, cfg.encoder),
+                           (batch.size, cfg.encoder.out_dim))
         if cfg.family == "categorical":
             return _linear(binder, "phi.logits", feats)
         return self._continuous_heads(binder, feats, "phi")
@@ -276,7 +304,8 @@ class Model:
             _table_rows([None] * batch.size if d_ids is None else d_ids,
                         cfg.n_domains, "domain").reshape((-1,) + (1,) * (y_rows.ndim - 1)),
             y_rows.shape)
-        feats = encode(binder, "sigma.enc", batch, cfg.encoder)
+        feats = ad.reshape(encode(binder, "sigma.enc", batch, cfg.encoder),
+                           (batch.size, cfg.encoder.out_dim))
         if y_rows.ndim == 2:
             feats = ad.embedding(feats, np.repeat(
                 np.arange(batch.size)[:, None], y_rows.shape[1], axis=1))

@@ -185,6 +185,7 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
                 adam_step(model.params, grads, opt)
                 entry["loss"] = res.loss.item()
                 entry["kl"] = res.kl
+            res = grads = None  # the step's tape and gradients die before the dev evaluation
             if b + 1 in eval_points:
                 result = evaluate(model, dev_set, cfg.infer)
                 entry["dev_acc"] = result.accuracy

@@ -1,6 +1,8 @@
 """Tape, primitives, and backprop: worked examples, finite-difference
 checks for every primitive's backward rule, and the error contracts."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -294,17 +296,17 @@ class TestBackwardRulesMatchFiniteDifferences:
         grads = backprop(ad.reduce_sum(pooled))
         np.testing.assert_array_equal(grads["x"], [[1.0], [1.0], [1.0], [1.0], [0.0]])
 
-    def test_embedding_gather_concat_stack_take_row(self):
+    def test_embedding_gather_concat_take_row(self):
         rng = np.random.default_rng(10)
         table0 = rng.normal(size=(6, 3))
         ids = np.array([1, 4, 1, 0])
         probe = rng.normal(size=3)
-        probe_rows = rng.normal(size=(4, 2, 3))
+        probe_rows = rng.normal(size=(4, 6))
 
         def scalar(table):
             emb = table[ids]
             pooled = emb.sum(axis=0)
-            rows = np.stack([emb, emb[::-1]], axis=1)
+            rows = np.concatenate([emb, emb[::-1]], axis=-1)
             return float(pooled @ probe + table[2] @ probe + emb[0, 1]
                          + np.sum(rows * probe_rows)
                          + np.sum(np.concatenate([emb, emb], axis=-1)[np.arange(4), [0, 5, 1, 3]]))
@@ -314,7 +316,7 @@ class TestBackwardRulesMatchFiniteDifferences:
         emb = ad.embedding(tv, ids)
         pooled = ad.reduce_sum(emb, axis=0)
         reversed_rows = ad.embedding(emb, np.array([3, 2, 1, 0]))
-        rows = ad.stack([emb, reversed_rows], axis=1)
+        rows = ad.concat([emb, reversed_rows])
         loss = ad.reduce_sum(ad.mul(pooled, t.const(probe))) \
             + ad.reduce_sum(ad.mul(ad.embedding(tv, 2), t.const(probe))) \
             + ad.gather(ad.embedding(emb, 0), 1) \
@@ -525,6 +527,18 @@ class TestErrors:
         with pytest.raises(ShapeError, match=cause):
             ad.conv_pool(t.const(np.zeros((3, 2))), t.const(np.zeros((2, 2, 1))),
                          t.const(np.zeros(1)), index, np.array(starts))
+
+    @pytest.mark.parametrize("x, w, b", [
+        ((3, 5), (2, 2, 4), (4,)),   # x's width is not a multiple of w's E
+        ((3, 1), (2, 2, 4), (4,)),   # nor is it at least E
+        ((3, 4), (2, 2, 4), (2,)),   # b is not w's last dimension
+        ((3, 4), (2, 2, 3), (3,)),   # k = 2 groups do not split 3 filters
+    ])
+    def test_conv_pool_group_shapes_rejected(self, x, w, b):
+        t = Tape()
+        with pytest.raises(ShapeError, match=re.escape(f"x {x}, w {w}, b {b}")):
+            ad.conv_pool(t.const(np.zeros(x)), t.const(np.zeros(w)), t.const(np.zeros(b)),
+                         np.arange(3), np.array([0, 3]))
 
     def test_embedding_out_of_range(self):
         t = Tape()

@@ -409,8 +409,8 @@ def test_eval_predicts_bitwise_as_the_trained_model(tmp_path, monkeypatch):
     for name, arr in loaded.params.items():
         assert arr.dtype == trained.params[name].dtype, name
         np.testing.assert_array_equal(arr, trained.params[name])
-    assert loaded.params["theta.ch0.emb"].dtype == np.float32
-    assert loaded.params["theta.ch0.conv3.w"].dtype == np.float32
+    assert loaded.params["theta.ch.emb"].dtype == np.float32
+    assert loaded.params["theta.ch.conv3.w"].dtype == np.float32
     want = predict_batch(trained, insts, infer_cfg)
     for got, rec in zip(predict_batch(loaded, insts, infer_cfg), want, strict=True):
         assert got.probs.tobytes() == rec.probs.tobytes()
@@ -527,12 +527,12 @@ def drop(key):
 
 
 @pytest.mark.parametrize("edit, field", [
-    (set_config("n_filters", 2), "theta.ch0.conv3.w"),
+    (set_config("n_filters", 2), "theta.ch.conv3.w"),
     (set_config("n_filters", "four"), "n_filters"),
     (set_config("windows", [3, 0]), "windows"),
     (lambda meta: {**meta, "domains": meta["domains"][1:]}, "sigma.d_emb"),
     (lambda meta: {**meta, "labels": meta["labels"] + ["extra"]}, "theta.head.l2.w"),
-    (set_key("k", 2), "phi.base.w"),
+    (set_key("k", 2), "theta.ch.emb"),
     (drop("labels"), "labels"),
     (set_key("labels", ["neg", "neg"]), "labels"),
     (set_key("labels", "neg pos"), "labels"),

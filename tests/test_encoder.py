@@ -1,6 +1,7 @@
 """Convolutional encoder: output shape, PAD behavior, determinism, a
-ragged batch against its instances encoded one by one, and
-finite-difference checks of the gradients over a ragged batch."""
+ragged batch against its instances encoded one by one, a group of
+channels against its channels encoded one by one, and finite-difference
+checks of the gradients over a ragged batch."""
 
 import numpy as np
 import pytest
@@ -17,12 +18,12 @@ TOY = EncoderConfig(embed_dim=5, n_filters=4, windows=(2, 3))
 
 
 def encoder_params(rng, vocab_size, cfg):
-    """A fresh encoder's parameters under the prefix "enc": the channel of
-    a single-channel model, which ``Model.init`` draws first."""
+    """A fresh encoder's parameters under the prefix "enc": the channel
+    group of a single-channel model, which ``Model.init`` draws first."""
     model = Model.init(ModelConfig("scnn", n_labels=2, n_domains=1, vocab_size=vocab_size,
                                    encoder=cfg), rng)
-    return {"enc" + name[len("theta.ch0"):]: arr for name, arr in model.params.items()
-            if name.startswith("theta.ch0.")}
+    return {"enc" + name[len("theta.ch"):]: arr for name, arr in model.params.items()
+            if name.startswith("theta.ch.")}
 
 
 @pytest.fixture
@@ -31,7 +32,7 @@ def params():
 
 
 def run_encode(params, ids, batch=None):
-    """Encode one instance (a [1, out_dim] row), or a batch of them."""
+    """Encode one instance (a [1, 1, out_dim] row), or a batch of them."""
     tape = Tape()
     binder = ParamBinder(tape, params)
     return tape, encode(binder, "enc", pack(batch or [ids], TOY), TOY)
@@ -40,7 +41,7 @@ def run_encode(params, ids, batch=None):
 class TestShapes:
     def test_output_dim_is_filters_times_windows(self, params):
         _, h = run_encode(params, [1, 2, 3, 4, 5, 6])
-        assert h.value.shape == (1, TOY.out_dim) == (1, 8)
+        assert h.value.shape == (1, 1, TOY.out_dim) == (1, 1, 8)
 
     def test_full_scale_dims_default(self):
         cfg = EncoderConfig()
@@ -51,12 +52,12 @@ class TestShapes:
     def test_output_dim_independent_of_length(self, params):
         for n in (1, 2, 5, 40):
             _, h = run_encode(params, list(np.arange(n) % 10))
-            assert h.value.shape == (1, 8)
+            assert h.value.shape == (1, 1, 8)
 
     def test_short_input_left_padded(self, params):
         # a single token is padded up to the largest window
         _, h = run_encode(params, [4])
-        assert h.value.shape == (1, 8)
+        assert h.value.shape == (1, 1, 8)
         _, padded = run_encode(params, [0, 0, 4])
         np.testing.assert_array_equal(h.value, padded.value)
 
@@ -85,7 +86,7 @@ class TestValues:
         for w in TOY.windows:
             p[f"enc.conv{w}.b"][:] = 0.0
         _, h = run_encode(p, [0, 0, 0, 0])
-        np.testing.assert_array_equal(h.value, np.zeros((1, 8)))
+        np.testing.assert_array_equal(h.value, np.zeros((1, 1, 8)))
 
     def test_trailing_pad_invariance(self, params):
         ids = [3, 7, 2, 9, 4]
@@ -139,7 +140,7 @@ class TestValues:
         # that instance's own encoding.
         seqs = [[4], [7, 8, 6], [3, 7, 2, 9, 4, 0, 0], list(np.arange(40) % 10)]
         _, rows = run_encode(params, None, batch=seqs)
-        assert rows.value.shape == (4, 8)
+        assert rows.value.shape == (4, 1, 8)
         for row, ids in zip(rows.value, seqs):
             np.testing.assert_allclose(row, run_encode(params, ids)[1].value[0],
                                        rtol=1e-13, atol=1e-15)
@@ -157,7 +158,7 @@ class TestGradients:
         return to_float64(params)
 
     def _check_fd(self, params, name, grad, n=20, seed=2):
-        probe = np.random.default_rng(1).normal(size=(len(BATCH), TOY.out_dim))
+        probe = np.random.default_rng(1).normal(size=(len(BATCH), 1, TOY.out_dim))
 
         def loss_value():
             return float(np.sum(run_encode(params, None, batch=BATCH)[1].value * probe))
@@ -177,7 +178,7 @@ class TestGradients:
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
     def _grads(self, params):
-        probe = np.random.default_rng(1).normal(size=(len(BATCH), TOY.out_dim))
+        probe = np.random.default_rng(1).normal(size=(len(BATCH), 1, TOY.out_dim))
         tape, h = run_encode(params, None, batch=BATCH)
         return backprop(ad.reduce_sum(ad.mul(h, tape.const(probe))))
 
@@ -191,3 +192,41 @@ class TestGradients:
     @pytest.mark.parametrize("name", ["enc.conv2.w", "enc.conv3.w", "enc.conv3.b"])
     def test_convolution_gradients_match_fd(self, params, name):
         self._check_fd(params, name, self._grads(params)[name])
+
+
+class TestChannelGroup:
+    def test_group_is_its_channels_encoded_alone_bitwise(self):
+        # A group of k = 3 channels drawn by Model.init, given nonzero
+        # biases; channel c is slice c of every parameter's last axis. Over the ragged batch (instance 1 is shorter than the
+        # widest window) the group's rows, and the gradients of its table,
+        # weights and biases, are the three one-channel encoders' bits.
+        k, n = 3, len(BATCH)
+        rng = np.random.default_rng(3)
+        model = Model.init(ModelConfig("mcnn", n_labels=2, n_domains=1, vocab_size=10,
+                                       k=k, encoder=TOY), rng)
+        group = {"enc" + name[len("theta.ch"):]: arr for name, arr in model.params.items()
+                 if name.startswith("theta.ch.")}
+        for w in TOY.windows:
+            group[f"enc.conv{w}.b"] = rng.normal(size=k * TOY.n_filters).astype(np.float32)
+        probe = rng.normal(size=(n, k, TOY.out_dim))
+
+        def run(params, probe):
+            tape, h = run_encode(params, None, batch=BATCH)
+            return h.value, backprop(ad.reduce_sum(ad.mul(h, tape.const(probe))))
+
+        h, grads = run(group, probe)
+        assert h.shape == (n, k, TOY.out_dim)
+        for c in range(k):
+            alone = {name: np.ascontiguousarray(
+                arr[..., c * (arr.shape[-1] // k):(c + 1) * (arr.shape[-1] // k)])
+                for name, arr in group.items()}
+            h_c, grads_c = run(alone, probe[:, c:c + 1])
+            assert h[:, c:c + 1].tobytes() == h_c.tobytes()
+            for name, g in grads.items():
+                g_c, part = grads_c[name], alone[name].shape[-1]
+                if isinstance(g, RowGrad):
+                    np.testing.assert_array_equal(g.ids, g_c.ids)
+                    g, g_c = g.values, g_c.values
+                assert g.dtype == g_c.dtype == np.float32, name
+                assert g[..., c * part:(c + 1) * part].tobytes() == \
+                    np.ascontiguousarray(g_c).tobytes(), name

@@ -3,10 +3,11 @@ head, discrete marginalization, the continuous gate parameterizations,
 the single-sample variational objective, a mini-batch loss against the
 mean of its instances' losses, non-finite parameters named at the
 first primitive that reads them, training and prediction tapes that
-reference counting frees, and a store checked against the config's
-parameter layout."""
+reference counting frees, a store checked against the config's
+parameter layout, and each kind's fresh store pinned by its digest."""
 
 import gc
+import hashlib
 import math
 import weakref
 
@@ -90,7 +91,7 @@ def worst_fd_error(model, seqs, y_ids, d_ids):
 def head_gate(tape):
     """The first gate row [B,k] that ``gate_channels`` mixed the channels with."""
     [node] = [n for n in tape.nodes
-              if n.kind == "matmul" and tape.nodes[n.inputs[1]].kind == "stack"]
+              if n.kind == "matmul" and tape.nodes[n.inputs[1]].value.ndim == 3]
     return tape.nodes[node.inputs[0]].value[:, 0, :]
 
 
@@ -531,8 +532,7 @@ class TestNonFiniteParameters:
 def encoder_names(model):
     """The names of the parameters of each encoder of ``model``."""
     cfg = model.config
-    prefixes = [f"theta.ch{i}" for i in range(cfg.k)]
-    prefixes += ["phi.enc"] * cfg.is_latent + ["sigma.enc"] * cfg.is_variational
+    prefixes = ["theta.ch"] + ["phi.enc"] * cfg.is_latent + ["sigma.enc"] * cfg.is_variational
     return {f"{p}.{leaf}" for p in prefixes
             for leaf in ["emb"] + [f"conv{w}.{x}" for w in ENC.windows for x in "wb"]}
 
@@ -626,25 +626,67 @@ class TestStoreCheck:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_reshaped_parameter_is_named(self, kind):
         model = toy_model(kind, k=1 if kind == "scnn" else 2)
-        store = dict(model.params, **{"theta.ch0.conv3.w": np.zeros((3, 8, 2), np.float32)})
+        store = dict(model.params, **{"theta.ch.conv3.w": np.zeros((3, 8, 2), np.float32)})
         err = self.refusal(model, store)
-        assert err.field == "theta.ch0.conv3.w"
-        assert "holds float32 (3, 8, 2)" in str(err) and "makes float32 (3, 8, 4)" in str(err)
+        assert err.field == "theta.ch.conv3.w"
+        assert "holds float32 (3, 8, 2)" in str(err)
+        assert f"makes float32 (3, 8, {4 * model.config.k})" in str(err)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_float64_encoder_parameter_is_named(self, kind):
         model = toy_model(kind, k=1 if kind == "scnn" else 2)
         last = "sigma.enc" if kind.startswith("csda") else "phi.enc" if kind == "dsda" \
-            else "theta.ch0"
+            else "theta.ch"
         store = dict(model.params)
         store[f"{last}.emb"] = store[f"{last}.emb"].astype(np.float64)
+        width = store[f"{last}.emb"].shape[1]
         err = self.refusal(model, store)
-        assert err.field == f"{last}.emb" and "holds float64 (20, 8)" in str(err)
+        assert err.field == f"{last}.emb" and f"holds float64 (20, {width})" in str(err)
 
     def test_first_difference_in_layout_order_is_named(self):
-        # Every encoder cast to float64: the first channel's table is named.
+        # Every encoder cast to float64: the channel group's table is named.
         model = toy_model("csda-beta")
-        assert self.refusal(model, to_float64(dict(model.params))).field == "theta.ch0.emb"
+        assert self.refusal(model, to_float64(dict(model.params))).field == "theta.ch.emb"
+
+
+    @pytest.mark.parametrize("kind", ["mcnn", "csda-dirichlet"])
+    def test_per_channel_store_is_refused(self, kind):
+        # The layout before channel groups: one encoder per channel,
+        # theta.ch{i}.*, each channel's slice of the group.
+        model = toy_model(kind, k=2)
+        store = {name: arr for name, arr in model.params.items()
+                 if not name.startswith("theta.ch.")}
+        for name, arr in model.params.items():
+            if name.startswith("theta.ch."):
+                n = arr.shape[-1] // 2
+                for i in range(2):
+                    store[f"theta.ch{i}.{name[len('theta.ch.'):]}"] = arr[..., i * n:(i + 1) * n]
+        err = self.refusal(model, store)
+        assert err.field == "theta.ch.emb"
+        assert "holds nothing" in str(err) and "makes float32 (20, 16)" in str(err)
+
+
+# sha256 of each kind's fresh store at seed 0 (k = 3, scnn 1), names
+# sorted, each as "name dtype shape" and its bytes: the per-channel draws
+# of the layout before channel groups, joined along the last axis.
+INIT_DIGESTS = {
+    "scnn": "4f928f5cc8a34db835f16d6644f704aa4e4d4934f50bde866076e0438bc5570c",
+    "mcnn": "65f9db58512008b7a161dd0538c78fbb6c7c86050dcd9b2ad9b2d5c20373af27",
+    "dsda": "27b635d58aef6d079e4b9964e07e9a086fafd9a6554b340c2d97a33bdfce0abd",
+    "csda-beta": "9459b683f9114843382def8572a9bcd06b6f7ba154e04da0db1f2b31800d2303",
+    "csda-dirichlet": "6f8291e8582ab1db463e6452d5f2e4266e33b1864de4b780d8cbee8f797f7e66",
+}
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_init_draws_each_channel_in_turn(kind):
+    params = toy_model(kind, k=1 if kind == "scnn" else 3).params
+    h = hashlib.sha256()
+    for name in sorted(params):
+        arr = params[name]
+        h.update(f"{name} {arr.dtype.str} {arr.shape}".encode())
+        h.update(arr.tobytes())
+    assert h.hexdigest() == INIT_DIGESTS[kind]
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
