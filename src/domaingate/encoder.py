@@ -5,10 +5,11 @@ concatenate.
 An encoder is a group of k channels under one parameter prefix inside
 a flat store: channel c is slice c of the last axis of each parameter
 (the table [V, k*E], each window's weights [w, E, k*F] and bias [k*F]).
-A model's k gated channels are one group, and the prior and inference
-networks each have a group of one. At full scale a channel has 300-d
-embeddings and 128 filters for each of the window sizes {3,4,5}, giving
-a 384-d output; tests shrink them.
+``layout`` gives a group at these joined shapes, and ``Model.init``
+draws each parameter whole. A model's k gated channels are one group,
+and the prior and inference networks each have a group of one. At full
+scale a channel has 300-d embeddings and 128 filters for each of the
+window sizes {3,4,5}, giving a 384-d output; tests shrink them.
 
 A batch is encoded on one tape as one ragged sequence: ``pack`` strips
 each instance's trailing PAD, left-pads it to the widest window and
@@ -108,16 +109,17 @@ def pack(seqs, cfg: EncoderConfig) -> TokenBatch:
     return TokenBatch(ids, index, starts)
 
 
-def layout(vocab_size: int, cfg: EncoderConfig, prefix: str) -> dict:
-    """One channel's share of a model's parameter layout (see ``models``):
-    {name: (rule, shape)} under ``prefix``, each in ``PARAM_DTYPE``.
-    Embeddings are uniform in [-0.05, 0.05); convolution weights are
-    He-scaled normals; biases are zeros. A group of k channels joins k
-    such channels along the last axis of each parameter."""
-    params = {f"{prefix}.emb": (("uniform", PARAM_DTYPE), (vocab_size, cfg.embed_dim))}
+def layout(vocab_size: int, cfg: EncoderConfig, prefix: str, k: int = 1) -> dict:
+    """A group of k channels' share of a model's parameter layout (see
+    ``models``): {name: (rule, shape)} under ``prefix`` at the joined
+    shapes, each in ``PARAM_DTYPE``. Embeddings [V, k*E] are uniform in
+    [-0.05, 0.05); convolution weights [w, E, k*F] are He-scaled normals
+    of fan-in w*E, each channel's own; biases [k*F] are zeros."""
+    params = {f"{prefix}.emb": (("uniform", PARAM_DTYPE), (vocab_size, k * cfg.embed_dim))}
     for w in cfg.windows:
-        params[f"{prefix}.conv{w}.w"] = (("he", PARAM_DTYPE), (w, cfg.embed_dim, cfg.n_filters))
-        params[f"{prefix}.conv{w}.b"] = (("zeros", PARAM_DTYPE), (cfg.n_filters,))
+        params[f"{prefix}.conv{w}.w"] = (("he", PARAM_DTYPE),
+                                         (w, cfg.embed_dim, k * cfg.n_filters))
+        params[f"{prefix}.conv{w}.b"] = (("zeros", PARAM_DTYPE), (k * cfg.n_filters,))
     return params
 
 

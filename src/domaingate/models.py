@@ -119,13 +119,12 @@ class LossResult:
     degenerate: int = 0
 
 
-def _layout(config: ModelConfig) -> list[tuple[int, dict]]:
-    """Every parameter of a model of ``config`` in draw order, as blocks
-    (k, {name: (rule, shape)}). A block of k channels holds each of its
-    parameters as k parameters of ``shape`` joined along the last axis,
-    drawn channel by channel: all of channel 0's, then channel 1's. A
-    rule is (init, dtype), init one of "uniform" (in [-0.05, 0.05)),
-    "he" (normal of variance 2 / fan-in) or "zeros"."""
+def _layout(config: ModelConfig) -> dict:
+    """Every parameter of a model of ``config`` in draw order, as
+    {name: (rule, shape)} at its stored shape (a channel group's joined
+    one). A rule is (init, dtype), init one of "uniform" (in
+    [-0.05, 0.05)), "he" (normal of variance 2 / fan-in, the product of
+    all but the last axis) or "zeros"."""
     def linear(n_in, n_out, prefix, init="uniform"):
         return {f"{prefix}.w": ((init, np.float64), (n_in, n_out)),
                 f"{prefix}.b": (("zeros", np.float64), (n_out,))}
@@ -139,22 +138,19 @@ def _layout(config: ModelConfig) -> list[tuple[int, dict]]:
                 for name, spec in linear(n_in, n_out, f"{group}.{head}").items()}
 
     enc, k, vocab = config.encoder, config.k, config.vocab_size
-    blocks = [(k, encoder_layout(vocab, enc, "theta.ch")),
-              (1, {**linear(enc.out_dim, config.mlp_hidden, "theta.head.l1", "he"),
-                   **linear(config.mlp_hidden, config.n_labels, "theta.head.l2")})]
+    params = {**encoder_layout(vocab, enc, "theta.ch", k),
+              **linear(enc.out_dim, config.mlp_hidden, "theta.head.l1", "he"),
+              **linear(config.mlp_hidden, config.n_labels, "theta.head.l2")}
     if config.is_latent:
-        blocks += [(1, encoder_layout(vocab, enc, "phi.enc")),
-                   (1, gate_heads(enc.out_dim, "phi"))]
+        params |= {**encoder_layout(vocab, enc, "phi.enc"), **gate_heads(enc.out_dim, "phi")}
     if config.is_variational:
         # +1 rows hold the UNK sentinel embedding (last row).
-        blocks += [(1, encoder_layout(vocab, enc, "sigma.enc")),
-                   (1, {"sigma.y_emb": (("uniform", np.float64),
-                                        (config.n_labels + 1, LABEL_EMB_DIM)),
-                        "sigma.d_emb": (("uniform", np.float64),
-                                        (config.n_domains + 1, DOMAIN_EMB_DIM)),
-                        **gate_heads(enc.out_dim + LABEL_EMB_DIM + DOMAIN_EMB_DIM,
-                                     "sigma")})]
-    return blocks
+        params |= {**encoder_layout(vocab, enc, "sigma.enc"),
+                   "sigma.y_emb": (("uniform", np.float64), (config.n_labels + 1, LABEL_EMB_DIM)),
+                   "sigma.d_emb": (("uniform", np.float64),
+                                   (config.n_domains + 1, DOMAIN_EMB_DIM)),
+                   **gate_heads(enc.out_dim + LABEL_EMB_DIM + DOMAIN_EMB_DIM, "sigma")}
+    return params
 
 
 def _linear(binder, prefix, x: Var) -> Var:
@@ -201,8 +197,8 @@ class Model:
     differs. A built model's store may be cast in place (to float64)."""
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
-        want = {name: ((*shape[:-1], k * shape[-1]), np.dtype(rule[1]))
-                for k, block in _layout(config) for name, (rule, shape) in block.items()}
+        want = {name: (shape, np.dtype(dtype))
+                for name, ((_, dtype), shape) in _layout(config).items()}
         for name in [*want, *sorted(params.keys() - want.keys())]:
             got = (params[name].shape, params[name].dtype) if name in params else None
             if got != want.get(name):
@@ -216,36 +212,20 @@ class Model:
 
     @classmethod
     def init(cls, config: ModelConfig, rng: np.random.Generator) -> "Model":
-        """A fresh model, each parameter drawn from ``rng`` by its rule,
-        a group's channel by channel into its slices."""
-        def draw(rule, shape, out=None):
-            # A new array drawn by rule, or the draw's last operation
-            # written into out (a channel's slice of a group).
-            init, dtype = rule
-            if init == "he":
+        """A fresh model, each parameter drawn whole from ``rng`` by its
+        rule, in layout order and in its own dtype, in place."""
+        params = {}
+        for name, ((init, dtype), shape) in _layout(config).items():
+            if init == "zeros":
+                x = np.zeros(shape, dtype)
+            elif init == "he":
                 x = rng.standard_normal(shape, dtype)
-                return np.multiply(x, math.sqrt(2.0 / math.prod(shape[:-1])),
-                                   out=x if out is None else out)
-            if init == "uniform" and dtype == np.float32:
+                x *= math.sqrt(2.0 / math.prod(shape[:-1]))
+            else:
                 x = rng.random(shape, dtype)
                 x -= 0.5
-                return np.multiply(x, 0.1, out=x if out is None else out)
-            x = rng.uniform(-0.05, 0.05, shape) if init == "uniform" else np.zeros(shape, dtype)
-            if out is not None:
-                out[...] = x
-            return x
-
-        params = {}
-        for k, block in _layout(config):
-            if k == 1:
-                params.update({name: draw(*spec) for name, spec in block.items()})
-                continue
-            for name, (rule, shape) in block.items():
-                params[name] = np.empty((*shape[:-1], k * shape[-1]), rule[1])
-            for c in range(k):
-                for name, (rule, shape) in block.items():
-                    n = shape[-1]
-                    draw(rule, shape, params[name][..., c * n:(c + 1) * n])
+                x *= 0.1
+            params[name] = x
         return cls(config, params)
 
     def copy(self) -> "Model":

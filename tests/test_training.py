@@ -1,6 +1,7 @@
 """Training-loop policies: the config refuses an unknown lambda schedule
-and an anneal horizon below one step, evaluation refuses non-finite
-label probabilities instead of scoring their default argmax, an instance
+and an anneal horizon below one step, lambda follows its schedule step
+by step, evaluation refuses non-finite label probabilities instead of
+scoring their default argmax, an instance
 whose gate draw has no usable gradient is left out of its step's mean
 and counted instead of ending the run, row-sparse embedding gradients train exactly as
 dense ones would, the result holds the best-dev parameters, and a step's
@@ -61,6 +62,25 @@ def test_config_refuses_unknown_schedule_and_short_anneal(kwargs):
     # silently mean one epoch.
     with pytest.raises(ValueError):
         training.TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize("schedule, anneal_steps, horizon", [
+    ("linear-anneal", 3, 3), ("linear-anneal", None, 4), ("fixed", None, None)])
+def test_kl_weight_follows_its_schedule(schedule, anneal_steps, horizon):
+    # Eight instances in batches of two: four steps an epoch, two epochs.
+    # A linear anneal raises lambda from 0 at the first step to lam after
+    # ``anneal_steps`` steps (None: one epoch); fixed holds lam.
+    cfg = ModelConfig(kind="csda-dirichlet", n_labels=2, n_domains=2, vocab_size=20,
+                      k=2, encoder=EncoderConfig(6, 3, (2, 3)), mlp_hidden=5)
+    insts = [Instance(f"doc{i}", (3, 7, 1, 12, 5 + i, 9), i % 2, i % 2,
+                      f"l{i % 2}", f"d{i % 2}") for i in range(8)]
+    tcfg = training.TrainConfig(lam=0.5, lam_schedule=schedule, anneal_steps=anneal_steps,
+                                batch_size=2, max_epochs=2, patience=100, seed=2)
+    result = training.train(Model.init(cfg, np.random.default_rng(0)), insts, insts[:2], tcfg)
+    assert [e["step"] for e in result.log] == list(range(1, 9))
+    want = [0.5 * (1.0 if horizon is None else min(1.0, (step - 1) / horizon))
+            for step in range(1, 9)]
+    assert [e["lambda"] for e in result.log] == pytest.approx(want, rel=1e-15)
 
 
 def test_degenerate_sample_is_skipped_and_counted(monkeypatch):
