@@ -1,4 +1,10 @@
-"""Adam optimizer over flat {name: array} parameter stores."""
+"""Adam optimizer over flat {name: array} parameter stores.
+
+The update is the dense one of Kingma & Ba. For a finite lr > 0, a row
+whose moments and gradient are all zero is a fixed point of that update,
+so the rows of a table that have never had a gradient are skipped: the
+result is bitwise the dense update's.
+"""
 
 from __future__ import annotations
 
@@ -22,13 +28,17 @@ class AdamState:
     """The learning rate plus first/second-moment accumulators.
 
     Accumulators are created on a parameter's first step and always
-    match the parameter's shape and dtype.
+    match the parameter's shape and dtype. ``live`` holds the sorted ids
+    of the rows that have had a gradient, for each parameter whose
+    gradients have all been ``RowGrad`` and whose rows have not all had
+    one yet; every other parameter has no entry.
     """
 
     lr: float
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    live: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def _update(p, m, v, g, state: AdamState, bc1: float, bc2: float) -> None:
@@ -56,13 +66,21 @@ def _update(p, m, v, g, state: AdamState, bc1: float, bc2: float) -> None:
 _BLOCK = 1 << 15
 
 
-def _row_blocks(shape: tuple[int, ...]) -> list:
+def _row_blocks(shape: tuple[int, ...], live: np.ndarray | None) -> list:
     """Slices of the first axis cutting an array into blocks of about
-    ``_BLOCK`` elements; a 0-d array is one block."""
+    ``_BLOCK`` elements; a 0-d array is one block. Given the sorted ids
+    of the ``live`` rows, each block is trimmed to its first and last
+    live row, and a block without one is left out."""
     if not shape:
         return [...]
     rows = max(1, _BLOCK * shape[0] // max(1, math.prod(shape)))
-    return [slice(r, r + rows) for r in range(0, shape[0], rows)]
+    if live is None:
+        return [slice(r, r + rows) for r in range(0, shape[0], rows)]
+    starts = np.arange(0, shape[0], rows)
+    lo, hi = np.searchsorted(live, starts), np.searchsorted(live, starts + rows)
+    has = lo < hi
+    return [slice(a, b + 1)
+            for a, b in zip(live[lo[has]].tolist(), live[hi[has] - 1].tolist())]
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | RowGrad],
@@ -72,23 +90,36 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | RowGr
     The update is the dense one of Kingma & Ba for every parameter, run
     over blocks of rows: a ``RowGrad`` is densified one block at a time,
     so a row without a gradient in this step still moves by its momentum.
-    Each block is checked right after its update, while it is in cache:
-    a non-finite value raises ``NonFiniteError`` naming the parameter.
+    Only a table's rows that have never had a gradient are skipped, which
+    leaves them as the dense update would. Every gradient's name and
+    shape are checked before anything changes (``ValueError``). Each
+    block is checked right after its update, while it is in cache: a
+    non-finite value raises ``NonFiniteError`` naming the parameter.
     """
+    for name, g in grads.items():
+        if name not in params:
+            raise ValueError(f"gradient for unknown parameter {name!r}")
+        if g.shape != params[name].shape:
+            raise ValueError(
+                f"gradient shape {g.shape} does not match parameter "
+                f"{name!r} shape {params[name].shape}")
     state.step += 1
     bc1 = 1.0 - BETA1 ** state.step
     bc2 = 1.0 - BETA2 ** state.step
     for name, g in grads.items():
         p = params[name]
-        if g.shape != p.shape:
-            raise ValueError(
-                f"gradient shape {g.shape} does not match parameter "
-                f"{name!r} shape {p.shape}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
+            state.live[name] = np.empty(0, dtype=np.int64)
+        live = state.live.pop(name, None)
+        if live is not None and isinstance(g, RowGrad):
+            seen = np.zeros(g.rows, dtype=bool)
+            seen[live] = seen[g.ids] = True
+            if not seen.all():
+                state.live[name] = np.flatnonzero(seen)
         m, v = state.m[name], state.v[name]
-        for rows in _row_blocks(p.shape):
+        for rows in _row_blocks(p.shape, state.live.get(name)):
             g_rows = (g.dense(rows.start, rows.stop) if isinstance(g, RowGrad)
                       else g[rows])
             _update(p[rows], m[rows], v[rows], g_rows, state, bc1, bc2)
