@@ -290,10 +290,17 @@ def lgamma(a: Var) -> Var:
 
 
 def digamma(a: Var) -> Var:
-    """Elementwise digamma; differentiable (derivative is trigamma)."""
+    """Elementwise digamma; differentiable (derivative is trigamma). Only
+    entries with a nonzero gradient are differentiated, so an entry that
+    a loss weighs by 0 costs nothing, even where trigamma overflows."""
     x = a.value
-    return a._tape.record("digamma", special.digamma(x), (a,),
-                          lambda grad: (grad * special.trigamma(x),))
+
+    def backward(grad):
+        out = grad * 0.0
+        live = grad != 0.0
+        out[live] = grad[live] * special.trigamma(x[live])
+        return (out,)
+    return a._tape.record("digamma", special.digamma(x), (a,), backward)
 
 
 # -- reductions and shape ops -------------------------------------------------

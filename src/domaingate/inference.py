@@ -98,9 +98,9 @@ def gates(model: Model, binder, batch, strategy: str, rngs: list,
         return rows, np.exp(log_w.value)
     n, prior = batch.size, model.prior_gate(binder, batch)
     if strategy == "prior-mean":
-        return dist.mean(prior)[:, None, :], np.ones((n, 1))
+        return model.gate(dist.mean(prior))[:, None, :], np.ones((n, 1))
     r = m if strategy == "mc-average" else 1
-    return dist.draw_many(prior, rngs, r), np.full((n, r), 1.0 / r)
+    return model.gate(dist.draw_many(prior, rngs, r)), np.full((n, r), 1.0 / r)
 
 
 def predict(model: Model, seqs, cfg: InferConfig, rngs: list
@@ -126,14 +126,16 @@ def _importance_sampling(model, binder, batch, h_mat, cfg, rngs):
     n, labels, m = batch.size, mcfg.n_labels, cfg.m
     prior = model.prior_gate(binder, batch)
     # One encoding of x serves q for every candidate label: rows [B,L,k].
+    # Both densities score the whole draws (csda-beta pairs [B,L,m,k,2]);
+    # the head reads their gates [B,L,m,k].
     q = model.posterior_gate(binder, batch, [range(labels)] * n, None)
-    z = dist.draw_many(q, rngs, m)                               # [B,L,m,k]
-    rows = z.reshape(n, labels * m, mcfg.k)
+    z = dist.draw_many(q, rngs, m, axis=2)
+    rows = model.gate(z).reshape(n, labels * m, mcfg.k)
     logp = classify_batch(binder, gate_channels(h_mat, binder.tape.const(rows)))
     logp = logp.value.reshape(n, labels, m, labels)
     loglik = np.stack([logp[:, y, :, y] for y in range(labels)], axis=1)
-    log_w = dist.log_pdf_many(prior, rows).reshape(n, labels, m) + loglik \
-        - dist.log_pdf_many(q, z)
+    log_w = dist.log_pdf_many(prior, z.reshape(n, labels * m, *z.shape[3:])) \
+        .reshape(n, labels, m) + loglik - dist.log_pdf_many(q, z, axis=2)
     # Average the weights per label in log space (log-mean-exp) and
     # normalize there too: with a peaked prior every exp(log_w) underflows.
     # The effective sample size (sum w)^2 / sum w^2 of the max-scaled

@@ -16,11 +16,11 @@ and prediction alike where the gate is not drawn):
 - dsda:  z is a latent categorical, marginalized exactly by its k
   indicator rows at weights p(d|x); training adds a supervised prior
   term when the domain is observed
-- csda:  z ~ Beta or Dirichlet, parameterized by a prior network from x
-  alone and, during training, a variational network that additionally
-  conditions on the label and domain (with UNK sentinels); trained on a
-  single-sample bound (one row drawn from q) with a lambda-weighted
-  closed-form KL
+- csda:  z ~ Beta per channel or Dirichlet, parameterized by a prior
+  network from x alone and, during training, a variational network
+  that additionally conditions on the label and domain (with UNK
+  sentinels); trained on a single-sample bound (one row drawn from q)
+  with a lambda-weighted closed-form KL
 
 Everything works on rows: a batch of B instances is packed once
 (``encoder.pack``) and every graph piece returns one row per instance:
@@ -30,12 +30,16 @@ whole mini-batch and returns the mean over its rows; prediction builds
 the same graph and never calls ``backprop``.
 
 The gate networks return the distribution parameters themselves: the
-dsda prior's logits ``Var``, or ``BetaParams``/``DirichletParams``. A
-Dirichlet head's concentration is the product node scale * affinity of
-an overall scale [B,1] and per-channel affinities in (0,1), recorded
-once per head; backprop carries the Gamma pathwise partials of a draw
-through it, so the multi-variable chain rule is handled by the tape
-itself.
+dsda prior's logits ``Var``, or ``DirichletParams``. A Dirichlet head's
+concentration is the product node scale * affinity of an overall scale
+[B,1] and per-channel affinities in (0,1), recorded once per head;
+backprop carries the Gamma pathwise partials of a draw through it, so
+the multi-variable chain rule is handled by the tape itself. A Beta
+gate is the first part of a two-part Dirichlet: its heads' alpha and
+beta [B,k] are joined into pairs of concentrations [B,k,2], and
+``Model.gate`` reads part 0 of each drawn pair (or of the mean), so
+that densities see whole pairs and never rebuild 1 - z from a gate
+rounded to 1.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from . import ConfigError
 from . import autodiff as ad
 from . import distributions as dist
 from .autodiff import ParamBinder, Tape, Var
-from .distributions import BetaParams, DirichletParams
+from .distributions import DirichletParams
 from .encoder import EncoderConfig, TokenBatch, encode, layout as encoder_layout, pack
 
 __all__ = ["MODEL_KINDS", "ModelConfig", "Model", "gate_channels", "classify_batch"]
@@ -252,11 +256,11 @@ class Model:
             h_mat = ad.dropout(h_mat, cfg.dropout, dropout_rng.random(h_mat.shape))
         return h_mat
 
-    def _continuous_heads(self, binder, feats: Var, group: str):
+    def _continuous_heads(self, binder, feats: Var, group: str) -> DirichletParams:
         if self.config.family == "beta":
-            alpha = ad.elu(_linear(binder, f"{group}.alpha", feats)) + 1.0
-            beta = ad.elu(_linear(binder, f"{group}.beta", feats)) + 1.0
-            return BetaParams(alpha, beta)
+            parts = [ad.elu(_linear(binder, f"{group}.{head}", feats)) + 1.0
+                     for head in ("alpha", "beta")]
+            return DirichletParams(ad.concat([ad.reshape(v, v.shape + (1,)) for v in parts]))
         scale = ad.exp(_linear(binder, f"{group}.conc", feats))
         affinity = ad.sigmoid(_linear(binder, f"{group}.base", feats))
         return DirichletParams(ad.mul(scale, affinity))
@@ -264,7 +268,7 @@ class Model:
     def prior_gate(self, binder, batch: TokenBatch):
         """p(z | x) for each instance: encoder over x with family-specific
         heads. Returns the dsda logits ``Var`` [B,k], or the
-        ``BetaParams``/``DirichletParams`` rows."""
+        ``DirichletParams`` rows (pairs [B,k,2] for csda-beta)."""
         cfg = self.config
         feats = ad.reshape(encode(binder, "phi.enc", batch, cfg.encoder),
                            (batch.size, cfg.encoder.out_dim))
@@ -275,9 +279,9 @@ class Model:
     def posterior_gate(self, binder, batch: TokenBatch, y_ids, d_ids=None):
         """q(z | x, y, d) for each instance, with UNK sentinels where y or d
         is None (``d_ids=None``: no domain observed); returns its
-        ``BetaParams``/``DirichletParams`` rows [B,k]. Each y entry may also
-        be a sequence of C candidate labels, giving rows [B,C,k] from one
-        encoding of x."""
+        ``DirichletParams`` rows [B,k] (pairs [B,k,2] for csda-beta). Each
+        y entry may also be a sequence of C candidate labels, giving rows
+        [B,C,k] from one encoding of x."""
         cfg = self.config
         y_rows = _table_rows(y_ids, cfg.n_labels, "label")
         d_rows = np.broadcast_to(
@@ -292,6 +296,13 @@ class Model:
         feats = ad.concat([feats, ad.embedding(binder("sigma.y_emb"), y_rows),
                            ad.embedding(binder("sigma.d_emb"), d_rows)])
         return self._continuous_heads(binder, feats, "sigma")
+
+    def gate(self, z: np.ndarray) -> np.ndarray:
+        """The gate rows [...,k] of draws or means z of a csda gate
+        distribution: part 0 of each Beta pair [...,k,2], or the Dirichlet
+        simplex itself. A Beta gate is copied out of its pairs: numpy's
+        product of a strided array can round differently."""
+        return np.ascontiguousarray(z[..., 0]) if self.config.family == "beta" else z
 
     def mixture(self, binder, batch: TokenBatch) -> tuple[np.ndarray, Var]:
         """The gate rows [B,r,k] of a kind whose gate is not drawn, and
@@ -343,9 +354,11 @@ class Model:
             q = self.posterior_gate(binder, batch, y_ids, d_ids)
             p = self.prior_gate(binder, batch)
             z_var, degenerate = dist.sample(q, rng)
-            keep = ~degenerate
-            z, log_w = ad.reshape(z_var, (n, 1, cfg.k)), tape.const(np.zeros((n, 1)))
+            keep = ~degenerate.reshape(n, -1).any(axis=1)
             kl = dist.kl_divergence(q, p)
+            if cfg.family == "beta":  # part 0 of each pair; the k pairs' KLs add up
+                z_var, kl = ad.gather(z_var, 0), ad.reduce_sum(kl, axis=-1)
+            z, log_w = ad.reshape(z_var, (n, 1, cfg.k)), tape.const(np.zeros((n, 1)))
             extra = lam * kl
         else:
             z_rows, log_w = self.mixture(binder, batch)

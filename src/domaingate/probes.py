@@ -58,7 +58,7 @@ def collect(model: Model, instances: list[Instance], seed: int) -> list[ProbeRec
     for chunk, rngs in chunks(instances, seed):
         q = model.posterior_gate(model.binder(Tape()), model.pack([i.ids for i in chunk]),
                                  [i.y_id for i in chunk], [i.d_id for i in chunk])
-        z = dist.draw_many(q, rngs, 1)[:, 0]
+        z = model.gate(dist.draw_many(q, rngs, 1)[:, 0])
         records.extend(ProbeRecord(row, inst.y_id, inst.d_id)
                        for row, inst in zip(z, chunk))
     return records

@@ -373,7 +373,9 @@ def inv_reg_inc_gamma(u, a):
             halley = np.maximum(1.0 - 0.5 * newton * (s["a"] - x), 0.5)
         t_new = np.where(steep, t - newton / halley, np.inf)
         # A step that cannot move x off its double leaves it within an ulp.
-        done |= steep & (np.exp(t_new) == x)
+        # A step beyond the largest double cannot be such a step.
+        with np.errstate(over="ignore"):
+            done |= steep & (np.exp(t_new) == x)
         # Until there is an upper bracket, a step up is at most 4-fold in x.
         top = np.where(hi_t < np.inf, hi_t, t + math.log(4.0))
         fallback = np.where(hi_t < np.inf, 0.5 * (lo_t + hi_t), top)

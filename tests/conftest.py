@@ -1,16 +1,22 @@
 """Shared test helpers."""
 
+import math
+
 import numpy as np
 
 
 class FixedNoise:
     """A generator stand-in whose ``random(shape)`` returns the uniforms
-    ``u`` every time, so that a gate draw replays with frozen noise."""
+    ``u`` every time, so that a gate draw replays with frozen noise. It
+    raises naming the shape when it holds a different count of them."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=np.float64)
 
     def random(self, shape):
+        if self.u.size != math.prod(shape):
+            raise ValueError(f"FixedNoise holds {self.u.size} uniforms, "
+                             f"asked for shape {tuple(shape)}")
         return self.u.reshape(shape)
 
 

@@ -34,15 +34,17 @@ def dirichlet_model(conc_bias=None):
     return model
 
 
-def beta_model_with_edge_posterior():
-    """A csda-beta model whose q head gives about Beta(5, 0.02), where most
-    draws round to exactly 1.0."""
-    cfg = ModelConfig(kind="csda-beta", n_labels=2, n_domains=2, vocab_size=20,
+def dirichlet_model_with_edge_posterior():
+    """A csda-dirichlet model whose q head gives the concentration
+    (0.001, 5), where some draws' first entry rounds to exactly 0."""
+    cfg = ModelConfig(kind="csda-dirichlet", n_labels=2, n_domains=2, vocab_size=20,
                       k=2, encoder=EncoderConfig(8, 4, (2, 3)), mlp_hidden=6,
                       dropout=0.0)
     model = Model.init(cfg, np.random.default_rng(0))
-    model.params["sigma.alpha.b"][:] = 4.0            # elu(4) + 1 = 5
-    model.params["sigma.beta.b"][:] = np.log(0.02)    # elu(ln 0.02) + 1 = 0.02
+    for head in ("conc", "base"):
+        model.params[f"sigma.{head}.w"][:] = 0.0
+    model.params["sigma.conc.b"][:] = np.log(10.0)             # scale 10
+    model.params["sigma.base.b"][:] = (np.log(1e-4 / (1.0 - 1e-4)), 0.0)
     return model
 
 
@@ -108,15 +110,16 @@ def test_effective_sample_size_flags_a_dominated_estimate(caplog):
 
 
 def test_draws_on_the_edge_of_the_support_raise():
-    # Rather than weigh the draws rounded to z = 1 with log-weight -inf
+    # Rather than weigh the draws rounded to z = 0 with log-weight -inf
     # (or NaN), importance sampling names the draw and its parameters.
-    model = beta_model_with_edge_posterior()
-    with pytest.raises(dist.DegenerateSampleError, match=r"z=1\.0, alpha=.*, beta="):
+    model = dirichlet_model_with_edge_posterior()
+    with pytest.raises(dist.DegenerateSampleError, match=r"z=0\.0, concentration="):
         predict(model, [IDS], InferConfig("importance-sampling", 20),
                 [np.random.default_rng(0)])
     # In a chunk, the error names the instance whose draw it was.
     insts = [Instance(f"doc{i}", IDS, 0, None, "l0", None) for i in range(3)]
-    with pytest.raises(dist.DegenerateSampleError, match=r"^doc0: beta draw .* z=1\.0"):
+    with pytest.raises(dist.DegenerateSampleError,
+                       match=r"^doc0: draw on the edge .* z=0\.0"):
         predict_batch(model, insts, InferConfig("importance-sampling", 20))
 
 

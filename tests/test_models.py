@@ -50,6 +50,8 @@ def csda_loglik(model, y_id, d_id, eps):
     batch = model.pack([IDS])
     h_mat = model.channel_encodings(binder, batch, None)
     z, _ = dist.sample(model.posterior_gate(binder, batch, [y_id], [d_id]), FixedNoise(eps))
+    if model.config.family == "beta":
+        z = ad.gather(z, 0)
     z = ad.reshape(z, (1, 1, model.config.k))
     return classify_batch(binder, gate_channels(h_mat, z)).value[0, 0, y_id]
 
@@ -59,7 +61,9 @@ def worst_fd_error(model, seqs, y_ids, d_ids):
     loss against central differences, over three entries of every
     parameter (of the looked-up rows, for a table)."""
     to_float64(model.params)
-    noise = FixedNoise([0.35, 0.65] * len(seqs)) if model.config.kind.startswith("csda") \
+    # (0.35, 0.65) per instance, or per channel pair of a csda-beta gate
+    pairs = model.config.k if model.config.family == "beta" else 1
+    noise = FixedNoise([0.35, 0.65] * len(seqs) * pairs) if model.config.is_variational \
         else None
 
     def loss():
@@ -296,8 +300,8 @@ class TestContinuousGateParameterization:
             model.params[name][:] = 0.0
         t = Tape()
         prior = model.prior_gate(model.binder(t), model.pack([IDS]))
-        np.testing.assert_allclose(prior.alpha.value, np.ones((1, 3)), atol=1e-12)
-        np.testing.assert_allclose(prior.beta.value, np.ones((1, 3)), atol=1e-12)
+        # one pair of concentrations (alpha, beta) per channel
+        np.testing.assert_allclose(prior.conc.value, np.ones((1, 3, 2)), atol=1e-12)
 
     def test_dirichlet_zero_projection_gives_half_concentration(self):
         model = toy_model("csda-dirichlet", k=3)
@@ -318,7 +322,8 @@ class TestContinuousGateParameterization:
         t = Tape()
         binder = model.binder(t)
         model.posterior_gate(binder, model.pack([IDS]), [1], [0])
-        concat_nodes = [n for n in t.nodes if n.kind == "concat"]
+        # (the heads' concatenation of pairs comes after the features')
+        concat_nodes = [n for n in t.nodes if n.kind == "concat" and n.value.ndim == 2]
         assert concat_nodes, "posterior should concatenate features"
         assert concat_nodes[-1].value.shape == (1, ENC.out_dim + 4 + 16)
 
@@ -326,8 +331,8 @@ class TestContinuousGateParameterization:
         model = toy_model("csda-beta", k=2)
         t = Tape()
         q = model.posterior_gate(model.binder(t), model.pack([IDS]), [None], [None])
-        assert np.all(q.alpha.value > 0.0)
-        assert q.alpha.shape == (1, 2)
+        assert np.all(q.conc.value > 0.0)
+        assert q.conc.shape == (1, 2, 2)
 
     def test_candidate_labels_share_one_encoding(self):
         # Rows [B,C,k] for C candidate labels equal C separate calls.
@@ -349,7 +354,7 @@ class TestContinuousGateParameterization:
         batch = model.pack([IDS])
         q0 = model.posterior_gate(binder, batch, [0], [0])
         q1 = model.posterior_gate(binder, batch, [0], [1])
-        assert not np.allclose(q0.alpha.value, q1.alpha.value)
+        assert not np.allclose(q0.conc.value, q1.conc.value)
 
     def test_unknown_ids_rejected(self):
         model = toy_model("csda-beta", k=2)
@@ -394,7 +399,7 @@ class TestSharedMixture:
 class TestVariationalObjective:
     def test_lambda_zero_is_pure_loglik(self):
         model = toy_model("csda-beta", k=2)
-        eps = np.array([0.4, 0.7])
+        eps = np.array([[0.4, 0.7], [0.7, 0.2]])  # a noise pair per channel
         res = model.loss([IDS], [1], [0], lam=0.0, rng=FixedNoise(eps))
         assert res.loss.item() == pytest.approx(
             -csda_loglik(model, 1, 0, eps), abs=1e-12)
@@ -406,7 +411,7 @@ class TestVariationalObjective:
             for head in ("alpha", "beta"):
                 model.params[f"{group}.{head}.w"][:] = 0.0
                 model.params[f"{group}.{head}.b"][:] = 0.0
-        eps = np.array([0.2, 0.9])
+        eps = np.array([[0.2, 0.9], [0.5, 0.3]])
         res = model.loss([IDS], [1], [0], lam=1.0, rng=FixedNoise(eps))
         assert res.kl == pytest.approx(0.0, abs=1e-12)
         assert res.loss.item() == pytest.approx(
@@ -494,11 +499,15 @@ class TestMiniBatch:
             np.testing.assert_allclose(dense(g), want, rtol=1e-10, atol=1e-13)
 
     def test_every_row_degenerate_gives_no_loss(self):
-        # q about Beta(5, 0.02) in every row, where u = 0.7 draws z = 1.
-        model = toy_model("csda-beta", k=1, n_domains=2)
-        model.params["sigma.alpha.b"][:] = 4.0
-        model.params["sigma.beta.b"][:] = np.log(0.02)
-        res = model.loss(self.SEQS[:2], [0, 1], rng=FixedNoise([[0.7], [0.7]]), **WEIGHTS)
+        # q's channel 0 has concentration sigmoid(-690) = 2.17e-300 in every
+        # row, whose Gamma draw at the top noise has an underflowing density.
+        model = toy_model("csda-dirichlet", k=2, n_domains=2)
+        for head in ("conc", "base"):
+            model.params[f"sigma.{head}.w"][:] = 0.0
+        model.params["sigma.conc.b"][:] = 0.0
+        model.params["sigma.base.b"][:] = (-690.0, 0.0)
+        res = model.loss(self.SEQS[:2], [0, 1], rng=FixedNoise([[1.0, 0.5], [1.0, 0.5]]),
+                         **WEIGHTS)
         assert res.loss is None and res.kl is None and res.degenerate == 2
 
 

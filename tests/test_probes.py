@@ -140,7 +140,8 @@ class TestExport:
         for i, (inst, row) in enumerate(zip(insts, rows)):
             rng = np.random.default_rng(np.random.SeedSequence((5, i)))
             prior = model.prior_gate(model.binder(Tape()), model.pack([inst.ids]))
-            np.testing.assert_allclose(row["vector"], dist.draw_many(prior, [rng], 1)[0, 0],
+            np.testing.assert_allclose(row["vector"],
+                                       model.gate(dist.draw_many(prior, [rng], 1))[0, 0],
                                        rtol=1e-12)
 
     def test_dsda_rows_follow_the_prior_logits(self):

@@ -3,6 +3,7 @@ math.lgamma, mpmath series, quadrature and the inverses of scipy) and
 the documented domain/convergence contracts."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -271,6 +272,16 @@ class TestInverses:
         x = sp.inv_reg_inc_gamma(0.102, 0.0031)
         assert x == pytest.approx(8.79e-321, rel=1e-3)
         assert abs(sp.reg_inc_gamma(0.0031, x) - 0.102) < 1e-6
+
+    def test_gamma_quantile_at_the_top_noise_warns_of_nothing(self):
+        # At the sampler's top noise u = 1 - 1e-16, shapes up to 3.2e-15
+        # overflowed exp in the stopping test: 366 of these 613 emitted a
+        # RuntimeWarning.
+        a = np.logspace(-300, 6, 613)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = sp.inv_reg_inc_gamma(np.full(a.size, 1.0 - 1e-16), a)
+        assert np.all(np.isfinite(x) & (x > 0.0))
 
     def test_subnormal_gamma_quantile_among_few_bits(self):
         # The quantile is about 3.5e-323 (ln x near -742.49), where

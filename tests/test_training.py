@@ -83,23 +83,38 @@ def test_kl_weight_follows_its_schedule(schedule, anneal_steps, horizon):
     assert [e["lambda"] for e in result.log] == pytest.approx(want, rel=1e-15)
 
 
+class TopNoiseOnChannel0:
+    """A generator stand-in that passes ``random(shape)`` on to ``rng``
+    with every uniform of gate channel 0 (the first entry of the last
+    axis) set to 1."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, shape):
+        u = self.rng.random(shape)
+        u[..., 0] = 1.0
+        return u
+
+
 def test_degenerate_sample_is_skipped_and_counted(monkeypatch):
-    # q is Beta(5, 0.02) for domain 0, where about every other draw
-    # rounds to z = 1.0 (no pathwise gradient), so that nearly every gate
-    # of k = 8 channels is degenerate; q is Beta(1, 1) for domain 1. With
-    # three domain-0 instances and one domain-1 instance in batches of
-    # two, one batch keeps one instance and the other keeps none.
-    cfg = ModelConfig(kind="csda-beta", n_labels=2, n_domains=2,
-                      vocab_size=20, k=8, encoder=EncoderConfig(8, 4, (2, 3)),
+    # q's channel 0 has concentration sigmoid(-690) = 2.17e-300 for domain
+    # 0, whose Gamma draw at the top noise has an underflowing density (no
+    # pathwise gradient), and 0.5 for domain 1; channel 0 always draws at
+    # the top noise. With three domain-0 instances and one domain-1
+    # instance in batches of two, one batch keeps one instance and the
+    # other keeps none.
+    cfg = ModelConfig(kind="csda-dirichlet", n_labels=2, n_domains=2,
+                      vocab_size=20, k=2, encoder=EncoderConfig(8, 4, (2, 3)),
                       mlp_hidden=6, dropout=0.0)
     model = Model.init(cfg, np.random.default_rng(0))
     d_coord = cfg.encoder.out_dim + 4      # first domain-embedding input
     model.params["sigma.d_emb"][:] = 0.0
     model.params["sigma.d_emb"][0, 0] = 1.0
-    for head, weight in (("alpha", 4.0), ("beta", np.log(0.02))):
+    for head in ("conc", "base"):
         model.params[f"sigma.{head}.w"][:] = 0.0
         model.params[f"sigma.{head}.b"][:] = 0.0
-        model.params[f"sigma.{head}.w"][d_coord] = weight
+    model.params["sigma.base.w"][d_coord, 0] = -690.0
     initial = model.copy()
     insts = [Instance(f"doc{i}", (3, 7, 1, 12, 5 + i, 9), i % 2, int(i == 2),
                       f"l{i % 2}", f"d{int(i == 2)}") for i in range(4)]
@@ -107,7 +122,7 @@ def test_degenerate_sample_is_skipped_and_counted(monkeypatch):
     noise, kept, applied = [], [], []
 
     def recording_loss(self, *args, rng, **kwargs):
-        noise.append(RecordingNoise(rng))
+        noise.append(RecordingNoise(TopNoiseOnChannel0(rng)))
         return real_loss(self, *args, rng=noise[-1], **kwargs)
 
     def recording_backprop(loss):
@@ -135,8 +150,8 @@ def test_degenerate_sample_is_skipped_and_counted(monkeypatch):
     # The step averages over the one instance it kept: its loss and
     # gradients are those of that instance alone under its own draw ...
     loss, grads, u = kept[0]
-    [node] = [n for n in loss._tape.nodes if n.kind == "beta_sample"]
-    [row] = np.flatnonzero((node.value < 1.0).all(axis=1))
+    [node] = [n for n in loss._tape.nodes if n.kind == "gamma_sample"]
+    [row] = np.flatnonzero(loss._tape.nodes[node.inputs[0]].value[:, 0] == 0.5)
     alone = initial.loss([insts[2].ids], [insts[2].y_id], [insts[2].d_id],
                          lam=tcfg.lam, rng=FixedNoise(u[row:row + 1]))
     assert one["loss"] == loss.item() == pytest.approx(alone.loss.item(), rel=1e-12)
@@ -147,6 +162,27 @@ def test_degenerate_sample_is_skipped_and_counted(monkeypatch):
     # ... and a batch that keeps none takes no step.
     assert none["loss"] is None and none["kl"] is None and none["grad_norm"] is None
     assert result.steps == 2
+
+
+def test_importance_sampled_dev_evaluation_of_an_edge_beta_posterior():
+    # q about Beta(5, 0.02) on every channel, whose gates round to 1.0 in
+    # about half the draws. Scored as pairs, no draw is on the edge, so
+    # training keeps every row and the importance-sampled dev evaluation
+    # scores every draw.
+    cfg = ModelConfig(kind="csda-beta", n_labels=2, n_domains=2, vocab_size=20,
+                      k=2, encoder=EncoderConfig(8, 4, (2, 3)), mlp_hidden=6,
+                      dropout=0.0)
+    model = Model.init(cfg, np.random.default_rng(0))
+    model.params["sigma.alpha.b"][:] = 4.0            # elu(4) + 1 = 5
+    model.params["sigma.beta.b"][:] = np.log(0.02)    # elu(ln 0.02) + 1 = 0.02
+    insts = [Instance(f"doc{i}", (3, 7, 1, 12, 5 + i, 9), i % 2, i % 2,
+                      f"l{i % 2}", f"d{i % 2}") for i in range(4)]
+    tcfg = training.TrainConfig(batch_size=2, max_epochs=2, lr=1e-3, seed=3,
+                                infer=InferConfig("importance-sampling", 20))
+    result = training.train(model, insts, insts[:2], tcfg)
+    assert result.steps == 4
+    assert [e["degenerate"] for e in result.log] == [0] * 4
+    assert sum("dev_acc" in e for e in result.log) == 4
 
 
 def test_row_gradients_train_like_dense_gradients(monkeypatch):
