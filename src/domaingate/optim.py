@@ -1,9 +1,10 @@
 """Adam optimizer over flat {name: array} parameter stores.
 
 The update is the dense one of Kingma & Ba. For a finite lr > 0, a row
-whose moments and gradient are all zero is a fixed point of that update,
-so the rows of a table that have never had a gradient are skipped: the
-result is bitwise the dense update's.
+whose moments and gradient are all zero is a fixed point of that update.
+So while a table has had only row gradients, its moments are stored for
+the rows that have had one, and only those rows are updated: the other
+rows keep p bitwise with zero moments, as the dense update leaves them.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ EPS = 1e-8
 class AdamState:
     """The learning rate plus first/second-moment accumulators.
 
-    Accumulators are created on a parameter's first step and always
-    match the parameter's shape and dtype. ``live`` holds the sorted ids
-    of the rows that have had a gradient, for each parameter whose
-    gradients have all been ``RowGrad`` and whose rows have not all had
-    one yet; every other parameter has no entry.
+    Accumulators are created on a parameter's first step with the
+    parameter's dtype. ``live`` holds the sorted ids [L] of the rows
+    that have had a gradient, for each table whose gradients have all
+    been ``RowGrad`` and whose rows have not all had one yet. Such a
+    table's ``m`` and ``v`` are [L, ...]: row i holds the moments of row
+    ``live[i]``, and every other row's moments are zero. Every other
+    parameter has no ``live`` entry, and its accumulators match its shape.
     """
 
     lr: float
@@ -66,21 +69,44 @@ def _update(p, m, v, g, state: AdamState, bc1: float, bc2: float) -> None:
 _BLOCK = 1 << 15
 
 
-def _row_blocks(shape: tuple[int, ...], live: np.ndarray | None) -> list:
+def _row_blocks(shape: tuple[int, ...]) -> list:
     """Slices of the first axis cutting an array into blocks of about
-    ``_BLOCK`` elements; a 0-d array is one block. Given the sorted ids
-    of the ``live`` rows, each block is trimmed to its first and last
-    live row, and a block without one is left out."""
+    ``_BLOCK`` elements; a 0-d array is one block."""
     if not shape:
         return [...]
     rows = max(1, _BLOCK * shape[0] // max(1, math.prod(shape)))
-    if live is None:
-        return [slice(r, r + rows) for r in range(0, shape[0], rows)]
-    starts = np.arange(0, shape[0], rows)
-    lo, hi = np.searchsorted(live, starts), np.searchsorted(live, starts + rows)
-    has = lo < hi
-    return [slice(a, b + 1)
-            for a, b in zip(live[lo[has]].tolist(), live[hi[has] - 1].tolist())]
+    return [slice(r, r + rows) for r in range(0, shape[0], rows)]
+
+
+def _update_blocks(name, p, m, v, g, state: AdamState, bc1: float, bc2: float) -> None:
+    # Each block is checked right after its update, while it is in cache.
+    for rows in _row_blocks(p.shape):
+        g_rows = (g.dense(rows.start, rows.stop) if isinstance(g, RowGrad)
+                  else g[rows])
+        _update(p[rows], m[rows], v[rows], g_rows, state, bc1, bc2)
+        if not np.isfinite(p[rows]).all():
+            raise NonFiniteError(
+                f"Adam step {state.step} made parameter {name!r} non-finite")
+
+
+def _update_live_rows(name, p, g: RowGrad, ids, state: AdamState,
+                      bc1: float, bc2: float) -> None:
+    # The update of a table's live rows ``ids``, the earlier live rows
+    # and the step's rows together; the moments grow only when new rows
+    # join. A live row without a gradient in this step gets a zero row.
+    live = state.live[name]
+    if ids.size > live.size:
+        at = np.searchsorted(ids, live)
+        for moments in (state.m, state.v):
+            grown = np.zeros((ids.size, *p.shape[1:]), p.dtype)
+            grown[at] = moments[name]
+            moments[name] = grown
+        state.live[name] = ids
+    g_rows = np.zeros((ids.size, g.values.shape[1]), g.values.dtype)
+    g_rows[np.searchsorted(ids, g.ids)] = g.values
+    p_rows = p[ids]
+    _update_blocks(name, p_rows, state.m[name], state.v[name], g_rows, state, bc1, bc2)
+    p[ids] = p_rows
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | RowGrad],
@@ -88,12 +114,16 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | RowGr
     """One bias-corrected Adam update, in place. Deterministic given inputs.
 
     The update is the dense one of Kingma & Ba for every parameter, run
-    over blocks of rows: a ``RowGrad`` is densified one block at a time,
-    so a row without a gradient in this step still moves by its momentum.
-    Only a table's rows that have never had a gradient are skipped, which
-    leaves them as the dense update would. Every gradient's name and
-    shape are checked before anything changes (``ValueError``). Each
-    block is checked right after its update, while it is in cache: a
+    over blocks of rows. A table with live rows (see ``AdamState``) adds
+    the step's rows to them, growing its moments only when new rows
+    join, and updates the live rows alone: they are gathered, each with
+    its gradient row or a zero row, so that a row without a gradient in
+    this step still moves by its momentum, and written back. The first
+    dense gradient, or live rows that cover the table, scatter the
+    moments into full-size ones, and the table takes the plain blocks
+    from then on; a ``RowGrad`` is densified one block at a time there.
+    Every gradient's name and shape are checked before anything changes
+    (``ValueError``). Each block is checked right after its update: a
     non-finite value raises ``NonFiniteError`` naming the parameter.
     """
     for name, g in grads.items():
@@ -109,20 +139,23 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | RowGr
     for name, g in grads.items():
         p = params[name]
         if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-            state.live[name] = np.empty(0, dtype=np.int64)
-        live = state.live.pop(name, None)
+            if isinstance(g, RowGrad):
+                state.live[name] = np.empty(0, dtype=np.int64)
+                state.m[name], state.v[name] = np.zeros_like(p[:0]), np.zeros_like(p[:0])
+            else:
+                state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
+        live = state.live.get(name)
         if live is not None and isinstance(g, RowGrad):
             seen = np.zeros(g.rows, dtype=bool)
             seen[live] = seen[g.ids] = True
-            if not seen.all():
-                state.live[name] = np.flatnonzero(seen)
-        m, v = state.m[name], state.v[name]
-        for rows in _row_blocks(p.shape, state.live.get(name)):
-            g_rows = (g.dense(rows.start, rows.stop) if isinstance(g, RowGrad)
-                      else g[rows])
-            _update(p[rows], m[rows], v[rows], g_rows, state, bc1, bc2)
-            if not np.isfinite(p[rows]).all():
-                raise NonFiniteError(
-                    f"Adam step {state.step} made parameter {name!r} non-finite")
+            ids = np.flatnonzero(seen)
+            if ids.size < g.rows:
+                _update_live_rows(name, p, g, ids, state, bc1, bc2)
+                continue
+        if live is not None:
+            for moments in (state.m, state.v):
+                full = np.zeros_like(p)
+                full[live] = moments[name]
+                moments[name] = full
+            del state.live[name]
+        _update_blocks(name, p, state.m[name], state.v[name], g, state, bc1, bc2)

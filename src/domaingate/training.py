@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import ConfigError
-from .autodiff import RowGrad, backprop
+from .autodiff import NonFiniteError, RowGrad, backprop
 from .data import Instance
 from .inference import InferConfig, predict_batch
 from .models import Model
@@ -82,13 +82,20 @@ def _lambda_at(cfg: TrainConfig, step: int, steps_per_epoch: int) -> float:
     return cfg.lam * min(1.0, step / (cfg.anneal_steps or steps_per_epoch))
 
 
-def _global_norm(grads: dict) -> float:
+def _global_norm(grads: dict, step: int) -> float:
     """L2 norm over every gradient entry; a ``RowGrad`` counts its rows only.
-    Squares are summed in float64 for every gradient dtype."""
+    Squares are summed in float64 for every gradient dtype. A norm that
+    is not finite raises ``NonFiniteError`` naming the step and the
+    parameters whose squares are not."""
+    squares = {}
     total = 0.0
-    for g in grads.values():
+    for name, g in grads.items():
         x = (g.values if isinstance(g, RowGrad) else g).astype(np.float64, copy=False).ravel()
-        total += float(np.dot(x, x))
+        squares[name] = float(np.dot(x, x))
+        total += squares[name]
+    if not math.isfinite(total):
+        bad = [name for name, sq in squares.items() if not math.isfinite(sq)]
+        raise NonFiniteError(f"step {step}: the gradients of {bad} are not finite")
     return math.sqrt(total)
 
 
@@ -132,9 +139,10 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
     usable pathwise gradient is left out of its step's mean and counted
     in the log entry's ``degenerate``; a step that keeps no instance
     takes no Adam step. ``grad_norm`` is the global L2 norm of the step's
-    averaged gradient (null when no step is taken). Dev accuracy is
-    checked twice per epoch; training stops after ``patience``
-    evaluations without improvement.
+    averaged gradient (null when no step is taken); a norm that is not
+    finite raises ``NonFiniteError`` naming the parameters before Adam
+    changes any of them. Dev accuracy is checked twice per epoch;
+    training stops after ``patience`` evaluations without improvement.
 
     The best state is copied only when it is about to change: while it is
     the current state no copy exists, and the result then shares
@@ -174,7 +182,7 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
                      "lambda": lam_t, "degenerate": res.degenerate, "grad_norm": None}
             if res.loss is not None:
                 grads = backprop(res.loss)
-                entry["grad_norm"] = _global_norm(grads)
+                entry["grad_norm"] = _global_norm(grads, step)
                 if best_is_current:  # keep the best state before Adam overwrites it
                     if best_params is None:
                         best_params = {name: np.empty_like(arr)

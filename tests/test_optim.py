@@ -2,8 +2,11 @@
 the dense update of Kingma & Ba bitwise, including the momentum a row
 keeps moving by in steps where it has no gradient. The rows of a table
 that have never had a gradient are skipped: they keep p bitwise with
-zero moments, and no update is larger than a dense block. A bad
-gradient raises before anything changes."""
+zero moments, a table stores moments for its live rows only until a
+dense gradient or full coverage, and no update is larger than a block.
+A bad gradient raises before anything changes."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,12 +45,26 @@ def assert_bitwise(a, b):
     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def dense_moments(state, name, shape):
+    """A parameter's m and v at full size: a table that keeps moments for
+    its live rows only has zero moments in every other row."""
+    if name not in state.live:
+        return state.m[name], state.v[name]
+    out = []
+    for compact in (state.m[name], state.v[name]):
+        full = np.zeros(shape, compact.dtype)
+        full[state.live[name]] = compact
+        out.append(full)
+    return tuple(out)
+
+
 def assert_same_state(params, state, ref_params, ref_state):
     assert state.step == ref_state.step
     for name in ref_params:
         assert_bitwise(params[name], ref_params[name])
-        assert_bitwise(state.m[name], ref_state.m[name])
-        assert_bitwise(state.v[name], ref_state.v[name])
+        m, v = dense_moments(state, name, ref_params[name].shape)
+        assert_bitwise(m, ref_state.m[name])
+        assert_bitwise(v, ref_state.v[name])
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -164,7 +181,8 @@ def test_any_step_sequence_matches_dense_adam_bitwise(block, rows, width, dtype,
             assert_same_state(params, state, ref, ref_state)
             never = ~had_grad
             assert_bitwise(params["emb"][never], p0[never])
-            assert not state.m["emb"][never].any() and not state.v["emb"][never].any()
+            m, v = dense_moments(state, "emb", p0.shape)
+            assert not m[never].any() and not v[never].any()
 
 
 def test_unknown_parameter_raises_before_any_change():
@@ -201,7 +219,8 @@ def test_first_row_gradient_without_rows_takes_no_update():
     adam_step(params, {"emb": RowGrad(np.arange(0), np.zeros((0, 3)), 5)}, state)
     assert state.step == 1
     assert_bitwise(params["emb"], p0)
-    assert not state.m["emb"].any() and not state.v["emb"].any()
+    m, v = dense_moments(state, "emb", p0.shape)
+    assert not m.any() and not v.any()
     assert state.live["emb"].size == 0
 
 
@@ -213,21 +232,22 @@ def test_updates_stay_within_blocks_and_cover_only_live_rows(last, monkeypatch):
     rng = np.random.default_rng(5)
     params = {"emb": rng.normal(size=(rows, width))}
     state = AdamState(lr=1e-2)
-    blocks = [(0, 4), (4, 8), (8, 10)]
     calls = []
     update = optim._update
 
     def recording(p, *args):
-        start = (p.ctypes.data - params["emb"].ctypes.data) // params["emb"].strides[0]
-        calls.append((start, start + p.shape[0]))
+        assert p.size <= optim._BLOCK
+        calls.append(p.shape[0])
         update(p, *args)
 
     monkeypatch.setattr(optim, "_update", recording)
 
     def step(g):
+        # The row counts of the step's updates, and the rows it moved.
         calls.clear()
+        before = params["emb"].copy()
         adam_step(params, {"emb": g}, state)
-        return list(calls)
+        return list(calls), np.flatnonzero(np.any(params["emb"] != before, axis=1)).tolist()
 
     def row_grad(ids):
         return RowGrad(np.array(ids, dtype=np.int64), rng.normal(size=(len(ids), width)),
@@ -236,18 +256,50 @@ def test_updates_stay_within_blocks_and_cover_only_live_rows(last, monkeypatch):
     live = set()
     for ids in ([1], [2, 9], [], [3, 5], [4, 7]):
         live |= set(ids)
-        slices = step(row_grad(ids))
+        sizes, moved = step(row_grad(ids))
+        assert state.live["emb"].tolist() == moved == sorted(live)
+        assert sum(sizes) == len(live)
+    # Live rows {1,2,3,4,5,7,9}: updated as 7 gathered rows.
+    assert sizes == [4, 3]
+    sizes, moved = step(rng.normal(size=(rows, width)) if last == "dense"
+                        else row_grad([0, 6, 8]))
+    assert sizes == [4, 4, 2] and moved == list(range(rows)) and "emb" not in state.live
+    # From then on every step takes the plain blocks, a row gradient too.
+    assert step(row_grad([1]))[0] == [4, 4, 2] and "emb" not in state.live
+
+
+@pytest.mark.parametrize("last", ["dense", "all rows"])
+def test_moments_cover_live_rows_until_dense_step_or_full_coverage(last):
+    rng = np.random.default_rng(6)
+    rows, width = 1000, 8
+    params = {"emb": rng.normal(size=(rows, width))}
+    state = AdamState(lr=1e-2)
+    live = set()
+    for ids in ([3, 500], [999, 3, 40], [], [0, 7]):
+        live |= set(ids)
+        ids = np.array(sorted(ids), dtype=np.int64)
+        adam_step(params, {"emb": RowGrad(ids, rng.normal(size=(ids.size, width)), rows)},
+                  state)
         assert state.live["emb"].tolist() == sorted(live)
-        assert all(a in live and b - 1 in live for a, b in slices)
-        holding = [blk for blk in blocks if live & set(range(*blk))]
-        assert [blk for blk in blocks for a, b in slices
-                if blk[0] <= a and b <= blk[1]] == holding
-    # Live rows {1,2,3,4,5,7,9}: the first and last blocks are trimmed.
-    assert slices == [(1, 4), (4, 8), (9, 10)]
-    if last == "dense":
-        slices = step(rng.normal(size=(rows, width)))
-    else:
-        slices = step(row_grad([0, 6, 8]))
-    assert slices == blocks and "emb" not in state.live
-    # From then on every step takes today's blocks, a row gradient too.
-    assert step(row_grad([1])) == blocks and "emb" not in state.live
+        assert state.m["emb"].shape == state.v["emb"].shape == (len(live), width)
+    ids = np.setdiff1d(np.arange(rows), [3])  # with the live rows, every row
+    g = (rng.normal(size=(rows, width)) if last == "dense"
+         else RowGrad(ids, rng.normal(size=(ids.size, width)), rows))
+    adam_step(params, {"emb": g}, state)
+    assert "emb" not in state.live
+    assert state.m["emb"].shape == state.v["emb"].shape == (rows, width)
+
+
+def test_fresh_row_step_allocates_far_below_dense_moments():
+    # Dense moments of a [20000,64] float32 table take 2 x 5.1 MB.
+    rng = np.random.default_rng(8)
+    params = {"emb": rng.standard_normal((20000, 64), dtype=np.float32)}
+    ids = np.sort(rng.choice(20000, 16, replace=False))
+    g = RowGrad(ids, rng.standard_normal((16, 64), dtype=np.float32), 20000)
+    tracemalloc.start()
+    try:
+        adam_step(params, {"emb": g}, AdamState(lr=1e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -3,7 +3,8 @@ and an anneal horizon below one step, lambda follows its schedule step
 by step, evaluation refuses non-finite label probabilities instead of
 scoring their default argmax, an instance
 whose gate draw has no usable gradient is left out of its step's mean
-and counted instead of ending the run, row-sparse embedding gradients train exactly as
+and counted instead of ending the run, non-finite gradients raise
+before Adam changes a parameter, row-sparse embedding gradients train exactly as
 dense ones would, the result holds the best-dev parameters, and a step's
 tape is freed before the dev evaluation."""
 
@@ -15,14 +16,14 @@ import numpy as np
 import pytest
 
 from domaingate import training
-from domaingate.autodiff import RowGrad
+from domaingate.autodiff import NonFiniteError, RowGrad
 from domaingate.data import Instance
 from domaingate.encoder import EncoderConfig
 from domaingate.inference import InferConfig, PredictionRecord
 from domaingate.training import EvalResult
 from domaingate.models import Model, ModelConfig
 from conftest import FixedNoise, RecordingNoise, to_float64
-from test_optim import dense_adam_step
+from test_optim import dense_adam_step, dense_moments
 
 
 def dense(g):
@@ -52,7 +53,30 @@ def test_grad_norm_sums_float32_gradients_in_float64():
              "conv": rng.normal(size=(3, 300, 128)).astype(np.float32)}
     want = np.sqrt(sum(np.sum(np.square(x, dtype=np.float64))
                        for x in (grads["emb"].values, grads["conv"])))
-    assert training._global_norm(grads) == pytest.approx(want, rel=1e-12)
+    assert training._global_norm(grads, step=1) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_gradients_raise_before_adam_changes_anything():
+    # q's channel 0 has concentration sigmoid(-690) = 2.17e-300 in every
+    # row: an ordinary draw keeps the row, and the KL's backward through
+    # trigamma(2e-300) makes every sigma.* gradient inf or NaN.
+    cfg = ModelConfig(kind="csda-dirichlet", n_labels=2, n_domains=2, vocab_size=20,
+                      k=2, encoder=EncoderConfig(6, 3, (2, 3)), mlp_hidden=5,
+                      dropout=0.0)
+    model = Model.init(cfg, np.random.default_rng(0))
+    for head in ("conc", "base"):
+        model.params[f"sigma.{head}.w"][:] = 0.0
+    model.params["sigma.conc.b"][:] = 0.0
+    model.params["sigma.base.b"][:] = (-690.0, 0.0)
+    before = {name: arr.copy() for name, arr in model.params.items()}
+    insts = [Instance(f"doc{i}", (3, 7, 1, 12, 5 + i, 9), i % 2, i % 2,
+                      f"l{i % 2}", f"d{i % 2}") for i in range(4)]
+    with pytest.raises(NonFiniteError, match=r"step 1: .*'sigma\."):
+        training.train(model, insts, insts[:2],
+                       training.TrainConfig(batch_size=2, max_epochs=1, lr=1e-3, seed=3))
+    for name, arr in before.items():
+        assert model.params[name].tobytes() == arr.tobytes(), name
 
 
 @pytest.mark.parametrize("kwargs", [{"lam_schedule": "cosine"}, {"anneal_steps": 0},
@@ -248,8 +272,10 @@ def test_label_embedding_row_gradient_steps_like_its_dense_form(monkeypatch):
         real_adam(params, grads, opt)
         seen.append(g)
         np.testing.assert_array_equal(params["sigma.y_emb"], ref_params["sigma.y_emb"])
-        np.testing.assert_array_equal(opt.m["sigma.y_emb"], ref_opt.m["sigma.y_emb"])
-        np.testing.assert_array_equal(opt.v["sigma.y_emb"], ref_opt.v["sigma.y_emb"])
+        m, v = dense_moments(opt, "sigma.y_emb", params["sigma.y_emb"].shape)
+        ref_m, ref_v = dense_moments(ref_opt, "sigma.y_emb", params["sigma.y_emb"].shape)
+        np.testing.assert_array_equal(m, ref_m)
+        np.testing.assert_array_equal(v, ref_v)
 
     monkeypatch.setattr(training, "adam_step", checking_adam)
     training.train(model, insts, insts[:2],
