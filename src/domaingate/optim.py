@@ -2,9 +2,11 @@
 
 The update is the dense one of Kingma & Ba. For a finite lr > 0, a row
 whose moments and gradient are all zero is a fixed point of that update.
-So while a table has had only row gradients, its moments are stored for
-the rows that have had one, and only those rows are updated: the other
-rows keep p bitwise with zero moments, as the dense update leaves them.
+So while a table has had only row gradients and at most half its rows
+have had one, its moments are stored for those rows only, and only those
+rows are updated: the other rows keep p bitwise with zero moments, as
+the dense update leaves them. Past half, gathering the live rows and
+re-laying out their moments would cost more than full-size moments do.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ class AdamState:
     Accumulators are created on a parameter's first step with the
     parameter's dtype. ``live`` holds the sorted ids [L] of the rows
     that have had a gradient, for each table whose gradients have all
-    been ``RowGrad`` and whose rows have not all had one yet. Such a
+    been ``RowGrad`` and at most half of whose rows have had one. Such a
     table's ``m`` and ``v`` are [L, ...]: row i holds the moments of row
     ``live[i]``, and every other row's moments are zero. Every other
     parameter has no ``live`` entry, and its accumulators match its shape.
@@ -78,13 +80,19 @@ def _row_blocks(shape: tuple[int, ...]) -> list:
     return [slice(r, r + rows) for r in range(0, shape[0], rows)]
 
 
-def _update_blocks(name, p, m, v, g, state: AdamState, bc1: float, bc2: float) -> None:
+def _update_blocks(name, p, m, v, g, state: AdamState, bc1: float, bc2: float,
+                   ids=None) -> None:
+    # Given the live ``ids`` that compact m and v are matched to, each
+    # block's rows of p are gathered and written back after the update.
     # Each block is checked right after its update, while it is in cache.
-    for rows in _row_blocks(p.shape):
+    for rows in _row_blocks(m.shape):
         g_rows = (g.dense(rows.start, rows.stop) if isinstance(g, RowGrad)
                   else g[rows])
-        _update(p[rows], m[rows], v[rows], g_rows, state, bc1, bc2)
-        if not np.isfinite(p[rows]).all():
+        p_rows = p[rows] if ids is None else p[ids[rows]]
+        _update(p_rows, m[rows], v[rows], g_rows, state, bc1, bc2)
+        if ids is not None:
+            p[ids[rows]] = p_rows
+        if not np.isfinite(p_rows).all():
             raise NonFiniteError(
                 f"Adam step {state.step} made parameter {name!r} non-finite")
 
@@ -102,11 +110,8 @@ def _update_live_rows(name, p, g: RowGrad, ids, state: AdamState,
             grown[at] = moments[name]
             moments[name] = grown
         state.live[name] = ids
-    g_rows = np.zeros((ids.size, g.values.shape[1]), g.values.dtype)
-    g_rows[np.searchsorted(ids, g.ids)] = g.values
-    p_rows = p[ids]
-    _update_blocks(name, p_rows, state.m[name], state.v[name], g_rows, state, bc1, bc2)
-    p[ids] = p_rows
+    g_live = RowGrad(np.searchsorted(ids, g.ids), g.values, ids.size)
+    _update_blocks(name, p, state.m[name], state.v[name], g_live, state, bc1, bc2, ids)
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | RowGrad],
@@ -116,15 +121,16 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | RowGr
     The update is the dense one of Kingma & Ba for every parameter, run
     over blocks of rows. A table with live rows (see ``AdamState``) adds
     the step's rows to them, growing its moments only when new rows
-    join, and updates the live rows alone: they are gathered, each with
-    its gradient row or a zero row, so that a row without a gradient in
-    this step still moves by its momentum, and written back. The first
-    dense gradient, or live rows that cover the table, scatter the
-    moments into full-size ones, and the table takes the plain blocks
-    from then on; a ``RowGrad`` is densified one block at a time there.
-    Every gradient's name and shape are checked before anything changes
-    (``ValueError``). Each block is checked right after its update: a
-    non-finite value raises ``NonFiniteError`` naming the parameter.
+    join, and updates the live rows alone, a block at a time: a block's
+    rows are gathered, updated with their gradient rows or zero rows, so
+    that a row without a gradient in this step still moves by its
+    momentum, and written back. The first dense gradient, or live rows
+    that pass half the table, scatter the moments into full-size ones,
+    and the table takes the plain blocks from then on; a ``RowGrad`` is
+    densified one block at a time there. Every gradient's name and shape
+    are checked before anything changes (``ValueError``). Each block is
+    checked right after its update: a non-finite value raises
+    ``NonFiniteError`` naming the parameter.
     """
     for name, g in grads.items():
         if name not in params:
@@ -149,7 +155,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | RowGr
             seen = np.zeros(g.rows, dtype=bool)
             seen[live] = seen[g.ids] = True
             ids = np.flatnonzero(seen)
-            if ids.size < g.rows:
+            if 2 * ids.size <= g.rows:
                 _update_live_rows(name, p, g, ids, state, bc1, bc2)
                 continue
         if live is not None:

@@ -82,20 +82,13 @@ def _lambda_at(cfg: TrainConfig, step: int, steps_per_epoch: int) -> float:
     return cfg.lam * min(1.0, step / (cfg.anneal_steps or steps_per_epoch))
 
 
-def _global_norm(grads: dict, step: int) -> float:
+def _global_norm(grads: dict) -> float:
     """L2 norm over every gradient entry; a ``RowGrad`` counts its rows only.
-    Squares are summed in float64 for every gradient dtype. A norm that
-    is not finite raises ``NonFiniteError`` naming the step and the
-    parameters whose squares are not."""
-    squares = {}
+    Squares are summed in float64 for every gradient dtype."""
     total = 0.0
-    for name, g in grads.items():
+    for g in grads.values():
         x = (g.values if isinstance(g, RowGrad) else g).astype(np.float64, copy=False).ravel()
-        squares[name] = float(np.dot(x, x))
-        total += squares[name]
-    if not math.isfinite(total):
-        bad = [name for name, sq in squares.items() if not math.isfinite(sq)]
-        raise NonFiniteError(f"step {step}: the gradients of {bad} are not finite")
+        total += float(np.dot(x, x))
     return math.sqrt(total)
 
 
@@ -139,9 +132,10 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
     usable pathwise gradient is left out of its step's mean and counted
     in the log entry's ``degenerate``; a step that keeps no instance
     takes no Adam step. ``grad_norm`` is the global L2 norm of the step's
-    averaged gradient (null when no step is taken); a norm that is not
-    finite raises ``NonFiniteError`` naming the parameters before Adam
-    changes any of them. Dev accuracy is checked twice per epoch;
+    averaged gradient (null when no step is taken). Gradients that are
+    not finite raise ``NonFiniteError`` naming the step and their
+    parameters before Adam changes any of them; they are looked for only
+    when the norm is not finite. Dev accuracy is checked twice per epoch;
     training stops after ``patience`` evaluations without improvement.
 
     The best state is copied only when it is about to change: while it is
@@ -182,7 +176,12 @@ def train(model: Model, train_set: list[Instance], dev_set: list[Instance],
                      "lambda": lam_t, "degenerate": res.degenerate, "grad_norm": None}
             if res.loss is not None:
                 grads = backprop(res.loss)
-                entry["grad_norm"] = _global_norm(grads, step)
+                entry["grad_norm"] = _global_norm(grads)
+                if not math.isfinite(entry["grad_norm"]):
+                    bad = [name for name, g in grads.items()
+                           if not np.isfinite(g.values if isinstance(g, RowGrad) else g).all()]
+                    if bad:
+                        raise NonFiniteError(f"step {step}: the gradients of {bad} are not finite")
                 if best_is_current:  # keep the best state before Adam overwrites it
                     if best_params is None:
                         best_params = {name: np.empty_like(arr)

@@ -3,7 +3,8 @@ the dense update of Kingma & Ba bitwise, including the momentum a row
 keeps moving by in steps where it has no gradient. The rows of a table
 that have never had a gradient are skipped: they keep p bitwise with
 zero moments, a table stores moments for its live rows only until a
-dense gradient or full coverage, and no update is larger than a block.
+dense gradient or more than half its rows are live, and no update or
+row copy is larger than a block.
 A bad gradient raises before anything changes."""
 
 import tracemalloc
@@ -224,11 +225,11 @@ def test_first_row_gradient_without_rows_takes_no_update():
     assert state.live["emb"].size == 0
 
 
-@pytest.mark.parametrize("last", ["dense", "all rows"])
+@pytest.mark.parametrize("last", ["dense", "all rows", "over half"])
 def test_updates_stay_within_blocks_and_cover_only_live_rows(last, monkeypatch):
-    # A [10,4] table in blocks of 4 rows: [0,4), [4,8), [8,10).
+    # A [20,4] table in blocks of 4 rows.
     monkeypatch.setattr(optim, "_BLOCK", 16)
-    rows, width = 10, 4
+    rows, width = 20, 4
     rng = np.random.default_rng(5)
     params = {"emb": rng.normal(size=(rows, width))}
     state = AdamState(lr=1e-2)
@@ -254,52 +255,49 @@ def test_updates_stay_within_blocks_and_cover_only_live_rows(last, monkeypatch):
                        rows)
 
     live = set()
-    for ids in ([1], [2, 9], [], [3, 5], [4, 7]):
+    for ids in ([1], [2, 19], [], [3, 5], [4, 7]):
         live |= set(ids)
         sizes, moved = step(row_grad(ids))
         assert state.live["emb"].tolist() == moved == sorted(live)
         assert sum(sizes) == len(live)
-    # Live rows {1,2,3,4,5,7,9}: updated as 7 gathered rows.
-    assert sizes == [4, 3]
-    sizes, moved = step(rng.normal(size=(rows, width)) if last == "dense"
-                        else row_grad([0, 6, 8]))
-    assert sizes == [4, 4, 2] and moved == list(range(rows)) and "emb" not in state.live
-    # From then on every step takes the plain blocks, a row gradient too.
-    assert step(row_grad([1]))[0] == [4, 4, 2] and "emb" not in state.live
-
-
-@pytest.mark.parametrize("last", ["dense", "all rows"])
-def test_moments_cover_live_rows_until_dense_step_or_full_coverage(last):
-    rng = np.random.default_rng(6)
-    rows, width = 1000, 8
-    params = {"emb": rng.normal(size=(rows, width))}
-    state = AdamState(lr=1e-2)
-    live = set()
-    for ids in ([3, 500], [999, 3, 40], [], [0, 7]):
-        live |= set(ids)
-        ids = np.array(sorted(ids), dtype=np.int64)
-        adam_step(params, {"emb": RowGrad(ids, rng.normal(size=(ids.size, width)), rows)},
-                  state)
-        assert state.live["emb"].tolist() == sorted(live)
         assert state.m["emb"].shape == state.v["emb"].shape == (len(live), width)
-    ids = np.setdiff1d(np.arange(rows), [3])  # with the live rows, every row
-    g = (rng.normal(size=(rows, width)) if last == "dense"
-         else RowGrad(ids, rng.normal(size=(ids.size, width)), rows))
-    adam_step(params, {"emb": g}, state)
-    assert "emb" not in state.live
+    # Live rows {1,2,3,4,5,7,19}: updated as 7 gathered rows.
+    assert sizes == [4, 3]
+    # Ten live rows are still half the table; an eleventh leaves the
+    # compact moments, as a dense step or one with every row does.
+    assert step(row_grad([0, 6, 8]))[0] == [4, 4, 2]
+    live |= {0, 6, 8}
+    g = {"dense": rng.normal(size=(rows, width)), "all rows": row_grad(range(rows)),
+         "over half": row_grad([9])}[last]
+    sizes, moved = step(g)
+    assert sizes == [4] * 5 and "emb" not in state.live
+    assert moved == (sorted(live | {9}) if last == "over half" else list(range(rows)))
     assert state.m["emb"].shape == state.v["emb"].shape == (rows, width)
+    # From then on every step takes the plain blocks, a row gradient too.
+    assert step(row_grad([1]))[0] == [4] * 5 and "emb" not in state.live
 
 
-def test_fresh_row_step_allocates_far_below_dense_moments():
-    # Dense moments of a [20000,64] float32 table take 2 x 5.1 MB.
+@pytest.mark.parametrize("n_live", [0, 10000])
+def test_row_step_allocates_far_below_dense_moments(n_live):
+    # Dense moments of a [20000,64] float32 table take 2 x 5.1 MB. Half
+    # its rows live keep compact moments of 2 x 2.6 MB, and a gathered
+    # copy of their p or gradient rows would take 2.6 MB more. A 16-row
+    # step, on a fresh state or one that adds no live row, allocates
+    # block-size temporaries only.
     rng = np.random.default_rng(8)
     params = {"emb": rng.standard_normal((20000, 64), dtype=np.float32)}
-    ids = np.sort(rng.choice(20000, 16, replace=False))
+    state = AdamState(lr=1e-3)
+    live = np.sort(rng.choice(20000, n_live, replace=False))
+    if n_live:
+        adam_step(params, {"emb": RowGrad(
+            live, rng.standard_normal((n_live, 64), dtype=np.float32), 20000)}, state)
+    ids = np.sort(rng.choice(live if n_live else 20000, 16, replace=False))
     g = RowGrad(ids, rng.standard_normal((16, 64), dtype=np.float32), 20000)
     tracemalloc.start()
     try:
-        adam_step(params, {"emb": g}, AdamState(lr=1e-3))
+        adam_step(params, {"emb": g}, state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert state.live["emb"].size == max(n_live, 16)
     assert peak < 1 << 20

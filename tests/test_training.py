@@ -4,7 +4,8 @@ by step, evaluation refuses non-finite label probabilities instead of
 scoring their default argmax, an instance
 whose gate draw has no usable gradient is left out of its step's mean
 and counted instead of ending the run, non-finite gradients raise
-before Adam changes a parameter, row-sparse embedding gradients train exactly as
+before Adam changes a parameter while a norm that overflows on finite
+ones does not, row-sparse embedding gradients train exactly as
 dense ones would, the result holds the best-dev parameters, and a step's
 tape is freed before the dev evaluation."""
 
@@ -53,7 +54,7 @@ def test_grad_norm_sums_float32_gradients_in_float64():
              "conv": rng.normal(size=(3, 300, 128)).astype(np.float32)}
     want = np.sqrt(sum(np.sum(np.square(x, dtype=np.float64))
                        for x in (grads["emb"].values, grads["conv"])))
-    assert training._global_norm(grads, step=1) == pytest.approx(want, rel=1e-12)
+    assert training._global_norm(grads) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -77,6 +78,24 @@ def test_non_finite_gradients_raise_before_adam_changes_anything():
                        training.TrainConfig(batch_size=2, max_epochs=1, lr=1e-3, seed=3))
     for name, arr in before.items():
         assert model.params[name].tobytes() == arr.tobytes(), name
+
+
+def test_norm_overflow_of_finite_gradients_takes_the_step(monkeypatch):
+    # A float64 sum of squares can overflow while every gradient entry is
+    # finite; such a step is logged with its infinite norm and taken.
+    monkeypatch.setattr(training, "_global_norm", lambda grads: float("inf"))
+    cfg = ModelConfig(kind="csda-dirichlet", n_labels=2, n_domains=2, vocab_size=20,
+                      k=2, encoder=EncoderConfig(6, 3, (2, 3)), mlp_hidden=5)
+    steps = []
+    real_adam = training.adam_step
+    monkeypatch.setattr(training, "adam_step",
+                        lambda *args: (steps.append(1), real_adam(*args)))
+    insts = [Instance(f"doc{i}", (3, 7, 1, 12, 5 + i, 9), i % 2, i % 2,
+                      f"l{i % 2}", f"d{i % 2}") for i in range(4)]
+    result = training.train(Model.init(cfg, np.random.default_rng(0)), insts, insts[:2],
+                            training.TrainConfig(batch_size=2, max_epochs=1, lr=1e-3, seed=3))
+    assert [e["grad_norm"] for e in result.log] == [float("inf")] * 2
+    assert len(steps) == 2
 
 
 @pytest.mark.parametrize("kwargs", [{"lam_schedule": "cosine"}, {"anneal_steps": 0},
